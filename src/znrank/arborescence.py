@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from znrank.errors import GuardExceeded, NotIrreducible, TransientStatesPresent
-from znrank.graph import strongly_connected
+from znrank.graph import require_connected_union
 from znrank.kernels import enumerate_parents, sum_tree_products
 from znrank.linalg import det_exact, det_float
 from znrank.polynomial import EpsPolynomial
@@ -231,17 +231,19 @@ def exact_limit_from_polynomials(p, q, budget=None, n_guard=SYMBOLIC_N_GUARD):
     Works with transient states present; their limit mass is zero.
     """
     _require_exact(p, q)
-    n = p.n
-    cands = _support_cands(p, extra=q)
-    if not strongly_connected(cands, n) and n > 1:
-        raise NotIrreducible("the union support of P and Q is not strongly connected")
-    polys = all_root_polynomials(p, q, budget=budget, n_guard=n_guard)
+    require_connected_union(p, q)
+    return limit_from_root_polynomials(all_root_polynomials(p, q, budget=budget, n_guard=n_guard))[0]
+
+
+def limit_from_root_polynomials(polys):
+    """(limit, total) from root polynomials already built: the limit law is
+    the ratio of the lowest-order coefficients, and total is their sum."""
     total = EpsPolynomial()
     for h in polys:
         total = total + h
     d = total.min_degree()
     lead = total.coefficient(d)
-    return Distribution(tuple(h.coefficient(d) / lead for h in polys), EXACT)
+    return Distribution(tuple(h.coefficient(d) / lead for h in polys), EXACT), total
 
 
 def root_weight_polynomials(p, q, budget=None, n_guard=SYMBOLIC_N_GUARD):

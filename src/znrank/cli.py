@@ -31,6 +31,7 @@ from znrank.graph import (
     load_matrix_json,
     ones_outer,
     parse_edge_list,
+    require_connected_union,
     to_stochastic,
     uniform_matrix,
 )
@@ -356,10 +357,9 @@ def cmd_sweep(args):
 def cmd_oracle(args):
     from znrank.arborescence import (
         all_root_polynomials,
-        exact_limit_from_polynomials,
+        limit_from_root_polynomials,
         root_weight_minor,
     )
-    from znrank.polynomial import EpsPolynomial
 
     p = load_p(args)
     obj = {
@@ -372,16 +372,13 @@ def cmd_oracle(args):
         if p.numeric_mode != EXACT:
             raise UsageError("the polynomial oracle needs exact arithmetic; use --numeric exact")
         q, _ = load_q(args.q, p)
+        require_connected_union(p, q)
         polys = all_root_polynomials(p, q)
-        total = EpsPolynomial()
-        for h in polys:
-            total = total + h
+        limit, total = limit_from_root_polynomials(polys)
         obj["polynomials"] = [h.to_strings() for h in polys]
         obj["total_polynomial"] = total.to_strings()
         obj["min_degree"] = total.min_degree()
-        obj["exact_limit"] = [
-            number_to_json(v, EXACT) for v in exact_limit_from_polynomials(p, q).values
-        ]
+        obj["exact_limit"] = [number_to_json(v, EXACT) for v in limit.values]
     sys.stdout.write(canonical_dumps(obj))
     return 0
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from znrank.errors import InputFormatError
+from znrank.errors import InputFormatError, NotIrreducible
 from znrank.rational import EXACT, FLOAT, json_to_number, number_to_json, parse_rational
 
 POSITIVE_EPS = 1e-15
@@ -135,21 +135,26 @@ class RowStochasticMatrix:
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise ValueError("matrix shape does not match the state space")
         if self.numeric_mode == EXACT:
-            self.rows = tuple(tuple(Fraction(x) for x in row) for row in self.rows)
-            for i, row in enumerate(self.rows):
-                if any(x < 0 for x in row):
-                    raise ValueError(f"negative entry in row {i}")
-                if sum(row) != 1:
-                    raise ValueError(f"row {i} sums to {sum(row)}, not 1")
+            kind, floor, tol = Fraction, 0, 0
         elif self.numeric_mode == FLOAT:
-            self.rows = tuple(tuple(float(x) for x in row) for row in self.rows)
-            for i, row in enumerate(self.rows):
-                if any(x < -POSITIVE_EPS for x in row):
-                    raise ValueError(f"negative entry in row {i}")
-                if abs(sum(row) - 1.0) > 1e-12:
-                    raise ValueError(f"row {i} sums to {sum(row)!r}, not 1")
+            kind, floor, tol = float, -POSITIVE_EPS, 1e-12
         else:
             raise ValueError(f"unknown numeric mode {self.numeric_mode!r}")
+        self.rows = tuple(
+            row if type(row) is tuple and all(type(x) is kind for x in row) else tuple(map(kind, row))
+            for row in self.rows
+        )
+        checked = set()  # ids of validated rows: a row shared by several states is checked once
+        for i, row in enumerate(self.rows):
+            if id(row) in checked:
+                continue
+            nonzero = [x for x in row if x]
+            if any(x < floor for x in nonzero):
+                raise ValueError(f"negative entry in row {i}")
+            total = sum(nonzero, kind(0))
+            if abs(total - 1) > tol:
+                raise ValueError(f"row {i} sums to {total}, not 1")
+            checked.add(id(row))
 
     @property
     def n(self):
@@ -186,8 +191,8 @@ class RowStochasticMatrix:
 
 
 def uniform_matrix(n, states=None):
-    w = Fraction(1, n)
-    return RowStochasticMatrix(states or StateSpace(n), tuple(tuple(w for _ in range(n)) for _ in range(n)))
+    row = (Fraction(1, n),) * n
+    return RowStochasticMatrix(states or StateSpace(n), (row,) * n)
 
 
 def ones_outer(nu_values, states=None):
@@ -272,6 +277,15 @@ def _tarjan_sccs(adj, n):
 
 def strongly_connected(adj, n):
     return len(_tarjan_sccs(adj, n)) == 1
+
+
+def require_connected_union(p, q):
+    """Raise NotIrreducible unless the union of the supports of P and Q is
+    strongly connected. For every eps in (0, 1) that union is the support of
+    (1 - eps) P + eps Q, which is then irreducible."""
+    adj = [sorted(set(a).union(b)) for a, b in zip(p.support_successors(False), q.support_successors(False))]
+    if not strongly_connected(adj, p.n):
+        raise NotIrreducible("the union support of P and Q is not strongly connected")
 
 
 def classify_states(p):

@@ -47,25 +47,55 @@ def linf(xs, ys):
     return max(abs(x - y) for x, y in zip(xs, ys))
 
 
-def stationary_direct(p):
-    """Unique stationary law of an irreducible chain by linear elimination.
+def _gth(rows, zero, one):
+    """Stationary law of the chain with the given rows by Grassmann-Taksar-
+    Heyman state reduction (Operations Research 1985).
 
-    The balance equations pi P = pi are dependent (they sum to zero), so the
-    last one is replaced by normalization.
+    States are eliminated from the last index down. Each step censors the
+    chain to the lower-indexed states; the pivot is the eliminated state's
+    mass to those states, so no step ever subtracts and float results are
+    entrywise relatively accurate (O'Cinneide, Numer. Math. 1993). The same
+    code runs over Fraction and float: only `zero` and `one` differ. A zero
+    pivot means more than one closed class and raises NotIrreducible.
     """
-    if not is_irreducible(p):
+    n = len(rows)
+    a = [list(row) for row in rows]
+    scaled = [()] * n  # scaled[k]: (i, a[i][k] / pivot) over i < k, nonzero
+    for k in range(n - 1, 0, -1):
+        lower = [(j, x) for j, x in enumerate(a[k][:k]) if x]
+        pivot = sum((x for _, x in lower), zero)
+        if not pivot:
+            raise NotIrreducible("zero pivot in state reduction: the chain has more than one closed class")
+        col = []
+        for i in range(k):
+            row_i = a[i]
+            c = row_i[k]
+            if c:
+                f = c / pivot
+                col.append((i, f))
+                for j, x in lower:  # also updates a[i][i], which is never read
+                    row_i[j] += f * x
+        scaled[k] = col
+    x = [one] + [zero] * (n - 1)
+    for k in range(1, n):
+        x[k] = sum((x[i] * f for i, f in scaled[k]), zero)
+    total = sum(x, zero)
+    return [v / total for v in x]
+
+
+def stationary_direct(p, known_irreducible=False):
+    """Unique stationary law of an irreducible chain by GTH state reduction.
+
+    Pass known_irreducible=True only when the caller has already
+    established irreducibility (a sweep checks the union support of P and
+    Q once for every eps); the check is skipped then.
+    """
+    if not known_irreducible and not is_irreducible(p):
         raise NotIrreducible("stationary_direct needs an irreducible chain")
-    n = p.n
-    zero = Fraction(0) if p.numeric_mode == EXACT else 0.0
-    one = Fraction(1) if p.numeric_mode == EXACT else 1.0
-    a = [[p.entry(j, i) - (one if i == j else zero) for j in range(n)] for i in range(n - 1)]
-    a.append([one] * n)
-    rhs = [zero] * (n - 1) + [one]
-    solve = solve_exact if p.numeric_mode == EXACT else solve_float
-    try:
-        x = solve(a, rhs)
-    except SingularSystem:
-        raise NotIrreducible("balance system singular despite irreducibility check") from None
+    if p.numeric_mode == EXACT:
+        x = _gth(p.rows, Fraction(0), Fraction(1))
+    else:
+        x = _gth(p.rows, 0.0, 1.0)
     return Distribution(tuple(x), p.numeric_mode)
 
 

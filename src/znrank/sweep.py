@@ -2,8 +2,11 @@
 convergence-order fits and first-order estimates.
 
 The sweep is the empirical check on the limit predictions. Exact mode (all
-rational, including the grid) gives exact per-eps stationary laws; floating
-mode is sized for grids down to 1e-6, below which direct solves degrade.
+rational, including the grid) gives exact per-eps stationary laws. Floating
+mode stays accurate on grids down to 1e-14: every per-eps law comes from GTH
+state reduction, which never subtracts, and irreducibility is checked once
+on the union support of P and Q, not on each P_eps, whose smallest entries
+would fall under the float positivity threshold.
 """
 
 import math
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from znrank.errors import EpsOutOfRange
-from znrank.graph import RowStochasticMatrix, classify_states
+from znrank.graph import RowStochasticMatrix, classify_states, require_connected_union
 from znrank.rational import EXACT, FLOAT
 from znrank.stationary import Distribution, stationary_direct
 
@@ -39,6 +42,12 @@ def perturbed_matrix(p, q, eps):
         tuple((1.0 - e) * pf.entry(i, j) + e * qf.entry(i, j) for j in range(p.n)) for i in range(p.n)
     )
     return RowStochasticMatrix(p.states, rows, FLOAT)
+
+
+def _perturbed_law(p, q, eps):
+    """Stationary law of (1 - eps) P + eps Q. The caller has run
+    require_connected_union(p, q), which covers every eps below 1."""
+    return stationary_direct(perturbed_matrix(p, q, eps), known_irreducible=eps < 1)
 
 
 @dataclass(frozen=True)
@@ -84,10 +93,11 @@ def epsilon_sweep(p, q, grid=None, predicted=None):
         raise ValueError("grid must be strictly decreasing")
     if predicted is None:
         predicted = _predicted_limit(p, q)
+    require_connected_union(p, q)
     table = []
     errors = []
     for e in grid:
-        pi = stationary_direct(perturbed_matrix(p, q, e))
+        pi = _perturbed_law(p, q, e)
         table.append(pi)
         if pi.numeric_mode == EXACT and predicted.numeric_mode == EXACT:
             err = max(abs(a - b) for a, b in zip(pi.values, predicted.values))
@@ -115,8 +125,9 @@ def first_order_estimate(p, q, eps_pair):
     e1, e2 = eps_pair
     if e1 == e2:
         raise ValueError("the two eps values must differ")
-    pi1 = stationary_direct(perturbed_matrix(p, q, e1))
-    pi2 = stationary_direct(perturbed_matrix(p, q, e2))
+    require_connected_union(p, q)
+    pi1 = _perturbed_law(p, q, e1)
+    pi2 = _perturbed_law(p, q, e2)
     if pi1.numeric_mode == EXACT and pi2.numeric_mode == EXACT:
         return tuple((a - b) / (Fraction(e1) - Fraction(e2)) for a, b in zip(pi1.values, pi2.values))
     d = float(e1) - float(e2)
@@ -157,8 +168,9 @@ def extrapolate_limit(p, q, grid=None):
         grid = DEFAULT_FLOAT_GRID
     grid = tuple(grid)
     e1, e2 = float(grid[-2]), float(grid[-1])
-    pi1 = stationary_direct(perturbed_matrix(pf, qf, e1))
-    pi2 = stationary_direct(perturbed_matrix(pf, qf, e2))
+    require_connected_union(pf, qf)
+    pi1 = _perturbed_law(pf, qf, e1)
+    pi2 = _perturbed_law(pf, qf, e2)
     # value at 0 of the line through (e1, pi1), (e2, pi2)
     return tuple(b - e2 * (a - b) / (e1 - e2) for a, b in zip(pi1.values, pi2.values))
 

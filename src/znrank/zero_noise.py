@@ -2,10 +2,12 @@
 
 For (1-eps) P + eps Q with P reducible, the limit stationary law factors
 into per-class stationary laws weighted by the stationary law of a reduced
-chain over the closed classes. The plain reduction requires no transient
-states; the extended reduction routes perturbation mass that lands on
-transient states through their absorption probabilities and is validated
-empirically (sweeps plus one exact fixture), not assumed.
+chain over the closed classes. The reduced chain weights each member of a
+class by the class stationary law, so any Q is allowed. The plain
+reduction requires no transient states; the extended reduction routes
+perturbation mass that lands on transient states through their absorption
+probabilities and is validated empirically (sweeps, exact fixtures and
+random chains against the polynomial oracle), not assumed.
 """
 
 from dataclasses import dataclass
@@ -66,27 +68,60 @@ def _gamma_chain_from_rows(rows, part, mode, numeric_mode):
     except ValueError as exc:
         raise GammaReducible(f"reduced chain is not stochastic: {exc}") from None
     if not is_irreducible(gamma):
-        raise GammaReducible("reduced class chain is not irreducible")
+        raise GammaReducible(
+            "reduced class chain is not irreducible; the limit may still exist:"
+            " `znrank adjudicate` or `znrank oracle --q` computes it from the perturbed chain"
+        )
     return GammaChain(gamma, stationary_direct(gamma), mode)
 
 
-def build_gamma(q, part, mode="plain"):
-    """Reduced chain: Gamma(i, j) averages Q mass from class i into class j
-    over the members of class i. Requires a transient-free partition."""
+def _reduced_rows(q, part, class_laws, absorb=None):
+    """Gamma(i, j) = sum over x in C_i of pi_i(x) Q(x, C_j): each member of
+    a class is weighted by the class stationary law. With absorb, the mass
+    Q(x, t) on a transient state t continues into C_j with probability
+    A(t, j)."""
+    m = part.m
+    zero = Fraction(0) if q.numeric_mode == EXACT else 0.0
+    owner = [None] * q.n
+    for j, cj in enumerate(part.closed_classes):
+        for y in cj:
+            owner[y] = j
+    routes = {t: absorb.rows[ti] for ti, t in enumerate(part.transient)} if absorb else {}
+    rows = []
+    for k, ck in enumerate(part.closed_classes):
+        law = class_laws[k]
+        row = [zero] * m
+        for x in ck:
+            out = [zero] * m  # Q(x, C_j), formed before weighting by pi_k(x)
+            for y, v in enumerate(q.rows[x]):
+                if not v:
+                    continue
+                j = owner[y]
+                if j is not None:
+                    out[j] += v
+                else:
+                    for jj, a in enumerate(routes[y]):
+                        out[jj] += v * a
+            w = law[x]
+            for j in range(m):
+                row[j] += w * out[j]
+        rows.append(row)
+    return rows
+
+
+def build_gamma(p, q, part, mode="plain", class_laws=None):
+    """Reduced chain: Gamma(i, j) is the Q mass from class i into class j,
+    averaged over the members of class i with the class stationary law of P.
+    class_laws defaults to class_stationary(p, part). Requires a
+    transient-free partition."""
     if part.transient:
         raise TransientStatesPresent("the plain reduction needs a transient-free chain")
     if mode not in GAMMA_MODES:
         raise ValueError(f"unknown reduction mode {mode!r}")
-    exact = q.numeric_mode == EXACT
-    rows = []
-    for ci in part.closed_classes:
-        inv = Fraction(1, len(ci)) if exact else 1.0 / len(ci)
-        row = []
-        for cj in part.closed_classes:
-            zero = Fraction(0) if exact else 0.0
-            row.append(inv * sum((q.entry(x, y) for x in ci for y in cj), zero))
-        rows.append(row)
-    return _gamma_chain_from_rows(rows, part, mode, q.numeric_mode)
+    p, q = _common_mode(p, q)
+    if class_laws is None:
+        class_laws = class_stationary(p, part)
+    return _gamma_chain_from_rows(_reduced_rows(q, part, class_laws), part, mode, q.numeric_mode)
 
 
 def personalization_gamma(nu, part):
@@ -103,31 +138,19 @@ def personalization_gamma(nu, part):
     return _gamma_chain_from_rows(rows, part, "personalized", nu.numeric_mode)
 
 
-def extended_gamma(p, q, part):
+def extended_gamma(p, q, part, class_laws=None):
     """Reduced chain with transient states folded in: perturbation mass from
     class i that lands on a transient state t continues into class j with
-    the absorption probability A(t, j)."""
+    the absorption probability A(t, j). class_laws defaults to
+    class_stationary(p, part)."""
     p, q = _common_mode(p, q)
-    absorb = absorption_probabilities(p, part)
-    exact = p.numeric_mode == EXACT and q.numeric_mode == EXACT
-    zero = Fraction(0) if exact else 0.0
-    rows = []
-    for ci in part.closed_classes:
-        inv = Fraction(1, len(ci)) if exact else 1.0 / len(ci)
-        row = []
-        for j, cj in enumerate(part.closed_classes):
-            direct = sum((q.entry(x, y) for x in ci for y in cj), zero)
-            routed = sum(
-                (q.entry(x, t) * absorb.rows[ti][j] for x in ci for ti, t in enumerate(part.transient)),
-                zero,
-            )
-            row.append(inv * (direct + routed))
-        rows.append(row)
+    if class_laws is None:
+        class_laws = class_stationary(p, part)
+    rows = _reduced_rows(q, part, class_laws, absorption_probabilities(p, part))
     return _gamma_chain_from_rows(rows, part, "extended", p.numeric_mode)
 
 
-def _assemble(p, part, gamma_chain, class_masses, mode):
-    per_class = class_stationary(p, part)
+def _assemble(p, part, per_class, gamma_chain, class_masses, mode):
     exact = p.numeric_mode == EXACT
     zero = Fraction(0) if exact else 0.0
     node = [zero] * p.n
@@ -156,8 +179,9 @@ def limit_rank_general(p, q, gamma_mode="plain"):
         raise TransientStatesPresent(
             "P has transient states; use the extended reduction (limit_rank_extended)"
         )
-    chain = build_gamma(q, part, mode=gamma_mode)
-    return _assemble(p, part, chain, chain.pi_gamma, "theorem3")
+    per_class = class_stationary(p, part)
+    chain = build_gamma(p, q, part, mode=gamma_mode, class_laws=per_class)
+    return _assemble(p, part, per_class, chain, chain.pi_gamma, "theorem3")
 
 
 def limit_rank_extended(p, q):
@@ -165,8 +189,9 @@ def limit_rank_extended(p, q):
     states. Conjectural: validated by sweeps and the exact oracle."""
     p, q = _common_mode(p, q)
     part = classify_states(p)
-    chain = extended_gamma(p, q, part)
-    return _assemble(p, part, chain, chain.pi_gamma, "extended")
+    per_class = class_stationary(p, part)
+    chain = extended_gamma(p, q, part, class_laws=per_class)
+    return _assemble(p, part, per_class, chain, chain.pi_gamma, "extended")
 
 
 def limit_rank_personalized(p, nu):
@@ -175,7 +200,7 @@ def limit_rank_personalized(p, nu):
         nu = nu.to_float()
     part = classify_states(p)
     chain = personalization_gamma(nu, part)
-    return _assemble(p, part, chain, chain.pi_gamma, "theorem3")
+    return _assemble(p, part, class_stationary(p, part), chain, chain.pi_gamma, "theorem3")
 
 
 def theorem2_prediction(p):
@@ -189,7 +214,7 @@ def theorem2_prediction(p):
     exact = p.numeric_mode == EXACT
     share = Fraction(1, part.m) if exact else 1.0 / part.m
     masses = Distribution(tuple(share for _ in range(part.m)), p.numeric_mode)
-    return _assemble(p, part, None, masses, "theorem2")
+    return _assemble(p, part, class_stationary(p, part), None, masses, "theorem2")
 
 
 def report_to_json(report):

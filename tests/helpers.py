@@ -111,6 +111,14 @@ def rand_block_q(rng, sizes):
     return q, gamma
 
 
+def rand_general_q(rng, n):
+    """Perturbation with no structure over the classes of P: every row has
+    its own random weights, so Q(x, C_j) differs between members x of one
+    class. The support holds a cycle through all states, so the union with
+    any P is strongly connected and the polynomial oracle has an answer."""
+    return rand_irreducible(rng, n)
+
+
 def rand_with_transients(rng, sizes, t):
     """Closed blocks plus t transient states, each with at least one direct
     edge into a closed state."""

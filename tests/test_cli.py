@@ -127,6 +127,20 @@ def test_rank_personalized_q(tmp_path, capsys):
     assert obj["node_limit"] == ["1/4", "1/4", "1/2"]
 
 
+def test_rank_general_q_weights_members_by_class_law(tmp_path, capsys):
+    # Q is not constant on the class {0, 1}, whose stationary law is (1/3, 2/3)
+    pm = wpath(tmp_path, "p.json", json.dumps({"n": 3, "rows": [[0, 1, 0], ["1/2", "1/2", 0], [0, 0, 1]]}))
+    qm = wpath(tmp_path, "q.json", json.dumps({"n": 3, "rows": [[0, 0, 1], [1, 0, 0], [1, 0, 0]]}))
+    code, out, _ = run(capsys, "rank", "--matrix", pm, "--q", f"matrix={qm}", "--format", "tsv")
+    assert code == 0
+    assert out == "0\t1/4\n1\t1/2\n2\t1/4\n"
+    code, out, _ = run(capsys, "adjudicate", "--matrix", pm, "--q", f"matrix={qm}")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["oracle"] == ["1/4", "1/2", "1/4"]
+    assert obj["methods"]["theorem3"]["verdict"] == "exact"
+
+
 def test_rank_matrix_q_size_mismatch(tmp_path, capsys):
     g = wpath(tmp_path, "g.txt", TWO_CLASS)
     qm = wpath(tmp_path, "q.json", json.dumps({"n": 2, "rows": [["0", "1"], ["1", "0"]]}))
@@ -230,6 +244,23 @@ def test_sweep_float_json(tmp_path, capsys):
     assert obj["report"]["slope"] >= 0.8
 
 
+def test_sweep_float_down_to_1e14(tmp_path, capsys):
+    # three closed classes (6, 4, 2); at eps = 1e-14 the uniform entries
+    # eps/12 lie under the float positivity threshold of 1e-15
+    g = wpath(tmp_path, "g.txt", "a b 2\nb c\nc d 3\nd e\ne f 2\nf a\nb e\nd a 4\n"
+                                 "g h\nh i 2\ni j\nj g 3\nh j\nk l\nl k 2\n")
+    code, out, err = run(capsys, "sweep", "--graph", g, "--q", "uniform", "--numeric", "float",
+                         "--format", "json", "--eps", "1e-1..1e-14")
+    assert code == 0, err
+    rep = json.loads(out)["report"]
+    assert len(rep["eps"]) == 14
+    assert rep["verdict"] == "pass"
+    assert 0.99 <= rep["slope"] <= 1.01
+    # the error stays first order in eps all the way down
+    c = rep["errors"][0] / rep["eps"][0]
+    assert all(0.5 * c <= r / e <= 2 * c for r, e in zip(rep["errors"], rep["eps"]))
+
+
 def test_oracle_without_q(tmp_path, capsys):
     g = wpath(tmp_path, "g.txt", K3)
     code, out, _ = run(capsys, "oracle", "--graph", g)
@@ -248,6 +279,32 @@ def test_oracle_with_q(tmp_path, capsys):
     assert obj["min_degree"] == 1
     assert obj["exact_limit"] == ["1/3", "1/3", "1/3"]
     assert len(obj["polynomials"]) == 3
+
+
+def test_oracle_with_q_builds_each_polynomial_once(tmp_path, capsys, monkeypatch):
+    import znrank.arborescence as arb
+
+    calls = []
+    original = arb.perturbed_root_polynomial
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(arb, "perturbed_root_polynomial", counted)
+    g = wpath(tmp_path, "g.txt", K3)
+    code, out, _ = run(capsys, "oracle", "--graph", g, "--q", "uniform")
+    assert code == 0
+    assert json.loads(out)["exact_limit"] == ["1/3", "1/3", "1/3"]
+    assert sorted(calls) == [0, 1, 2]
+
+
+def test_oracle_with_q_needs_connected_union(tmp_path, capsys):
+    g = wpath(tmp_path, "g.txt", TWO_CLASS)
+    qm = wpath(tmp_path, "q.json", json.dumps({"n": 3, "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    code, _, err = run(capsys, "oracle", "--graph", g, "--q", f"matrix={qm}")
+    assert code == 3
+    assert "not strongly connected" in err
 
 
 def test_oracle_with_q_needs_exact(tmp_path, capsys):

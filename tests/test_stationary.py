@@ -12,7 +12,7 @@ from znrank.stationary import (
     stationary_direct,
     stationary_power,
 )
-from helpers import rand_irreducible, rng_for
+from helpers import rand_irreducible, rand_reducible_no_transient, rng_for
 
 F = Fraction
 
@@ -38,6 +38,18 @@ def test_stationary_direct_needs_irreducible():
     p = RowStochasticMatrix(StateSpace(2), ((1, 0), (0, 1)))
     with pytest.raises(NotIrreducible):
         stationary_direct(p)
+
+
+def test_float_law_entrywise_accurate_at_tiny_eps():
+    # three closed classes joined only by the eps-weighted uniform mixing
+    from znrank.graph import uniform_matrix
+    from znrank.sweep import perturbed_matrix
+
+    p = rand_reducible_no_transient(rng_for("gth-accuracy"), [4, 3, 2])
+    pe = perturbed_matrix(p, uniform_matrix(p.n), F(1, 10**12))
+    exact = stationary_direct(pe)
+    approx = stationary_direct(pe.to_float())
+    assert max(abs(a - float(b)) / float(b) for a, b in zip(approx.values, exact.values)) <= 1e-12
 
 
 def test_power_matches_direct_and_handles_periodicity():

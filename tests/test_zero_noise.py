@@ -25,8 +25,10 @@ from znrank.zero_noise import (
 )
 from helpers import (
     rand_block_q,
+    rand_general_q,
     rand_reducible_no_transient,
     rand_sizes,
+    rand_with_transients,
     rng_for,
 )
 
@@ -51,7 +53,7 @@ def cycle_plus_absorber():
 
 def test_build_gamma_uniform_sizes():
     p = cycle_plus_absorber()
-    chain = build_gamma(uniform_matrix(3), classify_states(p), mode="uniform")
+    chain = build_gamma(p, uniform_matrix(3), classify_states(p), mode="uniform")
     assert chain.gamma.rows == ((F(2, 3), F(1, 3)), (F(2, 3), F(1, 3)))
     assert chain.pi_gamma.values == (F(2, 3), F(1, 3))
     assert chain.mode == "uniform"
@@ -68,7 +70,7 @@ def test_build_gamma_block_fixture():
             (F(1, 2), F(1, 2), 0),
         ),
     )
-    chain = build_gamma(q, classify_states(p))
+    chain = build_gamma(p, q, classify_states(p))
     assert chain.gamma.rows == ((F(2, 3), F(1, 3)), (F(1), F(0)))
     assert chain.pi_gamma.values == (F(3, 4), F(1, 4))
     report = limit_rank_general(p, q)
@@ -80,12 +82,12 @@ def test_build_gamma_rejects_transients_and_reducible():
         StateSpace(3), ((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 4), F(1, 4)))
     )
     with pytest.raises(TransientStatesPresent):
-        build_gamma(uniform_matrix(3), classify_states(p))
+        build_gamma(p, uniform_matrix(3), classify_states(p))
     # identity perturbation never moves mass between classes
     p2 = RowStochasticMatrix(StateSpace(2), ((1, 0), (0, 1)))
     q2 = RowStochasticMatrix(StateSpace(2), ((1, 0), (0, 1)))
-    with pytest.raises(GammaReducible):
-        build_gamma(q2, classify_states(p2))
+    with pytest.raises(GammaReducible, match="adjudicate"):
+        build_gamma(p2, q2, classify_states(p2))
 
 
 def test_limit_rank_general_rejects_transients():
@@ -129,7 +131,7 @@ def test_extended_gamma_fixture():
     assert report.node_limit.values == (F(5, 9), F(4, 9), F(0))
     # transient-free chains reduce to the plain construction
     p0 = cycle_plus_absorber()
-    plain = build_gamma(uniform_matrix(3), classify_states(p0))
+    plain = build_gamma(p0, uniform_matrix(3), classify_states(p0))
     ext = extended_gamma(p0, uniform_matrix(3), classify_states(p0))
     assert ext.gamma.rows == plain.gamma.rows
 
@@ -199,3 +201,34 @@ def test_general_route_matches_oracle_random():
         report = limit_rank_general(p, q)
         oracle = exact_limit_from_polynomials(p, q)
         assert report.node_limit.values == oracle.values
+
+
+def test_general_q_matches_oracle_random():
+    from znrank.arborescence import exact_limit_from_polynomials
+
+    rng = rng_for("general-q-vs-oracle")
+    checked = {False: 0, True: 0}
+    for trial in range(60):
+        with_transients = trial % 2 == 1
+        t = rng.randint(1, 2) if with_transients else 0
+        sizes = rand_sizes(rng, rng.randint(2, 3), total_cap=7 - t)
+        if not 3 <= sum(sizes) + t <= 7:
+            continue
+        if with_transients:
+            p = rand_with_transients(rng, sizes, t)
+        else:
+            p = rand_reducible_no_transient(rng, sizes)
+        q = rand_general_q(rng, p.n)
+        limit = limit_rank_extended if with_transients else limit_rank_general
+        try:
+            report = limit(p, q)
+        except GammaReducible:
+            # Q leaves a class only through a transient state that P sends
+            # back: a second-order exit the reduction does not cover
+            continue
+        oracle = exact_limit_from_polynomials(p, q)
+        assert report.node_limit.values == oracle.values
+        floats = limit(p.to_float(), q.to_float()).node_limit.values
+        assert max(abs(a - float(b)) for a, b in zip(floats, oracle.values)) < 1e-12
+        checked[with_transients] += 1
+    assert checked[False] >= 20 and checked[True] >= 15
