@@ -3,11 +3,14 @@ perturbation polynomials.
 
 An arborescence rooted at r assigns every other node one out-neighbor so
 that iterating the assignment reaches r; its weight is the product of the
-chosen entries. Two independent routes to the same numbers live here: full
-enumeration (the search kernel) and principal minors of I - P (the tree
-theorem). The perturbation oracle expands sum-over-trees polynomials in the
-mixing parameter with exact rational coefficients; nothing here is floating
-point unless the input matrix is.
+chosen entries. Independent routes to the same numbers live here: full
+enumeration (the search kernel, exponential in n), principal minors of
+I - P (the tree theorem), and one fraction-free integer elimination that
+gives the sums for every root at once. The perturbation oracle builds the
+sum-over-trees polynomials in the mixing parameter, with exact rational
+coefficients, by evaluation at n points plus interpolation; enumeration
+stays as the cross-check. Nothing here is floating point unless the input
+matrix is.
 """
 
 import math
@@ -17,7 +20,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from znrank.errors import GuardExceeded, NotIrreducible, TransientStatesPresent
-from znrank.graph import require_connected_union
+from znrank.graph import closed_components, require_connected_union
 from znrank.kernels import enumerate_parents, sum_tree_products
 from znrank.linalg import det_exact, det_float
 from znrank.polynomial import EpsPolynomial
@@ -157,14 +160,75 @@ def root_weight_minor(w, root):
     return max(0.0, det_float(m))
 
 
-@dataclass(frozen=True)
-class RootWeights:
-    values: tuple  # per-state scalars, or EpsPolynomial in symbolic mode
-    mode: str  # "scalar" | "symbolic"
+def _integer_rows(*mats):
+    """(lcms, rows): l_u is the lcm of the denominators of row u over all
+    the exact matrices, and rows holds each matrix with row u scaled by
+    l_u to integers."""
+    n = mats[0].n
+    lcms = [math.lcm(*(x.denominator for m in mats for x in m.rows[u])) for u in range(n)]
+    rows = [
+        [[x.numerator * (l // x.denominator) for x in m.rows[u]] for u, l in enumerate(lcms)] for m in mats
+    ]
+    return lcms, rows
+
+
+def _root_values(w):
+    """Arborescence sums of the integer weight matrix w for every root, by
+    one fraction-free elimination in O(n^3) integer operations.
+
+    With more than one closed class in the support, no spanning
+    arborescence exists. Otherwise let b be the smallest state of the
+    closed class, L the Laplacian of w (self-loops excluded) and M_b the
+    matrix L without row and column b. adj(L) has identical rows equal to
+    (H_r)_r, so H L = 0 gives M_b^T (H_j)_(j != b) = H_b (w[b][j])_(j != b)
+    with H_b = det M_b. A fraction-free Gauss-Jordan pass (Bareiss, Math.
+    Comp. 1968) on [M_b^T | w[b][j]] leaves det M_b as its last pivot and
+    H_j in the right-hand column. Every state reaches b, so M_b is a
+    nonsingular M-matrix: all its leading minors are positive and no
+    pivoting is needed.
+    """
+    n = len(w)
+    closed, _ = closed_components([[v for v in range(n) if v != u and w[u][v]] for u in range(n)], n)
+    if len(closed) > 1:
+        return [0] * n
+    b = closed[0][0]
+    idx = [u for u in range(n) if u != b]
+    m = len(idx)
+    a = []
+    for i, v in enumerate(idx):
+        row = [-w[u][v] for u in idx]
+        row[i] = sum(w[v]) - w[v][v]
+        row.append(w[b][v])
+        a.append(row)
+    prev = 1
+    for k in range(m):
+        row_k = a[k]
+        pivot = row_k[k]
+        for i in range(m):
+            if i == k:
+                continue
+            row_i = a[i]
+            lead = row_i[k]
+            # columns below k are already cleared; stale diagonals of
+            # earlier rows are never read again
+            for j in range(k + 1, m + 1):
+                row_i[j] = (pivot * row_i[j] - lead * row_k[j]) // prev
+        prev = pivot
+    h = [0] * n
+    h[b] = prev
+    for i, v in enumerate(idx):
+        h[v] = a[i][m]
+    return h
 
 
 def root_weights(w):
-    return RootWeights(tuple(root_weight_minor(w, r) for r in range(w.n)), "scalar")
+    """Sum of arborescence weights at every root: one integer elimination
+    in exact mode, one principal minor per root in float mode."""
+    if w.numeric_mode != EXACT:
+        return tuple(root_weight_minor(w, r) for r in range(w.n))
+    lcms, (a,) = _integer_rows(w)
+    total = math.prod(lcms)
+    return tuple(Fraction(h, total // l) for h, l in zip(_root_values(a), lcms))
 
 
 def mctt_stationary(p):
@@ -215,8 +279,57 @@ def perturbed_root_polynomial(p, q, root, budget=None, n_guard=SYMBOLIC_N_GUARD)
     return EpsPolynomial(Fraction(c, denom) for c in coeffs)
 
 
-def all_root_polynomials(p, q, budget=None, n_guard=SYMBOLIC_N_GUARD):
-    return tuple(perturbed_root_polynomial(p, q, r, budget=budget, n_guard=n_guard) for r in range(p.n))
+def _interpolate(ys):
+    """Integer coefficients, lowest degree first, of the polynomial of
+    degree below len(ys) with value ys[i] at i + 1. Newton divided
+    differences at unit-spaced nodes divide exactly by j at order j
+    because the polynomial has integer coefficients."""
+    n = len(ys)
+    c = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // j
+    coeffs = [0] * n
+    for j in range(n - 1, -1, -1):  # Horner: coeffs * (k - (j + 1)) + c[j]
+        for i in range(n - 1, 0, -1):
+            coeffs[i] = coeffs[i - 1] - (j + 1) * coeffs[i]
+        coeffs[0] = c[j] - (j + 1) * coeffs[0]
+    return coeffs
+
+
+def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
+    """Root polynomials H_r(eps), for every root r, of (1-eps) P + eps Q,
+    from n integer evaluations and interpolation; no enumeration.
+
+    Row u of P and Q scaled by l_u gives integer rows A_u and B_u, and for
+    k >= 1, W_k = k A + B is P_eps at eps = 1/(k+1) up to the row factor
+    l_u (k+1), on the union support. G_r(k) = H_r(W_k) has integer
+    coefficients g_d and degree at most n-1, so k = 1..n determine it, and
+    H_r(eps) = sum_d g_d (1-eps)^d eps^(n-1-d) / prod_(u != r) l_u.
+    """
+    _require_exact(p, q)
+    n = p.n
+    if q.n != n:
+        raise ValueError("P and Q must share a state space")
+    if n > n_guard:
+        raise GuardExceeded(f"n = {n} exceeds the symbolic guard {n_guard}")
+    lcms, (a, b) = _integer_rows(p, q)
+    values = [
+        _root_values([[k * x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]) for k in range(1, n + 1)
+    ]
+    total = math.prod(lcms)
+    top = n - 1
+    polys = []
+    for r in range(n):
+        g = _interpolate([vals[r] for vals in values])
+        coeffs = [0] * n
+        for d, gd in enumerate(g):
+            if gd:
+                for i in range(d + 1):  # gd (1-eps)^d eps^(top-d)
+                    coeffs[top - d + i] += (-1) ** i * math.comb(d, i) * gd
+        denom = total // lcms[r]
+        polys.append(EpsPolynomial(Fraction(c, denom) for c in coeffs))
+    return tuple(polys)
 
 
 def min_degree(poly):
@@ -224,7 +337,7 @@ def min_degree(poly):
     return poly.min_degree()
 
 
-def exact_limit_from_polynomials(p, q, budget=None, n_guard=SYMBOLIC_N_GUARD):
+def exact_limit_from_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     """Exact small-mixing limit of the stationary law of (1-eps) P + eps Q:
     the ratio of lowest-order coefficients of the root polynomials.
 
@@ -232,7 +345,7 @@ def exact_limit_from_polynomials(p, q, budget=None, n_guard=SYMBOLIC_N_GUARD):
     """
     _require_exact(p, q)
     require_connected_union(p, q)
-    return limit_from_root_polynomials(all_root_polynomials(p, q, budget=budget, n_guard=n_guard))[0]
+    return limit_from_root_polynomials(all_root_polynomials(p, q, n_guard=n_guard))[0]
 
 
 def limit_from_root_polynomials(polys):
@@ -244,10 +357,6 @@ def limit_from_root_polynomials(polys):
     d = total.min_degree()
     lead = total.coefficient(d)
     return Distribution(tuple(h.coefficient(d) / lead for h in polys), EXACT), total
-
-
-def root_weight_polynomials(p, q, budget=None, n_guard=SYMBOLIC_N_GUARD):
-    return RootWeights(all_root_polynomials(p, q, budget=budget, n_guard=n_guard), "symbolic")
 
 
 def _is_block_structured(q, part):

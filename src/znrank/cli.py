@@ -358,7 +358,7 @@ def cmd_oracle(args):
     from znrank.arborescence import (
         all_root_polynomials,
         limit_from_root_polynomials,
-        root_weight_minor,
+        root_weights,
     )
 
     p = load_p(args)
@@ -366,7 +366,7 @@ def cmd_oracle(args):
         "n": p.n,
         "labels": p.states.label_list(),
         "numeric": p.numeric_mode,
-        "root_weights": [number_to_json(root_weight_minor(p, r), p.numeric_mode) for r in range(p.n)],
+        "root_weights": [number_to_json(x, p.numeric_mode) for x in root_weights(p)],
     }
     if args.q:
         if p.numeric_mode != EXACT:

@@ -288,18 +288,13 @@ def require_connected_union(p, q):
         raise NotIrreducible("the union support of P and Q is not strongly connected")
 
 
-def classify_states(p):
-    """Closed communicating classes and transient states of P."""
-    n = p.n
-    adj = p.support_successors(include_self=False)
-    sccs = _tarjan_sccs(adj, n)
-    comp_of = {}
-    for ci, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = ci
+def closed_components(adj, n):
+    """(closed, transient) of a digraph given by adjacency lists: the
+    strongly connected components no edge leaves, in increasing order of
+    their smallest member, and the sorted remaining states."""
     closed = []
     transient = []
-    for comp in sccs:
+    for comp in _tarjan_sccs(adj, n):
         members = set(comp)
         leaves = any(w not in members for v in comp for w in adj[v])
         if leaves:
@@ -308,6 +303,13 @@ def classify_states(p):
             closed.append(comp)
     closed.sort(key=min)
     transient.sort()
+    return closed, transient
+
+
+def classify_states(p):
+    """Closed communicating classes and transient states of P."""
+    adj = p.support_successors(include_self=False)
+    closed, transient = closed_components(adj, p.n)
     part = ClassPartition(tuple(closed), tuple(transient))
     # every transient state must reach some closed class; true for any
     # finite stochastic matrix, so a failure here means corrupted input

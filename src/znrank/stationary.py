@@ -146,7 +146,7 @@ def class_stationary(p, part):
     out = []
     for cls in part.closed_classes:
         sub = p.submatrix(list(cls))
-        pi = stationary_direct(sub)
+        pi = stationary_direct(sub, known_irreducible=True)  # a closed class is irreducible
         full = [zero] * n
         for local, state in enumerate(cls):
             full[state] = pi[local]

@@ -134,14 +134,14 @@ def first_order_estimate(p, q, eps_pair):
     return tuple((float(a) - float(b)) / d for a, b in zip(pi1.values, pi2.values))
 
 
-def exact_first_order(p, q, budget=None, n_guard=None):
+def exact_first_order(p, q, n_guard=None):
     """Exact derivative at zero mixing of the stationary law, from the
     polynomial route: d/de of H_i(e) / S(e) at 0 after the common leading
     power is removed."""
     from znrank.arborescence import SYMBOLIC_N_GUARD, all_root_polynomials
 
     guard = SYMBOLIC_N_GUARD if n_guard is None else n_guard
-    polys = all_root_polynomials(p, q, budget=budget, n_guard=guard)
+    polys = all_root_polynomials(p, q, n_guard=guard)
     total = polys[0]
     for h in polys[1:]:
         total = total + h

@@ -72,7 +72,7 @@ def _gamma_chain_from_rows(rows, part, mode, numeric_mode):
             "reduced class chain is not irreducible; the limit may still exist:"
             " `znrank adjudicate` or `znrank oracle --q` computes it from the perturbed chain"
         )
-    return GammaChain(gamma, stationary_direct(gamma), mode)
+    return GammaChain(gamma, stationary_direct(gamma, known_irreducible=True), mode)
 
 
 def _reduced_rows(q, part, class_laws, absorb=None):
@@ -237,7 +237,7 @@ def report_to_json(report):
     }
 
 
-def adjudicate(p, q, budget=None, n_guard=None, eps_grid=None):
+def adjudicate(p, q, n_guard=None, eps_grid=None):
     """Compare the uniform prediction and the class-chain limit against an
     independent oracle: the exact polynomial route when guards allow, the
     sweep extrapolation otherwise. Returns a JSON-able report; methods that
@@ -259,7 +259,7 @@ def adjudicate(p, q, budget=None, n_guard=None, eps_grid=None):
     oracle_vals = None
     if p.numeric_mode == EXACT and q.numeric_mode == EXACT:
         try:
-            oracle_vals = exact_limit_from_polynomials(p, q, budget=budget, n_guard=guard).values
+            oracle_vals = exact_limit_from_polynomials(p, q, n_guard=guard).values
         except GuardExceeded:
             oracle_vals = None
     if oracle_vals is None:

@@ -25,7 +25,15 @@ from znrank.graph import (
     uniform_matrix,
 )
 from znrank.polynomial import EpsPolynomial
-from helpers import rand_irreducible, rng_for
+from helpers import (
+    rand_general_q,
+    rand_irreducible,
+    rand_reducible_no_transient,
+    rand_sizes,
+    rand_stochastic,
+    rand_with_transients,
+    rng_for,
+)
 
 F = Fraction
 
@@ -69,7 +77,7 @@ def test_arborescence_weight():
 def test_minor_fixture():
     p = RowStochasticMatrix(StateSpace(3), ((0, F(1, 2), F(1, 2)), (1, 0, 0), (1, 0, 0)))
     assert [root_weight_minor(p, r) for r in range(3)] == [F(1), F(1, 2), F(1, 2)]
-    assert root_weights(p).values == (F(1), F(1, 2), F(1, 2))
+    assert root_weights(p) == (F(1), F(1, 2), F(1, 2))
     assert mctt_stationary(p).values == (F(1, 2), F(1, 4), F(1, 4))
 
 
@@ -147,6 +155,31 @@ def test_polynomial_evaluation_matches_direct_stationary():
         total = sum((h(eps) for h in polys), F(0))
         for i, h in enumerate(polys):
             assert h(eps) / total == pi[i]
+
+
+def _rand_p(rng, n):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rand_stochastic(rng, n)
+    if kind == 1:
+        return rand_irreducible(rng, n)
+    if kind == 2 and n >= 2:
+        t = rng.randint(1, n - 1)
+        return rand_with_transients(rng, rand_sizes(rng, rng.randint(1, n - t), total_cap=n - t), t)
+    return rand_reducible_no_transient(rng, rand_sizes(rng, rng.randint(1, n), total_cap=n))
+
+
+def test_interpolated_polynomials_match_enumeration_random():
+    # any support: transients, several closed classes, general Q and unions
+    # that are not strongly connected
+    rng = rng_for("interpolation-vs-enumeration")
+    for n in range(1, 9):
+        for _ in range(12):
+            p = _rand_p(rng, n)
+            q = rand_stochastic(rng, p.n) if rng.random() < 0.5 else rand_general_q(rng, p.n)
+            polys = all_root_polynomials(p, q)
+            assert polys == tuple(perturbed_root_polynomial(p, q, r) for r in range(p.n))
+            assert root_weights(p) == tuple(root_weight_minor(p, r) for r in range(p.n))
 
 
 def test_polynomial_guards():

@@ -284,19 +284,61 @@ def test_oracle_with_q(tmp_path, capsys):
 def test_oracle_with_q_builds_each_polynomial_once(tmp_path, capsys, monkeypatch):
     import znrank.arborescence as arb
 
-    calls = []
-    original = arb.perturbed_root_polynomial
+    passes = []
+    enumerated = []
+    original = arb._root_values
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
+    def counted(w):
+        passes.append(len(w))
+        return original(w)
 
-    monkeypatch.setattr(arb, "perturbed_root_polynomial", counted)
+    monkeypatch.setattr(arb, "_root_values", counted)
+    monkeypatch.setattr(arb, "perturbed_root_polynomial", lambda *a, **k: enumerated.append(a))
     g = wpath(tmp_path, "g.txt", K3)
     code, out, _ = run(capsys, "oracle", "--graph", g, "--q", "uniform")
     assert code == 0
     assert json.loads(out)["exact_limit"] == ["1/3", "1/3", "1/3"]
-    assert sorted(calls) == [0, 1, 2]
+    # one elimination for the root weights of P, then n = 3 evaluation
+    # points shared by every root polynomial
+    assert passes == [3] * 4
+    assert enumerated == []
+
+
+def test_oracle_with_q_ten_states_matches_rank(tmp_path, capsys):
+    # 3 closed classes (sizes 4, 3, 2) and a transient state: far beyond
+    # what enumeration finishes in a test, equal to the reduced chain
+    edges = "a b\nb c\nc d\nd a\na c 2\ne f\nf g\ng e\nf e 3\nh i\ni h\nt a\nt h 2\nt t\n"
+    g = wpath(tmp_path, "g.txt", edges)
+    code, out, _ = run(capsys, "oracle", "--graph", g, "--q", "uniform")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["n"] == 10
+    assert obj["min_degree"] == 2
+    code, out, _ = run(capsys, "rank", "--graph", g, "--q", "uniform")
+    assert code == 0
+    assert obj["exact_limit"] == json.loads(out)["node_limit"]
+
+
+def test_rank_classifies_at_most_three_times(tmp_path, capsys, monkeypatch):
+    import znrank.cli
+    import znrank.graph
+    import znrank.stationary
+    import znrank.zero_noise
+
+    calls = []
+    original = znrank.graph.classify_states
+
+    def counted(p):
+        calls.append(p.n)
+        return original(p)
+
+    for mod in (znrank.cli, znrank.graph, znrank.stationary, znrank.zero_noise):
+        monkeypatch.setattr(mod, "classify_states", counted)
+    g = wpath(tmp_path, "g.txt", "a b\nb a\nc d\nd c\nd e\ne c\nf f\n")
+    code, out, _ = run(capsys, "rank", "--graph", g, "--q", "uniform")
+    assert code == 0
+    assert json.loads(out)["class_masses"] == ["1/3", "1/2", "1/6"]
+    assert len(calls) <= 3
 
 
 def test_oracle_with_q_needs_connected_union(tmp_path, capsys):
