@@ -26,6 +26,7 @@ from znrank.errors import (
 )
 from znrank.graph import (
     DANGLING_POLICIES,
+    RowStochasticMatrix,
     classify_states,
     dump_matrix_json,
     load_matrix_json,
@@ -207,15 +208,16 @@ def parse_block_q(text, p):
             raise InputFormatError(
                 f"block row {i} expands to row sum {s}, not 1 (sum_j gamma_ij |C_j| must be 1)"
             )
-    qrows = [[Fraction(0)] * p.n for _ in range(p.n)]
+    qrows = [None] * p.n
     for i, ci in enumerate(part.closed_classes):
+        row = [Fraction(0)] * p.n
         for j, cj in enumerate(part.closed_classes):
-            for x in ci:
-                for y in cj:
-                    qrows[x][y] = rows[i][j]
-    from znrank.graph import RowStochasticMatrix
-
-    return RowStochasticMatrix(p.states, tuple(tuple(r) for r in qrows), EXACT)
+            for y in cj:
+                row[y] = rows[i][j]
+        row = tuple(row)  # one row object per class, shared by its members
+        for x in ci:
+            qrows[x] = row
+    return RowStochasticMatrix(p.states, tuple(qrows), EXACT)
 
 
 def load_q(spec, p):
@@ -275,9 +277,9 @@ def build_limit_report(p, q, mode, q_tag):
     if mode == "theorem2":
         return theorem2_prediction(p)
     if mode == "extended":
-        return limit_rank_extended(p, q)
+        return limit_rank_extended(p, q, part=part)
     gamma_mode = {"uniform": "uniform", "personalized": "personalized"}.get(q_tag, "plain")
-    return limit_rank_general(p, q, gamma_mode=gamma_mode)
+    return limit_rank_general(p, q, gamma_mode=gamma_mode, part=part)
 
 
 def cmd_rank(args):

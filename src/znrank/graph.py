@@ -140,21 +140,22 @@ class RowStochasticMatrix:
             kind, floor, tol = float, -POSITIVE_EPS, 1e-12
         else:
             raise ValueError(f"unknown numeric mode {self.numeric_mode!r}")
-        self.rows = tuple(
-            row if type(row) is tuple and all(type(x) is kind for x in row) else tuple(map(kind, row))
-            for row in self.rows
-        )
-        checked = set()  # ids of validated rows: a row shared by several states is checked once
+        done = {}  # id of a given row -> its converted form: a row shared by several states stays shared
+        rows = []
         for i, row in enumerate(self.rows):
-            if id(row) in checked:
-                continue
-            nonzero = [x for x in row if x]
-            if any(x < floor for x in nonzero):
-                raise ValueError(f"negative entry in row {i}")
-            total = sum(nonzero, kind(0))
-            if abs(total - 1) > tol:
-                raise ValueError(f"row {i} sums to {total}, not 1")
-            checked.add(id(row))
+            out = done.get(id(row))
+            if out is None:
+                typed = type(row) is tuple and all(type(x) is kind for x in row)
+                out = row if typed else tuple(map(kind, row))
+                nonzero = [x for x in out if x]
+                if any(x < floor for x in nonzero):
+                    raise ValueError(f"negative entry in row {i}")
+                total = sum(nonzero, kind(0))
+                if abs(total - 1) > tol:
+                    raise ValueError(f"row {i} sums to {total}, not 1")
+                done[id(row)] = out
+            rows.append(out)
+        self.rows = tuple(rows)
 
     @property
     def n(self):
@@ -167,9 +168,11 @@ class RowStochasticMatrix:
         return self.rows[i]
 
     def to_float(self):
+        """Float copy; rows shared by several states are converted once and
+        stay shared."""
         if self.numeric_mode == FLOAT:
             return self
-        return RowStochasticMatrix(self.states, tuple(tuple(float(x) for x in r) for r in self.rows), FLOAT)
+        return RowStochasticMatrix(self.states, self.rows, FLOAT)
 
     def positive(self, x):
         if self.numeric_mode == EXACT:

@@ -87,8 +87,8 @@ def stationary_direct(p, known_irreducible=False):
     """Unique stationary law of an irreducible chain by GTH state reduction.
 
     Pass known_irreducible=True only when the caller has already
-    established irreducibility (a sweep checks the union support of P and
-    Q once for every eps); the check is skipped then.
+    established irreducibility (a closed class of a partition is
+    irreducible); the check is skipped then.
     """
     if not known_irreducible and not is_irreducible(p):
         raise NotIrreducible("stationary_direct needs an irreducible chain")

@@ -87,21 +87,30 @@ def _reduced_rows(q, part, class_laws, absorb=None):
         for y in cj:
             owner[y] = j
     routes = {t: absorb.rows[ti] for ti, t in enumerate(part.transient)} if absorb else {}
+
+    def class_mass(q_row):  # Q(x, C_j) for every j, formed before weighting by pi_k(x)
+        out = [zero] * m
+        for y, v in enumerate(q_row):
+            if not v:
+                continue
+            j = owner[y]
+            if j is not None:
+                out[j] += v
+            else:
+                for jj, a in enumerate(routes[y]):
+                    out[jj] += v * a
+        return out
+
+    masses = {}  # id of a Q row -> its class masses; rows shared by several states are summed once
     rows = []
     for k, ck in enumerate(part.closed_classes):
         law = class_laws[k]
         row = [zero] * m
         for x in ck:
-            out = [zero] * m  # Q(x, C_j), formed before weighting by pi_k(x)
-            for y, v in enumerate(q.rows[x]):
-                if not v:
-                    continue
-                j = owner[y]
-                if j is not None:
-                    out[j] += v
-                else:
-                    for jj, a in enumerate(routes[y]):
-                        out[jj] += v * a
+            q_row = q.rows[x]
+            out = masses.get(id(q_row))
+            if out is None:
+                out = masses[id(q_row)] = class_mass(q_row)
             w = law[x]
             for j in range(m):
                 row[j] += w * out[j]
@@ -169,12 +178,14 @@ def _assemble(p, part, per_class, gamma_chain, class_masses, mode):
     )
 
 
-def limit_rank_general(p, q, gamma_mode="plain"):
+def limit_rank_general(p, q, gamma_mode="plain", part=None):
     """Limit of the stationary law of (1-eps) P + eps Q as eps vanishes:
     per-class stationary laws weighted by the reduced-chain stationary law.
-    Requires a transient-free P."""
+    Requires a transient-free P. part defaults to classify_states(p); a
+    caller that has classified P passes it."""
     p, q = _common_mode(p, q)
-    part = classify_states(p)
+    if part is None:
+        part = classify_states(p)
     if part.transient:
         raise TransientStatesPresent(
             "P has transient states; use the extended reduction (limit_rank_extended)"
@@ -184,11 +195,13 @@ def limit_rank_general(p, q, gamma_mode="plain"):
     return _assemble(p, part, per_class, chain, chain.pi_gamma, "theorem3")
 
 
-def limit_rank_extended(p, q):
+def limit_rank_extended(p, q, part=None):
     """Limit report from the extended reduction; valid with transient
-    states. Conjectural: validated by sweeps and the exact oracle."""
+    states. Conjectural: validated by sweeps and the exact oracle. part
+    defaults to classify_states(p), as in limit_rank_general."""
     p, q = _common_mode(p, q)
-    part = classify_states(p)
+    if part is None:
+        part = classify_states(p)
     per_class = class_stationary(p, part)
     chain = extended_gamma(p, q, part, class_laws=per_class)
     return _assemble(p, part, per_class, chain, chain.pi_gamma, "extended")

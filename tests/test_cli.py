@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -115,6 +116,17 @@ def test_rank_block_q(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["node_limit"] == ["3/8", "3/8", "1/4"]
     assert obj["class_masses"] == ["3/4", "1/4"]
+
+
+def test_block_q_shares_one_row_per_class(tmp_path):
+    from znrank.cli import parse_block_q
+    from znrank.graph import parse_edge_list, to_stochastic
+
+    p = to_stochastic(parse_edge_list(TWO_CLASS))
+    q = parse_block_q(BLOCKS, p)
+    assert q.rows[0] is q.rows[1]
+    assert q.rows[0] == (F(1, 3), F(1, 3), F(1, 3))
+    assert q.rows[2] == (F(1, 2), F(1, 2), F(0))
 
 
 def test_rank_personalized_q(tmp_path, capsys):
@@ -339,6 +351,7 @@ def test_rank_classifies_at_most_three_times(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["class_masses"] == ["1/3", "1/2", "1/6"]
     assert len(calls) <= 3
+    assert calls.count(6) == 1  # the 6-state P once; its partition is passed down
 
 
 def test_oracle_with_q_needs_connected_union(tmp_path, capsys):

@@ -177,6 +177,18 @@ def test_uniform_and_rank_one():
     assert all(row == nu for row in q.rows)
 
 
+def test_shared_rows_stay_shared_in_float():
+    for q in (uniform_matrix(4), ones_outer((F(1, 2), F(1, 4), F(1, 8), F(1, 8)))):
+        qf = q.to_float()
+        assert len({id(row) for row in qf.rows}) == 1
+        assert qf.rows[0] == tuple(float(x) for x in q.rows[0])
+    # rows given as lists of ints: one conversion per distinct row object
+    half = [F(1, 2), 0, F(1, 2)]
+    m = RowStochasticMatrix(StateSpace(3), (half, [0, 1, 0], half))
+    assert m.rows[0] is m.rows[2] and m.rows[1] == (F(0), F(1), F(0))
+    assert len({id(row) for row in m.to_float().rows}) == 2
+
+
 def test_matrix_lcm_denominator():
     p = RowStochasticMatrix(StateSpace(2), ((F(1, 3), F(2, 3)), (F(1, 4), F(3, 4))))
     assert matrix_lcm_denominator(p) == 12

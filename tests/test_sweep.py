@@ -2,11 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from znrank.errors import EpsOutOfRange
-from znrank.graph import RowStochasticMatrix, StateSpace, uniform_matrix
+import znrank.sweep
+from znrank.errors import EpsOutOfRange, NotIrreducible
+from znrank.graph import (
+    RowStochasticMatrix,
+    StateSpace,
+    ones_outer,
+    require_connected_union,
+    uniform_matrix,
+)
+from znrank.stationary import stationary_direct
 from znrank.sweep import (
     DEFAULT_EXACT_GRID,
     DEFAULT_FLOAT_GRID,
+    _perturbed_law,
     convergence_report,
     epsilon_sweep,
     exact_first_order,
@@ -15,7 +24,17 @@ from znrank.sweep import (
     parse_eps_grid,
     perturbed_matrix,
 )
-from helpers import rand_irreducible, rand_stochastic, rng_for
+from helpers import (
+    rand_block_q,
+    rand_general_q,
+    rand_irreducible,
+    rand_personalization,
+    rand_reducible_no_transient,
+    rand_sizes,
+    rand_stochastic,
+    rand_with_transients,
+    rng_for,
+)
 
 F = Fraction
 
@@ -64,6 +83,23 @@ def test_float_sweep_converges_linearly():
     assert report["verdict"] == "pass"
     assert report["slope"] >= 0.8
     assert all(e <= report["fitted_C"] * g * (1 + 1e-12) for e, g in zip(report["errors"], report["eps"]))
+
+
+def test_float_sweep_of_eps_invariant_law_is_exact():
+    # every law equals the limit, so the float errors are rounding noise
+    # (0 to 1.1e-16), not a failed convergence
+    two_class = RowStochasticMatrix(StateSpace(3), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    absorbing = RowStochasticMatrix(StateSpace(2), ((1, 0), (0, 1)))
+    block = RowStochasticMatrix(StateSpace(2), ((F(1, 4), F(3, 4)), (F(1, 2), F(1, 2))))
+    for p, q in ((two_class, uniform_matrix(3)), (absorbing, block)):
+        result = epsilon_sweep(p.to_float(), q.to_float(), grid=parse_eps_grid("1e-1..1e-14"))
+        assert max(result.errors) < 1e-15
+        assert convergence_report(result)["verdict"] == "exact for all tested eps"
+    # a law that moves with eps by far less than it does at any eps in the
+    # grid is still measured, not rounded away
+    p = RowStochasticMatrix(StateSpace(3), ((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 4), F(1, 4))))
+    result = epsilon_sweep(p.to_float(), uniform_matrix(3).to_float(), grid=(1e-12, 1e-13, 1e-14))
+    assert convergence_report(result)["verdict"] == "pass"
 
 
 def test_sweep_grid_validation():
@@ -171,3 +207,93 @@ def test_perturbed_matrix_random_row_sums():
         pe = perturbed_matrix(p, q, F(rng.randint(1, 9), 10))
         for row in pe.rows:
             assert sum(row) == 1
+
+
+def _partly_shared_q(rng, n):
+    """General Q in which some states share one positive row: part of them
+    hold the same row object, the others equal copies of it."""
+    own = rand_general_q(rng, n).rows
+    shared = rand_personalization(rng, n)
+    rows = []
+    for x in range(n):
+        pick = rng.choice(("own", "object", "copy"))
+        rows.append(own[x] if pick == "own" else shared if pick == "object" else tuple(list(shared)))
+    return RowStochasticMatrix(StateSpace(n), tuple(rows))
+
+
+def _hub_route_cases(tag, count):
+    """Connected (P, Q, kind, transient count) draws: P with 1-3 closed
+    classes, with and without transient states; Q uniform, personalized,
+    block (transient-free P only), general or partly shared."""
+    rng = rng_for(tag)
+    out = []
+    while len(out) < count:
+        sizes = rand_sizes(rng, rng.randint(1, 3))
+        t = rng.choice((0, 0, 1, 2))
+        p = rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes)
+        kinds = ("uniform", "personalized", "general", "partly shared") + (() if t else ("block",))
+        kind = kinds[len(out) % len(kinds)]
+        if kind == "uniform":
+            q = uniform_matrix(p.n)
+        elif kind == "personalized":
+            q = ones_outer(rand_personalization(rng, p.n))
+        elif kind == "block":
+            q = rand_block_q(rng, sizes)[0]
+        elif kind == "general":
+            q = rand_general_q(rng, p.n)
+        else:
+            q = _partly_shared_q(rng, p.n)
+        try:
+            require_connected_union(p, q)
+        except NotIrreducible:
+            continue
+        out.append((p, q, kind, t))
+    return out
+
+
+def test_hub_route_equals_dense_law_exactly():
+    cases = _hub_route_cases("hub-exact", 60)
+    for p, q, kind, _ in cases:
+        for eps in (F(1, 2), F(1, 100), F(1, 10**6), F(1)):
+            dense = stationary_direct(perturbed_matrix(p, q, eps))
+            assert _perturbed_law(p, q, eps) == dense, (kind, eps)
+    assert {c[2] for c in cases} == {"uniform", "personalized", "block", "general", "partly shared"}
+    assert {c[3] > 0 for c in cases} == {False, True}
+
+
+def test_hub_route_float_accuracy_down_to_1e14():
+    for p, q, kind, _ in _hub_route_cases("hub-float", 40):
+        pf, qf = p.to_float(), q.to_float()
+        for eps in (1e-2, 1e-6, 1e-10, 1e-14):
+            exact = stationary_direct(perturbed_matrix(p, q, F(eps))).values
+            law = _perturbed_law(pf, qf, eps)
+            assert law.numeric_mode == "float"
+            rel = max(abs(x - float(y)) / float(y) for x, y in zip(law.values, exact))
+            assert rel <= 1e-12, (kind, eps, rel)
+
+
+def test_hub_route_keeps_checks():
+    p = cycle_plus_absorber()
+    q = uniform_matrix(3)
+    for eps in (F(0), F(3, 2), -0.5):
+        with pytest.raises(EpsOutOfRange):
+            _perturbed_law(p, q, eps)
+    with pytest.raises(ValueError):
+        _perturbed_law(p, uniform_matrix(2), F(1, 10))
+    # at eps = 1 the law is that of Q alone, which must be irreducible
+    identity = RowStochasticMatrix(StateSpace(3), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(NotIrreducible):
+        _perturbed_law(p, identity, F(1))
+    assert _perturbed_law(p, q, 1.0).values == (1 / 3,) * 3
+
+
+def test_float_sweep_never_forms_p_eps(monkeypatch):
+    calls = []
+    monkeypatch.setattr(znrank.sweep, "perturbed_matrix", lambda *a: calls.append(a))
+    p = RowStochasticMatrix(
+        StateSpace(4), ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (F(1, 2), F(1, 4), 0, F(1, 4)))
+    ).to_float()
+    result = epsilon_sweep(p, uniform_matrix(4).to_float())
+    assert len(result.pi_table) == 6
+    assert convergence_report(result)["verdict"] == "pass"
+    assert calls == []
