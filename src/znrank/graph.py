@@ -183,14 +183,8 @@ class RowStochasticMatrix:
         """Adjacency lists of the positive-entry digraph."""
         out = []
         for i, row in enumerate(self.rows):
-            out.append([j for j, x in enumerate(row) if self.positive(x) and (include_self or j != i)])
+            out.append([j for j, x in enumerate(row) if x and self.positive(x) and (include_self or j != i)])
         return out
-
-    def submatrix(self, indices):
-        """Restriction to the given states; rows must stay stochastic."""
-        sub = StateSpace(len(indices), tuple(self.states.label_list()[i] for i in indices))
-        rows = tuple(tuple(self.rows[i][j] for j in indices) for i in indices)
-        return RowStochasticMatrix(sub, rows, self.numeric_mode)
 
 
 def uniform_matrix(n, states=None):

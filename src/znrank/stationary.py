@@ -1,12 +1,17 @@
 """Stationary distributions, per-class stationary laws and absorption
-probabilities."""
+probabilities.
+
+One sparse GTH state reduction in Markowitz order (`_eliminate`) serves
+them all, in exact and float arithmetic: back-substituting its columns
+gives stationary laws, and censoring the transient states onto one
+absorbing node per closed class and back-substituting its rows gives
+absorption probabilities."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from znrank.errors import MaxIterExceeded, NotIrreducible, SingularSystem
+from znrank.errors import MaxIterExceeded, NotIrreducible
 from znrank.graph import classify_states, is_irreducible
-from znrank.linalg import solve_exact, solve_float
 from znrank.rational import EXACT, FLOAT
 
 
@@ -47,56 +52,114 @@ def linf(xs, ys):
     return max(abs(x - y) for x, y in zip(xs, ys))
 
 
-def _gth(rows, zero, one):
-    """Stationary law of the chain with the given rows by Grassmann-Taksar-
-    Heyman state reduction (Operations Research 1985).
+def _zero_one(mode):
+    return (Fraction(0), Fraction(1)) if mode == EXACT else (0.0, 1.0)
 
-    States are eliminated from the last index down. Each step censors the
-    chain to the lower-indexed states; the pivot is the eliminated state's
-    mass to those states, so no step ever subtracts and float results are
+
+def _sparse_rows(p, states):
+    """Rows of P on the given states as dicts {local index: entry}, without
+    zero or diagonal entries; entries to other states are dropped."""
+    pos = {s: k for k, s in enumerate(states)}
+    return [{pos[j]: v for j, v in enumerate(p.rows[s]) if v and j != s and j in pos} for s in states]
+
+
+def _markowitz(rows, ins, live, order):
+    """Yield the live state with the fewest in-neighbours times
+    out-neighbours, ties to the lower index, until none is live."""
+    while live:
+        k = min(live, key=lambda s: (len(ins[s]) * len(rows[s]), s))
+        live.discard(k)
+        order.append(k)
+        yield k
+
+
+def _eliminate(rows, zero, order=None):
+    """Grassmann-Taksar-Heyman state reduction (Operations Research 1985) of
+    the chain with sparse rows (dicts {j: weight}, no diagonal), in place.
+
+    Eliminating state k censors the chain to the states still live: every i
+    with an entry a(i, k) gains a(i, k) / s * a(k, j) on each j of k's row,
+    where the pivot s is the sum of k's row. Pivots are sums of positive
+    entries, so no step subtracts, in any order, and float results are
     entrywise relatively accurate (O'Cinneide, Numer. Math. 1993). The same
-    code runs over Fraction and float: only `zero` and `one` differ. A zero
-    pivot means more than one closed class and raises NotIrreducible.
+    code runs over Fraction and float. Every state whose row is non-empty is
+    eliminated, which leaves one absorbing state per closed class; k's row
+    is not touched again once k is gone. Without `order`, states go in
+    dynamic Markowitz order (Markowitz, Management Science 1957): fewest
+    in-neighbours times out-neighbours first, ties to the lower index. A
+    chain with the same pattern can reuse the returned order.
+
+    Returns (order, pivots, cols), with cols[k] the pairs (i, a(i, k) / s)
+    over the live states i that entered k when it was eliminated.
     """
     n = len(rows)
-    a = [list(row) for row in rows]
-    scaled = [()] * n  # scaled[k]: (i, a[i][k] / pivot) over i < k, nonzero
-    for k in range(n - 1, 0, -1):
-        lower = [(j, x) for j, x in enumerate(a[k][:k]) if x]
-        pivot = sum((x for _, x in lower), zero)
-        if not pivot:
-            raise NotIrreducible("zero pivot in state reduction: the chain has more than one closed class")
-        col = []
-        for i in range(k):
-            row_i = a[i]
-            c = row_i[k]
-            if c:
-                f = c / pivot
-                col.append((i, f))
-                for j, x in lower:  # also updates a[i][i], which is never read
-                    row_i[j] += f * x
-        scaled[k] = col
-    x = [one] + [zero] * (n - 1)
-    for k in range(1, n):
-        x[k] = sum((x[i] * f for i, f in scaled[k]), zero)
+    ins = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            ins[j].add(i)
+    if order is None:
+        order = []
+        live = {k for k in range(n) if rows[k]}
+        steps = _markowitz(rows, ins, live, order)
+    else:
+        live, steps = set(), order
+    pivots = {}
+    cols = {}
+    for k in steps:
+        row_k = rows[k]
+        pivot = pivots[k] = sum(row_k.values(), zero)
+        col = cols[k] = []
+        for i in ins[k]:
+            row_i = rows[i]
+            f = row_i.pop(k) / pivot
+            col.append((i, f))
+            for j, v in row_k.items():
+                if j != i:
+                    old = row_i.get(j)
+                    if old is None:
+                        row_i[j] = f * v
+                        ins[j].add(i)
+                    else:
+                        row_i[j] = old + f * v
+            if not row_i:
+                live.discard(i)  # i is now absorbing: the last state of its closed class
+        for j in row_k:
+            ins[j].discard(k)
+    return order, pivots, cols
+
+
+def _law(rows, zero, one, order=None):
+    """(stationary law, elimination order) of the chain with the given dict
+    rows, which must have exactly one closed class; transient states get 0.
+    Raises NotIrreducible when the chain has several closed classes."""
+    order, _, cols = _eliminate(rows, zero, order)
+    if len(order) != len(rows) - 1:
+        raise NotIrreducible("the chain has more than one closed class")
+    x = [one] * len(rows)  # the one state left keeps 1
+    for k in reversed(order):
+        x[k] = sum((x[i] * f for i, f in cols[k]), zero)
     total = sum(x, zero)
-    return [v / total for v in x]
+    return [v / total for v in x], order
+
+
+def unichain_law(p):
+    """Unique stationary law of a chain with one closed class, zero on its
+    transient states, by sparse GTH state reduction. Raises NotIrreducible
+    when the chain has several closed classes."""
+    zero, one = _zero_one(p.numeric_mode)
+    return Distribution(tuple(_law(_sparse_rows(p, range(p.n)), zero, one)[0]), p.numeric_mode)
 
 
 def stationary_direct(p, known_irreducible=False):
-    """Unique stationary law of an irreducible chain by GTH state reduction.
+    """Unique stationary law of an irreducible chain by sparse GTH state
+    reduction in Markowitz order.
 
     Pass known_irreducible=True only when the caller has already
-    established irreducibility (a closed class of a partition is
-    irreducible); the check is skipped then.
+    established irreducibility; the check is skipped then.
     """
     if not known_irreducible and not is_irreducible(p):
         raise NotIrreducible("stationary_direct needs an irreducible chain")
-    if p.numeric_mode == EXACT:
-        x = _gth(p.rows, Fraction(0), Fraction(1))
-    else:
-        x = _gth(p.rows, 0.0, 1.0)
-    return Distribution(tuple(x), p.numeric_mode)
+    return unichain_law(p)
 
 
 def stationary_power(p, tol=1e-12, max_iter=100000):
@@ -141,15 +204,12 @@ def stationary_power(p, tol=1e-12, max_iter=100000):
 def class_stationary(p, part):
     """Stationary law of P restricted to each closed class, embedded into
     the full state space with zeros elsewhere."""
-    n = p.n
-    zero = Fraction(0) if p.numeric_mode == EXACT else 0.0
+    zero, one = _zero_one(p.numeric_mode)
     out = []
     for cls in part.closed_classes:
-        sub = p.submatrix(list(cls))
-        pi = stationary_direct(sub, known_irreducible=True)  # a closed class is irreducible
-        full = [zero] * n
-        for local, state in enumerate(cls):
-            full[state] = pi[local]
+        full = [zero] * p.n
+        for state, x in zip(cls, _law(_sparse_rows(p, cls), zero, one)[0]):
+            full[state] = x
         out.append(Distribution(tuple(full), p.numeric_mode))
     return tuple(out)
 
@@ -166,21 +226,30 @@ class AbsorptionTable:
 
 def absorption_probabilities(p, part):
     """Probability that each transient state is absorbed into each closed
-    class: solve (I - P_TT) A = P_(T -> class)."""
-    tr = list(part.transient)
-    if not tr:
-        return AbsorptionTable((), (), p.numeric_mode)
-    exact = p.numeric_mode == EXACT
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    a = [[(one if i == j else zero) - p.entry(s, t) for j, t in enumerate(tr)] for i, s in enumerate(tr)]
-    b = [[sum((p.entry(s, j) for j in cls), zero) for cls in part.closed_classes] for s in tr]
-    solve = solve_exact if exact else solve_float
-    try:
-        x = solve(a, b)
-    except SingularSystem:
-        raise SingularSystem("some transient state cannot reach any closed class") from None
-    return AbsorptionTable(tuple(tr), tuple(tuple(row) for row in x), p.numeric_mode)
+    class. The transient states are censored onto one absorbing node per
+    closed class; then each eliminated row, divided by its pivot, is the
+    step distribution of its state among the states eliminated after it and
+    the absorbing nodes, whose probabilities are already known."""
+    tr = part.transient
+    zero, one = _zero_one(p.numeric_mode)
+    node = {t: k for k, t in enumerate(tr)}
+    for c, cls in enumerate(part.closed_classes):
+        node.update(dict.fromkeys(cls, len(tr) + c))
+    rows = []
+    for t in tr:
+        row = {}
+        for j, v in enumerate(p.rows[t]):
+            if v and j != t:
+                u = node[j]
+                row[u] = row[u] + v if u in row else v
+        rows.append(row)
+    rows += [{} for _ in part.closed_classes]
+    order, pivots, _ = _eliminate(rows, zero)
+    absorbed = [[one if c == k else zero for c in range(part.m)] for k in range(part.m)]
+    a = dict(enumerate(absorbed, len(tr)))
+    for k in reversed(order):
+        a[k] = [sum((v * a[j][c] for j, v in rows[k].items()), zero) / pivots[k] for c in range(part.m)]
+    return AbsorptionTable(tuple(tr), tuple(tuple(a[k]) for k in range(len(tr))), p.numeric_mode)
 
 
 __all__ = [

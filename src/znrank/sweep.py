@@ -11,7 +11,9 @@ would fall under the float positivity threshold.
 The reduction never forms the dense P_eps. States that share a Q row send
 their eps mass to one hub state whose row is that Q row, so the chain stays
 as sparse as P; censoring the hubs out gives back P_eps exactly (stochastic
-complementation, Meyer, SIAM Review 1989).
+complementation, Meyer, SIAM Review 1989). A sweep finds the Markowitz
+elimination order of this chain at its first eps and reuses it for the
+others.
 """
 
 import math
@@ -22,7 +24,7 @@ from fractions import Fraction
 from znrank.errors import EpsOutOfRange
 from znrank.graph import RowStochasticMatrix, classify_states, require_connected_union
 from znrank.rational import EXACT
-from znrank.stationary import Distribution, _gth, stationary_direct
+from znrank.stationary import Distribution, _law, _zero_one, stationary_direct
 
 DEFAULT_FLOAT_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_EXACT_GRID = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
@@ -59,43 +61,49 @@ def _shared_q_rows(q):
     return [g for g in groups.values() if len(g) > 1]
 
 
-def _perturbed_law(p, q, eps):
-    """Stationary law of (1 - eps) P + eps Q. The caller has run
-    require_connected_union(p, q), which covers every eps below 1 and makes
-    the hub chain irreducible too.
-
-    Below eps = 1, GTH runs on the hub chain: hubs first (so they are
-    eliminated last), then the states of P. A state whose Q row is shared
-    goes to y with (1 - eps) P(x, y) and to its hub with eps; a hub goes by
-    its Q row; a state with a Q row of its own keeps the mixed row. The law
-    of P_eps is the hub chain's law on the states of P, renormalized.
-    """
-    p, q, e = _mixing_inputs(p, q, eps)
-    if e == 1:
-        return stationary_direct(q)
-    zero, one = (Fraction(0), Fraction(1)) if p.numeric_mode == EXACT else (0.0, 1.0)
+def _hub_rows(p, q, e, groups):
+    """Dict rows of the hub chain: state x goes to y with (1 - e) P(x, y)
+    and, when its Q row is shared, to its hub (state n + k for group k) with
+    e; a state with a Q row of its own keeps the mixed row; hub k goes by
+    the Q row of its group. Diagonal entries are left out."""
     n = p.n
-    groups = _shared_q_rows(q)
-    h = len(groups)
-    hub_of = {x: k for k, group in enumerate(groups) for x in group}
-    rows = [[zero] * h + list(q.rows[group[0]]) for group in groups]
-    stay = one - e
+    hub_of = {x: n + k for k, group in enumerate(groups) for x in group}
+    stay = 1 - e
+    rows = []
     for x in range(n):
-        row = [zero] * (h + n)
         hub = hub_of.get(x)
-        if hub is None:
-            for y, v in enumerate(q.rows[x]):
-                if v:
-                    row[h + y] = e * v
-        else:
-            row[hub] = e
+        row = {hub: e} if hub is not None else {y: e * v for y, v in enumerate(q.rows[x]) if v and y != x}
         for y, v in enumerate(p.rows[x]):
-            if v:
-                row[h + y] += stay * v
+            if v and y != x:
+                row[y] = row[y] + stay * v if y in row else stay * v
         rows.append(row)
-    law = _gth(rows, zero, one)[h:]
-    total = sum(law, zero)
-    return Distribution(tuple(v / total for v in law), p.numeric_mode)
+    rows += [{y: v for y, v in enumerate(q.rows[group[0]]) if v} for group in groups]
+    return rows
+
+
+def _perturbed_laws(p, q, grid):
+    """Stationary laws of (1 - eps) P + eps Q for each eps of grid. The
+    caller has run require_connected_union(p, q), which covers every eps
+    below 1 and makes the hub chain irreducible too.
+
+    Below eps = 1, GTH runs on the hub chain, and the law of P_eps is its
+    law on the states of P, renormalized. The chain's pattern does not
+    depend on eps and no entry cancels, so the Markowitz order found at the
+    first eps serves every later one.
+    """
+    groups = _shared_q_rows(q)
+    order = None
+    laws = []
+    for eps in grid:
+        pe, qe, e = _mixing_inputs(p, q, eps)
+        if e == 1:
+            laws.append(stationary_direct(qe))
+            continue
+        zero, one = _zero_one(pe.numeric_mode)
+        law, order = _law(_hub_rows(pe, qe, e, groups), zero, one, order)
+        total = sum(law[:p.n], zero)
+        laws.append(Distribution(tuple(v / total for v in law[:p.n]), pe.numeric_mode))
+    return laws
 
 
 @dataclass(frozen=True)
@@ -145,8 +153,7 @@ def epsilon_sweep(p, q, grid=None, predicted=None):
     require_connected_union(p, q)
     table = []
     errors = []
-    for e in grid:
-        pi = _perturbed_law(p, q, e)
+    for pi in _perturbed_laws(p, q, grid):
         table.append(pi)
         if pi.numeric_mode == EXACT and predicted.numeric_mode == EXACT:
             err = max(abs(a - b) for a, b in zip(pi.values, predicted.values))
@@ -175,8 +182,7 @@ def first_order_estimate(p, q, eps_pair):
     if e1 == e2:
         raise ValueError("the two eps values must differ")
     require_connected_union(p, q)
-    pi1 = _perturbed_law(p, q, e1)
-    pi2 = _perturbed_law(p, q, e2)
+    pi1, pi2 = _perturbed_laws(p, q, eps_pair)
     if pi1.numeric_mode == EXACT and pi2.numeric_mode == EXACT:
         return tuple((a - b) / (Fraction(e1) - Fraction(e2)) for a, b in zip(pi1.values, pi2.values))
     d = float(e1) - float(e2)
@@ -218,8 +224,7 @@ def extrapolate_limit(p, q, grid=None):
     grid = tuple(grid)
     e1, e2 = float(grid[-2]), float(grid[-1])
     require_connected_union(pf, qf)
-    pi1 = _perturbed_law(pf, qf, e1)
-    pi2 = _perturbed_law(pf, qf, e2)
+    pi1, pi2 = _perturbed_laws(pf, qf, (e1, e2))
     # value at 0 of the line through (e1, pi1), (e2, pi2)
     return tuple(b - e2 * (a - b) / (e1 - e2) for a, b in zip(pi1.values, pi2.values))
 

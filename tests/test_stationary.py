@@ -12,7 +12,15 @@ from znrank.stationary import (
     stationary_direct,
     stationary_power,
 )
-from helpers import rand_irreducible, rand_reducible_no_transient, rng_for
+from znrank.arborescence import mctt_stationary
+from helpers import (
+    rand_irreducible,
+    rand_reducible_no_transient,
+    rand_sizes,
+    rand_stochastic,
+    rand_with_transients,
+    rng_for,
+)
 
 F = Fraction
 
@@ -115,3 +123,54 @@ def test_absorption_empty_when_no_transients():
     p = RowStochasticMatrix(StateSpace(2), ((0, 1), (1, 0)))
     table = absorption_probabilities(p, classify_states(p))
     assert table.transient == () and table.rows == ()
+
+
+def _restriction(p, states):
+    rows = tuple(tuple(p.rows[i][j] for j in states) for i in states)
+    return RowStochasticMatrix(StateSpace(len(states)), rows)
+
+
+def test_class_laws_equal_tree_theorem():
+    # the worked fixtures of the acceptance gate, then its random families
+    chains = [
+        RowStochasticMatrix(StateSpace(3), ((0, 1, 0), (1, 0, 0), (0, 0, 1))),
+        RowStochasticMatrix(StateSpace(3), ((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 4), F(1, 4)))),
+    ]
+    rng = rng_for("class-laws-vs-mctt")
+    for _ in range(40):
+        sizes = rand_sizes(rng, rng.randint(2, 4))
+        t = rng.randint(0, 2)
+        chains.append(rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes))
+    for p in chains:
+        part = classify_states(p)
+        for cls, law in zip(part.closed_classes, class_stationary(p, part)):
+            assert tuple(law[s] for s in cls) == mctt_stationary(_restriction(p, cls)).values
+            assert all(law[s] == 0 for s in range(p.n) if s not in cls)
+
+
+def test_absorption_solves_its_system_exactly():
+    rng = rng_for("absorb-system")
+    checked = 0
+    while checked < 40:
+        n = rng.randint(2, 12)
+        if rng.random() < 0.5:
+            p = rand_stochastic(rng, n)  # any support
+        else:
+            t = rng.randint(1, min(5, n - 1))
+            p = rand_with_transients(rng, rand_sizes(rng, rng.randint(1, 3), total_cap=n - t), t)
+        part = classify_states(p)
+        tr = part.transient
+        if not tr:
+            continue
+        table = absorption_probabilities(p, part)
+        assert table.transient == tr
+        for s, row in zip(tr, table.rows):
+            assert sum(row) == 1
+            for c, cls in enumerate(part.closed_classes):
+                # (I - P_TT) A = P_TC, row s, column c
+                lhs = row[c] - sum(p.entry(s, u) * table.row_for(u)[c] for u in tr)
+                assert lhs == sum(p.entry(s, y) for y in cls)
+        pf = p.to_float()
+        floats = absorption_probabilities(pf, classify_states(pf))
+        assert max(abs(a - float(b)) for fr, er in zip(floats.rows, table.rows) for a, b in zip(fr, er)) <= 1e-12
+        checked += 1

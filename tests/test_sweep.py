@@ -15,7 +15,7 @@ from znrank.stationary import stationary_direct
 from znrank.sweep import (
     DEFAULT_EXACT_GRID,
     DEFAULT_FLOAT_GRID,
-    _perturbed_law,
+    _perturbed_laws,
     convergence_report,
     epsilon_sweep,
     exact_first_order,
@@ -253,10 +253,10 @@ def _hub_route_cases(tag, count):
 
 def test_hub_route_equals_dense_law_exactly():
     cases = _hub_route_cases("hub-exact", 60)
+    grid = (F(1, 2), F(1, 100), F(1, 10**6), F(1))
     for p, q, kind, _ in cases:
-        for eps in (F(1, 2), F(1, 100), F(1, 10**6), F(1)):
-            dense = stationary_direct(perturbed_matrix(p, q, eps))
-            assert _perturbed_law(p, q, eps) == dense, (kind, eps)
+        for eps, law in zip(grid, _perturbed_laws(p, q, grid)):  # one elimination order for the grid
+            assert law == stationary_direct(perturbed_matrix(p, q, eps)), (kind, eps)
     assert {c[2] for c in cases} == {"uniform", "personalized", "block", "general", "partly shared"}
     assert {c[3] > 0 for c in cases} == {False, True}
 
@@ -264,9 +264,9 @@ def test_hub_route_equals_dense_law_exactly():
 def test_hub_route_float_accuracy_down_to_1e14():
     for p, q, kind, _ in _hub_route_cases("hub-float", 40):
         pf, qf = p.to_float(), q.to_float()
-        for eps in (1e-2, 1e-6, 1e-10, 1e-14):
+        grid = (1e-2, 1e-6, 1e-10, 1e-14)
+        for eps, law in zip(grid, _perturbed_laws(pf, qf, grid)):
             exact = stationary_direct(perturbed_matrix(p, q, F(eps))).values
-            law = _perturbed_law(pf, qf, eps)
             assert law.numeric_mode == "float"
             rel = max(abs(x - float(y)) / float(y) for x, y in zip(law.values, exact))
             assert rel <= 1e-12, (kind, eps, rel)
@@ -277,14 +277,14 @@ def test_hub_route_keeps_checks():
     q = uniform_matrix(3)
     for eps in (F(0), F(3, 2), -0.5):
         with pytest.raises(EpsOutOfRange):
-            _perturbed_law(p, q, eps)
+            _perturbed_laws(p, q, (eps,))
     with pytest.raises(ValueError):
-        _perturbed_law(p, uniform_matrix(2), F(1, 10))
+        _perturbed_laws(p, uniform_matrix(2), (F(1, 10),))
     # at eps = 1 the law is that of Q alone, which must be irreducible
     identity = RowStochasticMatrix(StateSpace(3), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(NotIrreducible):
-        _perturbed_law(p, identity, F(1))
-    assert _perturbed_law(p, q, 1.0).values == (1 / 3,) * 3
+        _perturbed_laws(p, identity, (F(1),))
+    assert _perturbed_laws(p, q, (1.0,))[0].values == (1 / 3,) * 3
 
 
 def test_float_sweep_never_forms_p_eps(monkeypatch):
@@ -297,3 +297,23 @@ def test_float_sweep_never_forms_p_eps(monkeypatch):
     assert len(result.pi_table) == 6
     assert convergence_report(result)["verdict"] == "pass"
     assert calls == []
+
+
+def test_float_sweep_finds_its_elimination_order_once(monkeypatch):
+    searches = []
+    law = znrank.sweep._law
+
+    def spy(rows, zero, one, order=None):
+        searches.append(order is None)
+        return law(rows, zero, one, order)
+
+    monkeypatch.setattr(znrank.sweep, "_law", spy)
+    p = rand_with_transients(rng_for("order-once"), [3, 2, 4], 2).to_float()
+    q = _partly_shared_q(rng_for("order-once-q"), p.n).to_float()
+    result = epsilon_sweep(p, q)
+    assert len(result.pi_table) == 6
+    assert searches == [True] + [False] * 5
+    searches.clear()
+    first_order_estimate(p, q, (1e-3, 1e-4))
+    extrapolate_limit(p, q)
+    assert searches == [True, False] * 2
