@@ -37,7 +37,7 @@ class TransientStatesPresent(ZnrankError):
 
 
 class GammaReducible(ZnrankError):
-    """The reduced class chain is not irreducible."""
+    """The reduced class chain has more than one closed class."""
 
 
 class SingularSystem(ZnrankError):

@@ -3,7 +3,8 @@
 For (1-eps) P + eps Q with P reducible, the limit stationary law factors
 into per-class stationary laws weighted by the stationary law of a reduced
 chain over the closed classes. The reduced chain weights each member of a
-class by the class stationary law, so any Q is allowed. The plain
+class by the class stationary law, so any Q is allowed, and it may have
+transient classes, which get mass 0, but only one closed class. The plain
 reduction requires no transient states; the extended reduction routes
 perturbation mass that lands on transient states through their absorption
 probabilities and is validated empirically (sweeps, exact fixtures and
@@ -13,14 +14,14 @@ random chains against the polynomial oracle), not assumed.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from znrank.errors import GammaReducible, TransientStatesPresent
-from znrank.graph import RowStochasticMatrix, StateSpace, classify_states, is_irreducible
+from znrank.errors import GammaReducible, NotIrreducible, TransientStatesPresent
+from znrank.graph import RowStochasticMatrix, StateSpace, classify_states
 from znrank.rational import EXACT, FLOAT, number_to_json
 from znrank.stationary import (
     Distribution,
     absorption_probabilities,
     class_stationary,
-    stationary_direct,
+    unichain_law,
 )
 
 GAMMA_MODES = ("plain", "extended", "personalized", "uniform")
@@ -67,12 +68,14 @@ def _gamma_chain_from_rows(rows, part, mode, numeric_mode):
         gamma = RowStochasticMatrix(states, tuple(tuple(r) for r in rows), numeric_mode)
     except ValueError as exc:
         raise GammaReducible(f"reduced chain is not stochastic: {exc}") from None
-    if not is_irreducible(gamma):
+    try:
+        law = unichain_law(gamma)  # classes that are transient in Gamma get mass 0
+    except NotIrreducible:
         raise GammaReducible(
-            "reduced class chain is not irreducible; the limit may still exist:"
+            "reduced class chain has more than one closed class; the limit may still exist:"
             " `znrank adjudicate` or `znrank oracle --q` computes it from the perturbed chain"
-        )
-    return GammaChain(gamma, stationary_direct(gamma, known_irreducible=True), mode)
+        ) from None
+    return GammaChain(gamma, law, mode)
 
 
 def _reduced_rows(q, part, class_laws, absorb=None):

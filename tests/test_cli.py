@@ -153,6 +153,29 @@ def test_rank_general_q_weights_members_by_class_law(tmp_path, capsys):
     assert obj["methods"]["theorem3"]["verdict"] == "exact"
 
 
+def test_rank_answers_a_unichain_reduced_chain(tmp_path, capsys):
+    # Q leaves {a} only through t, which P sends back: Gamma has the closed
+    # class {C1} and the transient class {C2}, which gets mass 0
+    g = wpath(tmp_path, "g.txt", "a a\nb b\nt a\n")
+    qm = wpath(tmp_path, "q.json", json.dumps({"n": 3, "rows": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}))
+    code, out, _ = run(capsys, "rank", "--graph", g, "--q", f"matrix={qm}", "--format", "tsv")
+    assert code == 0
+    assert out == "a\t1/1\nb\t0/1\nt\t0/1\n"
+    code, out, _ = run(capsys, "oracle", "--graph", g, "--q", f"matrix={qm}")
+    assert json.loads(out)["exact_limit"] == ["1/1", "0/1", "0/1"]
+
+
+def test_rank_refuses_a_reduced_chain_with_two_closed_classes(tmp_path, capsys):
+    g = wpath(tmp_path, "g.txt", "a a\nb b\nt a\ns b\n")
+    qm = wpath(tmp_path, "q.json", json.dumps(
+        {"n": 4, "rows": [[0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0]]}))
+    code, _, err = run(capsys, "rank", "--graph", g, "--q", f"matrix={qm}")
+    assert code == 3
+    assert "more than one closed class" in err and "oracle --q" in err
+    code, out, _ = run(capsys, "oracle", "--graph", g, "--q", f"matrix={qm}")
+    assert json.loads(out)["exact_limit"] == ["1/2", "1/2", "0/1", "0/1"]
+
+
 def test_rank_matrix_q_size_mismatch(tmp_path, capsys):
     g = wpath(tmp_path, "g.txt", TWO_CLASS)
     qm = wpath(tmp_path, "q.json", json.dumps({"n": 2, "rows": [["0", "1"], ["1", "0"]]}))

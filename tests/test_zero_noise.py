@@ -11,8 +11,9 @@ from znrank.graph import (
     ones_outer,
     uniform_matrix,
 )
-from znrank.stationary import Distribution
+from znrank.stationary import Distribution, absorption_probabilities, class_stationary
 from znrank.zero_noise import (
+    _reduced_rows,
     adjudicate,
     build_gamma,
     extended_gamma,
@@ -223,8 +224,11 @@ def test_general_q_matches_oracle_random():
         try:
             report = limit(p, q)
         except GammaReducible:
-            # Q leaves a class only through a transient state that P sends
-            # back: a second-order exit the reduction does not cover
+            # only a reduced chain with several closed classes is refused
+            part = classify_states(p)
+            absorb = absorption_probabilities(p, part) if with_transients else None
+            rows = _reduced_rows(q, part, class_stationary(p, part), absorb)
+            assert classify_states(RowStochasticMatrix(StateSpace(part.m), tuple(map(tuple, rows)))).m >= 2
             continue
         oracle = exact_limit_from_polynomials(p, q)
         assert report.node_limit.values == oracle.values
@@ -232,3 +236,19 @@ def test_general_q_matches_oracle_random():
         assert max(abs(a - float(b)) for a, b in zip(floats, oracle.values)) < 1e-12
         checked[with_transients] += 1
     assert checked[False] >= 20 and checked[True] >= 15
+
+
+def test_unichain_gamma_gives_its_transient_classes_mass_zero():
+    # every Q row goes to b or t and P sends t to b: in Gamma, C2 = {b} is
+    # closed and C1 = {a} transient. The union of the supports is not
+    # strongly connected, but P_eps has one closed class, {b, t}.
+    from znrank.stationary import unichain_law
+    from znrank.sweep import perturbed_matrix
+
+    p = RowStochasticMatrix(StateSpace(3), ((1, 0, 0), (0, 1, 0), (0, 1, 0)))
+    q = ones_outer((F(0), F(2, 3), F(1, 3)))
+    report = limit_rank_extended(p, q)
+    assert report.gamma_chain.pi_gamma.values == (F(0), F(1))
+    assert report.node_limit.values == (F(0), F(1), F(0))
+    law = unichain_law(perturbed_matrix(p, q, F(1, 10**12)))
+    assert max(abs(a - b) for a, b in zip(law.values, report.node_limit.values)) < F(1, 10**11)
