@@ -12,6 +12,11 @@ EXACT = "exact"
 FLOAT = "float"
 
 
+def zero_one(mode):
+    """The zero and one of a numeric mode."""
+    return (Fraction(0), Fraction(1)) if mode == EXACT else (0.0, 1.0)
+
+
 def parse_rational(token, line=None):
     """Parse "3", "3/4" or "0.5" into a Fraction. Decimal strings are read
     with decimal semantics, so "0.1" is exactly 1/10."""

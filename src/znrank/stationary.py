@@ -1,18 +1,13 @@
 """Stationary distributions, per-class stationary laws and absorption
-probabilities.
-
-One sparse GTH state reduction in Markowitz order (`_eliminate`) serves
-them all, in exact and float arithmetic: back-substituting its columns
-gives stationary laws, and censoring the transient states onto one
-absorbing node per closed class and back-substituting its rows gives
-absorption probabilities."""
+probabilities, all from one sparse GTH state reduction in Markowitz order
+(`_eliminate`), in exact and float arithmetic alike."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from znrank.errors import MaxIterExceeded, NotIrreducible
-from znrank.graph import classify_states, is_irreducible
-from znrank.rational import EXACT, FLOAT
+from znrank.graph import is_irreducible
+from znrank.rational import EXACT, FLOAT, zero_one
 
 
 @dataclass(frozen=True)
@@ -52,20 +47,16 @@ def linf(xs, ys):
     return max(abs(x - y) for x, y in zip(xs, ys))
 
 
-def _zero_one(mode):
-    return (Fraction(0), Fraction(1)) if mode == EXACT else (0.0, 1.0)
-
-
 def _sparse_rows(p, states):
-    """Rows of P on the given states as dicts {local index: entry}, without
-    zero or diagonal entries; entries to other states are dropped."""
+    """P restricted to states, relabelled 0, 1, ..., as dict rows without
+    zero or diagonal entries."""
     pos = {s: k for k, s in enumerate(states)}
     return [{pos[j]: v for j, v in enumerate(p.rows[s]) if v and j != s and j in pos} for s in states]
 
 
 def _markowitz(rows, ins, live, order):
-    """Yield the live state with the fewest in-neighbours times
-    out-neighbours, ties to the lower index, until none is live."""
+    """Yield the live state with the fewest in- times out-neighbours, ties
+    to the lower index, until none is live."""
     while live:
         k = min(live, key=lambda s: (len(ins[s]) * len(rows[s]), s))
         live.discard(k)
@@ -74,23 +65,17 @@ def _markowitz(rows, ins, live, order):
 
 
 def _eliminate(rows, zero, order=None):
-    """Grassmann-Taksar-Heyman state reduction (Operations Research 1985) of
-    the chain with sparse rows (dicts {j: weight}, no diagonal), in place.
+    """Grassmann-Taksar-Heyman state reduction (Operations Research 1985),
+    in place, of the chain with sparse rows (dicts {j: weight}, no diagonal).
 
-    Eliminating state k censors the chain to the states still live: every i
-    with an entry a(i, k) gains a(i, k) / s * a(k, j) on each j of k's row,
-    where the pivot s is the sum of k's row. Pivots are sums of positive
-    entries, so no step subtracts, in any order, and float results are
-    entrywise relatively accurate (O'Cinneide, Numer. Math. 1993). The same
-    code runs over Fraction and float. Every state whose row is non-empty is
-    eliminated, which leaves one absorbing state per closed class; k's row
-    is not touched again once k is gone. Without `order`, states go in
-    dynamic Markowitz order (Markowitz, Management Science 1957): fewest
-    in-neighbours times out-neighbours first, ties to the lower index. A
-    chain with the same pattern can reuse the returned order.
-
-    Returns (order, pivots, cols), with cols[k] the pairs (i, a(i, k) / s)
-    over the live states i that entered k when it was eliminated.
+    Eliminating k censors the chain to the live states: each i with an
+    entry a(i, k) gains a(i, k) / s * a(k, j) on every j of k's row, s being
+    the sum of k's row. Nothing subtracts, in any order, so float results
+    are entrywise accurate (O'Cinneide, Numer. Math. 1993). Every state with
+    a non-empty row goes, leaving one absorbing state per closed class. The
+    order is Markowitz's (Management Science 1957) unless given; a chain
+    with the same pattern can reuse it. Returns (order, cols): cols[k] pairs
+    each live i that entered k with a(i, k) / s; k's row stays as it was.
     """
     n = len(rows)
     ins = [set() for _ in range(n)]
@@ -103,11 +88,10 @@ def _eliminate(rows, zero, order=None):
         steps = _markowitz(rows, ins, live, order)
     else:
         live, steps = set(), order
-    pivots = {}
     cols = {}
     for k in steps:
         row_k = rows[k]
-        pivot = pivots[k] = sum(row_k.values(), zero)
+        pivot = sum(row_k.values(), zero)
         col = cols[k] = []
         for i in ins[k]:
             row_i = rows[i]
@@ -125,14 +109,14 @@ def _eliminate(rows, zero, order=None):
                 live.discard(i)  # i is now absorbing: the last state of its closed class
         for j in row_k:
             ins[j].discard(k)
-    return order, pivots, cols
+    return order, cols
 
 
 def _law(rows, zero, one, order=None):
     """(stationary law, elimination order) of the chain with the given dict
     rows, which must have exactly one closed class; transient states get 0.
     Raises NotIrreducible when the chain has several closed classes."""
-    order, _, cols = _eliminate(rows, zero, order)
+    order, cols = _eliminate(rows, zero, order)
     if len(order) != len(rows) - 1:
         raise NotIrreducible("the chain has more than one closed class")
     x = [one] * len(rows)  # the one state left keeps 1
@@ -146,18 +130,14 @@ def unichain_law(p):
     """Unique stationary law of a chain with one closed class, zero on its
     transient states, by sparse GTH state reduction. Raises NotIrreducible
     when the chain has several closed classes."""
-    zero, one = _zero_one(p.numeric_mode)
+    zero, one = zero_one(p.numeric_mode)
     return Distribution(tuple(_law(_sparse_rows(p, range(p.n)), zero, one)[0]), p.numeric_mode)
 
 
-def stationary_direct(p, known_irreducible=False):
+def stationary_direct(p):
     """Unique stationary law of an irreducible chain by sparse GTH state
-    reduction in Markowitz order.
-
-    Pass known_irreducible=True only when the caller has already
-    established irreducibility; the check is skipped then.
-    """
-    if not known_irreducible and not is_irreducible(p):
+    reduction in Markowitz order; NotIrreducible for any other chain."""
+    if not is_irreducible(p):
         raise NotIrreducible("stationary_direct needs an irreducible chain")
     return unichain_law(p)
 
@@ -204,13 +184,11 @@ def stationary_power(p, tol=1e-12, max_iter=100000):
 def class_stationary(p, part):
     """Stationary law of P restricted to each closed class, embedded into
     the full state space with zeros elsewhere."""
-    zero, one = _zero_one(p.numeric_mode)
+    zero, one = zero_one(p.numeric_mode)
     out = []
     for cls in part.closed_classes:
-        full = [zero] * p.n
-        for state, x in zip(cls, _law(_sparse_rows(p, cls), zero, one)[0]):
-            full[state] = x
-        out.append(Distribution(tuple(full), p.numeric_mode))
+        law = dict(zip(cls, _law(_sparse_rows(p, cls), zero, one)[0]))
+        out.append(Distribution(tuple(law.get(s, zero) for s in range(p.n)), p.numeric_mode))
     return tuple(out)
 
 
@@ -226,39 +204,14 @@ class AbsorptionTable:
 
 def absorption_probabilities(p, part):
     """Probability that each transient state is absorbed into each closed
-    class. The transient states are censored onto one absorbing node per
-    closed class; then each eliminated row, divided by its pivot, is the
-    step distribution of its state among the states eliminated after it and
-    the absorbing nodes, whose probabilities are already known."""
-    tr = part.transient
-    zero, one = _zero_one(p.numeric_mode)
-    node = {t: k for k, t in enumerate(tr)}
-    for c, cls in enumerate(part.closed_classes):
-        node.update(dict.fromkeys(cls, len(tr) + c))
-    rows = []
-    for t in tr:
-        row = {}
-        for j, v in enumerate(p.rows[t]):
-            if v and j != t:
-                u = node[j]
-                row[u] = row[u] + v if u in row else v
-        rows.append(row)
-    rows += [{} for _ in part.closed_classes]
-    order, pivots, _ = _eliminate(rows, zero)
-    absorbed = [[one if c == k else zero for c in range(part.m)] for k in range(part.m)]
-    a = dict(enumerate(absorbed, len(tr)))
-    for k in reversed(order):
-        a[k] = [sum((v * a[j][c] for j, v in rows[k].items()), zero) / pivots[k] for c in range(part.m)]
-    return AbsorptionTable(tuple(tr), tuple(tuple(a[k]) for k in range(len(tr))), p.numeric_mode)
-
-
-__all__ = [
-    "AbsorptionTable",
-    "Distribution",
-    "absorption_probabilities",
-    "class_stationary",
-    "classify_states",
-    "linf",
-    "stationary_direct",
-    "stationary_power",
-]
+    class, by censoring the transient states onto the closed states, each
+    made absorbing: an eliminated row over its sum is the next-state law
+    among states whose absorption is known by then."""
+    zero, one = zero_one(p.numeric_mode)
+    units = [[one if c == k else zero for c in range(part.m)] for k in range(part.m)]
+    a = {s: units[k] for k, cls in enumerate(part.closed_classes) for s in cls}
+    rows = [{} if s in a else {j: v for j, v in enumerate(row) if v and j != s} for s, row in enumerate(p.rows)]
+    for k in reversed(_eliminate(rows, zero)[0]):
+        pivot = sum(rows[k].values(), zero)
+        a[k] = [sum((v * a[j][c] for j, v in rows[k].items()), zero) / pivot for c in range(part.m)]
+    return AbsorptionTable(part.transient, tuple(tuple(a[t]) for t in part.transient), p.numeric_mode)

@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from znrank.errors import EpsOutOfRange
 from znrank.graph import RowStochasticMatrix, classify_states, require_connected_union
-from znrank.rational import EXACT
-from znrank.stationary import Distribution, _law, _zero_one, stationary_direct
+from znrank.rational import EXACT, zero_one
+from znrank.stationary import Distribution, _law, stationary_direct
 
 DEFAULT_FLOAT_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_EXACT_GRID = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
@@ -82,14 +82,11 @@ def _hub_rows(p, q, e, groups):
 
 
 def _perturbed_laws(p, q, grid):
-    """Stationary laws of (1 - eps) P + eps Q for each eps of grid. The
-    caller has run require_connected_union(p, q), which covers every eps
-    below 1 and makes the hub chain irreducible too.
-
-    Below eps = 1, GTH runs on the hub chain, and the law of P_eps is its
-    law on the states of P, renormalized. The chain's pattern does not
-    depend on eps and no entry cancels, so the Markowitz order found at the
-    first eps serves every later one.
+    """Stationary laws of (1 - eps) P + eps Q for each eps of grid, after
+    require_connected_union(p, q), which makes the hub chain irreducible.
+    Below eps = 1 each is the hub chain's law on the states of P,
+    renormalized. The chain's pattern does not depend on eps and no entry
+    cancels, so the order found at the first eps serves every later one.
     """
     groups = _shared_q_rows(q)
     order = None
@@ -99,7 +96,7 @@ def _perturbed_laws(p, q, grid):
         if e == 1:
             laws.append(stationary_direct(qe))
             continue
-        zero, one = _zero_one(pe.numeric_mode)
+        zero, one = zero_one(pe.numeric_mode)
         law, order = _law(_hub_rows(pe, qe, e, groups), zero, one, order)
         total = sum(law[:p.n], zero)
         laws.append(Distribution(tuple(v / total for v in law[:p.n]), pe.numeric_mode))

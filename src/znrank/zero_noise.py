@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from znrank.errors import GammaReducible, NotIrreducible, TransientStatesPresent
 from znrank.graph import RowStochasticMatrix, StateSpace, classify_states
-from znrank.rational import EXACT, FLOAT, number_to_json
+from znrank.rational import EXACT, FLOAT, number_to_json, zero_one
 from znrank.stationary import (
     Distribution,
     absorption_probabilities,
@@ -84,7 +84,7 @@ def _reduced_rows(q, part, class_laws, absorb=None):
     Q(x, t) on a transient state t continues into C_j with probability
     A(t, j)."""
     m = part.m
-    zero = Fraction(0) if q.numeric_mode == EXACT else 0.0
+    zero = zero_one(q.numeric_mode)[0]
     owner = [None] * q.n
     for j, cj in enumerate(part.closed_classes):
         for y in cj:
@@ -138,14 +138,12 @@ def build_gamma(p, q, part, mode="plain", class_laws=None):
 
 def personalization_gamma(nu, part):
     """Reduced chain for rank-one perturbations with every row equal to nu:
-    all rows of Gamma equal the class masses of nu."""
+    all rows of Gamma equal the class masses of nu, which are its law; a
+    class without mass is transient in Gamma."""
     if part.transient:
         raise TransientStatesPresent("personalization reduction needs a transient-free chain")
-    exact = nu.numeric_mode == EXACT
-    zero = Fraction(0) if exact else 0.0
+    zero = zero_one(nu.numeric_mode)[0]
     masses = [sum((nu[x] for x in c), zero) for c in part.closed_classes]
-    if any(m == 0 for m in masses):
-        raise GammaReducible("some closed class carries no personalization mass")
     rows = [list(masses) for _ in range(part.m)]
     return _gamma_chain_from_rows(rows, part, "personalized", nu.numeric_mode)
 
@@ -163,9 +161,7 @@ def extended_gamma(p, q, part, class_laws=None):
 
 
 def _assemble(p, part, per_class, gamma_chain, class_masses, mode):
-    exact = p.numeric_mode == EXACT
-    zero = Fraction(0) if exact else 0.0
-    node = [zero] * p.n
+    node = [zero_one(p.numeric_mode)[0]] * p.n
     for k, cls in enumerate(part.closed_classes):
         mass = class_masses[k]
         for v in cls:
@@ -227,8 +223,7 @@ def theorem2_prediction(p):
     degenerates to the plain stationary law.
     """
     part = classify_states(p)
-    exact = p.numeric_mode == EXACT
-    share = Fraction(1, part.m) if exact else 1.0 / part.m
+    share = zero_one(p.numeric_mode)[1] / part.m
     masses = Distribution(tuple(share for _ in range(part.m)), p.numeric_mode)
     return _assemble(p, part, class_stationary(p, part), None, masses, "theorem2")
 

@@ -357,7 +357,6 @@ def test_oracle_with_q_ten_states_matches_rank(tmp_path, capsys):
 def test_rank_classifies_at_most_three_times(tmp_path, capsys, monkeypatch):
     import znrank.cli
     import znrank.graph
-    import znrank.stationary
     import znrank.zero_noise
 
     calls = []
@@ -367,7 +366,7 @@ def test_rank_classifies_at_most_three_times(tmp_path, capsys, monkeypatch):
         calls.append(p.n)
         return original(p)
 
-    for mod in (znrank.cli, znrank.graph, znrank.stationary, znrank.zero_noise):
+    for mod in (znrank.cli, znrank.graph, znrank.zero_noise):
         monkeypatch.setattr(mod, "classify_states", counted)
     g = wpath(tmp_path, "g.txt", "a b\nb a\nc d\nd c\nd e\ne c\nf f\n")
     code, out, _ = run(capsys, "rank", "--graph", g, "--q", "uniform")

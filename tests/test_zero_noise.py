@@ -111,11 +111,13 @@ def test_personalization_gamma():
     assert via_q.node_limit.values == report.node_limit.values
 
 
-def test_personalization_gamma_rejects_zero_class():
+def test_personalization_gamma_gives_a_zero_class_no_mass():
     p = cycle_plus_absorber()
     nu = Distribution((F(1, 2), F(1, 2), F(0)))
-    with pytest.raises(GammaReducible):
-        personalization_gamma(nu, classify_states(p))
+    assert personalization_gamma(nu, classify_states(p)).pi_gamma.values == (F(1), F(0))
+    report = limit_rank_personalized(p, nu)
+    assert report.node_limit.values == (F(1, 2), F(1, 2), F(0))
+    assert limit_rank_general(p, ones_outer(nu.values, p.states)).node_limit.values == report.node_limit.values
 
 
 def test_extended_gamma_fixture():
