@@ -19,7 +19,6 @@ from znrank.errors import (
     MissingReverseWeight,
     NonpositiveWeight,
     NotIrreducible,
-    SingularSystem,
     TransientStatesPresent,
     ZnrankError,
     ZeroPolynomial,
@@ -28,6 +27,7 @@ from znrank.graph import (
     DANGLING_POLICIES,
     RowStochasticMatrix,
     classify_states,
+    data_lines,
     dump_matrix_json,
     load_matrix_json,
     ones_outer,
@@ -46,7 +46,6 @@ MATH_ERRORS = (
     GammaReducible,
     TransientStatesPresent,
     GuardExceeded,
-    SingularSystem,
     MaxIterExceeded,
     ZeroPolynomial,
     EpsOutOfRange,
@@ -146,11 +145,7 @@ def load_p(args):
 def parse_personalization(text, p):
     labels = {lab: i for i, lab in enumerate(p.states.label_list())}
     masses = [Fraction(0)] * p.n
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for ln, toks in data_lines(text):
         if len(toks) != 2:
             raise InputFormatError("expected `node mass`", line=ln)
         key = toks[0]
@@ -181,17 +176,13 @@ def parse_block_q(text, p):
         )
     rows = []
     m = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, toks in data_lines(text):
         if m is None:
             try:
-                m = int(line)
+                m = int(" ".join(toks))
             except ValueError:
                 raise InputFormatError("first value must be the class count m", line=ln) from None
             continue
-        toks = line.split()
         if len(toks) != m:
             raise InputFormatError(f"expected {m} values per row", line=ln)
         rows.append([parse_rational(t, line=ln) for t in toks])
@@ -407,11 +398,7 @@ def cmd_adjudicate(args):
 def parse_node_weights(text, g):
     labels = {lab: i for i, lab in enumerate(g.states.label_list())}
     vals = [None] * g.states.n
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for ln, toks in data_lines(text):
         if len(toks) != 2:
             raise InputFormatError("expected `node weight`", line=ln)
         if toks[0] not in labels:
@@ -428,11 +415,7 @@ def parse_pair_weights(text, labels_hint=None):
     order = list(labels_hint) if labels_hint is not None else []
     frozen = labels_hint is not None
     pairs = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for ln, toks in data_lines(text):
         if len(toks) != 3:
             raise InputFormatError("expected `src dst weight`", line=ln)
         ids = []

@@ -8,7 +8,6 @@ entry counts as positive above 1e-15.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -72,6 +71,14 @@ class WeightedDigraph:
         return len(self._adj[u])
 
 
+def data_lines(text):
+    """(line number, tokens) of each line with data; `#` starts a comment."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield ln, toks
+
+
 def parse_edge_list(text):
     """Parse edge-list text into a WeightedDigraph.
 
@@ -91,11 +98,7 @@ def parse_edge_list(text):
             order.append(tok)
         return index[tok]
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for ln, toks in data_lines(text):
         if len(toks) == 1:
             node(toks[0])
             continue
@@ -387,8 +390,3 @@ def dump_matrix_json(p):
     if p.states.labels is not None:
         obj["labels"] = list(p.states.labels)
     return obj
-
-
-def matrix_lcm_denominator(p):
-    """lcm of all entry denominators of an exact matrix."""
-    return math.lcm(*(x.denominator for row in p.rows for x in row))

@@ -11,49 +11,37 @@ from fractions import Fraction
 from znrank.errors import SingularSystem
 
 
-def solve_exact(a, rhs):
-    """Solve a x = rhs over Fractions. rhs may be a vector or a list of
-    columns given as a matrix (list of rows). Raises SingularSystem."""
+def _gauss_jordan(a, rhs, kind, pivot_row):
+    """Solve a x = rhs with entries converted by kind; pivot_row(m, c) picks
+    the row that holds the pivot of column c."""
     n = len(a)
     vector = rhs and not isinstance(rhs[0], list)
     cols = [[x] for x in rhs] if vector else [list(r) for r in rhs]
-    m = [[Fraction(x) for x in row] + [Fraction(x) for x in cols[i]] for i, row in enumerate(a)]
-    width = len(m[0])
+    m = [[kind(x) for x in row] + [kind(x) for x in cols[i]] for i, row in enumerate(a)]
     for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            raise SingularSystem("singular linear system")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    sol = [row[n:width] for row in m]
-    return [row[0] for row in sol] if vector else sol
-
-
-def solve_float(a, rhs):
-    """Solve a x = rhs in floating point with partial pivoting."""
-    n = len(a)
-    vector = rhs and not isinstance(rhs[0], list)
-    cols = [[x] for x in rhs] if vector else [list(r) for r in rhs]
-    m = [[float(x) for x in row] + [float(x) for x in cols[i]] for i, row in enumerate(a)]
-    width = len(m[0])
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(m[r][c]))
-        if m[piv][c] == 0.0:
+        piv = pivot_row(m, c)
+        if not m[piv][c]:
             raise SingularSystem("singular linear system")
         m[c], m[piv] = m[piv], m[c]
         pv = m[c][c]
         m[c] = [x / pv for x in m[c]]
         for r in range(n):
-            if r != c and m[r][c] != 0.0:
+            if r != c and m[r][c]:
                 f = m[r][c]
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    sol = [row[n:width] for row in m]
+    sol = [row[n:] for row in m]
     return [row[0] for row in sol] if vector else sol
+
+
+def solve_exact(a, rhs):
+    """Solve a x = rhs over Fractions. rhs may be a vector or a list of
+    columns given as a matrix (list of rows). Raises SingularSystem."""
+    return _gauss_jordan(a, rhs, Fraction, lambda m, c: next((r for r in range(c, len(m)) if m[r][c]), c))
+
+
+def solve_float(a, rhs):
+    """Solve a x = rhs in floating point with partial pivoting."""
+    return _gauss_jordan(a, rhs, float, lambda m, c: max(range(c, len(m)), key=lambda r: abs(m[r][c])))
 
 
 def det_bareiss_int(m):

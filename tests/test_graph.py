@@ -13,7 +13,6 @@ from znrank.graph import (
     dump_matrix_json,
     is_irreducible,
     load_matrix_json,
-    matrix_lcm_denominator,
     ones_outer,
     parse_edge_list,
     serialize_edge_list,
@@ -187,8 +186,3 @@ def test_shared_rows_stay_shared_in_float():
     m = RowStochasticMatrix(StateSpace(3), (half, [0, 1, 0], half))
     assert m.rows[0] is m.rows[2] and m.rows[1] == (F(0), F(1), F(0))
     assert len({id(row) for row in m.to_float().rows}) == 2
-
-
-def test_matrix_lcm_denominator():
-    p = RowStochasticMatrix(StateSpace(2), ((F(1, 3), F(2, 3)), (F(1, 4), F(3, 4))))
-    assert matrix_lcm_denominator(p) == 12
