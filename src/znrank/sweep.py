@@ -148,10 +148,9 @@ def epsilon_sweep(p, q, grid=None, predicted=None):
     if predicted is None:
         predicted = _predicted_limit(p, q)
     require_connected_union(p, q)
-    table = []
+    table = _perturbed_laws(p, q, grid)
     errors = []
-    for pi in _perturbed_laws(p, q, grid):
-        table.append(pi)
+    for pi in table:
         if pi.numeric_mode == EXACT and predicted.numeric_mode == EXACT:
             err = max(abs(a - b) for a, b in zip(pi.values, predicted.values))
         else:
