@@ -356,7 +356,7 @@ def to_stochastic(g, dangling="self_loop"):
         else:
             row = [Fraction(0)] * n
             for d, w in out:
-                row[d] += w / total
+                row[d] = w / total
         rows.append(tuple(row))
     return RowStochasticMatrix(g.states, tuple(rows), EXACT)
 

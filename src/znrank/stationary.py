@@ -2,6 +2,7 @@
 probabilities, all from one sparse GTH state reduction in Markowitz order
 (`_eliminate`), in exact and float arithmetic alike."""
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,11 +18,15 @@ class Distribution:
 
     def __post_init__(self):
         if self.numeric_mode == EXACT:
-            vals = tuple(Fraction(x) for x in self.values)
-            if any(x < 0 for x in vals):
+            vals = self.values
+            if type(vals) is not tuple or any(type(x) is not Fraction for x in vals):
+                vals = tuple(Fraction(x) for x in vals)
+            nonzero = [x for x in vals if x]
+            if any(x < 0 for x in nonzero):
                 raise ValueError("negative probability")
-            if sum(vals) != 1:
-                raise ValueError(f"probabilities sum to {sum(vals)}, not 1")
+            total = sum(nonzero)
+            if total != 1:
+                raise ValueError(f"probabilities sum to {total}, not 1")
         else:
             vals = tuple(0.0 if -1e-12 < float(x) < 0 else float(x) for x in self.values)
             if any(x < 0 for x in vals):
@@ -47,11 +52,25 @@ def linf(xs, ys):
     return max(abs(x - y) for x, y in zip(xs, ys))
 
 
+def _scaled_rows(rows, mode):
+    """(rows, dens) for _eliminate. Exact dict rows become integer
+    numerators over one denominator per row, a(i, j) = r(i, j) / d_i with d_i
+    the lcm of the row's denominators; float rows stay as they are, with
+    dens None."""
+    if mode != EXACT:
+        return rows, None
+    dens = [math.lcm(*[v.denominator for v in row.values()]) for row in rows]
+    return [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row, d in zip(rows, dens)], dens
+
+
 def _sparse_rows(p, states):
     """P restricted to states, relabelled 0, 1, ..., as dict rows without
-    zero or diagonal entries."""
-    pos = {s: k for k, s in enumerate(states)}
-    return [{pos[j]: v for j, v in enumerate(p.rows[s]) if v and j != s and j in pos} for s in states]
+    zero or diagonal entries, scaled for its numeric mode (_scaled_rows)."""
+    rows = []
+    for s in states:
+        row = p.rows[s]
+        rows.append({k: row[j] for k, j in enumerate(states) if j != s and row[j]})
+    return _scaled_rows(rows, p.numeric_mode)
 
 
 def _markowitz(rows, ins, live, order):
@@ -64,7 +83,7 @@ def _markowitz(rows, ins, live, order):
         yield k
 
 
-def _eliminate(rows, zero, order=None):
+def _eliminate(rows, dens=None, order=None):
     """Grassmann-Taksar-Heyman state reduction (Operations Research 1985),
     in place, of the chain with sparse rows (dicts {j: weight}, no diagonal).
 
@@ -74,8 +93,18 @@ def _eliminate(rows, zero, order=None):
     are entrywise accurate (O'Cinneide, Numer. Math. 1993). Every state with
     a non-empty row goes, leaving one absorbing state per closed class. The
     order is Markowitz's (Management Science 1957) unless given; a chain
-    with the same pattern can reuse it. Returns (order, cols): cols[k] pairs
-    each live i that entered k with a(i, k) / s; k's row stays as it was.
+    with the same pattern can reuse it.
+
+    Float rows (dens None) hold the a(i, j). Exact rows hold integers over
+    one denominator per row, a(i, j) = rows[i][j] / dens[i], and the update
+    is fraction-free at the row level (cf. Bareiss, Math. Comp. 1968): row i
+    is multiplied by S, the integer sum of k's row, gains rows[i][k] times
+    k's row, and dens[i] becomes dens[i] * S; then the row and dens[i] are
+    divided by their gcd. Per entry that is int * and + only.
+
+    Returns (order, cols). cols[k] lists each live i that entered k, as
+    (i, a(i, k) / s) in float and as (i, rows[i][k], dens[i]), taken before
+    the update, in exact mode. k's row and dens[k] stay as they were.
     """
     n = len(rows)
     ins = [set() for _ in range(n)]
@@ -91,12 +120,18 @@ def _eliminate(rows, zero, order=None):
     cols = {}
     for k in steps:
         row_k = rows[k]
-        pivot = sum(row_k.values(), zero)
+        pivot = sum(row_k.values())
         col = cols[k] = []
         for i in ins[k]:
             row_i = rows[i]
-            f = row_i.pop(k) / pivot
-            col.append((i, f))
+            f = row_i.pop(k)
+            if dens is None:
+                f /= pivot
+                col.append((i, f))
+            else:
+                col.append((i, f, dens[i]))
+                for j in row_i:
+                    row_i[j] *= pivot
             for j, v in row_k.items():
                 if j != i:
                     old = row_i.get(j)
@@ -105,6 +140,14 @@ def _eliminate(rows, zero, order=None):
                         ins[j].add(i)
                     else:
                         row_i[j] = old + f * v
+            if dens is not None:
+                d = dens[i] * pivot
+                g = math.gcd(d, *row_i.values())
+                if g > 1:
+                    d //= g
+                    for j in row_i:
+                        row_i[j] //= g
+                dens[i] = d
             if not row_i:
                 live.discard(i)  # i is now absorbing: the last state of its closed class
         for j in row_k:
@@ -112,26 +155,47 @@ def _eliminate(rows, zero, order=None):
     return order, cols
 
 
-def _law(rows, zero, one, order=None):
+def _law(rows, dens=None, order=None):
     """(stationary law, elimination order) of the chain with the given dict
-    rows, which must have exactly one closed class; transient states get 0.
-    Raises NotIrreducible when the chain has several closed classes."""
-    order, cols = _eliminate(rows, zero, order)
+    rows and row denominators (see _eliminate), which must have exactly one
+    closed class; transient states get 0. Raises NotIrreducible when the
+    chain has several closed classes.
+
+    Back-substitution sets x_k = sum of x_i a(i, k) / s over the states i
+    that entered k. In exact mode x is kept as integers, x_k being
+    (d_k / S_k) sum of x_i r(i, k) / d_i over the column: whatever that
+    leaves in the denominator, after one gcd, rescales the vector. Only the
+    normalised law is made of Fractions.
+    """
+    order, cols = _eliminate(rows, dens, order)
     if len(order) != len(rows) - 1:
         raise NotIrreducible("the chain has more than one closed class")
-    x = [one] * len(rows)  # the one state left keeps 1
+    if dens is None:
+        x = [1.0] * len(rows)  # the one state left keeps 1
+        for k in reversed(order):
+            x[k] = sum((x[i] * f for i, f in cols[k]), 0.0)
+        total = sum(x, 0.0)
+        return [v / total for v in x], order
+    x = [1] * len(rows)
     for k in reversed(order):
-        x[k] = sum((x[i] * f for i, f in cols[k]), zero)
-    total = sum(x, zero)
-    return [v / total for v in x], order
+        col = cols[k]
+        lcm = math.lcm(*[d for _, _, d in col])
+        num = dens[k] * sum(x[i] * c * (lcm // d) for i, c, d in col)
+        den = sum(rows[k].values()) * lcm
+        g = math.gcd(num, den)
+        if g != den:
+            scale = den // g
+            x = [v * scale for v in x]
+        x[k] = num // g
+    total = sum(x)
+    return [Fraction(v, total) for v in x], order
 
 
 def unichain_law(p):
     """Unique stationary law of a chain with one closed class, zero on its
     transient states, by sparse GTH state reduction. Raises NotIrreducible
     when the chain has several closed classes."""
-    zero, one = zero_one(p.numeric_mode)
-    return Distribution(tuple(_law(_sparse_rows(p, range(p.n)), zero, one)[0]), p.numeric_mode)
+    return Distribution(tuple(_law(*_sparse_rows(p, range(p.n)))[0]), p.numeric_mode)
 
 
 def stationary_direct(p):
@@ -184,10 +248,10 @@ def stationary_power(p, tol=1e-12, max_iter=100000):
 def class_stationary(p, part):
     """Stationary law of P restricted to each closed class, embedded into
     the full state space with zeros elsewhere."""
-    zero, one = zero_one(p.numeric_mode)
+    zero = zero_one(p.numeric_mode)[0]
     out = []
     for cls in part.closed_classes:
-        law = dict(zip(cls, _law(_sparse_rows(p, cls), zero, one)[0]))
+        law = dict(zip(cls, _law(*_sparse_rows(p, cls))[0]))
         out.append(Distribution(tuple(law.get(s, zero) for s in range(p.n)), p.numeric_mode))
     return tuple(out)
 
@@ -211,7 +275,8 @@ def absorption_probabilities(p, part):
     units = [[one if c == k else zero for c in range(part.m)] for k in range(part.m)]
     a = {s: units[k] for k, cls in enumerate(part.closed_classes) for s in cls}
     rows = [{} if s in a else {j: v for j, v in enumerate(row) if v and j != s} for s, row in enumerate(p.rows)]
-    for k in reversed(_eliminate(rows, zero)[0]):
-        pivot = sum(rows[k].values(), zero)
+    rows, dens = _scaled_rows(rows, p.numeric_mode)
+    for k in reversed(_eliminate(rows, dens)[0]):
+        pivot = sum(rows[k].values())
         a[k] = [sum((v * a[j][c] for j, v in rows[k].items()), zero) / pivot for c in range(part.m)]
     return AbsorptionTable(part.transient, tuple(tuple(a[t]) for t in part.transient), p.numeric_mode)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from znrank.errors import EpsOutOfRange
 from znrank.graph import RowStochasticMatrix, classify_states, require_connected_union
 from znrank.rational import EXACT, zero_one
-from znrank.stationary import Distribution, _law, stationary_direct
+from znrank.stationary import Distribution, _law, _scaled_rows, stationary_direct
 
 DEFAULT_FLOAT_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_EXACT_GRID = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
@@ -96,9 +96,8 @@ def _perturbed_laws(p, q, grid):
         if e == 1:
             laws.append(stationary_direct(qe))
             continue
-        zero, one = zero_one(pe.numeric_mode)
-        law, order = _law(_hub_rows(pe, qe, e, groups), zero, one, order)
-        total = sum(law[:p.n], zero)
+        law, order = _law(*_scaled_rows(_hub_rows(pe, qe, e, groups), pe.numeric_mode), order)
+        total = sum(law[:p.n], zero_one(pe.numeric_mode)[0])
         laws.append(Distribution(tuple(v / total for v in law[:p.n]), pe.numeric_mode))
     return laws
 

@@ -303,9 +303,9 @@ def test_float_sweep_finds_its_elimination_order_once(monkeypatch):
     searches = []
     law = znrank.sweep._law
 
-    def spy(rows, zero, one, order=None):
+    def spy(rows, dens, order=None):
         searches.append(order is None)
-        return law(rows, zero, one, order)
+        return law(rows, dens, order)
 
     monkeypatch.setattr(znrank.sweep, "_law", spy)
     p = rand_with_transients(rng_for("order-once"), [3, 2, 4], 2).to_float()
