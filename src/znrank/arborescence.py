@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from znrank.errors import GuardExceeded, NotIrreducible, TransientStatesPresent
-from znrank.graph import closed_components, require_connected_union
+from znrank.graph import closed_components, require_unichain_union
 from znrank.kernels import enumerate_parents, sum_tree_products
 from znrank.linalg import det_exact, det_float
 from znrank.polynomial import EpsPolynomial
@@ -344,7 +344,7 @@ def exact_limit_from_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     Works with transient states present; their limit mass is zero.
     """
     _require_exact(p, q)
-    require_connected_union(p, q)
+    require_unichain_union(p, q)
     return limit_from_root_polynomials(all_root_polynomials(p, q, n_guard=n_guard))[0]
 
 

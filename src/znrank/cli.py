@@ -32,7 +32,7 @@ from znrank.graph import (
     load_matrix_json,
     ones_outer,
     parse_edge_list,
-    require_connected_union,
+    require_unichain_union,
     to_stochastic,
     uniform_matrix,
 )
@@ -365,7 +365,7 @@ def cmd_oracle(args):
         if p.numeric_mode != EXACT:
             raise UsageError("the polynomial oracle needs exact arithmetic; use --numeric exact")
         q, _ = load_q(args.q, p)
-        require_connected_union(p, q)
+        require_unichain_union(p, q)
         polys = all_root_polynomials(p, q)
         limit, total = limit_from_root_polynomials(polys)
         obj["polynomials"] = [h.to_strings() for h in polys]

@@ -275,17 +275,14 @@ def _tarjan_sccs(adj, n):
     return sccs
 
 
-def strongly_connected(adj, n):
-    return len(_tarjan_sccs(adj, n)) == 1
-
-
-def require_connected_union(p, q):
-    """Raise NotIrreducible unless the union of the supports of P and Q is
-    strongly connected. For every eps in (0, 1) that union is the support of
-    (1 - eps) P + eps Q, which is then irreducible."""
+def require_unichain_union(p, q):
+    """Raise NotIrreducible unless the union of the supports of P and Q has
+    exactly one closed class. For every eps in (0, 1) that union is the
+    support of (1 - eps) P + eps Q, whose stationary law is then unique and
+    zero on the transient states."""
     adj = [sorted(set(a).union(b)) for a, b in zip(p.support_successors(False), q.support_successors(False))]
-    if not strongly_connected(adj, p.n):
-        raise NotIrreducible("the union support of P and Q is not strongly connected")
+    if len(closed_components(adj, p.n)[0]) > 1:
+        raise NotIrreducible("the union support of P and Q has more than one closed class")
 
 
 def closed_components(adj, n):

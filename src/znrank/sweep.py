@@ -4,9 +4,10 @@ convergence-order fits and first-order estimates.
 The sweep is the empirical check on the limit predictions. Exact mode (all
 rational, including the grid) gives exact per-eps stationary laws. Floating
 mode stays accurate on grids down to 1e-14: every per-eps law comes from GTH
-state reduction, which never subtracts, and irreducibility is checked once
-on the union support of P and Q, not on each P_eps, whose smallest entries
-would fall under the float positivity threshold.
+state reduction, which never subtracts, and the one closed class that makes
+the law unique is checked once on the union support of P and Q, not on each
+P_eps, whose smallest entries would fall under the float positivity
+threshold. States outside that class are transient and get 0.
 
 The reduction never forms the dense P_eps. States that share a Q row send
 their eps mass to one hub state whose row is that Q row, so the chain stays
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from znrank.errors import EpsOutOfRange
-from znrank.graph import RowStochasticMatrix, classify_states, require_connected_union
+from znrank.graph import RowStochasticMatrix, classify_states, require_unichain_union
 from znrank.rational import EXACT, zero_one
 from znrank.stationary import Distribution, _law, _scaled_rows, stationary_direct
 
@@ -83,9 +84,9 @@ def _hub_rows(p, q, e, groups):
 
 def _perturbed_laws(p, q, grid):
     """Stationary laws of (1 - eps) P + eps Q for each eps of grid, after
-    require_connected_union(p, q), which makes the hub chain irreducible.
-    Below eps = 1 each is the hub chain's law on the states of P,
-    renormalized. The chain's pattern does not depend on eps and no entry
+    require_unichain_union(p, q), which leaves the hub chain one closed
+    class; its transient states, hubs among them, get 0. Below eps = 1
+    each is the hub chain's law on the states of P, renormalized. The chain's pattern does not depend on eps and no entry
     cancels, so the order found at the first eps serves every later one.
     """
     groups = _shared_q_rows(q)
@@ -146,7 +147,7 @@ def epsilon_sweep(p, q, grid=None, predicted=None):
         raise ValueError("grid must be strictly decreasing")
     if predicted is None:
         predicted = _predicted_limit(p, q)
-    require_connected_union(p, q)
+    require_unichain_union(p, q)
     table = _perturbed_laws(p, q, grid)
     errors = []
     for pi in table:
@@ -176,7 +177,7 @@ def first_order_estimate(p, q, eps_pair):
     e1, e2 = eps_pair
     if e1 == e2:
         raise ValueError("the two eps values must differ")
-    require_connected_union(p, q)
+    require_unichain_union(p, q)
     pi1, pi2 = _perturbed_laws(p, q, eps_pair)
     if pi1.numeric_mode == EXACT and pi2.numeric_mode == EXACT:
         return tuple((a - b) / (Fraction(e1) - Fraction(e2)) for a, b in zip(pi1.values, pi2.values))
@@ -218,7 +219,7 @@ def extrapolate_limit(p, q, grid=None):
         grid = DEFAULT_FLOAT_GRID
     grid = tuple(grid)
     e1, e2 = float(grid[-2]), float(grid[-1])
-    require_connected_union(pf, qf)
+    require_unichain_union(pf, qf)
     pi1, pi2 = _perturbed_laws(pf, qf, (e1, e2))
     # value at 0 of the line through (e1, pi1), (e2, pi2)
     return tuple(b - e2 * (a - b) / (e1 - e2) for a, b in zip(pi1.values, pi2.values))

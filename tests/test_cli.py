@@ -381,7 +381,38 @@ def test_oracle_with_q_needs_connected_union(tmp_path, capsys):
     qm = wpath(tmp_path, "q.json", json.dumps({"n": 3, "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
     code, _, err = run(capsys, "oracle", "--graph", g, "--q", f"matrix={qm}")
     assert code == 3
-    assert "not strongly connected" in err
+    assert "more than one closed class" in err
+
+
+def test_unichain_union_answers_on_rank_oracle_sweep_and_adjudicate(tmp_path, capsys):
+    # P has classes {a, b} and {c} and a transient t; Q puts mass on b and c
+    # only, so the union support of P and Q has one closed class, {a, b, c},
+    # and t stays transient in every P_eps
+    g = wpath(tmp_path, "g.txt", "a b\nb a\nb b\nc c\nt a\nt c\n")
+    nu = wpath(tmp_path, "nu.txt", "a 0\nb 1\nc 2\nt 0\n")
+    spec = f"personalized={nu}"
+    code, out, _ = run(capsys, "rank", "--graph", g, "--q", spec)
+    assert code == 0
+    limit = json.loads(out)["node_limit"]
+    assert limit == ["1/9", "2/9", "2/3", "0/1"]
+    code, out, _ = run(capsys, "oracle", "--graph", g, "--q", spec)
+    assert code == 0
+    assert json.loads(out)["exact_limit"] == limit
+    code, out, _ = run(capsys, "sweep", "--graph", g, "--q", spec, "--numeric", "exact", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["predicted_limit"] == limit and obj["report"]["verdict"] == "pass"
+    # every row is the stationary law of P_eps = (1 - eps) P + eps Q
+    p = ((0, 1, 0, 0), (F(1, 2), F(1, 2), 0, 0), (0, 0, 1, 0), (F(1, 2), 0, F(1, 2), 0))
+    q = (0, F(1, 3), F(2, 3), 0)
+    for eps, row in zip(obj["eps"], obj["pi"]):
+        e, pi = F(eps), [F(x) for x in row]
+        assert sum(pi) == 1 and pi[3] == 0
+        assert all(sum(pi[x] * ((1 - e) * p[x][y] + e * q[y]) for x in range(4)) == pi[y] for y in range(4))
+    code, out, _ = run(capsys, "adjudicate", "--graph", g, "--q", spec)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["oracle"] == limit and obj["methods"]["extended"]["verdict"] == "exact"
 
 
 def test_oracle_with_q_needs_exact(tmp_path, capsys):

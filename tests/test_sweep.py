@@ -8,7 +8,7 @@ from znrank.graph import (
     RowStochasticMatrix,
     StateSpace,
     ones_outer,
-    require_connected_union,
+    require_unichain_union,
     uniform_matrix,
 )
 from znrank.stationary import stationary_direct
@@ -222,9 +222,11 @@ def _partly_shared_q(rng, n):
 
 
 def _hub_route_cases(tag, count):
-    """Connected (P, Q, kind, transient count) draws: P with 1-3 closed
-    classes, with and without transient states; Q uniform, personalized,
-    block (transient-free P only), general or partly shared."""
+    """(P, Q, kind, transient count) draws whose union support has one
+    closed class: P with 1-3 closed classes, with and without transient
+    states; Q uniform, personalized, block (transient-free P only), general
+    or partly shared. These Q reach every state, so each union is strongly
+    connected."""
     rng = rng_for(tag)
     out = []
     while len(out) < count:
@@ -244,7 +246,7 @@ def _hub_route_cases(tag, count):
         else:
             q = _partly_shared_q(rng, p.n)
         try:
-            require_connected_union(p, q)
+            require_unichain_union(p, q)
         except NotIrreducible:
             continue
         out.append((p, q, kind, t))
