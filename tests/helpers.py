@@ -157,3 +157,38 @@ def rand_strong_digraph(rng, n):
     return WeightedDigraph(
         StateSpace(n), tuple((u, v, Fraction(1)) for u, v in sorted(edges))
     )
+
+
+# decimal weights, the reciprocal of a 61-bit prime and integers: the rows of
+# one chain get denominators from 1 to far beyond a machine word
+MIXED_WEIGHTS = (Fraction("0.1"), Fraction("0.37"), Fraction(1, 2**61 - 1), Fraction(5, 7), Fraction(1), Fraction(3))
+
+
+def rand_mixed_chain(rng, sizes, t):
+    """Closed classes of the given sizes (a cycle plus extra edges through
+    each) and t transient states, each with an edge into a closed state,
+    weighted from MIXED_WEIGHTS and row-normalized."""
+    n_closed = sum(sizes)
+    n = n_closed + t
+    edges = set()
+    start = 0
+    for size in sizes:
+        edges |= _cycle_plus_extras(rng, range(start, start + size), 2 * size)
+        start += size
+    for s in range(n_closed, n):
+        edges.add((s, rng.randrange(n_closed)))
+        edges |= {(s, v) for v in rng.sample(range(n), min(n, 3))}
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for u in range(n):
+        weights = {v: rng.choice(MIXED_WEIGHTS) for (s, v) in sorted(edges) if s == u}
+        total = sum(weights.values())
+        for v, w in weights.items():
+            rows[u][v] = w / total
+    return RowStochasticMatrix(StateSpace(n), tuple(tuple(r) for r in rows))
+
+
+def assert_stationary(p, values):
+    """values is a probability vector with values P = values, exactly."""
+    assert sum(values) == 1 and all(x >= 0 for x in values)
+    for j in range(p.n):
+        assert sum(values[i] * p.rows[i][j] for i in range(p.n) if values[i]) == values[j], j

@@ -11,10 +11,13 @@ from znrank.stationary import (
     linf,
     stationary_direct,
     stationary_power,
+    unichain_law,
 )
 from znrank.arborescence import mctt_stationary
 from helpers import (
+    assert_stationary,
     rand_irreducible,
+    rand_mixed_chain,
     rand_reducible_no_transient,
     rand_sizes,
     rand_stochastic,
@@ -148,6 +151,17 @@ def test_class_laws_equal_tree_theorem():
             assert all(law[s] == 0 for s in range(p.n) if s not in cls)
 
 
+def _assert_absorption_system(p, part, table):
+    tr = part.transient
+    assert table.transient == tr
+    for s, row in zip(tr, table.rows):
+        assert sum(row) == 1
+        for c, cls in enumerate(part.closed_classes):
+            # (I - P_TT) A = P_TC, row s, column c
+            lhs = row[c] - sum(p.entry(s, u) * table.row_for(u)[c] for u in tr)
+            assert lhs == sum(p.entry(s, y) for y in cls)
+
+
 def test_absorption_solves_its_system_exactly():
     rng = rng_for("absorb-system")
     checked = 0
@@ -163,14 +177,50 @@ def test_absorption_solves_its_system_exactly():
         if not tr:
             continue
         table = absorption_probabilities(p, part)
-        assert table.transient == tr
-        for s, row in zip(tr, table.rows):
-            assert sum(row) == 1
-            for c, cls in enumerate(part.closed_classes):
-                # (I - P_TT) A = P_TC, row s, column c
-                lhs = row[c] - sum(p.entry(s, u) * table.row_for(u)[c] for u in tr)
-                assert lhs == sum(p.entry(s, y) for y in cls)
+        _assert_absorption_system(p, part, table)
         pf = p.to_float()
         floats = absorption_probabilities(pf, classify_states(pf))
         assert max(abs(a - float(b)) for fr, er in zip(floats.rows, table.rows) for a, b in zip(fr, er)) <= 1e-12
         checked += 1
+
+
+def test_exact_laws_are_stationary_with_mixed_row_denominators():
+    # checked by pi P = pi and sum 1, not against another solver: every exact
+    # law comes from the same elimination. Rows mix denominators such as 10,
+    # 100, 7 and 2**61 - 1, so their integer forms have unequal scales.
+    rng = rng_for("mixed-denominators")
+    for n in (2, 3, 5, 8, 13, 21, 30, 40):
+        t = rng.randint(0, n // 4)
+        m = rng.randint(1, min(3, n - t))
+        cuts = sorted(rng.sample(range(1, n - t), m - 1))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n - t])]
+        p = rand_mixed_chain(rng, sizes, t)
+        part = classify_states(p)
+        assert [len(c) for c in part.closed_classes] == sizes
+        for cls, law in zip(part.closed_classes, class_stationary(p, part)):
+            assert_stationary(p, law.values)
+            assert all(law[s] > 0 for s in cls)
+        one_class = rand_mixed_chain(rng, [n - t], t)
+        law = unichain_law(one_class)
+        assert_stationary(one_class, law.values)
+        assert all(x == 0 for x in law.values[n - t:])
+        if t:
+            _assert_absorption_system(p, part, absorption_probabilities(p, part))
+
+
+def test_exact_class_law_does_at_most_n_fraction_operations(monkeypatch):
+    # the elimination runs on integers; Fractions only carry the final law
+    rng = rng_for("fraction-count")
+    p = rand_mixed_chain(rng, [24], 0)
+    part = classify_states(p)
+    ops = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def counted(a, b, _op=getattr(Fraction, name)):
+            ops.append(1)
+            return _op(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    (law,) = class_stationary(p, part)
+    monkeypatch.undo()
+    assert len(ops) <= 24
+    assert_stationary(p, law.values)

@@ -25,9 +25,11 @@ from znrank.sweep import (
     perturbed_matrix,
 )
 from helpers import (
+    assert_stationary,
     rand_block_q,
     rand_general_q,
     rand_irreducible,
+    rand_mixed_chain,
     rand_personalization,
     rand_reducible_no_transient,
     rand_sizes,
@@ -319,3 +321,32 @@ def test_float_sweep_finds_its_elimination_order_once(monkeypatch):
     first_order_estimate(p, q, (1e-3, 1e-4))
     extrapolate_limit(p, q)
     assert searches == [True, False] * 2
+
+
+def test_exact_hub_route_laws_are_stationary(monkeypatch):
+    # law P_eps = law at each eps of a 3-point grid, all on one elimination
+    # order. Q has no mass on the transient states of P, so they stay
+    # transient in the union; some Q rows are shared, which makes hubs.
+    searches = []
+    law = znrank.sweep._law
+
+    def spy(rows, dens, order=None):
+        searches.append(order is None)
+        return law(rows, dens, order)
+
+    monkeypatch.setattr(znrank.sweep, "_law", spy)
+    rng = rng_for("hub-stationary")
+    grid = (F(1, 3), F(1, 10**4), F("1e-9"))
+    for sizes, t in (([3, 2], 1), ([5, 4, 3], 3), ([9, 6], 4), ([12], 2)):
+        p = rand_mixed_chain(rng, sizes, t)
+        closed = sum(sizes)
+        shared = rand_mixed_chain(rng, [closed], 0).rows[0] + (0,) * t
+        rows = [shared if rng.random() < 0.6 else rand_mixed_chain(rng, [closed], 0).rows[0] + (0,) * t
+                for _ in range(p.n)]
+        q = RowStochasticMatrix(StateSpace(p.n), tuple(rows))
+        searches.clear()
+        laws = _perturbed_laws(p, q, grid)
+        assert searches == [True, False, False]
+        for eps, pi in zip(grid, laws):
+            assert_stationary(perturbed_matrix(p, q, eps), pi.values)
+            assert all(x == 0 for x in pi.values[closed:])
