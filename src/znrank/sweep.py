@@ -25,7 +25,7 @@ from fractions import Fraction
 from znrank.errors import EpsOutOfRange
 from znrank.graph import RowStochasticMatrix, classify_states, require_unichain_union
 from znrank.rational import EXACT, zero_one
-from znrank.stationary import Distribution, _law, _scaled_rows, stationary_direct
+from znrank.stationary import Distribution, _law, _scaled_rows, unichain_law
 
 DEFAULT_FLOAT_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_EXACT_GRID = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
@@ -95,7 +95,7 @@ def _perturbed_laws(p, q, grid):
     for eps in grid:
         pe, qe, e = _mixing_inputs(p, q, eps)
         if e == 1:
-            laws.append(stationary_direct(qe))
+            laws.append(unichain_law(qe))
             continue
         law, order = _law(*_scaled_rows(_hub_rows(pe, qe, e, groups), pe.numeric_mode), order)
         total = sum(law[:p.n], zero_one(pe.numeric_mode)[0])

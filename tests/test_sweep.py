@@ -284,10 +284,12 @@ def test_hub_route_keeps_checks():
             _perturbed_laws(p, q, (eps,))
     with pytest.raises(ValueError):
         _perturbed_laws(p, uniform_matrix(2), (F(1, 10),))
-    # at eps = 1 the law is that of Q alone, which must be irreducible
+    # at eps = 1 the law is that of Q alone, which must have one closed class
     identity = RowStochasticMatrix(StateSpace(3), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(NotIrreducible):
         _perturbed_laws(p, identity, (F(1),))
+    unichain = RowStochasticMatrix(StateSpace(3), ((0, 1, 0), (1, 0, 0), (0, 1, 0)))
+    assert _perturbed_laws(p, unichain, (F(1),))[0].values == (F(1, 2), F(1, 2), 0)
     assert _perturbed_laws(p, q, (1.0,))[0].values == (1 / 3,) * 3
 
 
