@@ -1,6 +1,9 @@
 """Stationary distributions, per-class stationary laws and absorption
 probabilities, all from one sparse GTH state reduction in Markowitz order
-(`_eliminate`), in exact and float arithmetic alike."""
+(`_eliminate`), in exact and float arithmetic alike. Exact rows are integer
+numerators over one denominator per row, so the reduction does integer
+arithmetic with one gcd per updated row, and Fractions are built only for
+the normalised law."""
 
 import math
 from dataclasses import dataclass
@@ -162,10 +165,11 @@ def _law(rows, dens=None, order=None):
     chain has several closed classes.
 
     Back-substitution sets x_k = sum of x_i a(i, k) / s over the states i
-    that entered k. In exact mode x is kept as integers, x_k being
-    (d_k / S_k) sum of x_i r(i, k) / d_i over the column: whatever that
-    leaves in the denominator, after one gcd, rescales the vector. Only the
-    normalised law is made of Fractions.
+    that entered k. In exact mode x stays integral: x_k = (d_k / S_k) * sum
+    of x_i r(i, k) / d_i over k's column, put over S_k times the lcm of the
+    column's d_i and reduced by one gcd. A denominator left over multiplies
+    every entry of x, which keeps their ratios. Only the normalised law is
+    made of Fractions.
     """
     order, cols = _eliminate(rows, dens, order)
     if len(order) != len(rows) - 1:
@@ -176,7 +180,7 @@ def _law(rows, dens=None, order=None):
             x[k] = sum((x[i] * f for i, f in cols[k]), 0.0)
         total = sum(x, 0.0)
         return [v / total for v in x], order
-    x = [1] * len(rows)
+    x = [1] * len(rows)  # as above
     for k in reversed(order):
         col = cols[k]
         lcm = math.lcm(*[d for _, _, d in col])
