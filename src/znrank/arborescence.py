@@ -5,12 +5,13 @@ An arborescence rooted at r assigns every other node one out-neighbor so
 that iterating the assignment reaches r; its weight is the product of the
 chosen entries. Independent routes to the same numbers live here: full
 enumeration (the search kernel, exponential in n), principal minors of
-I - P (the tree theorem), and one fraction-free integer elimination that
-gives the sums for every root at once. The perturbation oracle builds the
+I - P (the tree theorem), and the GTH state reduction of stationary.py,
+the one elimination every route shares, which gives the sums for every
+root at once (stationary.root_sums). The perturbation oracle builds the
 sum-over-trees polynomials in the mixing parameter, with exact rational
-coefficients, by evaluation at n points plus interpolation; enumeration
-stays as the cross-check. Nothing here is floating point unless the input
-matrix is.
+coefficients, by evaluation at n points on that reduction plus
+interpolation; enumeration and the minors stay as independent
+cross-checks. Nothing here is floating point unless the input matrix is.
 """
 
 import math
@@ -20,12 +21,12 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from znrank.errors import GuardExceeded, NotIrreducible, TransientStatesPresent
-from znrank.graph import closed_components, require_unichain_union
+from znrank.graph import is_irreducible, require_unichain_union
 from znrank.kernels import enumerate_parents, sum_tree_products
 from znrank.linalg import det_exact, det_float
 from znrank.polynomial import EpsPolynomial
 from znrank.rational import EXACT, format_rational
-from znrank.stationary import Distribution
+from znrank.stationary import Distribution, _sparse_rows, root_sums
 
 DEFAULT_ASSIGNMENT_BUDGET = 10_000_000
 ENUMERATION_N_GUARD = 12
@@ -172,70 +173,15 @@ def _integer_rows(*mats):
     return lcms, rows
 
 
-def _root_values(w):
-    """Arborescence sums of the integer weight matrix w for every root, by
-    one fraction-free elimination in O(n^3) integer operations.
-
-    With more than one closed class in the support, no spanning
-    arborescence exists. Otherwise let b be the smallest state of the
-    closed class, L the Laplacian of w (self-loops excluded) and M_b the
-    matrix L without row and column b. adj(L) has identical rows equal to
-    (H_r)_r, so H L = 0 gives M_b^T (H_j)_(j != b) = H_b (w[b][j])_(j != b)
-    with H_b = det M_b. A fraction-free Gauss-Jordan pass (Bareiss, Math.
-    Comp. 1968) on [M_b^T | w[b][j]] leaves det M_b as its last pivot and
-    H_j in the right-hand column. Every state reaches b, so M_b is a
-    nonsingular M-matrix: all its leading minors are positive and no
-    pivoting is needed.
-    """
-    n = len(w)
-    closed, _ = closed_components([[v for v in range(n) if v != u and w[u][v]] for u in range(n)], n)
-    if len(closed) > 1:
-        return [0] * n
-    b = closed[0][0]
-    idx = [u for u in range(n) if u != b]
-    m = len(idx)
-    a = []
-    for i, v in enumerate(idx):
-        row = [-w[u][v] for u in idx]
-        row[i] = sum(w[v]) - w[v][v]
-        row.append(w[b][v])
-        a.append(row)
-    prev = 1
-    for k in range(m):
-        row_k = a[k]
-        pivot = row_k[k]
-        for i in range(m):
-            if i == k:
-                continue
-            row_i = a[i]
-            lead = row_i[k]
-            # columns below k are already cleared; stale diagonals of
-            # earlier rows are never read again
-            for j in range(k + 1, m + 1):
-                row_i[j] = (pivot * row_i[j] - lead * row_k[j]) // prev
-        prev = pivot
-    h = [0] * n
-    h[b] = prev
-    for i, v in enumerate(idx):
-        h[v] = a[i][m]
-    return h
-
-
 def root_weights(w):
-    """Sum of arborescence weights at every root: one integer elimination
-    in exact mode, one principal minor per root in float mode."""
-    if w.numeric_mode != EXACT:
-        return tuple(root_weight_minor(w, r) for r in range(w.n))
-    lcms, (a,) = _integer_rows(w)
-    total = math.prod(lcms)
-    return tuple(Fraction(h, total // l) for h, l in zip(_root_values(a), lcms))
+    """Sum of arborescence weights at every root, in either numeric mode,
+    from one GTH reduction of w (stationary.root_sums)."""
+    return tuple(root_sums(*_sparse_rows(w, range(w.n)))[0])
 
 
 def mctt_stationary(p):
     """Stationary law from the tree theorem: pi(i) proportional to the
     root-i minor of I - P."""
-    from znrank.graph import is_irreducible
-
     if not is_irreducible(p):
         raise NotIrreducible("the tree-theorem stationary law needs an irreducible chain")
     vals = [root_weight_minor(p, r) for r in range(p.n)]
@@ -299,7 +245,8 @@ def _interpolate(ys):
 
 def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     """Root polynomials H_r(eps), for every root r, of (1-eps) P + eps Q,
-    from n integer evaluations and interpolation; no enumeration.
+    from n integer evaluations (stationary.root_sums) and interpolation;
+    no enumeration.
 
     Row u of P and Q scaled by l_u gives integer rows A_u and B_u, and for
     k >= 1, W_k = k A + B is P_eps at eps = 1/(k+1) up to the row factor
@@ -314,9 +261,13 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     if n > n_guard:
         raise GuardExceeded(f"n = {n} exceeds the symbolic guard {n_guard}")
     lcms, (a, b) = _integer_rows(p, q)
-    values = [
-        _root_values([[k * x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]) for k in range(1, n + 1)
-    ]
+    order = None  # W_k has one pattern for every k: the order found at k = 1 serves all
+    values = []
+    for k in range(1, n + 1):
+        rows = [{v: k * x + y for v, (x, y) in enumerate(zip(ra, rb)) if v != u and (x or y)}
+                for u, (ra, rb) in enumerate(zip(a, b))]
+        sums, order = root_sums(rows, [1] * n, order)
+        values.append([h.numerator for h in sums])  # integers: minors of an integer matrix
     total = math.prod(lcms)
     top = n - 1
     polys = []

@@ -79,8 +79,6 @@ def build_parser():
                         help="policy for rows with no outgoing weight (default self_loop)")
         sp.add_argument("--numeric", choices=("auto", "exact", "float"), default="auto",
                         help="arithmetic: auto picks exact up to n=12 (default auto)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="reserved for reproducibility; commands are deterministic")
 
     sp = sub.add_parser("classify", help="closed classes and transient states")
     add_io(sp)
@@ -118,7 +116,6 @@ def build_parser():
     sp.add_argument("--weights", help="bt: node<TAB>w lines; pairwise: src<TAB>dst<TAB>w lines")
     sp.add_argument("--d", type=int, default=None, help="pairwise denominator (default max out-degree)")
     sp.add_argument("--dangling", choices=DANGLING_POLICIES, default="self_loop")
-    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--format", choices=("json",), default="json")
     return p
 
@@ -212,8 +209,8 @@ def parse_block_q(text, p):
 
 
 def load_q(spec, p):
-    """QSPEC: uniform | personalized=FILE | block=FILE | matrix=FILE.
-    Returns (Q matrix, tag)."""
+    """Q matrix from QSPEC: uniform | personalized=FILE | block=FILE |
+    matrix=FILE."""
     if spec == "uniform":
         q = uniform_matrix(p.n, p.states)
     elif spec.startswith("personalized="):
@@ -228,8 +225,7 @@ def load_q(spec, p):
         q = type(q)(p.states, q.rows, q.numeric_mode)
     else:
         raise UsageError(f"bad --q value {spec!r}")
-    tag = spec.split("=", 1)[0]
-    return (q.to_float() if p.numeric_mode == FLOAT else q), tag
+    return q.to_float() if p.numeric_mode == FLOAT else q
 
 
 def cmd_classify(args):
@@ -255,7 +251,7 @@ def cmd_classify(args):
     return 0
 
 
-def build_limit_report(p, q, mode, q_tag):
+def build_limit_report(p, q, mode):
     from znrank.zero_noise import (
         limit_rank_extended,
         limit_rank_general,
@@ -269,16 +265,15 @@ def build_limit_report(p, q, mode, q_tag):
         return theorem2_prediction(p)
     if mode == "extended":
         return limit_rank_extended(p, q, part=part)
-    gamma_mode = {"uniform": "uniform", "personalized": "personalized"}.get(q_tag, "plain")
-    return limit_rank_general(p, q, gamma_mode=gamma_mode, part=part)
+    return limit_rank_general(p, q, part=part)
 
 
 def cmd_rank(args):
     from znrank.zero_noise import report_to_json
 
     p = load_p(args)
-    q, q_tag = load_q(args.q, p)
-    report = build_limit_report(p, q, args.mode, q_tag)
+    q = load_q(args.q, p)
+    report = build_limit_report(p, q, args.mode)
     obj = report_to_json(report)
     if args.format == "json":
         sys.stdout.write(canonical_dumps(obj))
@@ -303,7 +298,7 @@ def cmd_sweep(args):
     from znrank.sweep import convergence_report, epsilon_sweep, parse_eps_grid
 
     p = load_p(args)
-    q, _ = load_q(args.q, p)
+    q = load_q(args.q, p)
     exact = p.numeric_mode == EXACT
     grid = None
     if args.eps:
@@ -364,7 +359,7 @@ def cmd_oracle(args):
     if args.q:
         if p.numeric_mode != EXACT:
             raise UsageError("the polynomial oracle needs exact arithmetic; use --numeric exact")
-        q, _ = load_q(args.q, p)
+        q = load_q(args.q, p)
         require_unichain_union(p, q)
         polys = all_root_polynomials(p, q)
         limit, total = limit_from_root_polynomials(polys)
@@ -380,7 +375,7 @@ def cmd_adjudicate(args):
     from znrank.zero_noise import adjudicate
 
     p = load_p(args)
-    q, _ = load_q(args.q, p)
+    q = load_q(args.q, p)
     report = adjudicate(p, q)
     if args.format == "pretty":
         print(f"oracle: {report['oracle_mode']}")

@@ -5,16 +5,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from znrank.errors import MissingReverseWeight, NonpositiveWeight, NotIrreducible
-from znrank.graph import RowStochasticMatrix, StateSpace, to_stochastic
+from znrank.arborescence import enumerate_arborescences, mctt_stationary
+from znrank.errors import GuardExceeded, MissingReverseWeight, NonpositiveWeight, NotIrreducible
+from znrank.graph import RowStochasticMatrix, StateSpace, WeightedDigraph, to_stochastic
 from znrank.rational import format_rational
 from znrank.stationary import Distribution
 
 
 def simple_random_walk(g, dangling="self_loop"):
     """P(i, j) = 1 / out-degree(i) over the out-neighbors of i."""
-    from znrank.graph import WeightedDigraph
-
     unit_edges = tuple((s, d, Fraction(1)) for s, d, _ in g.edges)
     return to_stochastic(WeightedDigraph(g.states, unit_edges), dangling=dangling)
 
@@ -23,8 +22,6 @@ def rumor_source_scores(p, g):
     """Scores proportional to pi(i) / d_i for the walk chain p on g; for a
     simple random walk this is proportional to the number of arborescences
     rooted at i."""
-    from znrank.arborescence import mctt_stationary
-
     pi = mctt_stationary(p)
     degs = [g.out_degree(u) for u in range(g.states.n)]
     if any(d == 0 for d in degs):
@@ -53,8 +50,6 @@ def bradley_terry_chain(g, w, dangling="self_loop"):
     n = g.states.n
     if len(w.values) != n:
         raise ValueError("need one weight per node")
-    from znrank.graph import WeightedDigraph
-
     edges = tuple((s, d, w.values[d]) for s, d, _ in g.edges)
     return to_stochastic(WeightedDigraph(g.states, edges), dangling=dangling)
 
@@ -119,9 +114,6 @@ def bt_leaf_formula_check(g, w, n_guard=6):
     """Adjudicate the closed-form leaf expression for win-weight ladders:
     score(i) compared with sum over arborescences rooted at i of
     W(i) / prod over leaves j of w_j, both normalized. Measurement only."""
-    from znrank.arborescence import enumerate_arborescences, mctt_stationary
-    from znrank.errors import GuardExceeded
-
     n = g.states.n
     if n > n_guard:
         raise GuardExceeded(f"n = {n} exceeds the leaf-formula guard {n_guard}")

@@ -1,9 +1,11 @@
-"""Stationary distributions, per-class stationary laws and absorption
-probabilities, all from one sparse GTH state reduction in Markowitz order
-(`_eliminate`), in exact and float arithmetic alike. Exact rows are integer
-numerators over one denominator per row, so the reduction does integer
-arithmetic with one gcd per updated row, and Fractions are built only for
-the normalised law."""
+"""Stationary distributions, per-class stationary laws, absorption
+probabilities and the tree-theorem arborescence sums of every root, all
+from one sparse GTH state reduction in Markowitz order (`_eliminate`), in
+exact and float arithmetic alike. It is the one elimination in the
+package: the reduced chain, the sweep's hub chain, `root_weights` and the
+polynomial oracle run on it too. Exact rows are integer numerators over one
+denominator per row, so the reduction does integer arithmetic with one gcd
+per updated row, and Fractions are built only for the final values."""
 
 import math
 from dataclasses import dataclass
@@ -158,29 +160,19 @@ def _eliminate(rows, dens=None, order=None):
     return order, cols
 
 
-def _law(rows, dens=None, order=None):
-    """(stationary law, elimination order) of the chain with the given dict
-    rows and row denominators (see _eliminate), which must have exactly one
-    closed class; transient states get 0. Raises NotIrreducible when the
-    chain has several closed classes.
-
-    Back-substitution sets x_k = sum of x_i a(i, k) / s over the states i
-    that entered k. In exact mode x stays integral: x_k = (d_k / S_k) * sum
-    of x_i r(i, k) / d_i over k's column, put over S_k times the lcm of the
-    column's d_i and reduced by one gcd. A denominator left over multiplies
-    every entry of x, which keeps their ratios. Only the normalised law is
-    made of Fractions.
-    """
-    order, cols = _eliminate(rows, dens, order)
-    if len(order) != len(rows) - 1:
-        raise NotIrreducible("the chain has more than one closed class")
+def _back_substitute(rows, dens, order, cols):
+    """Unnormalised stationary vector x after _eliminate left one state:
+    x starts at 1 on the state left, and x_k = sum of x_i a(i, k) / s over
+    the states i that entered k. In exact mode x stays integral: x_k =
+    (d_k / S_k) * sum of x_i r(i, k) / d_i over k's column, put over S_k
+    times the lcm of the column's d_i and reduced by one gcd. A denominator
+    left over multiplies every entry of x, which keeps their ratios."""
     if dens is None:
-        x = [1.0] * len(rows)  # the one state left keeps 1
+        x = [1.0] * len(rows)
         for k in reversed(order):
             x[k] = sum((x[i] * f for i, f in cols[k]), 0.0)
-        total = sum(x, 0.0)
-        return [v / total for v in x], order
-    x = [1] * len(rows)  # as above
+        return x
+    x = [1] * len(rows)
     for k in reversed(order):
         col = cols[k]
         lcm = math.lcm(*[d for _, _, d in col])
@@ -191,8 +183,50 @@ def _law(rows, dens=None, order=None):
             scale = den // g
             x = [v * scale for v in x]
         x[k] = num // g
+    return x
+
+
+def _law(rows, dens=None, order=None):
+    """(stationary law, elimination order) of the chain with the given dict
+    rows and row denominators (see _eliminate), which must have exactly one
+    closed class; transient states get 0. Raises NotIrreducible when the
+    chain has several closed classes. Only the normalised law is made of
+    Fractions."""
+    order, cols = _eliminate(rows, dens, order)
+    if len(order) != len(rows) - 1:
+        raise NotIrreducible("the chain has more than one closed class")
+    x = _back_substitute(rows, dens, order, cols)
+    if dens is None:
+        total = sum(x, 0.0)
+        return [v / total for v in x], order
     total = sum(x)
     return [Fraction(v, total) for v in x], order
+
+
+def root_sums(rows, dens=None, order=None):
+    """(sums, elimination order): the sum of arborescence weights rooted at
+    every state of the chain with the given dict rows and row denominators
+    (see _eliminate), as floats or, in exact mode, Fractions.
+
+    The reduction's pivots s_k (S_k / d_k in exact mode) are the Schur
+    complement pivots of the Laplacian L = D - W, so their product is the
+    minor of L at the state b left, which by the Markov chain tree theorem
+    is the sum at b. The sum at r is that times x_r / x_b, x being the
+    back-substituted vector, since the sums are a left null vector of L.
+    With more than one closed class no spanning arborescence exists and
+    every sum is 0.
+    """
+    n = len(rows)
+    order, cols = _eliminate(rows, dens, order)
+    if len(order) != n - 1:
+        return [0.0 if dens is None else Fraction(0)] * n, order
+    x = _back_substitute(rows, dens, order, cols)
+    minor = math.prod(sum(rows[k].values()) for k in order)
+    if dens is None:
+        return [minor * v for v in x], order  # x is 1 at b
+    (b,) = set(range(n)).difference(order)
+    minor = Fraction(minor, math.prod(dens[k] for k in order) * x[b])
+    return [minor * v for v in x], order
 
 
 def unichain_law(p):

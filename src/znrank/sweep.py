@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from znrank.arborescence import SYMBOLIC_N_GUARD, all_root_polynomials
 from znrank.errors import EpsOutOfRange
 from znrank.graph import RowStochasticMatrix, classify_states, require_unichain_union
 from znrank.rational import EXACT, zero_one
@@ -189,8 +190,6 @@ def exact_first_order(p, q, n_guard=None):
     """Exact derivative at zero mixing of the stationary law, from the
     polynomial route: d/de of H_i(e) / S(e) at 0 after the common leading
     power is removed."""
-    from znrank.arborescence import SYMBOLIC_N_GUARD, all_root_polynomials
-
     guard = SYMBOLIC_N_GUARD if n_guard is None else n_guard
     polys = all_root_polynomials(p, q, n_guard=guard)
     total = polys[0]

@@ -14,7 +14,8 @@ random chains against the polynomial oracle), not assumed.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from znrank.errors import GammaReducible, NotIrreducible, TransientStatesPresent
+from znrank.arborescence import SYMBOLIC_N_GUARD, exact_limit_from_polynomials
+from znrank.errors import GammaReducible, GuardExceeded, NotIrreducible, TransientStatesPresent
 from znrank.graph import RowStochasticMatrix, StateSpace, classify_states
 from znrank.rational import EXACT, FLOAT, number_to_json, zero_one
 from znrank.stationary import (
@@ -23,8 +24,6 @@ from znrank.stationary import (
     class_stationary,
     unichain_law,
 )
-
-GAMMA_MODES = ("plain", "extended", "personalized", "uniform")
 
 
 def _common_mode(p, q):
@@ -40,7 +39,6 @@ class GammaChain:
 
     gamma: RowStochasticMatrix
     pi_gamma: Distribution
-    mode: str
 
     @property
     def m(self):
@@ -62,7 +60,7 @@ def _class_labels(part):
     return tuple(f"C{k + 1}" for k in range(part.m))
 
 
-def _gamma_chain_from_rows(rows, part, mode, numeric_mode):
+def _gamma_chain_from_rows(rows, part, numeric_mode):
     states = StateSpace(part.m, _class_labels(part))
     try:
         gamma = RowStochasticMatrix(states, tuple(tuple(r) for r in rows), numeric_mode)
@@ -75,7 +73,7 @@ def _gamma_chain_from_rows(rows, part, mode, numeric_mode):
             "reduced class chain has more than one closed class; the limit may still exist:"
             " `znrank adjudicate` or `znrank oracle --q` computes it from the perturbed chain"
         ) from None
-    return GammaChain(gamma, law, mode)
+    return GammaChain(gamma, law)
 
 
 def _reduced_rows(q, part, class_laws, absorb=None):
@@ -121,19 +119,17 @@ def _reduced_rows(q, part, class_laws, absorb=None):
     return rows
 
 
-def build_gamma(p, q, part, mode="plain", class_laws=None):
+def build_gamma(p, q, part, class_laws=None):
     """Reduced chain: Gamma(i, j) is the Q mass from class i into class j,
     averaged over the members of class i with the class stationary law of P.
     class_laws defaults to class_stationary(p, part). Requires a
     transient-free partition."""
     if part.transient:
         raise TransientStatesPresent("the plain reduction needs a transient-free chain")
-    if mode not in GAMMA_MODES:
-        raise ValueError(f"unknown reduction mode {mode!r}")
     p, q = _common_mode(p, q)
     if class_laws is None:
         class_laws = class_stationary(p, part)
-    return _gamma_chain_from_rows(_reduced_rows(q, part, class_laws), part, mode, q.numeric_mode)
+    return _gamma_chain_from_rows(_reduced_rows(q, part, class_laws), part, q.numeric_mode)
 
 
 def personalization_gamma(nu, part):
@@ -145,7 +141,7 @@ def personalization_gamma(nu, part):
     zero = zero_one(nu.numeric_mode)[0]
     masses = [sum((nu[x] for x in c), zero) for c in part.closed_classes]
     rows = [list(masses) for _ in range(part.m)]
-    return _gamma_chain_from_rows(rows, part, "personalized", nu.numeric_mode)
+    return _gamma_chain_from_rows(rows, part, nu.numeric_mode)
 
 
 def extended_gamma(p, q, part, class_laws=None):
@@ -157,7 +153,7 @@ def extended_gamma(p, q, part, class_laws=None):
     if class_laws is None:
         class_laws = class_stationary(p, part)
     rows = _reduced_rows(q, part, class_laws, absorption_probabilities(p, part))
-    return _gamma_chain_from_rows(rows, part, "extended", p.numeric_mode)
+    return _gamma_chain_from_rows(rows, part, p.numeric_mode)
 
 
 def _assemble(p, part, per_class, gamma_chain, class_masses, mode):
@@ -177,7 +173,7 @@ def _assemble(p, part, per_class, gamma_chain, class_masses, mode):
     )
 
 
-def limit_rank_general(p, q, gamma_mode="plain", part=None):
+def limit_rank_general(p, q, part=None):
     """Limit of the stationary law of (1-eps) P + eps Q as eps vanishes:
     per-class stationary laws weighted by the reduced-chain stationary law.
     Requires a transient-free P. part defaults to classify_states(p); a
@@ -190,7 +186,7 @@ def limit_rank_general(p, q, gamma_mode="plain", part=None):
             "P has transient states; use the extended reduction (limit_rank_extended)"
         )
     per_class = class_stationary(p, part)
-    chain = build_gamma(p, q, part, mode=gamma_mode, class_laws=per_class)
+    chain = build_gamma(p, q, part, class_laws=per_class)
     return _assemble(p, part, per_class, chain, chain.pi_gamma, "theorem3")
 
 
@@ -204,15 +200,6 @@ def limit_rank_extended(p, q, part=None):
     per_class = class_stationary(p, part)
     chain = extended_gamma(p, q, part, class_laws=per_class)
     return _assemble(p, part, per_class, chain, chain.pi_gamma, "extended")
-
-
-def limit_rank_personalized(p, nu):
-    if p.numeric_mode != nu.numeric_mode:
-        p = p.to_float()
-        nu = nu.to_float()
-    part = classify_states(p)
-    chain = personalization_gamma(nu, part)
-    return _assemble(p, part, class_stationary(p, part), chain, chain.pi_gamma, "theorem3")
 
 
 def theorem2_prediction(p):
@@ -253,8 +240,6 @@ def adjudicate(p, q, n_guard=None, eps_grid=None):
     independent oracle: the exact polynomial route when guards allow, the
     sweep extrapolation otherwise. Returns a JSON-able report; methods that
     deviate from the oracle beyond tolerance are flagged discrepant."""
-    from znrank.arborescence import SYMBOLIC_N_GUARD, exact_limit_from_polynomials
-    from znrank.errors import GuardExceeded
     from znrank.sweep import DEFAULT_FLOAT_GRID, extrapolate_limit
 
     part = classify_states(p)

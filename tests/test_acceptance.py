@@ -152,7 +152,7 @@ def test_criterion_05_worked_adjudication_fixture():
         third = (F(1, 3), F(1, 3), F(1, 3))
         for eps in (F(1, 10), F(1, 100), F(1, 1000), F(1, 7)):
             assert stationary_direct(perturbed_matrix(p, q, eps)).values == third
-        limit = limit_rank_general(p, q, gamma_mode="uniform")
+        limit = limit_rank_general(p, q)
         assert limit.class_masses.values == (F(2, 3), F(1, 3))  # |C_k| / n
         assert limit.node_limit.values == third
         pred = theorem2_prediction(p)

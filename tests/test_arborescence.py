@@ -182,6 +182,22 @@ def test_interpolated_polynomials_match_enumeration_random():
             assert root_weights(p) == tuple(root_weight_minor(p, r) for r in range(p.n))
 
 
+def test_float_root_weights_match_exact_random():
+    # the float reduction never subtracts: relative error near one ulp, and
+    # exactly 0.0 where no arborescence exists
+    rng = rng_for("float-root-weights")
+    for n in range(1, 13):
+        for _ in range(15):
+            p = _rand_p(rng, n)
+            exact = root_weights(p)
+            for x, h in zip(root_weights(p.to_float()), exact):
+                assert type(x) is float
+                if h == 0:
+                    assert x == 0.0
+                else:
+                    assert abs(x - float(h)) <= 1e-12 * float(h)
+
+
 def test_polynomial_guards():
     p = RowStochasticMatrix(StateSpace(3), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     q = uniform_matrix(3)

@@ -306,6 +306,27 @@ def test_oracle_without_q(tmp_path, capsys):
     assert "polynomials" not in obj
 
 
+def test_oracle_float_root_weight_without_arborescence_is_zero(tmp_path, capsys):
+    # state 2 is transient, so no arborescence is rooted there; the float
+    # weight must be 0.0, not rounding noise
+    m = wpath(tmp_path, "m.json", '{"n": 3, "rows": [["2/3","1/3","0"],["1","0","0"],["0","2/3","1/3"]]}')
+    code, out, _ = run(capsys, "oracle", "--matrix", m, "--numeric", "exact")
+    assert code == 0
+    assert json.loads(out)["root_weights"] == ["2/3", "2/9", "0/1"]
+    code, out, _ = run(capsys, "oracle", "--matrix", m, "--numeric", "float")
+    assert code == 0
+    weights = json.loads(out)["root_weights"]
+    assert weights[2] == 0.0
+    assert weights[:2] == pytest.approx([2 / 3, 2 / 9], rel=1e-15)
+
+
+def test_seed_option_is_gone(tmp_path, capsys):
+    g = wpath(tmp_path, "g.txt", K3)
+    assert run(capsys, "rank", "--graph", g, "--q", "uniform", "--seed", "1")[0] == 1
+    w = wpath(tmp_path, "w.txt", "x y 3\ny x 1\n")
+    assert run(capsys, "model", "pairwise", "--weights", w, "--seed", "1")[0] == 1
+
+
 def test_oracle_with_q(tmp_path, capsys):
     g = wpath(tmp_path, "g.txt", TWO_CLASS)
     code, out, _ = run(capsys, "oracle", "--graph", g, "--q", "uniform")
@@ -318,24 +339,32 @@ def test_oracle_with_q(tmp_path, capsys):
 
 def test_oracle_with_q_builds_each_polynomial_once(tmp_path, capsys, monkeypatch):
     import znrank.arborescence as arb
+    import znrank.stationary as st
 
     passes = []
+    searches = []
     enumerated = []
-    original = arb._root_values
+    eliminate, markowitz = st._eliminate, st._markowitz
 
-    def counted(w):
-        passes.append(len(w))
-        return original(w)
+    def counted(rows, *args):
+        passes.append(len(rows))
+        return eliminate(rows, *args)
 
-    monkeypatch.setattr(arb, "_root_values", counted)
+    def searched(*args):
+        searches.append(len(args[0]))
+        return markowitz(*args)
+
+    monkeypatch.setattr(st, "_eliminate", counted)
+    monkeypatch.setattr(st, "_markowitz", searched)
     monkeypatch.setattr(arb, "perturbed_root_polynomial", lambda *a, **k: enumerated.append(a))
     g = wpath(tmp_path, "g.txt", K3)
     code, out, _ = run(capsys, "oracle", "--graph", g, "--q", "uniform")
     assert code == 0
     assert json.loads(out)["exact_limit"] == ["1/3", "1/3", "1/3"]
-    # one elimination for the root weights of P, then n = 3 evaluation
-    # points shared by every root polynomial
+    # one engine pass for the root weights of P, then n = 3 evaluation
+    # points shared by every root polynomial, which reuse one order
     assert passes == [3] * 4
+    assert searches == [3, 3]
     assert enumerated == []
 
 

@@ -19,7 +19,6 @@ from znrank.zero_noise import (
     extended_gamma,
     limit_rank_extended,
     limit_rank_general,
-    limit_rank_personalized,
     personalization_gamma,
     report_to_json,
     theorem2_prediction,
@@ -54,10 +53,9 @@ def cycle_plus_absorber():
 
 def test_build_gamma_uniform_sizes():
     p = cycle_plus_absorber()
-    chain = build_gamma(p, uniform_matrix(3), classify_states(p), mode="uniform")
+    chain = build_gamma(p, uniform_matrix(3), classify_states(p))
     assert chain.gamma.rows == ((F(2, 3), F(1, 3)), (F(2, 3), F(1, 3)))
     assert chain.pi_gamma.values == (F(2, 3), F(1, 3))
-    assert chain.mode == "uniform"
 
 
 def test_build_gamma_block_fixture():
@@ -104,20 +102,16 @@ def test_personalization_gamma():
     nu = Distribution((F(1, 5), F(3, 10), F(1, 2)))
     chain = personalization_gamma(nu, classify_states(p))
     assert chain.pi_gamma.values == (F(1, 2), F(1, 2))
-    report = limit_rank_personalized(p, nu)
+    report = limit_rank_general(p, ones_outer(nu.values, p.states))
     assert report.node_limit.values == (F(1, 4), F(1, 4), F(1, 2))
-    # the general route with Q = ones nu^T agrees
-    via_q = limit_rank_general(p, ones_outer(nu.values, p.states))
-    assert via_q.node_limit.values == report.node_limit.values
 
 
 def test_personalization_gamma_gives_a_zero_class_no_mass():
     p = cycle_plus_absorber()
     nu = Distribution((F(1, 2), F(1, 2), F(0)))
     assert personalization_gamma(nu, classify_states(p)).pi_gamma.values == (F(1), F(0))
-    report = limit_rank_personalized(p, nu)
+    report = limit_rank_general(p, ones_outer(nu.values, p.states))
     assert report.node_limit.values == (F(1, 2), F(1, 2), F(0))
-    assert limit_rank_general(p, ones_outer(nu.values, p.states)).node_limit.values == report.node_limit.values
 
 
 def test_extended_gamma_fixture():
