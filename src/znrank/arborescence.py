@@ -25,7 +25,7 @@ from znrank.graph import is_irreducible, require_unichain_union
 from znrank.kernels import enumerate_parents, sum_tree_products
 from znrank.linalg import det_exact, det_float
 from znrank.polynomial import EpsPolynomial
-from znrank.rational import EXACT, format_rational
+from znrank.rational import EXACT, FLOAT, format_rational
 from znrank.stationary import Distribution, _sparse_rows, root_sums
 
 DEFAULT_ASSIGNMENT_BUDGET = 10_000_000
@@ -106,13 +106,9 @@ def arborescence_weight(a, w):
 def _support_cands(w, extra=None):
     """Sorted positive-entry candidates per node, self-loops excluded;
     extra is a second matrix whose support is unioned in."""
-    n = w.n
-    cands = []
-    for u in range(n):
-        cs = set(v for v in range(n) if v != u and w.positive(w.entry(u, v)))
-        if extra is not None:
-            cs.update(v for v in range(n) if v != u and extra.positive(extra.entry(u, v)))
-        cands.append(sorted(cs))
+    cands = w.support_successors()
+    if extra is not None:
+        cands = [sorted(set(a).union(b)) for a, b in zip(cands, extra.support_successors())]
     return cands
 
 
@@ -164,11 +160,12 @@ def root_weight_minor(w, root):
 def _integer_rows(*mats):
     """(lcms, rows): l_u is the lcm of the denominators of row u over all
     the exact matrices, and rows holds each matrix with row u scaled by
-    l_u to integers."""
+    l_u to integers, as dict rows."""
     n = mats[0].n
-    lcms = [math.lcm(*(x.denominator for m in mats for x in m.rows[u])) for u in range(n)]
+    lcms = [math.lcm(*[x.denominator for m in mats for x in m.rows[u].values()]) for u in range(n)]
     rows = [
-        [[x.numerator * (l // x.denominator) for x in m.rows[u]] for u, l in enumerate(lcms)] for m in mats
+        [{v: x.numerator * (l // x.denominator) for v, x in m.rows[u].items()} for u, l in enumerate(lcms)]
+        for m in mats
     ]
     return lcms, rows
 
@@ -176,7 +173,8 @@ def _integer_rows(*mats):
 def root_weights(w):
     """Sum of arborescence weights at every root, in either numeric mode,
     from one GTH reduction of w (stationary.root_sums)."""
-    return tuple(root_sums(*_sparse_rows(w, range(w.n)))[0])
+    sums, den, _ = root_sums(*_sparse_rows(w, range(w.n)))
+    return tuple(sums) if w.numeric_mode == FLOAT else tuple(Fraction(v, den) for v in sums)
 
 
 def mctt_stationary(p):
@@ -264,10 +262,10 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     order = None  # W_k has one pattern for every k: the order found at k = 1 serves all
     values = []
     for k in range(1, n + 1):
-        rows = [{v: k * x + y for v, (x, y) in enumerate(zip(ra, rb)) if v != u and (x or y)}
+        rows = [{v: k * ra.get(v, 0) + rb.get(v, 0) for v in sorted(ra.keys() | rb.keys()) if v != u}
                 for u, (ra, rb) in enumerate(zip(a, b))]
-        sums, order = root_sums(rows, [1] * n, order)
-        values.append([h.numerator for h in sums])  # integers: minors of an integer matrix
+        sums, den, order = root_sums(rows, [1] * n, order)
+        values.append([h // den for h in sums])  # exact: minors of an integer matrix are integers
     total = math.prod(lcms)
     top = n - 1
     polys = []

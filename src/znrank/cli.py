@@ -165,8 +165,9 @@ def parse_personalization(text, p):
     return Distribution(tuple(x / total for x in masses), EXACT)
 
 
-def parse_block_q(text, p):
-    part = classify_states(p)
+def parse_block_q(text, p, part=None):
+    """Block Q over P's closed classes; part is P's partition if known."""
+    part = part or classify_states(p)
     if part.transient:
         raise TransientStatesPresent(
             "block perturbations are defined over closed classes only; this chain has transient states"
@@ -196,28 +197,25 @@ def parse_block_q(text, p):
             raise InputFormatError(
                 f"block row {i} expands to row sum {s}, not 1 (sum_j gamma_ij |C_j| must be 1)"
             )
+    owner = {y: j for j, cj in enumerate(part.closed_classes) for y in cj}
     qrows = [None] * p.n
     for i, ci in enumerate(part.closed_classes):
-        row = [Fraction(0)] * p.n
-        for j, cj in enumerate(part.closed_classes):
-            for y in cj:
-                row[y] = rows[i][j]
-        row = tuple(row)  # one row object per class, shared by its members
+        row = {y: rows[i][owner[y]] for y in range(p.n)}  # one row object per class, shared by its members
         for x in ci:
             qrows[x] = row
     return RowStochasticMatrix(p.states, tuple(qrows), EXACT)
 
 
-def load_q(spec, p):
+def load_q(spec, p, part=None):
     """Q matrix from QSPEC: uniform | personalized=FILE | block=FILE |
-    matrix=FILE."""
+    matrix=FILE. part is P's partition when the caller has it."""
     if spec == "uniform":
         q = uniform_matrix(p.n, p.states)
     elif spec.startswith("personalized="):
         nu = parse_personalization(read_text(spec.split("=", 1)[1]), p)
         q = ones_outer(nu.values, p.states)
     elif spec.startswith("block="):
-        q = parse_block_q(read_text(spec.split("=", 1)[1]), p)
+        q = parse_block_q(read_text(spec.split("=", 1)[1]), p, part)
     elif spec.startswith("matrix="):
         q = load_matrix_json(read_text(spec.split("=", 1)[1]), numeric_mode=EXACT)
         if q.n != p.n:
@@ -251,18 +249,17 @@ def cmd_classify(args):
     return 0
 
 
-def build_limit_report(p, q, mode):
+def build_limit_report(p, q, part, mode):
     from znrank.zero_noise import (
         limit_rank_extended,
         limit_rank_general,
         theorem2_prediction,
     )
 
-    part = classify_states(p)
     if mode == "auto":
         mode = "extended" if part.transient else "theorem3"
     if mode == "theorem2":
-        return theorem2_prediction(p)
+        return theorem2_prediction(p, part)
     if mode == "extended":
         return limit_rank_extended(p, q, part=part)
     return limit_rank_general(p, q, part=part)
@@ -272,8 +269,8 @@ def cmd_rank(args):
     from znrank.zero_noise import report_to_json
 
     p = load_p(args)
-    q = load_q(args.q, p)
-    report = build_limit_report(p, q, args.mode)
+    part = classify_states(p)
+    report = build_limit_report(p, load_q(args.q, p, part), part, args.mode)
     obj = report_to_json(report)
     if args.format == "json":
         sys.stdout.write(canonical_dumps(obj))
@@ -375,8 +372,8 @@ def cmd_adjudicate(args):
     from znrank.zero_noise import adjudicate
 
     p = load_p(args)
-    q = load_q(args.q, p)
-    report = adjudicate(p, q)
+    part = classify_states(p)
+    report = adjudicate(p, load_q(args.q, p, part), part=part)
     if args.format == "pretty":
         print(f"oracle: {report['oracle_mode']}")
         print("node\t" + "\t".join(report["labels"]))

@@ -4,17 +4,20 @@ closed-class decomposition.
 States are 0-based. Closed communicating classes are the strongly connected
 components no positive entry leaves; they are listed in increasing order of
 their smallest member. Everything else is transient. In floating mode an
-entry counts as positive above 1e-15.
+entry counts as positive above 1e-15. Matrix rows are sparse, the nonzero
+entries in ascending column order; only row(i) and JSON output are dense.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from znrank.errors import InputFormatError, NotIrreducible
-from znrank.rational import EXACT, FLOAT, json_to_number, number_to_json, parse_rational
+from znrank.rational import EXACT, FLOAT, json_to_number, number_to_json, parse_rational, zero_one
 
 POSITIVE_EPS = 1e-15
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -40,14 +43,16 @@ class StateSpace:
 
 @dataclass
 class WeightedDigraph:
-    """Directed graph with nonnegative rational edge weights. Parallel edges
-    are not allowed; edge order is the order of first appearance."""
+    """Directed graph with nonnegative rational edge weights, no parallel
+    edges, in order of first appearance; a given _adj is taken as checked."""
 
     states: StateSpace
     edges: tuple  # of (src, dst, Fraction weight)
     _adj: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        if self._adj:
+            return
         self.edges = tuple((int(s), int(d), Fraction(w)) for s, d, w in self.edges)
         seen = set()
         self._adj = {u: [] for u in range(self.states.n)}
@@ -88,14 +93,14 @@ def parse_edge_list(text):
     Node ids become 0-based indices in order of first appearance.
     """
     index = {}
-    order = []
+    adj = []  # out-edges (dst, weight) of each node, in index order
     edges = []
     seen = set()
 
     def node(tok):
         if tok not in index:
-            index[tok] = len(order)
-            order.append(tok)
+            index[tok] = len(adj)
+            adj.append([])
         return index[tok]
 
     for ln, toks in data_lines(text):
@@ -105,16 +110,17 @@ def parse_edge_list(text):
         if len(toks) > 3:
             raise InputFormatError(f"expected `src dst [weight]`, got {len(toks)} fields", line=ln)
         s, d = node(toks[0]), node(toks[1])
-        w = parse_rational(toks[2], line=ln) if len(toks) == 3 else Fraction(1)
+        w = parse_rational(toks[2], line=ln) if len(toks) == 3 else ONE
         if w < 0:
             raise InputFormatError("negative weight", line=ln)
         if (s, d) in seen:
             raise InputFormatError(f"duplicate edge {toks[0]} -> {toks[1]}", line=ln)
         seen.add((s, d))
         edges.append((s, d, w))
-    if not order:
+        adj[s].append((d, w))
+    if not adj:
         raise InputFormatError("no nodes in input")
-    return WeightedDigraph(StateSpace(len(order), tuple(order)), tuple(edges))
+    return WeightedDigraph(StateSpace(len(adj), tuple(index)), tuple(edges), dict(enumerate(adj)))
 
 
 def serialize_edge_list(g):
@@ -127,36 +133,57 @@ def serialize_edge_list(g):
     return "\n".join(lines) + "\n"
 
 
+def _sparse_row(row, n, kind):
+    """row, a dense sequence of n entries or a dict {column: entry}, as a
+    dict of its nonzero entries in kind, columns ascending; kept if it is."""
+    if not isinstance(row, dict):
+        if len(row) != n:
+            raise ValueError("matrix shape does not match the state space")
+        row = dict(enumerate(row))
+    cols = sorted(row)
+    if cols and (cols[0] < 0 or cols[-1] >= n):
+        raise ValueError("matrix column outside the state space")
+    if cols == list(row) and all(type(x) is kind and x for x in row.values()):
+        return row
+    return {j: x for j, x in ((j, kind(row[j])) for j in cols) if x}
+
+
+def _exact_sum(xs):  # in integers over the lcm of the denominators
+    d = math.lcm(*[x.denominator for x in xs])
+    return Fraction(sum(x.numerator * (d // x.denominator) for x in xs), d)
+
+
 @dataclass
 class RowStochasticMatrix:
+    """Row-stochastic matrix: each row a dict of its nonzero entries (see
+    _sparse_row), a row object shared by several states checked once and
+    kept shared. entry and the dense row(i) fill in the mode's zero."""
+
     states: StateSpace
     rows: tuple
     numeric_mode: str = EXACT
 
     def __post_init__(self):
         n = self.states.n
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
+        if len(self.rows) != n:
             raise ValueError("matrix shape does not match the state space")
         if self.numeric_mode == EXACT:
-            kind, floor, tol = Fraction, 0, 0
+            kind, floor = Fraction, 0
         elif self.numeric_mode == FLOAT:
-            kind, floor, tol = float, -POSITIVE_EPS, 1e-12
+            kind, floor = float, -POSITIVE_EPS
         else:
             raise ValueError(f"unknown numeric mode {self.numeric_mode!r}")
-        done = {}  # id of a given row -> its converted form: a row shared by several states stays shared
+        done = {}  # id of a given row -> its converted form
         rows = []
         for i, row in enumerate(self.rows):
             out = done.get(id(row))
             if out is None:
-                typed = type(row) is tuple and all(type(x) is kind for x in row)
-                out = row if typed else tuple(map(kind, row))
-                nonzero = [x for x in out if x]
-                if any(x < floor for x in nonzero):
+                out = done[id(row)] = _sparse_row(row, n, kind)
+                if any(x < floor for x in out.values()):
                     raise ValueError(f"negative entry in row {i}")
-                total = sum(nonzero, kind(0))
-                if abs(total - 1) > tol:
+                total = sum(out.values(), 0.0) if kind is float else _exact_sum(out.values())  # one Fraction
+                if total != 1 and (kind is Fraction or abs(total - 1) > 1e-12):
                     raise ValueError(f"row {i} sums to {total}, not 1")
-                done[id(row)] = out
             rows.append(out)
         self.rows = tuple(rows)
 
@@ -165,10 +192,10 @@ class RowStochasticMatrix:
         return self.states.n
 
     def entry(self, i, j):
-        return self.rows[i][j]
+        return self.rows[i].get(j, zero_one(self.numeric_mode)[0])
 
     def row(self, i):
-        return self.rows[i]
+        return tuple(self.entry(i, j) for j in range(self.n))
 
     def to_float(self):
         """Float copy; rows shared by several states are converted once and
@@ -177,29 +204,24 @@ class RowStochasticMatrix:
             return self
         return RowStochasticMatrix(self.states, self.rows, FLOAT)
 
-    def positive(self, x):
-        if self.numeric_mode == EXACT:
-            return x > 0
-        return x > POSITIVE_EPS
+    def support(self, row):
+        """Columns of a stored row's positive entries, ascending."""
+        return list(row) if self.numeric_mode == EXACT else [j for j, x in row.items() if x > POSITIVE_EPS]
 
-    def support_successors(self, include_self=True):
-        """Adjacency lists of the positive-entry digraph."""
-        out = []
-        for i, row in enumerate(self.rows):
-            out.append([j for j, x in enumerate(row) if x and self.positive(x) and (include_self or j != i)])
-        return out
+    def support_successors(self):
+        """Adjacency lists of the positive-entry digraph, self-loops left out."""
+        return [[j for j in self.support(row) if j != i] for i, row in enumerate(self.rows)]
 
 
 def uniform_matrix(n, states=None):
-    row = (Fraction(1, n),) * n
+    row = dict.fromkeys(range(n), Fraction(1, n))
     return RowStochasticMatrix(states or StateSpace(n), (row,) * n)
 
 
 def ones_outer(nu_values, states=None):
     """Rank-one matrix with every row equal to nu."""
     n = len(nu_values)
-    row = tuple(Fraction(x) for x in nu_values)
-    return RowStochasticMatrix(states or StateSpace(n), tuple(row for _ in range(n)))
+    return RowStochasticMatrix(states or StateSpace(n), (dict(enumerate(nu_values)),) * n)
 
 
 @dataclass(frozen=True)
@@ -279,9 +301,17 @@ def require_unichain_union(p, q):
     """Raise NotIrreducible unless the union of the supports of P and Q has
     exactly one closed class. For every eps in (0, 1) that union is the
     support of (1 - eps) P + eps Q, whose stationary law is then unique and
-    zero on the transient states."""
-    adj = [sorted(set(a).union(b)) for a, b in zip(p.support_successors(False), q.support_successors(False))]
-    if len(closed_components(adj, p.n)[0]) > 1:
+    zero on the transient states. It runs on the hub pattern: x goes to its
+    P successors and to a node per distinct Q row, which goes to the row's
+    support; no closed class is made of such nodes alone."""
+    adj = p.support_successors()
+    hubs = {}  # id of a Q row -> its node
+    for x, row in enumerate(q.rows):
+        if id(row) not in hubs:
+            hubs[id(row)] = len(adj)
+            adj.append(q.support(row))
+        adj[x].append(hubs[id(row)])
+    if len(closed_components(adj, len(adj))[0]) > 1:
         raise NotIrreducible("the union support of P and Q has more than one closed class")
 
 
@@ -304,23 +334,11 @@ def closed_components(adj, n):
 
 
 def classify_states(p):
-    """Closed communicating classes and transient states of P."""
-    adj = p.support_successors(include_self=False)
-    closed, transient = closed_components(adj, p.n)
-    part = ClassPartition(tuple(closed), tuple(transient))
-    # every transient state must reach some closed class; true for any
-    # finite stochastic matrix, so a failure here means corrupted input
-    reach = set(s for c in closed for s in c)
-    changed = True
-    while changed:
-        changed = False
-        for t in part.transient:
-            if t not in reach and any(w in reach for w in adj[t]):
-                reach.add(t)
-                changed = True
-    if any(t not in reach for t in part.transient):
-        raise ValueError("transient state cannot reach any closed class")
-    return part
+    """Closed communicating classes and transient states of P. Every
+    transient state reaches a closed class: the components form a DAG whose
+    sinks are the closed classes."""
+    closed, transient = closed_components(p.support_successors(), p.n)
+    return ClassPartition(tuple(closed), tuple(transient))
 
 
 def is_irreducible(p):
@@ -332,7 +350,8 @@ DANGLING_POLICIES = ("self_loop", "uniform_row")
 
 
 def to_stochastic(g, dangling="self_loop"):
-    """Row-normalize a weighted digraph into a stochastic matrix.
+    """Row-normalize a weighted digraph into a stochastic matrix, each
+    entry one Fraction of integer weights scaled by the row's lcm.
 
     Rows with zero total weight follow the dangling policy: "self_loop"
     makes the state absorbing, "uniform_row" spreads mass evenly.
@@ -340,27 +359,27 @@ def to_stochastic(g, dangling="self_loop"):
     if dangling not in DANGLING_POLICIES:
         raise ValueError(f"unknown dangling policy {dangling!r}")
     n = g.states.n
+    uniform = None
     rows = []
     for u in range(n):
-        out = g.out_edges(u)
-        total = sum((w for _, w in out), Fraction(0))
-        if total == 0:
-            if dangling == "self_loop":
-                row = [Fraction(0)] * n
-                row[u] = Fraction(1)
-            else:
-                row = [Fraction(1, n)] * n
+        out = sorted(g.out_edges(u))
+        scale = math.lcm(*[w.denominator for _, w in out])
+        nums = {d: w.numerator * (scale // w.denominator) for d, w in out if w}
+        total = sum(nums.values())
+        if total:
+            rows.append({d: Fraction(x, total) for d, x in nums.items()})
+        elif dangling == "self_loop":
+            rows.append({u: ONE})
         else:
-            row = [Fraction(0)] * n
-            for d, w in out:
-                row[d] = w / total
-        rows.append(tuple(row))
+            uniform = uniform or dict.fromkeys(range(n), Fraction(1, n))
+            rows.append(uniform)
     return RowStochasticMatrix(g.states, tuple(rows), EXACT)
 
 
 def load_matrix_json(text, numeric_mode=EXACT):
     """Read {"n": int, "rows": [[...]]} with entries as numbers or "p/q"
-    strings. In exact mode decimal literals keep decimal semantics."""
+    strings. In exact mode decimal literals keep decimal semantics. Zero
+    entries are dropped, numeric ones and "0" before conversion."""
     try:
         obj = json.loads(text, parse_float=Fraction) if numeric_mode == EXACT else json.loads(text)
     except json.JSONDecodeError as exc:
@@ -373,17 +392,18 @@ def load_matrix_json(text, numeric_mode=EXACT):
         raise InputFormatError('"n" must be a positive integer')
     if not isinstance(rows, list) or len(rows) != n or any(not isinstance(r, list) or len(r) != n for r in rows):
         raise InputFormatError('"rows" must be an n x n array')
-    parsed = tuple(tuple(json_to_number(x, numeric_mode) for x in row) for row in rows)
+    parsed = [{j: json_to_number(x, numeric_mode) for j, x in enumerate(row)
+               if type(x) is bool or x not in (0, "0")} for row in rows]  # the matrix drops other zeros
     labels = obj.get("labels")
     states = StateSpace(n, tuple(labels)) if labels else StateSpace(n)
     try:
-        return RowStochasticMatrix(states, parsed, numeric_mode)
+        return RowStochasticMatrix(states, tuple(parsed), numeric_mode)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
 
 
 def dump_matrix_json(p):
-    obj = {"n": p.n, "rows": [[number_to_json(x, p.numeric_mode) for x in row] for row in p.rows]}
+    obj = {"n": p.n, "rows": [[number_to_json(x, p.numeric_mode) for x in p.row(i)] for i in range(p.n)]}
     if p.states.labels is not None:
         obj["labels"] = list(p.states.labels)
     return obj

@@ -95,18 +95,14 @@ class EdgeComparisons:
 def pairwise_comparison_chain(c):
     """Comparison chain: p(i, j) = (1/D) w_ij / (w_ij + w_ji) off the
     diagonal, remainder on the diagonal."""
-    n = c.states.n
     w = c.pairs_dict()
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * n
-        for j in range(n):
-            if i != j and (i, j) in w:
-                row[j] = Fraction(w[(i, j)], 1) / (w[(i, j)] + w[(j, i)]) / c.d
-        row[i] = 1 - sum(row)
+    rows = [{} for _ in range(c.states.n)]
+    for (i, j), wij in c.w_pairs:  # sorted, so each row's columns ascend
+        rows[i][j] = Fraction(wij, 1) / (wij + w[(j, i)]) / c.d
+    for i, row in enumerate(rows):
+        row[i] = 1 - sum(row.values())
         if row[i] < 0:
             raise ValueError(f"row {i} overflows; D = {c.d} is too small")
-        rows.append(tuple(row))
     return RowStochasticMatrix(c.states, tuple(rows))
 
 

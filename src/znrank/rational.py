@@ -10,18 +10,20 @@ from znrank.errors import InputFormatError
 
 EXACT = "exact"
 FLOAT = "float"
+EXACT_ZERO_ONE = (Fraction(0), Fraction(1))
 
 
 def zero_one(mode):
     """The zero and one of a numeric mode."""
-    return (Fraction(0), Fraction(1)) if mode == EXACT else (0.0, 1.0)
+    return EXACT_ZERO_ONE if mode == EXACT else (0.0, 1.0)
 
 
 def parse_rational(token, line=None):
     """Parse "3", "3/4" or "0.5" into a Fraction. Decimal strings are read
-    with decimal semantics, so "0.1" is exactly 1/10."""
+    with decimal semantics, so "0.1" is exactly 1/10. A plain integer skips
+    Fraction's string parser."""
     try:
-        return Fraction(token)
+        return Fraction(int(token)) if token.isdecimal() else Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"bad number {token!r}: {exc}", line=line) from None
 
@@ -46,5 +48,5 @@ def json_to_number(value, mode, line=None):
     else:
         x = value
     if mode == EXACT:
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
     return float(x)

@@ -71,10 +71,8 @@ def _scaled_rows(rows, mode):
 def _sparse_rows(p, states):
     """P restricted to states, relabelled 0, 1, ..., as dict rows without
     zero or diagonal entries, scaled for its numeric mode (_scaled_rows)."""
-    rows = []
-    for s in states:
-        row = p.rows[s]
-        rows.append({k: row[j] for k, j in enumerate(states) if j != s and row[j]})
+    pos = {j: k for k, j in enumerate(states)}
+    rows = [{pos[j]: v for j, v in p.rows[s].items() if j != s and j in pos} for s in states]
     return _scaled_rows(rows, p.numeric_mode)
 
 
@@ -204,9 +202,10 @@ def _law(rows, dens=None, order=None):
 
 
 def root_sums(rows, dens=None, order=None):
-    """(sums, elimination order): the sum of arborescence weights rooted at
-    every state of the chain with the given dict rows and row denominators
-    (see _eliminate), as floats or, in exact mode, Fractions.
+    """(sums, den, elimination order): sums[r] / den is the sum of
+    arborescence weights rooted at state r of the chain with the given dict
+    rows and row denominators (see _eliminate); floats over 1 or, in exact
+    mode, integers over one common integer den.
 
     The reduction's pivots s_k (S_k / d_k in exact mode) are the Schur
     complement pivots of the Laplacian L = D - W, so their product is the
@@ -219,14 +218,13 @@ def root_sums(rows, dens=None, order=None):
     n = len(rows)
     order, cols = _eliminate(rows, dens, order)
     if len(order) != n - 1:
-        return [0.0 if dens is None else Fraction(0)] * n, order
+        return [0.0 if dens is None else 0] * n, 1, order
     x = _back_substitute(rows, dens, order, cols)
     minor = math.prod(sum(rows[k].values()) for k in order)
     if dens is None:
-        return [minor * v for v in x], order  # x is 1 at b
+        return [minor * v for v in x], 1, order  # x is 1 at b
     (b,) = set(range(n)).difference(order)
-    minor = Fraction(minor, math.prod(dens[k] for k in order) * x[b])
-    return [minor * v for v in x], order
+    return [minor * v for v in x], math.prod(dens[k] for k in order) * x[b], order
 
 
 def unichain_law(p):
@@ -261,9 +259,8 @@ def stationary_power(p, tol=1e-12, max_iter=100000):
         out = [0.0] * n
         for i, xi in enumerate(vec):
             if xi != 0.0:
-                row = rows[i]
-                for j in range(n):
-                    out[j] += xi * row[j]
+                for j, v in rows[i].items():
+                    out[j] += xi * v
         return out
 
     residual = None
@@ -312,7 +309,7 @@ def absorption_probabilities(p, part):
     zero, one = zero_one(p.numeric_mode)
     units = [[one if c == k else zero for c in range(part.m)] for k in range(part.m)]
     a = {s: units[k] for k, cls in enumerate(part.closed_classes) for s in cls}
-    rows = [{} if s in a else {j: v for j, v in enumerate(row) if v and j != s} for s, row in enumerate(p.rows)]
+    rows = [{} if s in a else {j: v for j, v in row.items() if j != s} for s, row in enumerate(p.rows)]
     rows, dens = _scaled_rows(rows, p.numeric_mode)
     for k in reversed(_eliminate(rows, dens)[0]):
         pivot = sum(rows[k].values())

@@ -49,7 +49,8 @@ def perturbed_matrix(p, q, eps):
     involved is rational, floating otherwise."""
     p, q, e = _mixing_inputs(p, q, eps)
     rows = tuple(
-        tuple((1 - e) * p.entry(i, j) + e * q.entry(i, j) for j in range(p.n)) for i in range(p.n)
+        {j: (1 - e) * p.entry(i, j) + e * q.entry(i, j) for j in sorted(p.rows[i].keys() | q.rows[i].keys())}
+        for i in range(p.n)
     )
     return RowStochasticMatrix(p.states, rows, p.numeric_mode)
 
@@ -57,9 +58,10 @@ def perturbed_matrix(p, q, eps):
 def _shared_q_rows(q):
     """Groups of two or more states whose Q rows are equal, in order of
     their first member."""
+    keys = {id(row): tuple(row.items()) for row in {id(r): r for r in q.rows}.values()}  # each row object once
     groups = {}
     for x, row in enumerate(q.rows):
-        groups.setdefault(row, []).append(x)
+        groups.setdefault(keys[id(row)], []).append(x)
     return [g for g in groups.values() if len(g) > 1]
 
 
@@ -74,12 +76,12 @@ def _hub_rows(p, q, e, groups):
     rows = []
     for x in range(n):
         hub = hub_of.get(x)
-        row = {hub: e} if hub is not None else {y: e * v for y, v in enumerate(q.rows[x]) if v and y != x}
-        for y, v in enumerate(p.rows[x]):
-            if v and y != x:
+        row = {hub: e} if hub is not None else {y: e * v for y, v in q.rows[x].items() if y != x}
+        for y, v in p.rows[x].items():
+            if y != x:
                 row[y] = row[y] + stay * v if y in row else stay * v
         rows.append(row)
-    rows += [{y: v for y, v in enumerate(q.rows[group[0]]) if v} for group in groups]
+    rows += [dict(q.rows[group[0]]) for group in groups]
     return rows
 
 

@@ -63,7 +63,7 @@ def _class_labels(part):
 def _gamma_chain_from_rows(rows, part, numeric_mode):
     states = StateSpace(part.m, _class_labels(part))
     try:
-        gamma = RowStochasticMatrix(states, tuple(tuple(r) for r in rows), numeric_mode)
+        gamma = RowStochasticMatrix(states, tuple(rows), numeric_mode)
     except ValueError as exc:
         raise GammaReducible(f"reduced chain is not stochastic: {exc}") from None
     try:
@@ -91,9 +91,7 @@ def _reduced_rows(q, part, class_laws, absorb=None):
 
     def class_mass(q_row):  # Q(x, C_j) for every j, formed before weighting by pi_k(x)
         out = [zero] * m
-        for y, v in enumerate(q_row):
-            if not v:
-                continue
+        for y, v in q_row.items():
             j = owner[y]
             if j is not None:
                 out[j] += v
@@ -179,8 +177,7 @@ def limit_rank_general(p, q, part=None):
     Requires a transient-free P. part defaults to classify_states(p); a
     caller that has classified P passes it."""
     p, q = _common_mode(p, q)
-    if part is None:
-        part = classify_states(p)
+    part = part or classify_states(p)
     if part.transient:
         raise TransientStatesPresent(
             "P has transient states; use the extended reduction (limit_rank_extended)"
@@ -195,21 +192,21 @@ def limit_rank_extended(p, q, part=None):
     states. Conjectural: validated by sweeps and the exact oracle. part
     defaults to classify_states(p), as in limit_rank_general."""
     p, q = _common_mode(p, q)
-    if part is None:
-        part = classify_states(p)
+    part = part or classify_states(p)
     per_class = class_stationary(p, part)
     chain = extended_gamma(p, q, part, class_laws=per_class)
     return _assemble(p, part, per_class, chain, chain.pi_gamma, "extended")
 
 
-def theorem2_prediction(p):
+def theorem2_prediction(p, part=None):
     """Uniform-perturbation prediction: every closed class gets mass 1/m.
 
     Exposed as a prediction, not a result: the exact oracle contradicts it
     whenever class sizes differ (see adjudicate). For irreducible P it
-    degenerates to the plain stationary law.
+    degenerates to the plain stationary law. part defaults to
+    classify_states(p).
     """
-    part = classify_states(p)
+    part = part or classify_states(p)
     share = zero_one(p.numeric_mode)[1] / part.m
     masses = Distribution(tuple(share for _ in range(part.m)), p.numeric_mode)
     return _assemble(p, part, class_stationary(p, part), None, masses, "theorem2")
@@ -224,7 +221,8 @@ def report_to_json(report):
         "mode": report.mode,
         "classes": [list(c) for c in part.closed_classes],
         "transient": list(part.transient),
-        "gamma": None if chain is None else [[number_to_json(x, mode) for x in row] for row in chain.gamma.rows],
+        "gamma": None if chain is None else [[number_to_json(x, mode) for x in chain.gamma.row(i)]
+                                             for i in range(chain.m)],
         "pi_gamma": [number_to_json(x, mode) for x in report.class_masses.values],
         "per_class_stationary": [
             [number_to_json(x, mode) for x in d.values] for d in report.per_class_stationary
@@ -235,19 +233,20 @@ def report_to_json(report):
     }
 
 
-def adjudicate(p, q, n_guard=None, eps_grid=None):
+def adjudicate(p, q, n_guard=None, eps_grid=None, part=None):
     """Compare the uniform prediction and the class-chain limit against an
     independent oracle: the exact polynomial route when guards allow, the
     sweep extrapolation otherwise. Returns a JSON-able report; methods that
-    deviate from the oracle beyond tolerance are flagged discrepant."""
+    deviate from the oracle beyond tolerance are flagged discrepant. part
+    defaults to classify_states(p)."""
     from znrank.sweep import DEFAULT_FLOAT_GRID, extrapolate_limit
 
-    part = classify_states(p)
-    methods = {"theorem2": theorem2_prediction(p)}
+    part = part or classify_states(p)
+    methods = {"theorem2": theorem2_prediction(p, part)}
     if part.transient:
-        methods["extended"] = limit_rank_extended(p, q)
+        methods["extended"] = limit_rank_extended(p, q, part=part)
     else:
-        methods["theorem3"] = limit_rank_general(p, q)
+        methods["theorem3"] = limit_rank_general(p, q, part=part)
 
     guard = SYMBOLIC_N_GUARD if n_guard is None else n_guard
     oracle_mode = "exact-polynomial"

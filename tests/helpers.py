@@ -191,4 +191,4 @@ def assert_stationary(p, values):
     """values is a probability vector with values P = values, exactly."""
     assert sum(values) == 1 and all(x >= 0 for x in values)
     for j in range(p.n):
-        assert sum(values[i] * p.rows[i][j] for i in range(p.n) if values[i]) == values[j], j
+        assert sum(values[i] * p.entry(i, j) for i in range(p.n) if values[i]) == values[j], j

@@ -125,8 +125,8 @@ def test_block_q_shares_one_row_per_class(tmp_path):
     p = to_stochastic(parse_edge_list(TWO_CLASS))
     q = parse_block_q(BLOCKS, p)
     assert q.rows[0] is q.rows[1]
-    assert q.rows[0] == (F(1, 3), F(1, 3), F(1, 3))
-    assert q.rows[2] == (F(1, 2), F(1, 2), F(0))
+    assert q.row(0) == (F(1, 3), F(1, 3), F(1, 3))
+    assert q.row(2) == (F(1, 2), F(1, 2), F(0))
 
 
 def test_rank_personalized_q(tmp_path, capsys):
@@ -402,6 +402,33 @@ def test_rank_classifies_at_most_three_times(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["class_masses"] == ["1/3", "1/2", "1/6"]
     assert len(calls) <= 3
+    assert calls.count(6) == 1  # the 6-state P once; its partition is passed down
+
+
+@pytest.mark.parametrize("argv", [
+    ("rank", "--q", "block={b}"),
+    ("rank", "--mode", "theorem2", "--q", "uniform"),
+    ("adjudicate", "--q", "uniform"),
+    ("adjudicate", "--q", "block={b}"),
+])
+def test_rank_and_adjudicate_classify_p_once(tmp_path, capsys, monkeypatch, argv):
+    import znrank.cli
+    import znrank.graph
+    import znrank.zero_noise
+
+    calls = []
+    original = znrank.graph.classify_states
+
+    def counted(p):
+        calls.append(p.n)
+        return original(p)
+
+    for mod in (znrank.cli, znrank.graph, znrank.zero_noise):
+        monkeypatch.setattr(mod, "classify_states", counted)
+    g = wpath(tmp_path, "g.txt", "a b\nb a\nc d\nd c\nd e\ne c\nf f\n")
+    b = wpath(tmp_path, "b.txt", "3\n1/6 1/6 1/6\n1/6 1/6 1/6\n1/6 1/6 1/6\n")
+    code, out, _ = run(capsys, argv[0], "--graph", g, *(a.format(b=b) for a in argv[1:]))
+    assert code == 0 and json.loads(out)
     assert calls.count(6) == 1  # the 6-state P once; its partition is passed down
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from znrank.errors import InputFormatError
+from znrank.errors import InputFormatError, NotIrreducible
 from znrank.graph import (
     ClassPartition,
     RowStochasticMatrix,
@@ -15,11 +15,12 @@ from znrank.graph import (
     load_matrix_json,
     ones_outer,
     parse_edge_list,
+    require_unichain_union,
     serialize_edge_list,
     to_stochastic,
     uniform_matrix,
 )
-from helpers import rand_irreducible, rand_stochastic, rng_for
+from helpers import rand_irreducible, rand_row, rand_stochastic, rand_with_transients, rng_for
 
 F = Fraction
 
@@ -170,19 +171,115 @@ def test_matrix_json_errors():
 
 def test_uniform_and_rank_one():
     u = uniform_matrix(3)
-    assert all(x == F(1, 3) for row in u.rows for x in row)
+    assert all(x == F(1, 3) for i in range(3) for x in u.row(i))
     nu = (F(1, 5), F(3, 10), F(1, 2))
     q = ones_outer(nu)
-    assert all(row == nu for row in q.rows)
+    assert all(q.row(i) == nu for i in range(3))
 
 
 def test_shared_rows_stay_shared_in_float():
     for q in (uniform_matrix(4), ones_outer((F(1, 2), F(1, 4), F(1, 8), F(1, 8)))):
         qf = q.to_float()
         assert len({id(row) for row in qf.rows}) == 1
-        assert qf.rows[0] == tuple(float(x) for x in q.rows[0])
+        assert qf.row(0) == tuple(float(x) for x in q.row(0))
     # rows given as lists of ints: one conversion per distinct row object
     half = [F(1, 2), 0, F(1, 2)]
     m = RowStochasticMatrix(StateSpace(3), (half, [0, 1, 0], half))
-    assert m.rows[0] is m.rows[2] and m.rows[1] == (F(0), F(1), F(0))
+    assert m.rows[0] is m.rows[2] and m.row(1) == (F(0), F(1), F(0))
     assert len({id(row) for row in m.to_float().rows}) == 2
+
+
+def test_to_stochastic_stores_only_the_edges():
+    n = 5000
+    g = WeightedDigraph(StateSpace(n), tuple((u, (u + k) % n, F(k)) for u in range(n) for k in (1, 2)))
+    p = to_stochastic(g)
+    assert sum(len(row) for row in p.rows) == 2 * n
+    assert p.rows[7] == {8: F(1, 3), 9: F(2, 3)} and list(p.rows[n - 1]) == [0, 1]
+
+
+def test_to_stochastic_builds_at_most_nnz_plus_n_fractions(monkeypatch):
+    # integer weights are normalised in integers: one Fraction per entry and
+    # one per row sum check; a dense build makes about n**2
+    rng = rng_for("to-stochastic-count")
+    n = 60
+    edges = {(u, v): rng.randint(1, 9) for u in range(n) for v in rng.sample(range(n), 3)}
+    g = WeightedDigraph(StateSpace(n), tuple((u, v, F(w)) for (u, v), w in edges.items()))
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    p = to_stochastic(g)
+    monkeypatch.undo()
+    assert len(made) <= len(edges) + n
+    assert sum(len(row) for row in p.rows) == len(edges)
+
+
+def test_matrix_json_drops_zeros_and_keeps_its_errors():
+    for mode, kind in (("exact", F), ("float", float)):
+        p = load_matrix_json('{"n": 3, "rows": [[0, 0.0, 1], ["0", "0/5", "1"], ["1/2", 0, 0.5]]}', mode)
+        assert p.rows[0] == p.rows[1] == {2: 1} and list(p.rows[2]) == [0, 2]
+        assert all(type(x) is kind and x for row in p.rows for x in row.values())
+    cases = (
+        ('{"n": 2, "rows": [[false, 1], [0, 1]]}', "expected a number, got False"),
+        ('{"n": 2, "rows": [["-1/2", "3/2"], [0, 1]]}', "negative entry in row 0"),
+        ('{"n": 2, "rows": [[0, 1], ["1/2", "1/3"]]}', "row 1 sums to 5/6, not 1"),
+    )
+    for text, message in cases:
+        with pytest.raises(InputFormatError) as ei:
+            load_matrix_json(text)
+        assert str(ei.value) == message
+
+
+def _closed_class_count(p, q):
+    """Closed classes of the dense union support of P and Q, by brute
+    force: x is recurrent when every state it reaches reaches it back."""
+    n = p.n
+    adj = [[y for y in range(n) if y != x and (p.entry(x, y) > 0 or q.entry(x, y) > 0)] for x in range(n)]
+    reach = []
+    for x in range(n):
+        seen, todo = {x}, [x]
+        while todo:
+            for y in adj[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        reach.append(frozenset(seen))
+    return len({reach[x] for x in range(n) if all(x in reach[y] for y in reach[x])})
+
+
+def test_unichain_union_check_matches_dense_union_support():
+    rng = rng_for("union-hub-pattern")
+    seen = set()
+    for _ in range(150):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+        p = rand_with_transients(rng, sizes, rng.randint(0, 3))  # classes in order, transients last
+        n = p.n
+        classes = [list(range(sum(sizes[:k]), sum(sizes[:k + 1]))) for k in range(len(sizes))]
+        owner = {x: k for k, c in enumerate(classes) for x in c}
+
+        def q_row(k):
+            # 1-3 states of class k, or of the whole chain now and then
+            cell = classes[k] if rng.random() < 0.85 else range(n)
+            return rand_row(rng, n, support=rng.sample(cell, rng.randint(1, min(3, len(cell)))))
+
+        kind = rng.choice(("shared", "partly", "distinct"))
+        shared = [q_row(k) for k in range(len(classes))]  # one row object per class
+        rows = []
+        for x in range(n):
+            k = owner.get(x, rng.randrange(len(classes)))
+            share = {"shared": 1, "partly": 0.5, "distinct": 0}[kind] > rng.random()
+            rows.append(shared[k] if share else q_row(k))
+        q = RowStochasticMatrix(StateSpace(n), tuple(rows))
+        unichain = _closed_class_count(p, q) == 1
+        seen.add((kind, unichain))
+        for pm, qm in ((p, q), (p.to_float(), q.to_float())):
+            if unichain:
+                require_unichain_union(pm, qm)
+            else:
+                with pytest.raises(NotIrreducible):
+                    require_unichain_union(pm, qm)
+    assert seen == {(kind, verdict) for kind in ("shared", "partly", "distinct") for verdict in (True, False)}

@@ -83,7 +83,7 @@ def _cases():
             sizes = rand_sizes(rng, rng.randint(1, 3), hi=6, total_cap=n_target - t)
             p = rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes)
         n = p.n
-        files = {"p.json": _matrix_json(p.rows)}
+        files = {"p.json": _matrix_json([p.row(i) for i in range(n)])}
         if kind == "uniform":
             spec = "uniform"
         elif kind == "personalized":
@@ -103,7 +103,7 @@ def _cases():
                 q = rand_stochastic(rng, n)  # the union with P may be disconnected
             else:
                 q = rand_irreducible(rng, n)
-            files["q.json"] = _matrix_json(q.rows)
+            files["q.json"] = _matrix_json([q.row(i) for i in range(n)])
             spec = "matrix=q.json"
         cases.append((f"c{i:02d}-n{n}-{kind}", files, spec))
     return cases

@@ -129,7 +129,7 @@ def test_absorption_empty_when_no_transients():
 
 
 def _restriction(p, states):
-    rows = tuple(tuple(p.rows[i][j] for j in states) for i in states)
+    rows = tuple(tuple(p.entry(i, j) for j in states) for i in states)
     return RowStochasticMatrix(StateSpace(len(states)), rows)
 
 

@@ -207,8 +207,8 @@ def test_perturbed_matrix_random_row_sums():
         p = rand_stochastic(rng, n)
         q = rand_stochastic(rng, n)
         pe = perturbed_matrix(p, q, F(rng.randint(1, 9), 10))
-        for row in pe.rows:
-            assert sum(row) == 1
+        for i in range(n):
+            assert sum(pe.row(i)) == 1
 
 
 def _partly_shared_q(rng, n):
@@ -342,8 +342,8 @@ def test_exact_hub_route_laws_are_stationary(monkeypatch):
     for sizes, t in (([3, 2], 1), ([5, 4, 3], 3), ([9, 6], 4), ([12], 2)):
         p = rand_mixed_chain(rng, sizes, t)
         closed = sum(sizes)
-        shared = rand_mixed_chain(rng, [closed], 0).rows[0] + (0,) * t
-        rows = [shared if rng.random() < 0.6 else rand_mixed_chain(rng, [closed], 0).rows[0] + (0,) * t
+        shared = rand_mixed_chain(rng, [closed], 0).row(0) + (0,) * t
+        rows = [shared if rng.random() < 0.6 else rand_mixed_chain(rng, [closed], 0).row(0) + (0,) * t
                 for _ in range(p.n)]
         q = RowStochasticMatrix(StateSpace(p.n), tuple(rows))
         searches.clear()

@@ -54,7 +54,7 @@ def cycle_plus_absorber():
 def test_build_gamma_uniform_sizes():
     p = cycle_plus_absorber()
     chain = build_gamma(p, uniform_matrix(3), classify_states(p))
-    assert chain.gamma.rows == ((F(2, 3), F(1, 3)), (F(2, 3), F(1, 3)))
+    assert (chain.gamma.row(0), chain.gamma.row(1)) == ((F(2, 3), F(1, 3)), (F(2, 3), F(1, 3)))
     assert chain.pi_gamma.values == (F(2, 3), F(1, 3))
 
 
@@ -70,7 +70,7 @@ def test_build_gamma_block_fixture():
         ),
     )
     chain = build_gamma(p, q, classify_states(p))
-    assert chain.gamma.rows == ((F(2, 3), F(1, 3)), (F(1), F(0)))
+    assert (chain.gamma.row(0), chain.gamma.row(1)) == ((F(2, 3), F(1, 3)), (F(1), F(0)))
     assert chain.pi_gamma.values == (F(3, 4), F(1, 4))
     report = limit_rank_general(p, q)
     assert report.node_limit.values == (F(3, 8), F(3, 8), F(1, 4))
