@@ -295,7 +295,8 @@ def cmd_sweep(args):
     from znrank.sweep import convergence_report, epsilon_sweep, parse_eps_grid
 
     p = load_p(args)
-    q = load_q(args.q, p)
+    part = classify_states(p)
+    q = load_q(args.q, p, part)
     exact = p.numeric_mode == EXACT
     grid = None
     if args.eps:
@@ -307,7 +308,7 @@ def cmd_sweep(args):
             raise UsageError(f"bad --eps: values must lie in (0, 1), got {args.eps!r}")
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise UsageError(f"bad --eps: values must be strictly decreasing, got {args.eps!r}")
-    result = epsilon_sweep(p, q, grid=grid)
+    result = epsilon_sweep(p, q, grid=grid, part=part)
     mode = result.pi_table[0].numeric_mode if result.pi_table else FLOAT
 
     def show(x):

@@ -116,11 +116,11 @@ class SweepResult:
     first_order: tuple  # Richardson estimate from the two smallest eps
 
 
-def _predicted_limit(p, q):
+def _predicted_limit(p, q, part=None):
     from znrank.zero_noise import _common_mode, limit_rank_extended, limit_rank_general
 
-    p, q = _common_mode(p, q)  # classify P in the mode the limit is computed in
-    part = classify_states(p)
+    p, q = _common_mode(p, q)  # unless given, classify P in the mode the limit is computed in
+    part = part or classify_states(p)
     if part.transient:
         return limit_rank_extended(p, q, part=part).node_limit
     return limit_rank_general(p, q, part=part).node_limit
@@ -137,9 +137,10 @@ def _fit_slope(eps, errors):
     return sxy / sxx if sxx else None
 
 
-def epsilon_sweep(p, q, grid=None, predicted=None):
+def epsilon_sweep(p, q, grid=None, predicted=None, part=None):
     """Stationary laws along a strictly decreasing grid of mixing weights,
-    with per-eps L-inf distance to the predicted limit."""
+    with per-eps L-inf distance to the predicted limit. part is P's
+    partition when the caller has it."""
     exact = p.numeric_mode == EXACT and q.numeric_mode == EXACT
     if grid is None:
         grid = DEFAULT_EXACT_GRID if exact else DEFAULT_FLOAT_GRID
@@ -149,7 +150,7 @@ def epsilon_sweep(p, q, grid=None, predicted=None):
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly decreasing")
     if predicted is None:
-        predicted = _predicted_limit(p, q)
+        predicted = _predicted_limit(p, q, part)
     require_unichain_union(p, q)
     table = _perturbed_laws(p, q, grid)
     errors = []

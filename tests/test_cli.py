@@ -410,10 +410,12 @@ def test_rank_classifies_at_most_three_times(tmp_path, capsys, monkeypatch):
     ("rank", "--mode", "theorem2", "--q", "uniform"),
     ("adjudicate", "--q", "uniform"),
     ("adjudicate", "--q", "block={b}"),
+    ("sweep", "--format", "json", "--q", "block={b}"),
 ])
-def test_rank_and_adjudicate_classify_p_once(tmp_path, capsys, monkeypatch, argv):
+def test_commands_classify_p_once(tmp_path, capsys, monkeypatch, argv):
     import znrank.cli
     import znrank.graph
+    import znrank.sweep
     import znrank.zero_noise
 
     calls = []
@@ -423,13 +425,43 @@ def test_rank_and_adjudicate_classify_p_once(tmp_path, capsys, monkeypatch, argv
         calls.append(p.n)
         return original(p)
 
-    for mod in (znrank.cli, znrank.graph, znrank.zero_noise):
+    for mod in (znrank.cli, znrank.graph, znrank.sweep, znrank.zero_noise):
         monkeypatch.setattr(mod, "classify_states", counted)
     g = wpath(tmp_path, "g.txt", "a b\nb a\nc d\nd c\nd e\ne c\nf f\n")
     b = wpath(tmp_path, "b.txt", "3\n1/6 1/6 1/6\n1/6 1/6 1/6\n1/6 1/6 1/6\n")
     code, out, _ = run(capsys, argv[0], "--graph", g, *(a.format(b=b) for a in argv[1:]))
     assert code == 0 and json.loads(out)
     assert calls.count(6) == 1  # the 6-state P once; its partition is passed down
+
+
+def test_commands_store_no_zero_entry(tmp_path, capsys, monkeypatch):
+    import znrank.graph
+
+    cls = znrank.graph.RowStochasticMatrix
+    init = cls.__post_init__
+    stored = []
+
+    def recorded(self):
+        init(self)
+        stored.extend(x for row in self.rows for x in row.values())
+
+    monkeypatch.setattr(cls, "__post_init__", recorded)
+    g = wpath(tmp_path, "g.txt", "a b\nb a\nc d\nd c\nd e\ne c\nf f\nt a\nt f 0\nz\n")
+    m = wpath(tmp_path, "p.json", json.dumps({"n": 3, "rows": [[0, 1, "0"], ["1/2", "0/4", 0.5], [0.0, 0, 1]]}))
+    qm = wpath(tmp_path, "q.json", json.dumps({"n": 3, "rows": [[0, "0", 1], [1, 0, 0.0], [0, "1/2", "1/2"]]}))
+    b = wpath(tmp_path, "b.txt", "3\n1/6 1/6 1/6\n0 1/3 0\n1/6 1/6 1/6\n")
+    for argv in (
+        ("rank", "--graph", g, "--q", "uniform"),
+        ("sweep", "--graph", g, "--numeric", "float", "--q", "uniform"),
+        ("rank", "--graph", g, "--dangling", "uniform_row", "--q", "uniform"),
+        ("adjudicate", "--matrix", m, "--q", f"matrix={qm}"),
+        ("oracle", "--matrix", m, "--q", f"matrix={qm}"),
+        ("sweep", "--matrix", m, "--q", f"matrix={qm}"),
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    g2 = wpath(tmp_path, "g2.txt", "a b\nb a\nc d\nd c\nd e\ne c\nf f\n")
+    assert run(capsys, "rank", "--graph", g2, "--q", f"block={b}")[0] == 0
+    assert stored and all(stored)
 
 
 def test_oracle_with_q_needs_connected_union(tmp_path, capsys):
