@@ -134,8 +134,8 @@ def serialize_edge_list(g):
 
 
 def _sparse_row(row, n, kind):
-    """row, a dense sequence of n entries or a dict {column: entry}, as a
-    dict of its nonzero entries in kind, columns ascending; kept if it is."""
+    """A dense sequence of n entries or a dict {column: entry} as a dict of
+    the nonzero entries in kind, columns ascending; a dict already so is kept."""
     if not isinstance(row, dict):
         if len(row) != n:
             raise ValueError("matrix shape does not match the state space")
