@@ -5,6 +5,7 @@ Subcommands: classify, rank, sweep, oracle, adjudicate, model. Exit codes:
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -36,7 +37,7 @@ from znrank.graph import (
     to_stochastic,
     uniform_matrix,
 )
-from znrank.rational import EXACT, FLOAT, format_rational, number_to_json, parse_rational
+from znrank.rational import EXACT, FLOAT, number_to_json, parse_rational
 from znrank.stationary import Distribution
 
 EXACT_N_DEFAULT = 12  # auto numeric mode: exact up to here, floating above
@@ -67,6 +68,7 @@ def canonical_dumps(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
+@functools.cache  # built on the first main call, not at import
 def build_parser():
     p = Parser(prog="znrank", description="Zero-noise limits of perturbed Markov chains.")
     p.add_argument("--version", action="version", version=f"znrank {__version__}")
@@ -249,28 +251,12 @@ def cmd_classify(args):
     return 0
 
 
-def build_limit_report(p, q, part, mode):
-    from znrank.zero_noise import (
-        limit_rank_extended,
-        limit_rank_general,
-        theorem2_prediction,
-    )
-
-    if mode == "auto":
-        mode = "extended" if part.transient else "theorem3"
-    if mode == "theorem2":
-        return theorem2_prediction(p, part)
-    if mode == "extended":
-        return limit_rank_extended(p, q, part=part)
-    return limit_rank_general(p, q, part=part)
-
-
 def cmd_rank(args):
-    from znrank.zero_noise import report_to_json
+    from znrank.zero_noise import limit_rank, report_to_json
 
     p = load_p(args)
     part = classify_states(p)
-    report = build_limit_report(p, load_q(args.q, p, part), part, args.mode)
+    report = limit_rank(p, load_q(args.q, p, part), part, args.mode)
     obj = report_to_json(report)
     if args.format == "json":
         sys.stdout.write(canonical_dumps(obj))
@@ -292,49 +278,34 @@ def cmd_rank(args):
 
 
 def cmd_sweep(args):
-    from znrank.sweep import convergence_report, epsilon_sweep, parse_eps_grid
+    from znrank.sweep import check_eps_grid, convergence_report, epsilon_sweep, parse_eps_grid
 
     p = load_p(args)
     part = classify_states(p)
     q = load_q(args.q, p, part)
-    exact = p.numeric_mode == EXACT
     grid = None
     if args.eps:
         try:
-            grid = parse_eps_grid(args.eps, exact=exact)
+            grid = check_eps_grid(parse_eps_grid(args.eps, exact=p.numeric_mode == EXACT))
         except (EpsOutOfRange, ValueError) as exc:
             raise UsageError(f"bad --eps: {exc}") from None
-        if any(not 0 < e < 1 for e in grid):
-            raise UsageError(f"bad --eps: values must lie in (0, 1), got {args.eps!r}")
-        if any(b >= a for a, b in zip(grid, grid[1:])):
-            raise UsageError(f"bad --eps: values must be strictly decreasing, got {args.eps!r}")
     result = epsilon_sweep(p, q, grid=grid, part=part)
-    mode = result.pi_table[0].numeric_mode if result.pi_table else FLOAT
-
-    def show(x):
-        return format_rational(x) if mode == EXACT and not isinstance(x, float) else repr(float(x))
 
     if args.format == "tsv":
-        n = p.n
-        print("\t".join(["# eps"] + [f"pi{i}" for i in range(n)] + ["linf_error"]))
+        print("\t".join(["# eps"] + [f"pi{i}" for i in range(p.n)] + ["linf_error"]))
         for e, pi, err in zip(result.eps_grid, result.pi_table, result.errors):
-            cells = [show(e)] + [show(v) for v in pi.values] + [show(err)]
-            print("\t".join(cells))
+            print("\t".join(str(number_to_json(x)) for x in (e, *pi.values, err)))
     else:
-        rep = convergence_report(result)
         obj = {
-            "eps": [number_to_json(e, mode) if not isinstance(e, float) else e for e in result.eps_grid],
-            "pi": [[number_to_json(v, pi.numeric_mode) for v in pi.values] for pi in result.pi_table],
-            "predicted_limit": [
-                number_to_json(v, result.predicted_limit.numeric_mode)
-                for v in result.predicted_limit.values
-            ],
-            "errors": [number_to_json(e, mode) if not isinstance(e, float) else e for e in result.errors],
+            "eps": [number_to_json(e) for e in result.eps_grid],
+            "pi": [[number_to_json(v) for v in pi.values] for pi in result.pi_table],
+            "predicted_limit": [number_to_json(v) for v in result.predicted_limit.values],
+            "errors": [number_to_json(e) for e in result.errors],
             "fitted_slope": result.fitted_slope,
             "first_order": None
             if result.first_order is None
-            else [number_to_json(v, mode) if not isinstance(v, float) else v for v in result.first_order],
-            "report": rep,
+            else [number_to_json(v) for v in result.first_order],
+            "report": convergence_report(result),
         }
         sys.stdout.write(canonical_dumps(obj))
     return 0
@@ -352,7 +323,7 @@ def cmd_oracle(args):
         "n": p.n,
         "labels": p.states.label_list(),
         "numeric": p.numeric_mode,
-        "root_weights": [number_to_json(x, p.numeric_mode) for x in root_weights(p)],
+        "root_weights": [number_to_json(x) for x in root_weights(p)],
     }
     if args.q:
         if p.numeric_mode != EXACT:
@@ -364,7 +335,7 @@ def cmd_oracle(args):
         obj["polynomials"] = [h.to_strings() for h in polys]
         obj["total_polynomial"] = total.to_strings()
         obj["min_degree"] = total.min_degree()
-        obj["exact_limit"] = [number_to_json(v, EXACT) for v in limit.values]
+        obj["exact_limit"] = [number_to_json(v) for v in limit.values]
     sys.stdout.write(canonical_dumps(obj))
     return 0
 
@@ -470,9 +441,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

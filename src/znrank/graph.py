@@ -403,7 +403,7 @@ def load_matrix_json(text, numeric_mode=EXACT):
 
 
 def dump_matrix_json(p):
-    obj = {"n": p.n, "rows": [[number_to_json(x, p.numeric_mode) for x in p.row(i)] for i in range(p.n)]}
+    obj = {"n": p.n, "rows": [[number_to_json(x) for x in p.row(i)] for i in range(p.n)]}
     if p.states.labels is not None:
         obj["labels"] = list(p.states.labels)
     return obj

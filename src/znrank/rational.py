@@ -33,10 +33,9 @@ def format_rational(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def number_to_json(x, mode):
-    if mode == EXACT:
-        return format_rational(x)
-    return float(x)
+def number_to_json(x):
+    """A Fraction as its "p/q" string, any other number as a JSON float."""
+    return format_rational(x) if isinstance(x, Fraction) else float(x)
 
 
 def json_to_number(value, mode, line=None):

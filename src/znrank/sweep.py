@@ -24,9 +24,9 @@ from fractions import Fraction
 
 from znrank.arborescence import SYMBOLIC_N_GUARD, all_root_polynomials
 from znrank.errors import EpsOutOfRange
-from znrank.graph import RowStochasticMatrix, classify_states, require_unichain_union
+from znrank.graph import RowStochasticMatrix, require_unichain_union
 from znrank.rational import EXACT, zero_one
-from znrank.stationary import Distribution, _law, _scaled_rows, unichain_law
+from znrank.stationary import Distribution, _law, _scaled_rows, linf, unichain_law
 
 DEFAULT_FLOAT_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_EXACT_GRID = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
@@ -116,16 +116,6 @@ class SweepResult:
     first_order: tuple  # Richardson estimate from the two smallest eps
 
 
-def _predicted_limit(p, q, part=None):
-    from znrank.zero_noise import _common_mode, limit_rank_extended, limit_rank_general
-
-    p, q = _common_mode(p, q)  # unless given, classify P in the mode the limit is computed in
-    part = part or classify_states(p)
-    if part.transient:
-        return limit_rank_extended(p, q, part=part).node_limit
-    return limit_rank_general(p, q, part=part).node_limit
-
-
 def _fit_slope(eps, errors):
     pts = [(math.log(float(e)), math.log(float(r))) for e, r in zip(eps, errors) if float(r) > 1e-300]
     if len(pts) < 2:
@@ -137,33 +127,36 @@ def _fit_slope(eps, errors):
     return sxy / sxx if sxx else None
 
 
+def check_eps_grid(grid):
+    """grid as a tuple, after checking that it is strictly decreasing
+    within (0, 1)."""
+    grid = tuple(grid)
+    if any(not 0 < e < 1 for e in grid):
+        raise EpsOutOfRange("values must lie in (0, 1)")
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("values must be strictly decreasing")
+    return grid
+
+
 def epsilon_sweep(p, q, grid=None, predicted=None, part=None):
     """Stationary laws along a strictly decreasing grid of mixing weights,
     with per-eps L-inf distance to the predicted limit. part is P's
     partition when the caller has it."""
-    exact = p.numeric_mode == EXACT and q.numeric_mode == EXACT
+    from znrank.zero_noise import limit_rank
+
     if grid is None:
+        exact = p.numeric_mode == EXACT and q.numeric_mode == EXACT
         grid = DEFAULT_EXACT_GRID if exact else DEFAULT_FLOAT_GRID
-    grid = tuple(grid)
-    if any(not 0 < e < 1 for e in grid):
-        raise EpsOutOfRange("grid values must lie in (0, 1)")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly decreasing")
+    grid = check_eps_grid(grid)
     if predicted is None:
-        predicted = _predicted_limit(p, q, part)
+        predicted = limit_rank(p, q, part).node_limit
     require_unichain_union(p, q)
     table = _perturbed_laws(p, q, grid)
-    errors = []
-    for pi in table:
-        if pi.numeric_mode == EXACT and predicted.numeric_mode == EXACT:
-            err = max(abs(a - b) for a, b in zip(pi.values, predicted.values))
-        else:
-            err = max(abs(float(a) - float(b)) for a, b in zip(pi.values, predicted.values))
-        errors.append(err)
-    e1, e2 = grid[-2], grid[-1]
-    fo = tuple(
-        (a - b) / (e1 - e2) for a, b in zip(table[-2].values, table[-1].values)
-    ) if len(grid) >= 2 else None
+    errors = [linf(pi.values, predicted.values) for pi in table]  # exact when both laws are
+    fo = None
+    if len(grid) >= 2:
+        e1, e2 = grid[-2:]
+        fo = tuple((a - b) / (e1 - e2) for a, b in zip(table[-2].values, table[-1].values))
     return SweepResult(
         eps_grid=grid,
         pi_table=tuple(table),

@@ -8,7 +8,9 @@ transient classes, which get mass 0, but only one closed class. The plain
 reduction requires no transient states; the extended reduction routes
 perturbation mass that lands on transient states through their absorption
 probabilities and is validated empirically (sweeps, exact fixtures and
-random chains against the polynomial oracle), not assumed.
+random chains against the polynomial oracle), not assumed. Without
+transient states the two coincide, and `limit_rank` is the one route to
+either.
 """
 
 from dataclasses import dataclass
@@ -17,11 +19,12 @@ from fractions import Fraction
 from znrank.arborescence import SYMBOLIC_N_GUARD, exact_limit_from_polynomials
 from znrank.errors import GammaReducible, GuardExceeded, NotIrreducible, TransientStatesPresent
 from znrank.graph import RowStochasticMatrix, StateSpace, classify_states
-from znrank.rational import EXACT, FLOAT, number_to_json, zero_one
+from znrank.rational import EXACT, number_to_json, zero_one
 from znrank.stationary import (
     Distribution,
     absorption_probabilities,
     class_stationary,
+    linf,
     unichain_law,
 )
 
@@ -124,10 +127,7 @@ def build_gamma(p, q, part, class_laws=None):
     transient-free partition."""
     if part.transient:
         raise TransientStatesPresent("the plain reduction needs a transient-free chain")
-    p, q = _common_mode(p, q)
-    if class_laws is None:
-        class_laws = class_stationary(p, part)
-    return _gamma_chain_from_rows(_reduced_rows(q, part, class_laws), part, q.numeric_mode)
+    return extended_gamma(p, q, part, class_laws)
 
 
 def personalization_gamma(nu, part):
@@ -145,26 +145,53 @@ def personalization_gamma(nu, part):
 def extended_gamma(p, q, part, class_laws=None):
     """Reduced chain with transient states folded in: perturbation mass from
     class i that lands on a transient state t continues into class j with
-    the absorption probability A(t, j). class_laws defaults to
+    the absorption probability A(t, j). Without transient states this is
+    the plain reduced chain. class_laws defaults to
     class_stationary(p, part)."""
     p, q = _common_mode(p, q)
     if class_laws is None:
         class_laws = class_stationary(p, part)
-    rows = _reduced_rows(q, part, class_laws, absorption_probabilities(p, part))
-    return _gamma_chain_from_rows(rows, part, p.numeric_mode)
+    absorb = absorption_probabilities(p, part) if part.transient else None
+    return _gamma_chain_from_rows(_reduced_rows(q, part, class_laws, absorb), part, p.numeric_mode)
 
 
-def _assemble(p, part, per_class, gamma_chain, class_masses, mode):
+def limit_rank(p, q, part=None, mode="auto"):
+    """Limit of the stationary law of (1-eps) P + eps Q as eps vanishes:
+    per-class stationary laws weighted by the class masses of mode.
+      theorem3  the reduced-chain stationary law; P must be transient-free;
+      extended  the same with mass on transient states routed onward by
+                absorption probabilities (validated by sweeps and the exact
+                oracle, not assumed);
+      theorem2  uniform masses 1/m, a prediction that ignores q;
+      auto      extended if P has transient states, else theorem3.
+    Mixed exact/float inputs drop to floating point together. part defaults
+    to classify_states(p); a caller that has classified P passes it."""
+    if mode != "theorem2":
+        p, q = _common_mode(p, q)
+    part = part or classify_states(p)
+    if mode == "auto":
+        mode = "extended" if part.transient else "theorem3"
+    if mode == "theorem3" and part.transient:
+        raise TransientStatesPresent(
+            "P has transient states; use the extended reduction (limit_rank_extended)"
+        )
+    per_class = class_stationary(p, part)
+    if mode == "theorem2":
+        chain = None
+        share = zero_one(p.numeric_mode)[1] / part.m
+        masses = Distribution(tuple(share for _ in range(part.m)), p.numeric_mode)
+    else:
+        chain = extended_gamma(p, q, part, class_laws=per_class)
+        masses = chain.pi_gamma
     node = [zero_one(p.numeric_mode)[0]] * p.n
     for k, cls in enumerate(part.closed_classes):
-        mass = class_masses[k]
         for v in cls:
-            node[v] = per_class[k][v] * mass
+            node[v] = per_class[k][v] * masses[k]
     return LimitReport(
         partition=part,
         per_class_stationary=per_class,
-        gamma_chain=gamma_chain,
-        class_masses=class_masses,
+        gamma_chain=chain,
+        class_masses=masses,
         node_limit=Distribution(tuple(node), p.numeric_mode),
         mode=mode,
         labels=tuple(p.states.label_list()),
@@ -172,63 +199,37 @@ def _assemble(p, part, per_class, gamma_chain, class_masses, mode):
 
 
 def limit_rank_general(p, q, part=None):
-    """Limit of the stationary law of (1-eps) P + eps Q as eps vanishes:
-    per-class stationary laws weighted by the reduced-chain stationary law.
-    Requires a transient-free P. part defaults to classify_states(p); a
-    caller that has classified P passes it."""
-    p, q = _common_mode(p, q)
-    part = part or classify_states(p)
-    if part.transient:
-        raise TransientStatesPresent(
-            "P has transient states; use the extended reduction (limit_rank_extended)"
-        )
-    per_class = class_stationary(p, part)
-    chain = build_gamma(p, q, part, class_laws=per_class)
-    return _assemble(p, part, per_class, chain, chain.pi_gamma, "theorem3")
+    """limit_rank in theorem3 mode: requires a transient-free P."""
+    return limit_rank(p, q, part, "theorem3")
 
 
 def limit_rank_extended(p, q, part=None):
-    """Limit report from the extended reduction; valid with transient
-    states. Conjectural: validated by sweeps and the exact oracle. part
-    defaults to classify_states(p), as in limit_rank_general."""
-    p, q = _common_mode(p, q)
-    part = part or classify_states(p)
-    per_class = class_stationary(p, part)
-    chain = extended_gamma(p, q, part, class_laws=per_class)
-    return _assemble(p, part, per_class, chain, chain.pi_gamma, "extended")
+    """limit_rank in extended mode: valid with transient states."""
+    return limit_rank(p, q, part, "extended")
 
 
 def theorem2_prediction(p, part=None):
     """Uniform-perturbation prediction: every closed class gets mass 1/m.
-
     Exposed as a prediction, not a result: the exact oracle contradicts it
     whenever class sizes differ (see adjudicate). For irreducible P it
-    degenerates to the plain stationary law. part defaults to
-    classify_states(p).
-    """
-    part = part or classify_states(p)
-    share = zero_one(p.numeric_mode)[1] / part.m
-    masses = Distribution(tuple(share for _ in range(part.m)), p.numeric_mode)
-    return _assemble(p, part, class_stationary(p, part), None, masses, "theorem2")
+    degenerates to the plain stationary law."""
+    return limit_rank(p, None, part, "theorem2")
 
 
 def report_to_json(report):
     """Fixed-key JSON form of a LimitReport."""
     part = report.partition
-    mode = report.node_limit.numeric_mode
     chain = report.gamma_chain
     return {
         "mode": report.mode,
         "classes": [list(c) for c in part.closed_classes],
         "transient": list(part.transient),
-        "gamma": None if chain is None else [[number_to_json(x, mode) for x in chain.gamma.row(i)]
+        "gamma": None if chain is None else [[number_to_json(x) for x in chain.gamma.row(i)]
                                              for i in range(chain.m)],
-        "pi_gamma": [number_to_json(x, mode) for x in report.class_masses.values],
-        "per_class_stationary": [
-            [number_to_json(x, mode) for x in d.values] for d in report.per_class_stationary
-        ],
-        "class_masses": [number_to_json(x, mode) for x in report.class_masses.values],
-        "node_limit": [number_to_json(x, mode) for x in report.node_limit.values],
+        "pi_gamma": [number_to_json(x) for x in report.class_masses.values],
+        "per_class_stationary": [[number_to_json(x) for x in d.values] for d in report.per_class_stationary],
+        "class_masses": [number_to_json(x) for x in report.class_masses.values],
+        "node_limit": [number_to_json(x) for x in report.node_limit.values],
         "labels": list(report.labels),
     }
 
@@ -242,15 +243,12 @@ def adjudicate(p, q, n_guard=None, eps_grid=None, part=None):
     from znrank.sweep import DEFAULT_FLOAT_GRID, extrapolate_limit
 
     part = part or classify_states(p)
-    methods = {"theorem2": theorem2_prediction(p, part)}
-    if part.transient:
-        methods["extended"] = limit_rank_extended(p, q, part=part)
-    else:
-        methods["theorem3"] = limit_rank_general(p, q, part=part)
+    limit = limit_rank(p, q, part)
+    methods = {"theorem2": theorem2_prediction(p, part), limit.mode: limit}
 
     guard = SYMBOLIC_N_GUARD if n_guard is None else n_guard
     oracle_mode = "exact-polynomial"
-    tol = Fraction(0)
+    tol = 0.0
     oracle_vals = None
     if p.numeric_mode == EXACT and q.numeric_mode == EXACT:
         try:
@@ -266,22 +264,19 @@ def adjudicate(p, q, n_guard=None, eps_grid=None, part=None):
     report = {
         "oracle_mode": oracle_mode,
         "labels": p.states.label_list(),
-        "oracle": [number_to_json(x, EXACT if oracle_mode == "exact-polynomial" else FLOAT) for x in oracle_vals],
+        "oracle": [number_to_json(x) for x in oracle_vals],
         "methods": {},
     }
     for name in sorted(methods):
         vals = methods[name].node_limit.values
-        if oracle_mode == "exact-polynomial" and methods[name].node_limit.numeric_mode == EXACT:
-            dev = max(abs(a - b) for a, b in zip(vals, oracle_vals))
+        dev = linf(vals, oracle_vals)  # exact when both sides are, else the float difference
+        if isinstance(dev, Fraction):
             verdict = "exact" if dev == 0 else "discrepant"
-            dev_json = number_to_json(dev, EXACT)
         else:
-            dev = max(abs(float(a) - float(b)) for a, b in zip(vals, oracle_vals))
-            verdict = "pass" if dev <= float(tol) or dev == 0.0 else "discrepant"
-            dev_json = dev
+            verdict = "pass" if dev <= tol else "discrepant"
         report["methods"][name] = {
-            "values": [number_to_json(x, methods[name].node_limit.numeric_mode) for x in vals],
-            "max_deviation": dev_json,
+            "values": [number_to_json(x) for x in vals],
+            "max_deviation": number_to_json(dev),
             "verdict": verdict,
         }
     return report

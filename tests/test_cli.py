@@ -34,6 +34,31 @@ def test_no_command_is_usage_error(capsys):
     assert run(capsys, )[0] == 1
 
 
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    import znrank.cli
+
+    built = []
+    init = znrank.cli.Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(znrank.cli.Parser, "__init__", counted)
+    znrank.cli.build_parser.cache_clear()
+    g = wpath(tmp_path, "g.txt", TWO_CLASS)
+    assert run(capsys, "classify", "--graph", g)[0] == 0
+    assert built.count("znrank") == 1
+    n_built = len(built)
+    code, _, err = run(capsys, "rank", "--graph", g)  # --q missing
+    assert code == 1 and "usage error" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == "znrank 0.1.0"
+    assert len(built) == n_built  # no parser, top-level or sub, built after the first call
+
+
 def test_classify_json(tmp_path, capsys):
     g = wpath(tmp_path, "g.txt", TWO_CLASS)
     code, out, _ = run(capsys, "classify", "--graph", g)
@@ -267,6 +292,16 @@ def test_sweep_eps_must_decrease(tmp_path, capsys):
     assert "bad --eps" in err
 
 
+@pytest.mark.parametrize("eps", ["1/10", "0.5..0.4"])
+def test_sweep_one_eps_has_no_first_order(tmp_path, capsys, eps):
+    g = wpath(tmp_path, "g.txt", TWO_CLASS)
+    code, out, err = run(capsys, "sweep", "--graph", g, "--q", "uniform", "--eps", eps, "--format", "json")
+    assert code == 0, err
+    obj = json.loads(out)
+    assert len(obj["eps"]) == 1 and len(obj["pi"]) == 1
+    assert obj["first_order"] is None
+
+
 def test_sweep_float_json(tmp_path, capsys):
     g = wpath(tmp_path, "g.txt", TRANSIENT)
     code, out, _ = run(capsys, "sweep", "--graph", g, "--q", "uniform",
@@ -415,7 +450,6 @@ def test_rank_classifies_at_most_three_times(tmp_path, capsys, monkeypatch):
 def test_commands_classify_p_once(tmp_path, capsys, monkeypatch, argv):
     import znrank.cli
     import znrank.graph
-    import znrank.sweep
     import znrank.zero_noise
 
     calls = []
@@ -425,7 +459,7 @@ def test_commands_classify_p_once(tmp_path, capsys, monkeypatch, argv):
         calls.append(p.n)
         return original(p)
 
-    for mod in (znrank.cli, znrank.graph, znrank.sweep, znrank.zero_noise):
+    for mod in (znrank.cli, znrank.graph, znrank.zero_noise):  # sweep classifies through zero_noise
         monkeypatch.setattr(mod, "classify_states", counted)
     g = wpath(tmp_path, "g.txt", "a b\nb a\nc d\nd c\nd e\ne c\nf f\n")
     b = wpath(tmp_path, "b.txt", "3\n1/6 1/6 1/6\n1/6 1/6 1/6\n1/6 1/6 1/6\n")

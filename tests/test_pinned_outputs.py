@@ -11,6 +11,10 @@ with
     PYTHONPATH=src python tests/test_pinned_outputs.py --write
 
 and list the changed digests in CHANGES.md.
+
+The same cases are also pinned in floating point: `rank`, `sweep --format
+json` on the default grid and `adjudicate` with `--numeric float`, under the
+command names `rank-float`, `sweep-float` and `adjudicate-float`.
 """
 
 import contextlib
@@ -40,7 +44,7 @@ from znrank.cli import main  # noqa: E402
 from znrank.graph import RowStochasticMatrix, StateSpace  # noqa: E402
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "pinned_outputs.json"
-COMMANDS = ("rank", "sweep", "oracle", "adjudicate")
+COMMANDS = ("rank", "sweep", "oracle", "adjudicate", "rank-float", "sweep-float", "adjudicate-float")
 ORACLE_MAX_N = 10  # the polynomial oracle and adjudicate's exact verdicts stop here
 
 
@@ -110,10 +114,11 @@ def _cases():
 
 
 def _argv(command, spec, n):
-    base = ["--matrix", "p.json", "--numeric", "exact", "--q", spec]
+    command, floating, _ = command.partition("-float")
+    base = ["--matrix", "p.json", "--numeric", "float" if floating else "exact", "--q", spec]
     if command == "sweep":
         return ["sweep", *base, "--format", "json"]
-    if command in ("oracle", "adjudicate") and n > ORACLE_MAX_N:
+    if command in ("oracle", "adjudicate") and n > ORACLE_MAX_N and not floating:
         return None
     return [command, *base]
 
