@@ -37,7 +37,7 @@ from znrank.graph import (
     to_stochastic,
     uniform_matrix,
 )
-from znrank.rational import EXACT, FLOAT, number_to_json, parse_rational
+from znrank.rational import EXACT, FLOAT, exact_sum, number_to_json, parse_rational
 from znrank.stationary import Distribution
 
 EXACT_N_DEFAULT = 12  # auto numeric mode: exact up to here, floating above
@@ -158,13 +158,13 @@ def parse_personalization(text, p):
             if not 0 <= i < p.n:
                 raise InputFormatError(f"node index {i} out of range", line=ln)
         w = parse_rational(toks[1], line=ln)
-        if w < 0:
+        if w.numerator < 0:
             raise InputFormatError("negative mass", line=ln)
         masses[i] += w
-    total = sum(masses)
+    total = exact_sum(masses)
     if total == 0:
         raise InputFormatError("personalization vector has no mass")
-    return Distribution(tuple(x / total for x in masses), EXACT)
+    return Distribution(tuple(x / total if x else x for x in masses), EXACT)
 
 
 def parse_block_q(text, p, part=None):

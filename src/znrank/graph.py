@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from znrank.errors import InputFormatError, NotIrreducible
-from znrank.rational import EXACT, FLOAT, json_to_number, number_to_json, parse_rational, zero_one
+from znrank.rational import EXACT, FLOAT, exact_sum, json_to_number, number_to_json, parse_rational, zero_one
 
 POSITIVE_EPS = 1e-15
 ONE = Fraction(1)
@@ -111,7 +111,7 @@ def parse_edge_list(text):
             raise InputFormatError(f"expected `src dst [weight]`, got {len(toks)} fields", line=ln)
         s, d = node(toks[0]), node(toks[1])
         w = parse_rational(toks[2], line=ln) if len(toks) == 3 else ONE
-        if w < 0:
+        if w.numerator < 0:
             raise InputFormatError("negative weight", line=ln)
         if (s, d) in seen:
             raise InputFormatError(f"duplicate edge {toks[0]} -> {toks[1]}", line=ln)
@@ -148,11 +148,6 @@ def _sparse_row(row, n, kind):
     return {j: x for j, x in ((j, kind(row[j])) for j in cols) if x}
 
 
-def _exact_sum(xs):  # in integers over the lcm of the denominators
-    d = math.lcm(*[x.denominator for x in xs])
-    return Fraction(sum(x.numerator * (d // x.denominator) for x in xs), d)
-
-
 @dataclass
 class RowStochasticMatrix:
     """Row-stochastic matrix: each row a dict of its nonzero entries (see
@@ -167,22 +162,20 @@ class RowStochasticMatrix:
         n = self.states.n
         if len(self.rows) != n:
             raise ValueError("matrix shape does not match the state space")
-        if self.numeric_mode == EXACT:
-            kind, floor = Fraction, 0
-        elif self.numeric_mode == FLOAT:
-            kind, floor = float, -POSITIVE_EPS
-        else:
+        exact = self.numeric_mode == EXACT
+        if not exact and self.numeric_mode != FLOAT:
             raise ValueError(f"unknown numeric mode {self.numeric_mode!r}")
+        kind = Fraction if exact else float
         done = {}  # id of a given row -> its converted form
         rows = []
         for i, row in enumerate(self.rows):
             out = done.get(id(row))
             if out is None:
                 out = done[id(row)] = _sparse_row(row, n, kind)
-                if any(x < floor for x in out.values()):
+                if any(x.numerator < 0 if exact else x < -POSITIVE_EPS for x in out.values()):
                     raise ValueError(f"negative entry in row {i}")
-                total = sum(out.values(), 0.0) if kind is float else _exact_sum(out.values())  # one Fraction
-                if total != 1 and (kind is Fraction or abs(total - 1) > 1e-12):
+                total = exact_sum(out.values()) if exact else sum(out.values(), 0.0)  # one Fraction
+                if total != 1 and (exact or abs(total - 1) > 1e-12):
                     raise ValueError(f"row {i} sums to {total}, not 1")
             rows.append(out)
         self.rows = tuple(rows)

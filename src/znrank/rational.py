@@ -4,6 +4,7 @@ Rationals serialize as "p/q" in lowest terms with q >= 1, always with the
 slash, so formatting and parsing round-trip byte for byte.
 """
 
+import math
 from fractions import Fraction
 
 from znrank.errors import InputFormatError
@@ -28,8 +29,16 @@ def parse_rational(token, line=None):
         raise InputFormatError(f"bad number {token!r}: {exc}", line=line) from None
 
 
+def exact_sum(xs):
+    """Sum of rationals as one Fraction: integer numerators over the lcm of
+    the denominators."""
+    pairs = [x.as_integer_ratio() for x in xs]
+    d = math.lcm(*[b for _, b in pairs])
+    return Fraction(sum([a * (d // b) for a, b in pairs]), d)
+
+
 def format_rational(x):
-    x = Fraction(x)
+    x = x if type(x) is Fraction else Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from znrank.errors import MaxIterExceeded, NotIrreducible
 from znrank.graph import is_irreducible
-from znrank.rational import EXACT, FLOAT, zero_one
+from znrank.rational import EXACT, FLOAT, exact_sum, zero_one
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,9 @@ class Distribution:
             vals = self.values
             if type(vals) is not tuple or any(type(x) is not Fraction for x in vals):
                 vals = tuple(Fraction(x) for x in vals)
-            nonzero = [x for x in vals if x]
-            if any(x < 0 for x in nonzero):
+            if any(x.numerator < 0 for x in vals):
                 raise ValueError("negative probability")
-            total = sum(nonzero)
+            total = exact_sum(vals)
             if total != 1:
                 raise ValueError(f"probabilities sum to {total}, not 1")
         else:

@@ -248,22 +248,36 @@ def convergence_report(result):
     }
 
 
+def _int_root(x, k):
+    """The k-th root of the positive integer x, or None when it is not an
+    integer (Newton's method in integers, from above)."""
+    r = 1 << -(-x.bit_length() // k)
+    while (s := ((k - 1) * r + x // r ** (k - 1)) // k) < r:
+        r = s
+    return r if r**k == x else None
+
+
 def parse_eps_grid(text, exact=False):
     """Grid syntax: "a..b" for log-spaced decades from a down to b, or a
-    comma list. Values parse as rationals in exact mode."""
+    comma list. A range has one step per whole decade, at least one, and
+    keeps both ends. Values parse as rationals in exact mode, where a range
+    whose points are not all rational is refused."""
     text = text.strip()
     if ".." in text:
         a_txt, b_txt = text.split("..", 1)
-        a, b = float(a_txt), float(b_txt)
+        a, b = (Fraction(a_txt), Fraction(b_txt)) if exact else (float(a_txt), float(b_txt))
         if not (0 < b < a < 1):
             raise EpsOutOfRange(f"bad range {text!r}: need 0 < b < a < 1")
-        out = []
-        e = a
-        # log spaced by decades, inclusive of both ends
-        steps = round(math.log10(a / b))
-        for k in range(steps + 1):
-            out.append(a * (b / a) ** (k / steps) if steps else a)
-        return tuple(out)
+        if not exact:
+            steps = max(1, round(math.log10(a / b)))
+            return tuple(a * (b / a) ** (k / steps) for k in range(steps + 1))
+        ratio = b / a  # each step multiplies by its steps-th root
+        steps = max(1, round(math.log10(ratio.denominator) - math.log10(ratio.numerator)))
+        roots = [_int_root(x, steps) for x in (ratio.numerator, ratio.denominator)]
+        if None in roots:
+            raise ValueError(f"the {steps + 1} log-spaced points of {text!r} are not all rational;"
+                             " give the grid as a comma list, e.g. 1/10,1/100")
+        return tuple(a * Fraction(*roots) ** k for k in range(steps + 1))
     vals = []
     for tok in text.split(","):
         tok = tok.strip()

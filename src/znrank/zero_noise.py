@@ -19,7 +19,7 @@ from fractions import Fraction
 from znrank.arborescence import SYMBOLIC_N_GUARD, exact_limit_from_polynomials
 from znrank.errors import GammaReducible, GuardExceeded, NotIrreducible, TransientStatesPresent
 from znrank.graph import RowStochasticMatrix, StateSpace, classify_states
-from znrank.rational import EXACT, number_to_json, zero_one
+from znrank.rational import EXACT, exact_sum, number_to_json, zero_one
 from znrank.stationary import (
     Distribution,
     absorption_probabilities,
@@ -83,9 +83,12 @@ def _reduced_rows(q, part, class_laws, absorb=None):
     """Gamma(i, j) = sum over x in C_i of pi_i(x) Q(x, C_j): each member of
     a class is weighted by the class stationary law. With absorb, the mass
     Q(x, t) on a transient state t continues into C_j with probability
-    A(t, j)."""
+    A(t, j). Exact sums are integer sums (exact_sum), and members sharing a Q
+    row object are weighted once, by the sum of their law entries; float
+    addition is not associative, so float weights each member in turn."""
     m = part.m
-    zero = zero_one(q.numeric_mode)[0]
+    exact = q.numeric_mode == EXACT
+    total = exact_sum if exact else (lambda xs: sum(xs, 0.0))
     owner = [None] * q.n
     for j, cj in enumerate(part.closed_classes):
         for y in cj:
@@ -93,30 +96,30 @@ def _reduced_rows(q, part, class_laws, absorb=None):
     routes = {t: absorb.rows[ti] for ti, t in enumerate(part.transient)} if absorb else {}
 
     def class_mass(q_row):  # Q(x, C_j) for every j, formed before weighting by pi_k(x)
-        out = [zero] * m
+        terms = [[] for _ in range(m)]
         for y, v in q_row.items():
             j = owner[y]
             if j is not None:
-                out[j] += v
+                terms[j].append(v)
             else:
                 for jj, a in enumerate(routes[y]):
-                    out[jj] += v * a
-        return out
+                    terms[jj].append(v * a)
+        return [total(t) for t in terms]
 
     masses = {}  # id of a Q row -> its class masses; rows shared by several states are summed once
     rows = []
     for k, ck in enumerate(part.closed_classes):
         law = class_laws[k]
-        row = [zero] * m
+        groups = {}  # the members of C_k by Q row object (exact) or one by one (float)
         for x in ck:
-            q_row = q.rows[x]
-            out = masses.get(id(q_row))
-            if out is None:
-                out = masses[id(q_row)] = class_mass(q_row)
-            w = law[x]
-            for j in range(m):
-                row[j] += w * out[j]
-        rows.append(row)
+            groups.setdefault(id(q.rows[x]) if exact else x, []).append(x)
+        weighted = []  # (weight, class masses) of each group
+        for xs in groups.values():
+            q_row = q.rows[xs[0]]
+            if id(q_row) not in masses:
+                masses[id(q_row)] = class_mass(q_row)
+            weighted.append((law[xs[0]] if len(xs) == 1 else total([law[x] for x in xs]), masses[id(q_row)]))
+        rows.append([total([w * out[j] for w, out in weighted if out[j]]) for j in range(m)])
     return rows
 
 

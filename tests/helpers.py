@@ -7,7 +7,7 @@ string seeds hash deterministically across runs and platforms.
 import random
 from fractions import Fraction
 
-from znrank.graph import RowStochasticMatrix, StateSpace, WeightedDigraph
+from znrank.graph import RowStochasticMatrix, StateSpace, WeightedDigraph, ones_outer, uniform_matrix
 
 MAX_W = 6  # integer weights stay small so denominators do too
 
@@ -117,6 +117,33 @@ def rand_general_q(rng, n):
     class. The support holds a cycle through all states, so the union with
     any P is strongly connected and the polynomial oracle has an answer."""
     return rand_irreducible(rng, n)
+
+
+def rand_partly_shared_q(rng, n):
+    """General Q in which some states share one positive row: part of them
+    hold the same row object, the others equal copies of it."""
+    own = rand_general_q(rng, n).rows
+    shared = rand_personalization(rng, n)
+    rows = []
+    for x in range(n):
+        pick = rng.choice(("own", "object", "copy"))
+        rows.append(own[x] if pick == "own" else shared if pick == "object" else tuple(list(shared)))
+    return RowStochasticMatrix(StateSpace(n), tuple(rows))
+
+
+def rand_q(rng, kind, p, sizes):
+    """Q of a kind for P: "uniform", "personalized", "block" (P
+    transient-free, closed classes of the given sizes in order), "general"
+    or "partly shared"."""
+    if kind == "uniform":
+        return uniform_matrix(p.n)
+    if kind == "personalized":
+        return ones_outer(rand_personalization(rng, p.n))
+    if kind == "block":
+        return rand_block_q(rng, sizes)[0]
+    if kind == "general":
+        return rand_general_q(rng, p.n)
+    return rand_partly_shared_q(rng, p.n)
 
 
 def rand_with_transients(rng, sizes, t):

@@ -292,7 +292,7 @@ def test_sweep_eps_must_decrease(tmp_path, capsys):
     assert "bad --eps" in err
 
 
-@pytest.mark.parametrize("eps", ["1/10", "0.5..0.4"])
+@pytest.mark.parametrize("eps", ["1/10"])
 def test_sweep_one_eps_has_no_first_order(tmp_path, capsys, eps):
     g = wpath(tmp_path, "g.txt", TWO_CLASS)
     code, out, err = run(capsys, "sweep", "--graph", g, "--q", "uniform", "--eps", eps, "--format", "json")
@@ -300,6 +300,32 @@ def test_sweep_one_eps_has_no_first_order(tmp_path, capsys, eps):
     obj = json.loads(out)
     assert len(obj["eps"]) == 1 and len(obj["pi"]) == 1
     assert obj["first_order"] is None
+
+
+def test_sweep_short_eps_range_keeps_both_ends(tmp_path, capsys):
+    # half a decade is one step: 0.4 is kept, not rounded away
+    g = wpath(tmp_path, "g.txt", TWO_CLASS)
+    for numeric, eps in (("exact", ["1/2", "2/5"]), ("float", [0.5, 0.4])):
+        code, out, err = run(capsys, "sweep", "--graph", g, "--q", "uniform", "--numeric", numeric,
+                             "--eps", "0.5..0.4", "--format", "json")
+        assert code == 0, err
+        obj = json.loads(out)
+        assert obj["eps"] == eps and len(obj["pi"]) == 2
+        assert obj["first_order"] is not None
+
+
+def test_sweep_exact_eps_range_runs_exact_laws(tmp_path, capsys):
+    g = wpath(tmp_path, "g.txt", TRANSIENT)
+    code, out, err = run(capsys, "sweep", "--graph", g, "--q", "uniform", "--numeric", "exact",
+                         "--eps", "1e-1..1e-14", "--format", "json")
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["eps"] == [f"1/{10**k}" for k in range(1, 15)]
+    assert all(isinstance(x, str) for row in obj["pi"] for x in row)
+    assert obj["report"]["verdict"] == "pass"
+    code, _, err = run(capsys, "sweep", "--graph", g, "--q", "uniform", "--numeric", "exact", "--eps", "0.5..0.01")
+    assert code == 1
+    assert "bad --eps" in err and "comma list" in err
 
 
 def test_sweep_float_json(tmp_path, capsys):
@@ -653,6 +679,20 @@ def test_personalization_no_mass(tmp_path, capsys):
     code, _, err = run(capsys, "rank", "--graph", g, "--q", f"personalized={nu}")
     assert code == 2
     assert "no mass" in err
+
+
+def test_personalization_mass_checks_keep_their_messages(tmp_path, capsys):
+    g = wpath(tmp_path, "g.txt", TWO_CLASS)
+    cases = (
+        ("a 1\nb -1/2\n", "line 2: negative mass"),
+        ("a -0.5\n", "line 1: negative mass"),
+        ("a 0\nb 0/3\nc 0.0\n", "personalization vector has no mass"),
+    )
+    for text, message in cases:
+        nu = wpath(tmp_path, "nu.txt", text)
+        code, _, err = run(capsys, "rank", "--graph", g, "--q", f"personalized={nu}")
+        assert code == 2
+        assert err == f"data error: {message}\n"
 
 
 def test_dangling_uniform_row_policy(tmp_path, capsys):

@@ -20,7 +20,17 @@ from znrank.graph import (
     to_stochastic,
     uniform_matrix,
 )
-from helpers import rand_irreducible, rand_row, rand_stochastic, rand_with_transients, rng_for
+from znrank.stationary import class_stationary
+from znrank.zero_noise import _reduced_rows
+from helpers import (
+    rand_irreducible,
+    rand_personalization,
+    rand_reducible_no_transient,
+    rand_row,
+    rand_stochastic,
+    rand_with_transients,
+    rng_for,
+)
 
 F = Fraction
 
@@ -66,6 +76,13 @@ def test_parse_edge_list_node_declarations_and_errors():
         parse_edge_list("a b\na b\n")
     with pytest.raises(InputFormatError):
         parse_edge_list("# nothing\n")
+
+
+def test_negative_edge_weight_keeps_its_message():
+    for text in ("a b -1\n", "a b 1\nb a -1/2\n", "a b 1\nb a -0.5\n"):
+        with pytest.raises(InputFormatError) as ei:
+            parse_edge_list(text)
+        assert str(ei.value) == f"line {text.count(chr(10))}: negative weight"
 
 
 def test_edge_list_round_trip():
@@ -197,6 +214,22 @@ def test_to_stochastic_stores_only_the_edges():
     assert p.rows[7] == {8: F(1, 3), 9: F(2, 3)} and list(p.rows[n - 1]) == [0, 1]
 
 
+def _fractions_built(monkeypatch, fn, *args):
+    """(fn(*args), the number of Fractions it constructed)."""
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *a, **kw):
+        made.append(1)
+        return new(cls, *a, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    try:
+        return fn(*args), len(made)
+    finally:
+        monkeypatch.undo()
+
+
 def test_to_stochastic_builds_at_most_nnz_plus_n_fractions(monkeypatch):
     # integer weights are normalised in integers: one Fraction per entry and
     # one per row sum check; a dense build makes about n**2
@@ -204,18 +237,26 @@ def test_to_stochastic_builds_at_most_nnz_plus_n_fractions(monkeypatch):
     n = 60
     edges = {(u, v): rng.randint(1, 9) for u in range(n) for v in rng.sample(range(n), 3)}
     g = WeightedDigraph(StateSpace(n), tuple((u, v, F(w)) for (u, v), w in edges.items()))
-    made = []
-    new = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        made.append(1)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    p = to_stochastic(g)
-    monkeypatch.undo()
-    assert len(made) <= len(edges) + n
+    p, made = _fractions_built(monkeypatch, to_stochastic, g)
+    assert made <= len(edges) + n
     assert sum(len(row) for row in p.rows) == len(edges)
+
+
+def test_reduced_rows_weight_a_shared_q_row_once(monkeypatch):
+    # a Q row held by every member of a class is summed once and weighted
+    # once per class, so the count does not grow with n; weighting each
+    # member in turn built 336 Fractions at n = 48
+    built = {}
+    for scale in (1, 4):
+        rng = rng_for(f"shared-q-count-{scale}")
+        p = rand_reducible_no_transient(rng, [6 * scale, 4 * scale, 2 * scale])
+        part = classify_states(p)
+        laws = class_stationary(p, part)
+        for kind in ("uniform", "personalized"):
+            q = uniform_matrix(p.n) if kind == "uniform" else ones_outer(rand_personalization(rng, p.n))
+            built[kind, p.n] = _fractions_built(monkeypatch, _reduced_rows, q, part, laws)[1]
+    for kind in ("uniform", "personalized"):
+        assert built[kind, 12] == built[kind, 48] <= 8 * part.m, built
 
 
 def test_matrix_json_drops_zeros_and_keeps_its_errors():

@@ -39,6 +39,19 @@ def test_distribution_validation():
         Distribution((0.5, 0.4), "float")
 
 
+def test_exact_distribution_checks_keep_their_messages():
+    cases = (
+        ((F(3, 2), F(-1, 2)), "negative probability"),
+        ((F(0), F(-1, 4), F(5, 4)), "negative probability"),
+        ((F(1, 2), F(1, 4)), "probabilities sum to 3/4, not 1"),
+        ((F(0), 1, F(1, 3)), "probabilities sum to 4/3, not 1"),
+    )
+    for values, message in cases:
+        with pytest.raises(ValueError) as ei:
+            Distribution(values)
+        assert str(ei.value) == message
+
+
 def test_stationary_direct_fixture():
     p = RowStochasticMatrix(StateSpace(3), ((0, F(1, 2), F(1, 2)), (1, 0, 0), (1, 0, 0)))
     pi = stationary_direct(p)

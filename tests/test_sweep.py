@@ -7,7 +7,6 @@ from znrank.errors import EpsOutOfRange, NotIrreducible
 from znrank.graph import (
     RowStochasticMatrix,
     StateSpace,
-    ones_outer,
     require_unichain_union,
     uniform_matrix,
 )
@@ -26,11 +25,10 @@ from znrank.sweep import (
 )
 from helpers import (
     assert_stationary,
-    rand_block_q,
-    rand_general_q,
     rand_irreducible,
     rand_mixed_chain,
-    rand_personalization,
+    rand_partly_shared_q,
+    rand_q,
     rand_reducible_no_transient,
     rand_sizes,
     rand_stochastic,
@@ -192,6 +190,19 @@ def test_parse_eps_grid():
         parse_eps_grid(" , ")
 
 
+def test_eps_range_is_exact_in_exact_mode_and_keeps_both_ends():
+    deep = parse_eps_grid("1e-1..1e-14", exact=True)
+    assert deep == tuple(F(1, 10**k) for k in range(1, 15))
+    assert all(type(e) is F for e in deep)
+    assert parse_eps_grid("1/3..1/300", exact=True) == (F(1, 3), F(1, 30), F(1, 300))
+    # less than half a decade is one step, not a one-point grid
+    assert parse_eps_grid("0.5..0.4", exact=True) == (F(1, 2), F(2, 5))
+    assert parse_eps_grid("0.5..0.4") == (0.5, 0.4)
+    # 1/2, 1/(10 sqrt 5), 1/100: not all rational
+    with pytest.raises(ValueError, match="comma list"):
+        parse_eps_grid("0.5..0.01", exact=True)
+
+
 def test_sweep_rejects_mode_mismatch_gracefully():
     # float q against exact p falls back to a float sweep
     p = cycle_plus_absorber()
@@ -211,18 +222,6 @@ def test_perturbed_matrix_random_row_sums():
             assert sum(pe.row(i)) == 1
 
 
-def _partly_shared_q(rng, n):
-    """General Q in which some states share one positive row: part of them
-    hold the same row object, the others equal copies of it."""
-    own = rand_general_q(rng, n).rows
-    shared = rand_personalization(rng, n)
-    rows = []
-    for x in range(n):
-        pick = rng.choice(("own", "object", "copy"))
-        rows.append(own[x] if pick == "own" else shared if pick == "object" else tuple(list(shared)))
-    return RowStochasticMatrix(StateSpace(n), tuple(rows))
-
-
 def _hub_route_cases(tag, count):
     """(P, Q, kind, transient count) draws whose union support has one
     closed class: P with 1-3 closed classes, with and without transient
@@ -237,16 +236,7 @@ def _hub_route_cases(tag, count):
         p = rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes)
         kinds = ("uniform", "personalized", "general", "partly shared") + (() if t else ("block",))
         kind = kinds[len(out) % len(kinds)]
-        if kind == "uniform":
-            q = uniform_matrix(p.n)
-        elif kind == "personalized":
-            q = ones_outer(rand_personalization(rng, p.n))
-        elif kind == "block":
-            q = rand_block_q(rng, sizes)[0]
-        elif kind == "general":
-            q = rand_general_q(rng, p.n)
-        else:
-            q = _partly_shared_q(rng, p.n)
+        q = rand_q(rng, kind, p, sizes)
         try:
             require_unichain_union(p, q)
         except NotIrreducible:
@@ -315,7 +305,7 @@ def test_float_sweep_finds_its_elimination_order_once(monkeypatch):
 
     monkeypatch.setattr(znrank.sweep, "_law", spy)
     p = rand_with_transients(rng_for("order-once"), [3, 2, 4], 2).to_float()
-    q = _partly_shared_q(rng_for("order-once-q"), p.n).to_float()
+    q = rand_partly_shared_q(rng_for("order-once-q"), p.n).to_float()
     result = epsilon_sweep(p, q)
     assert len(result.pi_table) == 6
     assert searches == [True] + [False] * 5

@@ -26,6 +26,7 @@ from znrank.zero_noise import (
 from helpers import (
     rand_block_q,
     rand_general_q,
+    rand_q,
     rand_reducible_no_transient,
     rand_sizes,
     rand_with_transients,
@@ -232,6 +233,49 @@ def test_general_q_matches_oracle_random():
         assert max(abs(a - float(b)) for a, b in zip(floats, oracle.values)) < 1e-12
         checked[with_transients] += 1
     assert checked[False] >= 20 and checked[True] >= 15
+
+
+def _per_state_reduced_rows(q, part, laws, absorb):
+    """Reference Gamma: Q(x, C_j) formed state by state, then weighted by
+    pi_k(x) one member at a time, in the mode's own arithmetic."""
+    zero = 0.0 if q.numeric_mode == "float" else F(0)
+    owner = {y: j for j, c in enumerate(part.closed_classes) for y in c}
+    rows = []
+    for k, ck in enumerate(part.closed_classes):
+        row = [zero] * part.m
+        for x in ck:
+            mass = [zero] * part.m
+            for y, v in q.rows[x].items():
+                if y in owner:
+                    mass[owner[y]] += v
+                else:
+                    for j, a in enumerate(absorb.row_for(y)):
+                        mass[j] += v * a
+            for j in range(part.m):
+                row[j] += laws[k][x] * mass[j]
+        rows.append(row)
+    return rows
+
+
+def test_reduced_rows_equal_the_per_state_sum():
+    # exact rows equal the reference exactly; float rows, weighted member
+    # by member in the same order, equal it bit for bit
+    rng = rng_for("reduced-rows-per-state")
+    kinds = ("uniform", "personalized", "block", "general", "partly shared")
+    seen = set()
+    for trial in range(100):
+        kind = kinds[trial % len(kinds)]
+        sizes = rand_sizes(rng, rng.randint(1, 3))
+        t = 0 if kind == "block" else rng.choice((0, 1, 2))  # block Q lives on closed classes only
+        p = rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes)
+        q = rand_q(rng, kind, p, sizes)
+        part = classify_states(p)
+        for pm, qm in ((p, q), (p.to_float(), q.to_float())):
+            laws = class_stationary(pm, part)
+            absorb = absorption_probabilities(pm, part) if part.transient else None
+            assert _reduced_rows(qm, part, laws, absorb) == _per_state_reduced_rows(qm, part, laws, absorb), kind
+        seen.add((kind, bool(part.transient)))
+    assert len(seen) == 9
 
 
 def test_unichain_gamma_gives_its_transient_classes_mass_zero():
