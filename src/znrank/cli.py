@@ -8,7 +8,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from znrank import __version__
 from znrank.errors import (
@@ -31,14 +30,12 @@ from znrank.graph import (
     data_lines,
     dump_matrix_json,
     load_matrix_json,
-    ones_outer,
     parse_edge_list,
     require_unichain_union,
     to_stochastic,
     uniform_matrix,
 )
-from znrank.rational import EXACT, FLOAT, exact_sum, number_to_json, parse_rational
-from znrank.stationary import Distribution
+from znrank.rational import EXACT, FLOAT, common_numerators, int_ratio, number_to_json, parse_rational
 
 EXACT_N_DEFAULT = 12  # auto numeric mode: exact up to here, floating above
 
@@ -64,8 +61,36 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def canonical_dumps(obj):
-    return json.dumps(obj, indent=2) + "\n"
+    """json.dumps(obj, indent=2) + "\n", byte for byte. json's C encoder
+    runs only without indent, so each nonempty list or dict of scalars is
+    written by it with the line break and indent as the item separator."""
+    return _indented(obj, "\n") + "\n"
+
+
+@functools.cache  # one per indent level
+def _scalars_encoder(inner):
+    return json.JSONEncoder(separators=("," + inner, ": ")).encode
+
+
+def _indented(obj, nl):
+    """obj as json.dumps(obj, indent=2) writes it at the indent of nl."""
+    if not obj or not isinstance(obj, (list, tuple, dict)):
+        return json.dumps(obj)
+    inner = nl + "  "
+    values = obj.values() if isinstance(obj, dict) else obj
+    if SCALARS.issuperset(map(type, values)):
+        text = _scalars_encoder(inner)(obj)
+        return text[0] + inner + text[1:-1] + nl + text[-1]
+    if isinstance(obj, dict):
+        if any(type(k) is not str for k in obj):  # json's own key conversion
+            return json.dumps(obj, indent=2).replace("\n", nl)
+        items = [f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return "[" + inner + ("," + inner).join(_indented(v, inner) for v in obj) + nl + "]"
 
 
 @functools.cache  # built on the first main call, not at import
@@ -127,23 +152,31 @@ def read_text(path):
         return fh.read()
 
 
+def numeric_mode(args, n):
+    """EXACT or FLOAT from --numeric; auto is exact up to EXACT_N_DEFAULT."""
+    if args.numeric == "auto":
+        return EXACT if n <= EXACT_N_DEFAULT else FLOAT
+    return args.numeric
+
+
 def load_p(args):
+    """P in the numeric mode of the command; an edge list is normalised
+    in that mode, a matrix file read exactly and then converted."""
     if bool(args.graph) == bool(args.matrix):
         raise UsageError("exactly one of --graph or --matrix is required")
     if args.graph:
         g = parse_edge_list(read_text(args.graph))
-        p = to_stochastic(g, dangling=args.dangling)
-    else:
-        p = load_matrix_json(read_text(args.matrix), numeric_mode=EXACT)
-    mode = args.numeric
-    if mode == "auto":
-        mode = "exact" if p.n <= EXACT_N_DEFAULT else "float"
-    return p.to_float() if mode == "float" else p
+        return to_stochastic(g, args.dangling, numeric_mode(args, g.states.n))
+    p = load_matrix_json(read_text(args.matrix), numeric_mode=EXACT)
+    return p.to_float() if numeric_mode(args, p.n) == FLOAT else p
 
 
 def parse_personalization(text, p):
+    """nu as a dict of its nonzero entries in P's numeric mode: the masses,
+    summed per node and scaled to integers (rational.common_numerators),
+    each divided by their total (rational.int_ratio)."""
     labels = {lab: i for i, lab in enumerate(p.states.label_list())}
-    masses = [Fraction(0)] * p.n
+    masses = [0] * p.n
     for ln, toks in data_lines(text):
         if len(toks) != 2:
             raise InputFormatError("expected `node mass`", line=ln)
@@ -161,10 +194,12 @@ def parse_personalization(text, p):
         if w.numerator < 0:
             raise InputFormatError("negative mass", line=ln)
         masses[i] += w
-    total = exact_sum(masses)
+    nums = common_numerators(masses)
+    total = sum(nums)
     if total == 0:
         raise InputFormatError("personalization vector has no mass")
-    return Distribution(tuple(x / total if x else x for x in masses), EXACT)
+    ratio = int_ratio(p.numeric_mode)
+    return {i: ratio(x, total) for i, x in enumerate(nums) if x}
 
 
 def parse_block_q(text, p, part=None):
@@ -210,13 +245,14 @@ def parse_block_q(text, p, part=None):
 
 def load_q(spec, p, part=None):
     """Q matrix from QSPEC: uniform | personalized=FILE | block=FILE |
-    matrix=FILE. part is P's partition when the caller has it."""
+    matrix=FILE, in P's numeric mode. part is P's partition when the caller
+    has it. block= and matrix= are checked exactly, then converted."""
     if spec == "uniform":
-        q = uniform_matrix(p.n, p.states)
-    elif spec.startswith("personalized="):
+        return uniform_matrix(p.n, p.states, p.numeric_mode)
+    if spec.startswith("personalized="):
         nu = parse_personalization(read_text(spec.split("=", 1)[1]), p)
-        q = ones_outer(nu.values, p.states)
-    elif spec.startswith("block="):
+        return RowStochasticMatrix(p.states, (nu,) * p.n, p.numeric_mode)
+    if spec.startswith("block="):
         q = parse_block_q(read_text(spec.split("=", 1)[1]), p, part)
     elif spec.startswith("matrix="):
         q = load_matrix_json(read_text(spec.split("=", 1)[1]), numeric_mode=EXACT)

@@ -9,15 +9,23 @@ entries in ascending column order; only row(i) and JSON output are dense.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from znrank.errors import InputFormatError, NotIrreducible
-from znrank.rational import EXACT, FLOAT, exact_sum, json_to_number, number_to_json, parse_rational, zero_one
+from znrank.rational import (
+    EXACT,
+    FLOAT,
+    common_numerators,
+    exact_sum,
+    int_ratio,
+    json_to_number,
+    number_to_json,
+    parse_rational,
+    zero_one,
+)
 
 POSITIVE_EPS = 1e-15
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -43,17 +51,18 @@ class StateSpace:
 
 @dataclass
 class WeightedDigraph:
-    """Directed graph with nonnegative rational edge weights, no parallel
-    edges, in order of first appearance; a given _adj is taken as checked."""
+    """Directed graph with nonnegative rational edge weights, each an int
+    or a Fraction, no parallel edges, in order of first appearance; a given
+    _adj is taken as checked."""
 
     states: StateSpace
-    edges: tuple  # of (src, dst, Fraction weight)
+    edges: tuple  # of (src, dst, int or Fraction weight)
     _adj: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self._adj:
             return
-        self.edges = tuple((int(s), int(d), Fraction(w)) for s, d, w in self.edges)
+        self.edges = tuple((int(s), int(d), w if type(w) is int else Fraction(w)) for s, d, w in self.edges)
         seen = set()
         self._adj = {u: [] for u in range(self.states.n)}
         for s, d, w in self.edges:
@@ -89,8 +98,9 @@ def parse_edge_list(text):
 
     Lines hold `src dst [weight]` separated by whitespace; a line with a
     single token declares an isolated node; `#` starts a comment; the weight
-    defaults to 1 and accepts "3", "3/4" or "0.5" (decimal semantics).
-    Node ids become 0-based indices in order of first appearance.
+    defaults to 1 and accepts "3" (kept as an int), "3/4" or "0.5" (decimal
+    semantics, as a Fraction). Node ids become 0-based indices in order of
+    first appearance.
     """
     index = {}
     adj = []  # out-edges (dst, weight) of each node, in index order
@@ -110,7 +120,7 @@ def parse_edge_list(text):
         if len(toks) > 3:
             raise InputFormatError(f"expected `src dst [weight]`, got {len(toks)} fields", line=ln)
         s, d = node(toks[0]), node(toks[1])
-        w = parse_rational(toks[2], line=ln) if len(toks) == 3 else ONE
+        w = parse_rational(toks[2], line=ln) if len(toks) == 3 else 1
         if w.numerator < 0:
             raise InputFormatError("negative weight", line=ln)
         if (s, d) in seen:
@@ -206,9 +216,9 @@ class RowStochasticMatrix:
         return [[j for j in self.support(row) if j != i] for i, row in enumerate(self.rows)]
 
 
-def uniform_matrix(n, states=None):
-    row = dict.fromkeys(range(n), Fraction(1, n))
-    return RowStochasticMatrix(states or StateSpace(n), (row,) * n)
+def uniform_matrix(n, states=None, numeric_mode=EXACT):
+    row = dict.fromkeys(range(n), int_ratio(numeric_mode)(1, n))
+    return RowStochasticMatrix(states or StateSpace(n), (row,) * n, numeric_mode)
 
 
 def ones_outer(nu_values, states=None):
@@ -342,9 +352,12 @@ def is_irreducible(p):
 DANGLING_POLICIES = ("self_loop", "uniform_row")
 
 
-def to_stochastic(g, dangling="self_loop"):
-    """Row-normalize a weighted digraph into a stochastic matrix, each
-    entry one Fraction of integer weights scaled by the row's lcm.
+def to_stochastic(g, dangling="self_loop", numeric_mode=EXACT):
+    """Row-normalize a weighted digraph into a stochastic matrix in the
+    given numeric mode. Each row's weights are scaled to integers
+    (rational.common_numerators), and each entry is the ratio of its integer
+    to the row total (rational.int_ratio): a float entry is the correctly
+    rounded weight ratio, the float of the exact entry.
 
     Rows with zero total weight follow the dangling policy: "self_loop"
     makes the state absorbing, "uniform_row" spreads mass evenly.
@@ -352,21 +365,21 @@ def to_stochastic(g, dangling="self_loop"):
     if dangling not in DANGLING_POLICIES:
         raise ValueError(f"unknown dangling policy {dangling!r}")
     n = g.states.n
+    ratio = int_ratio(numeric_mode)
     uniform = None
     rows = []
     for u in range(n):
         out = sorted(g.out_edges(u))
-        scale = math.lcm(*[w.denominator for _, w in out])
-        nums = {d: w.numerator * (scale // w.denominator) for d, w in out if w}
-        total = sum(nums.values())
+        nums = common_numerators([w for _, w in out])
+        total = sum(nums)
         if total:
-            rows.append({d: Fraction(x, total) for d, x in nums.items()})
+            rows.append({d: ratio(x, total) for (d, _), x in zip(out, nums) if x})
         elif dangling == "self_loop":
-            rows.append({u: ONE})
+            rows.append({u: zero_one(numeric_mode)[1]})
         else:
-            uniform = uniform or dict.fromkeys(range(n), Fraction(1, n))
+            uniform = uniform or dict.fromkeys(range(n), ratio(1, n))
             rows.append(uniform)
-    return RowStochasticMatrix(g.states, tuple(rows), EXACT)
+    return RowStochasticMatrix(g.states, tuple(rows), numeric_mode)
 
 
 def load_matrix_json(text, numeric_mode=EXACT):

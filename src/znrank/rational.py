@@ -5,6 +5,7 @@ slash, so formatting and parsing round-trip byte for byte.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 from znrank.errors import InputFormatError
@@ -19,14 +20,26 @@ def zero_one(mode):
     return EXACT_ZERO_ONE if mode == EXACT else (0.0, 1.0)
 
 
+def int_ratio(mode):
+    """(a, b) -> a / b for integers a and b > 0: a Fraction in exact
+    mode, else the correctly rounded float, which is float(Fraction(a, b))."""
+    return Fraction if mode == EXACT else operator.truediv
+
+
 def parse_rational(token, line=None):
-    """Parse "3", "3/4" or "0.5" into a Fraction. Decimal strings are read
-    with decimal semantics, so "0.1" is exactly 1/10. A plain integer skips
-    Fraction's string parser."""
+    """Parse "3" into an int, "3/4" or "0.5" into a Fraction. Decimal
+    strings are read with decimal semantics, so "0.1" is exactly 1/10."""
     try:
-        return Fraction(int(token)) if token.isdecimal() else Fraction(token)
+        return int(token) if token.isdecimal() else Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"bad number {token!r}: {exc}", line=line) from None
+
+
+def common_numerators(xs):
+    """The rationals xs (ints or Fractions) times the lcm of their
+    denominators: integers in the same ratios."""
+    d = math.lcm(*[x.denominator for x in xs])
+    return [x.numerator * (d // x.denominator) for x in xs]
 
 
 def exact_sum(xs):

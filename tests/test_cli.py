@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from znrank.cli import main
+from znrank.cli import canonical_dumps, main
 
 TWO_CLASS = "a b\nb a\nc c\n"
 TRANSIENT = "a a\nb b\nt a 1/2\nt b 1/4\nt t 1/4\n"
@@ -57,6 +57,20 @@ def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "znrank 0.1.0"
     assert len(built) == n_built  # no parser, top-level or sub, built after the first call
+
+
+def test_canonical_dumps_is_indented_json():
+    values = [
+        {}, [], (), "top", 3, None, 1e300, {"a": [], "b": {}, "c": ()}, [[], [{}], [[[]]]],
+        [1, [2.5, [True, [None, False, "x"]]], {"k": {"l": [0, -0.0]}}],
+        {"nan": float("nan"), "inf": [float("inf"), float("-inf")], "tiny": [5e-324, 1e-320]},
+        {"s": 'h\u00e9llo \u2603\n\t"q"\\', "u": ["\u65e5\u672c", "\x00\u2028", "\U0001f600"], "\u00e9": 1},
+        {1: "int key", None: [1], True: {"k": 2.5}, 2.5: [], "s": {3: None}},
+        {"t": (1, (2.0, "3")), "mixed": [1, [2], {"a": 3}, "4"]},
+        {"eps": [0.1, 0.01], "pi": [[0.25, 0.75], [0.5, 0.5]], "report": {"slope": 1.0, "ok": True}},
+    ]
+    for obj in values:
+        assert canonical_dumps(obj) == json.dumps(obj, indent=2) + "\n"
 
 
 def test_classify_json(tmp_path, capsys):

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from znrank.cli import load_q, main
 from znrank.errors import InputFormatError, NotIrreducible
 from znrank.graph import (
+    DANGLING_POLICIES,
     ClassPartition,
     RowStochasticMatrix,
     StateSpace,
@@ -20,6 +22,7 @@ from znrank.graph import (
     to_stochastic,
     uniform_matrix,
 )
+from znrank.rational import FLOAT
 from znrank.stationary import class_stationary
 from znrank.zero_noise import _reduced_rows
 from helpers import (
@@ -240,6 +243,60 @@ def test_to_stochastic_builds_at_most_nnz_plus_n_fractions(monkeypatch):
     p, made = _fractions_built(monkeypatch, to_stochastic, g)
     assert made <= len(edges) + n
     assert sum(len(row) for row in p.rows) == len(edges)
+
+
+def _token(rng):
+    """A weight or mass token: small or big integer, p/q, decimal or zero."""
+    return rng.choice((str(rng.randint(1, 9)), str(10**30 + rng.randint(1, 9)),
+                       f"{rng.randint(1, 9)}/{rng.randint(1, 40)}", f"{rng.randint(0, 9)}.{rng.randint(1, 999):03d}",
+                       "1e-30", "0"))
+
+
+def _rows(m):
+    """Rows as (column, float bits) lists, and the pattern of shared rows."""
+    first = {}
+    shared = [first.setdefault(id(row), i) for i, row in enumerate(m.rows)]
+    return [[(j, x.hex()) for j, x in row.items()] for row in m.rows], shared
+
+
+def test_float_inputs_are_the_float_of_the_exact_inputs(tmp_path):
+    # P and the uniform and personalized Q built in float mode equal the
+    # exact ones converted, bit for bit, in column order and row sharing
+    rng = rng_for("float-native-inputs")
+    for _ in range(80):
+        n = rng.randint(1, 20)
+        lines = [f"v{x}" for x in range(n)]
+        for u in range(n):
+            if rng.random() < 0.8:  # else dangling
+                lines += [f"v{u} v{v} {_token(rng)}" for v in rng.sample(range(n), rng.randint(1, min(n, 4)))]
+        g = parse_edge_list("\n".join(lines))
+        for policy in DANGLING_POLICIES:
+            exact, flt = to_stochastic(g, policy), to_stochastic(g, policy, FLOAT)
+            assert flt.numeric_mode == FLOAT and _rows(flt) == _rows(exact.to_float())
+        masses = [(rng.randrange(n), _token(rng)) for _ in range(rng.randint(1, 2 * n))] + [(0, "1")]
+        nu = tmp_path / "nu.txt"
+        nu.write_text("".join(f"v{x} {m}\n" for x, m in masses))  # nodes repeat
+        for spec in ("uniform", f"personalized={nu}"):
+            assert _rows(load_q(spec, flt)) == _rows(load_q(spec, exact).to_float())
+
+
+def test_float_sweep_on_integer_inputs_builds_no_fraction(tmp_path, monkeypatch, capsys):
+    # the float route builds P and Q in floats from the integer weights and
+    # masses; building them exactly first made 489 Fractions per sweep
+    import znrank.sweep  # noqa: F401  (its exact default grid is made at import)
+
+    rng = rng_for("float-sweep-count")
+    n = 30
+    # two closed classes of 12 (a cycle plus chords) and 6 transient states
+    edges = {(u, (u + 1) % 12 + 12 * (u >= 12)) for u in range(24)}
+    edges |= {(u, v) for u in range(n) for v in rng.sample(range(n), 4) if u >= 24 or u // 12 == v // 12}
+    (tmp_path / "p.edges").write_text("".join(f"v{u} v{v} {rng.randint(1, 9)}\n" for u, v in sorted(edges)))
+    (tmp_path / "nu.txt").write_text("".join(f"v{x} {rng.randint(1, 9)}\n" for x in range(n)))
+    for spec in ("uniform", f"personalized={tmp_path / 'nu.txt'}"):
+        argv = ["sweep", "--graph", str(tmp_path / "p.edges"), "--numeric", "float", "--format", "json", "--q", spec]
+        code, made = _fractions_built(monkeypatch, main, argv)
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and len(out["pi"][0]) == n and made == 0
 
 
 def test_reduced_rows_weight_a_shared_q_row_once(monkeypatch):

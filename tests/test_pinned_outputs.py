@@ -15,6 +15,11 @@ and list the changed digests in CHANGES.md.
 The same cases are also pinned in floating point: `rank`, `sweep --format
 json` on the default grid and `adjudicate` with `--numeric float`, under the
 command names `rank-float`, `sweep-float` and `adjudicate-float`.
+
+The `g*` cases read P from an edge list (`--graph`) with integer, `p/q` and
+decimal weights, a dangling node under each `--dangling` policy, and
+`uniform` or `personalized=` Q with integer, fractional and repeated masses;
+they run `rank`, `rank-float` and `sweep-float`.
 """
 
 import contextlib
@@ -41,10 +46,11 @@ from helpers import (  # noqa: E402
     rng_for,
 )
 from znrank.cli import main  # noqa: E402
-from znrank.graph import RowStochasticMatrix, StateSpace  # noqa: E402
+from znrank.graph import DANGLING_POLICIES, RowStochasticMatrix, StateSpace  # noqa: E402
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "pinned_outputs.json"
 COMMANDS = ("rank", "sweep", "oracle", "adjudicate", "rank-float", "sweep-float", "adjudicate-float")
+GRAPH_COMMANDS = ("rank", "rank-float", "sweep-float")
 ORACLE_MAX_N = 10  # the polynomial oracle and adjudicate's exact verdicts stop here
 
 
@@ -60,16 +66,61 @@ def _shared_q(rng, n):
                                                   for x in range(n)))
 
 
+def _weight(rng, kind):
+    """An edge weight token of the given kind: int, frac, dec or mixed."""
+    kind = rng.choice(("int", "frac", "dec")) if kind == "mixed" else kind
+    if kind == "int":
+        return str(rng.choice((1, 2, 3, 7, 9, 10**30 + 1)))
+    if kind == "frac":
+        return f"{rng.randint(1, 9)}/{rng.randint(1, 12)}"
+    return rng.choice(("0.5", "1.25", "3.0", "0.1", "2.75", "0.001"))
+
+
+def _graph_cases(rng):
+    """(name, files, input args) of the --graph cases."""
+    cases = []
+    kinds = ("int", "frac", "dec", "mixed")
+    for i in range(24):
+        n = 2 + i % 11
+        kind = kinds[i // 2 % 4]
+        policy = DANGLING_POLICIES[i % 2]
+        dangling = set(rng.sample(range(n), rng.randint(1, max(1, n // 3))))
+        lines = [f"v{x}" for x in range(n)]
+        for u in range(n):
+            if u in dangling:
+                if rng.random() < 0.3:
+                    lines.append(f"v{u} v{rng.randrange(n)} 0")  # a zero weight leaves it dangling
+                continue
+            for v in rng.sample(range(n), rng.randint(1, min(n, 3))):
+                lines.append(f"v{u} v{v}" + ("" if rng.random() < 0.2 else f" {_weight(rng, kind)}"))
+        files = {"p.edges": "\n".join(lines) + "\n"}
+        q = ("uniform", "int", "frac", "repeated")[i // 6]
+        if q == "uniform":
+            spec = "uniform"
+        else:
+            nodes = rng.sample(range(n), rng.randint(1, n))
+            if q == "repeated":
+                nodes += rng.choices(nodes, k=2)
+            files["nu.txt"] = "".join(f"v{x} {_weight(rng, 'mixed' if q == 'repeated' else q)}\n"
+                                      for x in nodes)
+            spec = "personalized=nu.txt"
+        args = ["--graph", "p.edges", "--dangling", policy, "--q", spec]
+        cases.append((f"g{i:02d}-n{n}-{kind}-{policy}-{q}", files, args))
+    return cases
+
+
 def _cases():
-    """(name, files, q spec): files maps file name to text; p.json is P."""
+    """(name, files, input args): files maps file name to text; P is p.json
+    or, in the --graph cases, p.edges."""
+    matrix_q = ["--matrix", "p.json", "--q", "matrix=q.json"]
     cases = [
         # Q leaves a class only through a transient state that P sends back
         ("repro-unichain", {"p.json": _matrix_json([[1, 0, 0], [0, 1, 0], [1, 0, 0]]),
-                            "q.json": _matrix_json([[0, 0, 1], [1, 0, 0], [0, 1, 0]])}, "matrix=q.json"),
+                            "q.json": _matrix_json([[0, 0, 1], [1, 0, 0], [0, 1, 0]])}, matrix_q),
         # the same with two transient routes: the reduced chain has two closed classes
         ("repro-two-closed", {"p.json": _matrix_json([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]]),
                               "q.json": _matrix_json([[0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0]])},
-         "matrix=q.json"),
+         matrix_q),
     ]
     rng = rng_for("pinned-outputs")
     q_kinds = ("uniform", "personalized", "block", "matrix", "shared", "sparse")
@@ -109,13 +160,15 @@ def _cases():
                 q = rand_irreducible(rng, n)
             files["q.json"] = _matrix_json([q.row(i) for i in range(n)])
             spec = "matrix=q.json"
-        cases.append((f"c{i:02d}-n{n}-{kind}", files, spec))
-    return cases
+        cases.append((f"c{i:02d}-n{n}-{kind}", files, ["--matrix", "p.json", "--q", spec]))
+    return cases + _graph_cases(rng_for("pinned-graph-outputs"))
 
 
-def _argv(command, spec, n):
-    command, floating, _ = command.partition("-float")
-    base = ["--matrix", "p.json", "--numeric", "float" if floating else "exact", "--q", spec]
+def _argv(full_command, args, n):
+    command, floating, _ = full_command.partition("-float")
+    if args[0] == "--graph" and full_command not in GRAPH_COMMANDS:
+        return None
+    base = [*args, "--numeric", "float" if floating else "exact"]
     if command == "sweep":
         return ["sweep", *base, "--format", "json"]
     if command in ("oracle", "adjudicate") and n > ORACLE_MAX_N and not floating:
@@ -137,12 +190,12 @@ def compute_digests(workdir, commands=COMMANDS):
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        for name, files, spec in _cases():
+        for name, files, args in _cases():
             for fname, text in files.items():
                 Path(fname).write_text(text)
-            n = json.loads(files["p.json"])["n"]
+            n = json.loads(files["p.json"])["n"] if "p.json" in files else None
             for command in commands:
-                argv = _argv(command, spec, n)
+                argv = _argv(command, args, n)
                 if argv is not None:
                     out[f"{name}/{command}"] = _digest(argv)[0]
             for fname in files:
