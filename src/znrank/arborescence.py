@@ -24,8 +24,8 @@ from znrank.errors import GuardExceeded, NotIrreducible, TransientStatesPresent
 from znrank.graph import is_irreducible, require_unichain_union
 from znrank.kernels import enumerate_parents, sum_tree_products
 from znrank.linalg import det_exact, det_float
-from znrank.polynomial import EpsPolynomial
-from znrank.rational import EXACT, FLOAT, format_rational
+from znrank.polynomial import EpsPolynomial, sum_polynomials
+from znrank.rational import EXACT, EXACT_ZERO_ONE, FLOAT, format_rational
 from znrank.stationary import Distribution, _sparse_rows, root_sums
 
 DEFAULT_ASSIGNMENT_BUDGET = 10_000_000
@@ -259,25 +259,26 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     if n > n_guard:
         raise GuardExceeded(f"n = {n} exceeds the symbolic guard {n_guard}")
     lcms, (a, b) = _integer_rows(p, q)
+    triples = [[(v, ra.get(v, 0), rb.get(v, 0)) for v in sorted(ra.keys() | rb.keys()) if v != u]
+               for u, (ra, rb) in enumerate(zip(a, b))]  # (column, A, B) of each row of W_k
     order = None  # W_k has one pattern for every k: the order found at k = 1 serves all
     values = []
     for k in range(1, n + 1):
-        rows = [{v: k * ra.get(v, 0) + rb.get(v, 0) for v in sorted(ra.keys() | rb.keys()) if v != u}
-                for u, (ra, rb) in enumerate(zip(a, b))]
-        sums, den, order = root_sums(rows, [1] * n, order)
+        sums, den, order = root_sums([{v: k * x + y for v, x, y in row} for row in triples], [1] * n, order)
         values.append([h // den for h in sums])  # exact: minors of an integer matrix are integers
     total = math.prod(lcms)
     top = n - 1
+    signed = [[(-1) ** i * math.comb(d, i) for i in range(d + 1)] for d in range(n)]  # (1-eps)^d
     polys = []
     for r in range(n):
         g = _interpolate([vals[r] for vals in values])
         coeffs = [0] * n
         for d, gd in enumerate(g):
             if gd:
-                for i in range(d + 1):  # gd (1-eps)^d eps^(top-d)
-                    coeffs[top - d + i] += (-1) ** i * math.comb(d, i) * gd
+                for i, s in enumerate(signed[d], top - d):  # gd (1-eps)^d eps^(top-d)
+                    coeffs[i] += s * gd
         denom = total // lcms[r]
-        polys.append(EpsPolynomial(Fraction(c, denom) for c in coeffs))
+        polys.append(EpsPolynomial(Fraction(c, denom) if c else EXACT_ZERO_ONE[0] for c in coeffs))
     return tuple(polys)
 
 
@@ -300,9 +301,7 @@ def exact_limit_from_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
 def limit_from_root_polynomials(polys):
     """(limit, total) from root polynomials already built: the limit law is
     the ratio of the lowest-order coefficients, and total is their sum."""
-    total = EpsPolynomial()
-    for h in polys:
-        total = total + h
+    total = sum_polynomials(polys)
     d = total.min_degree()
     lead = total.coefficient(d)
     return Distribution(tuple(h.coefficient(d) / lead for h in polys), EXACT), total

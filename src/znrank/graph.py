@@ -9,6 +9,7 @@ entries in ascending column order; only row(i) and JSON output are dense.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -184,7 +185,7 @@ class RowStochasticMatrix:
                 out = done[id(row)] = _sparse_row(row, n, kind)
                 if any(x.numerator < 0 if exact else x < -POSITIVE_EPS for x in out.values()):
                     raise ValueError(f"negative entry in row {i}")
-                total = exact_sum(out.values()) if exact else sum(out.values(), 0.0)  # one Fraction
+                total = exact_sum(out.values()) if exact else math.fsum(out.values())  # one Fraction
                 if total != 1 and (exact or abs(total - 1) > 1e-12):
                     raise ValueError(f"row {i} sums to {total}, not 1")
             rows.append(out)

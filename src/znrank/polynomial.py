@@ -5,7 +5,7 @@ zeros stripped; the zero polynomial has an empty coefficient tuple."""
 from fractions import Fraction
 
 from znrank.errors import ZeroPolynomial
-from znrank.rational import format_rational
+from znrank.rational import EXACT_ZERO_ONE, exact_sum, format_rational
 
 
 def _trim(coeffs):
@@ -19,7 +19,7 @@ class EpsPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim(Fraction(c) for c in coeffs)
+        self.coeffs = _trim(c if type(c) is Fraction else Fraction(c) for c in coeffs)
 
     @property
     def degree(self):
@@ -30,7 +30,7 @@ class EpsPolynomial:
         return not self.coeffs
 
     def coefficient(self, d):
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else Fraction(0)
+        return self.coeffs[d] if 0 <= d < len(self.coeffs) else EXACT_ZERO_ONE[0]
 
     def min_degree(self):
         """Lowest degree with a nonzero coefficient."""
@@ -91,3 +91,10 @@ class EpsPolynomial:
 
     def __repr__(self):
         return f"EpsPolynomial({list(self.coeffs)!r})"
+
+
+def sum_polynomials(polys):
+    """The sum of the polynomials, one exact_sum (integer numerators over
+    one denominator) per degree in place of pairwise additions."""
+    top = max((len(h.coeffs) for h in polys), default=0)
+    return EpsPolynomial(exact_sum([h.coeffs[d] for h in polys if d < len(h.coeffs)]) for d in range(top))

@@ -304,13 +304,30 @@ def absorption_probabilities(p, part):
     """Probability that each transient state is absorbed into each closed
     class, by censoring the transient states onto the closed states, each
     made absorbing: an eliminated row over its sum is the next-state law
-    among states whose absorption is known by then."""
-    zero, one = zero_one(p.numeric_mode)
-    units = [[one if c == k else zero for c in range(part.m)] for k in range(part.m)]
+    among states whose absorption is known by then. In exact mode a state's
+    absorption row stays integer numerators a[k] over one denominator
+    den[k], as _back_substitute keeps x integral: den[k] is the pivot times
+    the lcm of the den of the states k's row reads, reduced by one gcd.
+    Fractions are built only for the table."""
+    m = part.m
+    exact = p.numeric_mode == EXACT
+    zero, one = (0, 1) if exact else (0.0, 1.0)
+    units = [[one if c == k else zero for c in range(m)] for k in range(m)]
     a = {s: units[k] for k, cls in enumerate(part.closed_classes) for s in cls}
+    den = dict.fromkeys(a, 1)
     rows = [{} if s in a else {j: v for j, v in row.items() if j != s} for s, row in enumerate(p.rows)]
     rows, dens = _scaled_rows(rows, p.numeric_mode)
     for k in reversed(_eliminate(rows, dens)[0]):
-        pivot = sum(rows[k].values())
-        a[k] = [sum((v * a[j][c] for j, v in rows[k].items()), zero) / pivot for c in range(part.m)]
-    return AbsorptionTable(part.transient, tuple(tuple(a[t]) for t in part.transient), p.numeric_mode)
+        row = rows[k]
+        pivot = sum(row.values())
+        if not exact:
+            a[k] = [sum((v * a[j][c] for j, v in row.items()), 0.0) / pivot for c in range(m)]
+            continue
+        lcm = math.lcm(*[den[j] for j in row])
+        terms = [(v * (lcm // den[j]), a[j]) for j, v in row.items()]
+        nums = [sum(f * aj[c] for f, aj in terms) for c in range(m)]
+        d = pivot * lcm
+        g = math.gcd(d, *nums)
+        a[k], den[k] = [x // g for x in nums], d // g
+    table = (tuple(Fraction(x, den[t]) for x in a[t]) if exact else tuple(a[t]) for t in part.transient)
+    return AbsorptionTable(part.transient, tuple(table), p.numeric_mode)

@@ -25,6 +25,7 @@ from fractions import Fraction
 from znrank.arborescence import SYMBOLIC_N_GUARD, all_root_polynomials
 from znrank.errors import EpsOutOfRange
 from znrank.graph import RowStochasticMatrix, require_unichain_union
+from znrank.polynomial import sum_polynomials
 from znrank.rational import EXACT, zero_one
 from znrank.stationary import Distribution, _law, _scaled_rows, linf, unichain_law
 
@@ -188,9 +189,7 @@ def exact_first_order(p, q, n_guard=None):
     power is removed."""
     guard = SYMBOLIC_N_GUARD if n_guard is None else n_guard
     polys = all_root_polynomials(p, q, n_guard=guard)
-    total = polys[0]
-    for h in polys[1:]:
-        total = total + h
+    total = sum_polynomials(polys)
     d = total.min_degree()
     s = total.shift_down(d)
     s0 = s.coefficient(0)

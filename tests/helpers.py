@@ -1,4 +1,5 @@
-"""Seeded random instance generators for the test suite.
+"""Seeded random instance generators for the test suite, and a counter of
+the Fractions a call builds.
 
 Every generator takes a random.Random so each test controls its own seeds;
 string seeds hash deterministically across runs and platforms.
@@ -10,6 +11,22 @@ from fractions import Fraction
 from znrank.graph import RowStochasticMatrix, StateSpace, WeightedDigraph, ones_outer, uniform_matrix
 
 MAX_W = 6  # integer weights stay small so denominators do too
+
+
+def fractions_built(monkeypatch, fn, *args):
+    """(fn(*args), the number of Fractions it constructed)."""
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *a, **kw):
+        made.append(1)
+        return new(cls, *a, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    try:
+        return fn(*args), len(made)
+    finally:
+        monkeypatch.undo()
 
 
 def rng_for(tag):

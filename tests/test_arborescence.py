@@ -24,7 +24,7 @@ from znrank.graph import (
     parse_edge_list,
     uniform_matrix,
 )
-from znrank.polynomial import EpsPolynomial
+from znrank.polynomial import EpsPolynomial, sum_polynomials
 from helpers import (
     rand_general_q,
     rand_irreducible,
@@ -180,6 +180,28 @@ def test_interpolated_polynomials_match_enumeration_random():
             polys = all_root_polynomials(p, q)
             assert polys == tuple(perturbed_root_polynomial(p, q, r) for r in range(p.n))
             assert root_weights(p) == tuple(root_weight_minor(p, r) for r in range(p.n))
+
+
+def test_polynomial_sum_equals_pairwise_sum_random():
+    # transient states and unions with several closed classes give zero
+    # root polynomials
+    rng = rng_for("polynomial-sum")
+    zeros = 0
+    for n in range(1, 9):
+        for _ in range(12):
+            p = _rand_p(rng, n)
+            q = rand_stochastic(rng, p.n) if rng.random() < 0.5 else rand_general_q(rng, p.n)
+            polys = all_root_polynomials(p, q)
+            zeros += sum(h.is_zero() for h in polys)
+            pairwise = EpsPolynomial()
+            for h in polys:
+                pairwise = pairwise + h
+            total = sum_polynomials(polys)
+            assert total == pairwise
+            assert all(type(c) is Fraction for c in total.coeffs)
+    assert zeros > 0
+    assert sum_polynomials(()) == EpsPolynomial()
+    assert sum_polynomials((EpsPolynomial(), EpsPolynomial())).is_zero()
 
 
 def test_float_root_weights_match_exact_random():

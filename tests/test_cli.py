@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from znrank.cli import canonical_dumps, main
+from helpers import fractions_built, rng_for
 
 TWO_CLASS = "a b\nb a\nc c\n"
 TRANSIENT = "a a\nb b\nt a 1/2\nt b 1/4\nt t 1/4\n"
@@ -717,3 +718,29 @@ def test_dangling_uniform_row_policy(tmp_path, capsys):
     # a uniform exit row makes c transient instead of absorbing
     assert obj["transient"] == [2]
     assert obj["m"] == 1
+
+
+def test_oracle_with_q_builds_one_fraction_per_coefficient(tmp_path, capsys, monkeypatch):
+    # 3 closed classes (3, 2, 2), integer weights and mass on one state per
+    # class, as in the benchmark's oracle job. The root polynomials stay
+    # integers up to one Fraction per coefficient (n * n); add n each for
+    # the total's coefficients, the limit and the root weights, and the
+    # input's: one per entry of P, per row sum and per mass. Summing the
+    # polynomials pairwise and wrapping each coefficient again makes 200+
+    rng = rng_for("oracle-fraction-budget")
+    classes = ((0, 1, 2), (3, 4), (5, 6))
+    edges = {}
+    for cls in classes:
+        for u, v in zip(cls, cls[1:] + cls[:1]):
+            edges[u, v] = rng.randint(1, 9)
+        for u in cls:
+            edges.setdefault((u, rng.choice(cls)), rng.randint(1, 9))
+    n = 7
+    text = "".join(f"s{u} s{v} {w}\n" for (u, v), w in edges.items())
+    g = wpath(tmp_path, "g.txt", text)
+    nu = wpath(tmp_path, "nu.txt", "".join(f"s{rng.choice(cls)} {rng.randint(1, 9)}\n" for cls in classes))
+    (code, out, _), made = fractions_built(monkeypatch, run, capsys, "oracle", "--graph", g,
+                                           "--q", f"personalized={nu}")
+    assert code == 0
+    assert json.loads(out)["min_degree"] == 2
+    assert made <= n * n + 3 * n + len(edges) + 2 * n

@@ -26,6 +26,7 @@ from znrank.rational import FLOAT
 from znrank.stationary import class_stationary
 from znrank.zero_noise import _reduced_rows
 from helpers import (
+    fractions_built,
     rand_irreducible,
     rand_personalization,
     rand_reducible_no_transient,
@@ -209,28 +210,24 @@ def test_shared_rows_stay_shared_in_float():
     assert len({id(row) for row in m.to_float().rows}) == 2
 
 
+def test_float_row_sum_check_is_exact_on_long_rows():
+    # the plain left-to-right sum of 100000 entries 1e-5 misses 1 by 1.9e-12;
+    # a failure is reported without its traceback, whose frames hold the rows
+    try:
+        m = uniform_matrix(100000, numeric_mode="float")
+    except ValueError as exc:
+        pytest.fail(str(exc), pytrace=False)
+    assert m.n == 100000 and len(m.rows[0]) == 100000
+    with pytest.raises(ValueError, match="row 0 sums to"):
+        RowStochasticMatrix(StateSpace(2), ((0.5, 0.5 + 1e-11), (0.0, 1.0)), "float")
+
+
 def test_to_stochastic_stores_only_the_edges():
     n = 5000
     g = WeightedDigraph(StateSpace(n), tuple((u, (u + k) % n, F(k)) for u in range(n) for k in (1, 2)))
     p = to_stochastic(g)
     assert sum(len(row) for row in p.rows) == 2 * n
     assert p.rows[7] == {8: F(1, 3), 9: F(2, 3)} and list(p.rows[n - 1]) == [0, 1]
-
-
-def _fractions_built(monkeypatch, fn, *args):
-    """(fn(*args), the number of Fractions it constructed)."""
-    made = []
-    new = Fraction.__new__
-
-    def counted(cls, *a, **kw):
-        made.append(1)
-        return new(cls, *a, **kw)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    try:
-        return fn(*args), len(made)
-    finally:
-        monkeypatch.undo()
 
 
 def test_to_stochastic_builds_at_most_nnz_plus_n_fractions(monkeypatch):
@@ -240,7 +237,7 @@ def test_to_stochastic_builds_at_most_nnz_plus_n_fractions(monkeypatch):
     n = 60
     edges = {(u, v): rng.randint(1, 9) for u in range(n) for v in rng.sample(range(n), 3)}
     g = WeightedDigraph(StateSpace(n), tuple((u, v, F(w)) for (u, v), w in edges.items()))
-    p, made = _fractions_built(monkeypatch, to_stochastic, g)
+    p, made = fractions_built(monkeypatch, to_stochastic, g)
     assert made <= len(edges) + n
     assert sum(len(row) for row in p.rows) == len(edges)
 
@@ -294,7 +291,7 @@ def test_float_sweep_on_integer_inputs_builds_no_fraction(tmp_path, monkeypatch,
     (tmp_path / "nu.txt").write_text("".join(f"v{x} {rng.randint(1, 9)}\n" for x in range(n)))
     for spec in ("uniform", f"personalized={tmp_path / 'nu.txt'}"):
         argv = ["sweep", "--graph", str(tmp_path / "p.edges"), "--numeric", "float", "--format", "json", "--q", spec]
-        code, made = _fractions_built(monkeypatch, main, argv)
+        code, made = fractions_built(monkeypatch, main, argv)
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and len(out["pi"][0]) == n and made == 0
 
@@ -311,7 +308,7 @@ def test_reduced_rows_weight_a_shared_q_row_once(monkeypatch):
         laws = class_stationary(p, part)
         for kind in ("uniform", "personalized"):
             q = uniform_matrix(p.n) if kind == "uniform" else ones_outer(rand_personalization(rng, p.n))
-            built[kind, p.n] = _fractions_built(monkeypatch, _reduced_rows, q, part, laws)[1]
+            built[kind, p.n] = fractions_built(monkeypatch, _reduced_rows, q, part, laws)[1]
     for kind in ("uniform", "personalized"):
         assert built[kind, 12] == built[kind, 48] <= 8 * part.m, built
 

@@ -19,7 +19,8 @@ command names `rank-float`, `sweep-float` and `adjudicate-float`.
 The `g*` cases read P from an edge list (`--graph`) with integer, `p/q` and
 decimal weights, a dangling node under each `--dangling` policy, and
 `uniform` or `personalized=` Q with integer, fractional and repeated masses;
-they run `rank`, `rank-float` and `sweep-float`.
+they run `rank`, `rank-float`, `sweep-float` and, up to `ORACLE_MAX_N`
+states, `oracle`.
 """
 
 import contextlib
@@ -50,7 +51,7 @@ from znrank.graph import DANGLING_POLICIES, RowStochasticMatrix, StateSpace  # n
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "pinned_outputs.json"
 COMMANDS = ("rank", "sweep", "oracle", "adjudicate", "rank-float", "sweep-float", "adjudicate-float")
-GRAPH_COMMANDS = ("rank", "rank-float", "sweep-float")
+GRAPH_COMMANDS = ("rank", "rank-float", "sweep-float", "oracle")
 ORACLE_MAX_N = 10  # the polynomial oracle and adjudicate's exact verdicts stop here
 
 
@@ -176,6 +177,13 @@ def _argv(full_command, args, n):
     return [command, *base]
 
 
+def _n_states(files):
+    """The number of states of a case: the matrix's n, or the node lines of the edge list."""
+    if "p.json" in files:
+        return json.loads(files["p.json"])["n"]
+    return sum(1 for line in files["p.edges"].splitlines() if len(line.split()) == 1)
+
+
 def _digest(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -193,7 +201,7 @@ def compute_digests(workdir, commands=COMMANDS):
         for name, files, args in _cases():
             for fname, text in files.items():
                 Path(fname).write_text(text)
-            n = json.loads(files["p.json"])["n"] if "p.json" in files else None
+            n = _n_states(files)
             for command in commands:
                 argv = _argv(command, args, n)
                 if argv is not None:

@@ -56,3 +56,11 @@ def test_coefficient_out_of_range_is_zero():
 def test_equality_and_strings():
     assert EpsPolynomial((1, 0)) == EpsPolynomial((1,))
     assert EpsPolynomial((F(1, 3), -1)).to_strings() == ["1/3", "-1/1"]
+
+
+def test_coefficients_become_fractions_and_fractions_are_kept():
+    half = F(1, 2)
+    p = EpsPolynomial((half, 3, 0.5))
+    assert p.coeffs == (F(1, 2), F(3), F(1, 2))
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs[0] is half

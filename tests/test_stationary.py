@@ -12,10 +12,13 @@ from znrank.stationary import (
     stationary_direct,
     stationary_power,
     unichain_law,
+    _eliminate,
+    _scaled_rows,
 )
 from znrank.arborescence import mctt_stationary
 from helpers import (
     assert_stationary,
+    fractions_built,
     rand_irreducible,
     rand_mixed_chain,
     rand_reducible_no_transient,
@@ -133,6 +136,47 @@ def test_absorption_rows_sum_to_one_random():
         table = absorption_probabilities(p, part)
         for row in table.rows:
             assert sum(row) == 1
+
+
+def _absorption_per_entry(p, part):
+    """Absorption rows by per-entry arithmetic in the matrix's own numbers
+    after the same censoring: sum of v * a[j][c] over the eliminated row,
+    divided by its sum."""
+    zero, one = (F(0), F(1)) if p.numeric_mode == "exact" else (0.0, 1.0)
+    units = [[one if c == k else zero for c in range(part.m)] for k in range(part.m)]
+    a = {s: units[k] for k, cls in enumerate(part.closed_classes) for s in cls}
+    rows = [{} if s in a else {j: v for j, v in row.items() if j != s} for s, row in enumerate(p.rows)]
+    rows, dens = _scaled_rows(rows, p.numeric_mode)
+    for k in reversed(_eliminate(rows, dens)[0]):
+        pivot = sum(rows[k].values())
+        a[k] = [sum((v * a[j][c] for j, v in rows[k].items()), zero) / pivot for c in range(part.m)]
+    return tuple(tuple(a[t]) for t in part.transient)
+
+
+def test_absorption_matches_per_entry_arithmetic_random():
+    # exact tables equal, float tables bit for bit; the mixed chains carry
+    # row denominators far beyond a machine word
+    rng = rng_for("absorb-per-entry")
+    for i in range(120):
+        sizes = rand_sizes(rng, rng.randint(1, 3), total_cap=7)
+        t = rng.randint(1, 6)
+        p = rand_mixed_chain(rng, sizes, t) if i % 2 else rand_with_transients(rng, sizes, t)
+        for m in (p, p.to_float()):
+            part = classify_states(m)
+            table = absorption_probabilities(m, part)
+            assert table.rows == _absorption_per_entry(m, part)
+            assert all(type(x) is (F if m is p else float) for row in table.rows for x in row)
+
+
+def test_absorption_builds_one_fraction_per_entry(monkeypatch):
+    # 6 transient states and 3 classes: 18 entries; per-entry Fraction
+    # arithmetic builds over 100
+    p = rand_mixed_chain(rng_for("absorb-budget"), [3, 2, 2], 6)
+    part = classify_states(p)
+    table, made = fractions_built(monkeypatch, absorption_probabilities, p, part)
+    assert len(part.transient) == 6 and part.m == 3
+    assert made <= 6 * 3
+    assert all(sum(row) == 1 for row in table.rows)
 
 
 def test_absorption_empty_when_no_transients():
