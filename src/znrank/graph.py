@@ -191,6 +191,15 @@ class RowStochasticMatrix:
             rows.append(out)
         self.rows = tuple(rows)
 
+    def __repr__(self):
+        """Each distinct row object once, keyed by the states that share it,
+        so the repr of a uniform Q grows as n and not as n²."""
+        shared = {}
+        for i, row in enumerate(self.rows):
+            shared.setdefault(id(row), ([], row))[0].append(i)
+        rows = ", ".join(f"{tuple(states)!r}: {row!r}" for states, row in shared.values())
+        return f"RowStochasticMatrix(states={self.states!r}, rows={{{rows}}}, numeric_mode={self.numeric_mode!r})"
+
     @property
     def n(self):
         return self.states.n

@@ -1,11 +1,15 @@
 """Stationary distributions, per-class stationary laws, absorption
 probabilities and the tree-theorem arborescence sums of every root, all
 from one sparse GTH state reduction in Markowitz order (`_eliminate`), in
-exact and float arithmetic alike. It is the one elimination in the
-package: the reduced chain, the sweep's hub chain, `root_weights` and the
+exact and float arithmetic alike. The reduced chain, `root_weights` and the
 polynomial oracle run on it too. Exact rows are integer numerators over one
 denominator per row, so the reduction does integer arithmetic with one gcd
-per updated row, and Fractions are built only for the final values."""
+per updated row, and Fractions are built only for the final values.
+
+A float sweep reduces one pattern at several eps. It works the reduction
+out once from the pattern (`_plan`) and runs each eps as the same float
+operations on a flat list of values (`_replay`), which gives the bits of
+`_eliminate`."""
 
 import math
 from dataclasses import dataclass
@@ -77,12 +81,21 @@ def _sparse_rows(p, states):
 
 def _markowitz(rows, ins, live, order):
     """Yield the live state with the fewest in- times out-neighbours, ties
-    to the lower index, until none is live."""
+    to the lower index, until none is live. The key is kept as one integer
+    per state and refreshed only where eliminating k can change it: on the
+    states that entered k (their rows changed) and on the states of k's row
+    (their in-neighbours changed)."""
+    n = len(rows)
+    cost = [len(ins[s]) * len(rows[s]) * n + s for s in range(n)]
     while live:
-        k = min(live, key=lambda s: (len(ins[s]) * len(rows[s]), s))
+        k = min(live, key=cost.__getitem__)
         live.discard(k)
         order.append(k)
         yield k
+        for s in ins[k]:
+            cost[s] = len(ins[s]) * len(rows[s]) * n + s
+        for s in rows[k]:
+            cost[s] = len(ins[s]) * len(rows[s]) * n + s
 
 
 def _eliminate(rows, dens=None, order=None):
@@ -183,6 +196,89 @@ def _back_substitute(rows, dens, order, cols):
     return x
 
 
+def _plan(rows):
+    """The float reduction of _eliminate worked out on the pattern of rows
+    alone, for _replay. Slot s is the s-th value of rows, read row by row
+    in dict order; each fill-in entry gets the next free slot. No entry of
+    a float GTH reduction cancels, so the fill-in, the Markowitz order and
+    the iteration orders do not depend on the values, and every chain with
+    this pattern reduces the same way.
+
+    Returns (order, steps, size): per pivot k in order, a step (k, the
+    slots of k's row, entries), with one entry (i, slot of a(i, k), the
+    (source, target) slot pairs of i's update) per state i that enters k;
+    size counts input and fill-in slots."""
+    n = len(rows)
+    size = 0
+    pattern = []
+    for row in rows:
+        pattern.append({j: s for s, j in enumerate(row, size)})
+        size += len(row)
+    ins = [set() for _ in range(n)]
+    for i, row in enumerate(pattern):
+        for j in row:
+            ins[j].add(i)
+    order = []
+    steps = []
+    live = {k for k in range(n) if pattern[k]}
+    for k in _markowitz(pattern, ins, live, order):
+        row_k = pattern[k]
+        entries = []
+        for i in ins[k]:
+            row_i = pattern[i]
+            a = row_i.pop(k)
+            pairs = []
+            for j, s in row_k.items():
+                if j != i:
+                    t = row_i.get(j)
+                    if t is None:
+                        t = row_i[j] = size
+                        size += 1
+                        ins[j].add(i)
+                    pairs.append((s, t))
+            entries.append((i, a, pairs))
+            if not row_i:
+                live.discard(i)
+        for j in row_k:
+            ins[j].discard(k)
+        steps.append((k, list(row_k.values()), entries))
+    return order, steps, size
+
+
+def _replay(plan, vals):
+    """_eliminate's float arithmetic along a _plan, on the flat list vals
+    of the input values in slot order, which it extends and updates in
+    place. The operations and their order are _eliminate's, so the result
+    is the same to the bit: returns (order, cols) as _eliminate does."""
+    order, steps, size = plan
+    vals += [0.0] * (size - len(vals))  # fill-in: 0.0 + f * v is f * v
+    cols = {}
+    for k, row_k, entries in steps:
+        pivot = sum([vals[s] for s in row_k])
+        col = cols[k] = []
+        for i, a, pairs in entries:
+            f = vals[a] / pivot
+            col.append((i, f))
+            for s, t in pairs:
+                vals[t] += f * vals[s]
+    return order, cols
+
+
+def _law_of(rows, dens, order, cols):
+    """Normalised stationary law from a finished reduction (_eliminate or
+    _replay) of the chain with the given rows, of which float mode reads
+    only the number. Raises NotIrreducible when more than one state is
+    left, that is when the chain has several closed classes."""
+    if len(order) != len(rows) - 1:
+        raise NotIrreducible("the chain has more than one closed class")
+    x = _back_substitute(rows, dens, order, cols)
+    if dens is None:
+        total = sum(x, 0.0)
+        return [v / total for v in x]
+    total = sum(x)
+    return [Fraction(v, total) for v in x]
+
+
 def _law(rows, dens=None, order=None):
     """(stationary law, elimination order) of the chain with the given dict
     rows and row denominators (see _eliminate), which must have exactly one
@@ -190,14 +286,7 @@ def _law(rows, dens=None, order=None):
     chain has several closed classes. Only the normalised law is made of
     Fractions."""
     order, cols = _eliminate(rows, dens, order)
-    if len(order) != len(rows) - 1:
-        raise NotIrreducible("the chain has more than one closed class")
-    x = _back_substitute(rows, dens, order, cols)
-    if dens is None:
-        total = sum(x, 0.0)
-        return [v / total for v in x], order
-    total = sum(x)
-    return [Fraction(v, total) for v in x], order
+    return _law_of(rows, dens, order, cols), order
 
 
 def root_sums(rows, dens=None, order=None):

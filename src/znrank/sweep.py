@@ -12,9 +12,11 @@ threshold. States outside that class are transient and get 0.
 The reduction never forms the dense P_eps. States that share a Q row send
 their eps mass to one hub state whose row is that Q row, so the chain stays
 as sparse as P; censoring the hubs out gives back P_eps exactly (stochastic
-complementation, Meyer, SIAM Review 1989). A sweep finds the Markowitz
-elimination order of this chain at its first eps and reuses it for the
-others.
+complementation, Meyer, SIAM Review 1989). The chain is built once per
+sweep, each entry as the coefficients of its value at eps. Its pattern does
+not depend on eps, so a float sweep plans the reduction once and replays
+it on the values at each eps, and an exact sweep reuses the Markowitz
+elimination order found at its first eps.
 """
 
 import math
@@ -27,7 +29,7 @@ from znrank.errors import EpsOutOfRange
 from znrank.graph import RowStochasticMatrix, require_unichain_union
 from znrank.polynomial import sum_polynomials
 from znrank.rational import EXACT, zero_one
-from znrank.stationary import Distribution, _law, _scaled_rows, linf, unichain_law
+from znrank.stationary import Distribution, _law, _law_of, _plan, _replay, _scaled_rows, linf, unichain_law
 
 DEFAULT_FLOAT_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_EXACT_GRID = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
@@ -58,52 +60,76 @@ def perturbed_matrix(p, q, eps):
 
 def _shared_q_rows(q):
     """Groups of two or more states whose Q rows are equal, in order of
-    their first member."""
-    keys = {id(row): tuple(row.items()) for row in {id(r): r for r in q.rows}.values()}  # each row object once
-    groups = {}
+    their first member. States are first grouped by row object, so each
+    distinct row object is hashed once."""
+    members = {}
     for x, row in enumerate(q.rows):
-        groups.setdefault(keys[id(row)], []).append(x)
-    return [g for g in groups.values() if len(g) > 1]
+        members.setdefault(id(row), []).append(x)
+    groups = {}
+    for xs in members.values():
+        groups.setdefault(tuple(q.rows[xs[0]].items()), []).extend(xs)
+    return [sorted(g) for g in groups.values() if len(g) > 1]
 
 
-def _hub_rows(p, q, e, groups):
-    """Dict rows of the hub chain: state x goes to y with (1 - e) P(x, y)
-    and, when its Q row is shared, to its hub (state n + k for group k) with
-    e; a state with a Q row of its own keeps the mixed row; hub k goes by
-    the Q row of its group. Diagonal entries are left out."""
+def _hub_rows(p, q, groups):
+    """Dict rows of the hub chain in coefficient form: each entry is (a, b),
+    its value at e being e * a + (1 - e) * b. State x goes to y with
+    (1 - e) P(x, y) and, when its Q row is shared, to its hub (state n + k
+    for group k) with e; a state with a Q row of its own keeps the mixed
+    row. Hub k goes by the Q row of its group, which does not depend on e:
+    those rows come back apart, as plain dicts. Diagonal entries are left
+    out. Returns (state rows, hub rows)."""
     n = p.n
+    zero, one = zero_one(p.numeric_mode)
     hub_of = {x: n + k for k, group in enumerate(groups) for x in group}
-    stay = 1 - e
     rows = []
     for x in range(n):
         hub = hub_of.get(x)
-        row = {hub: e} if hub is not None else {y: e * v for y, v in q.rows[x].items() if y != x}
+        row = {hub: (one, zero)} if hub is not None else {y: (v, zero) for y, v in q.rows[x].items() if y != x}
         for y, v in p.rows[x].items():
             if y != x:
-                row[y] = row[y] + stay * v if y in row else stay * v
+                row[y] = (row[y][0], v) if y in row else (zero, v)
         rows.append(row)
-    rows += [dict(q.rows[group[0]]) for group in groups]
-    return rows
+    return rows, [q.rows[group[0]] for group in groups]
 
 
 def _perturbed_laws(p, q, grid):
     """Stationary laws of (1 - eps) P + eps Q for each eps of grid, after
     require_unichain_union(p, q), which leaves the hub chain one closed
     class; its transient states, hubs among them, get 0. Below eps = 1
-    each is the hub chain's law on the states of P, renormalized. The chain's pattern does not depend on eps and no entry
-    cancels, so the order found at the first eps serves every later one.
-    """
+    each is the hub chain's law on the states of P, renormalized.
+
+    Every eps is checked before any row is built. The chain's pattern does
+    not depend on eps and no entry cancels, so its reduction is worked out
+    once per numeric mode: float eps replay one _plan on the flat list of
+    the values at eps, exact eps reuse the order found at the first."""
+    inputs = [_mixing_inputs(p, q, eps) for eps in grid]
     groups = _shared_q_rows(q)
-    order = None
+    chains = {}  # numeric mode -> (state rows, hub rows) of the hub chain
+    plan = order = None
     laws = []
-    for eps in grid:
-        pe, qe, e = _mixing_inputs(p, q, eps)
+    for pe, qe, e in inputs:
         if e == 1:
             laws.append(unichain_law(qe))
             continue
-        law, order = _law(*_scaled_rows(_hub_rows(pe, qe, e, groups), pe.numeric_mode), order)
-        total = sum(law[:p.n], zero_one(pe.numeric_mode)[0])
-        laws.append(Distribution(tuple(v / total for v in law[:p.n]), pe.numeric_mode))
+        mode = pe.numeric_mode
+        if mode not in chains:
+            chains[mode] = _hub_rows(pe, qe, groups)
+        rows, hubs = chains[mode]
+        stay = 1 - e
+        if mode == EXACT:
+            mixed = [{y: e * a + stay * b for y, (a, b) in row.items()} for row in rows]
+            law, order = _law(*_scaled_rows(mixed + hubs, EXACT), order)
+        else:
+            if plan is None:
+                chain = rows + hubs
+                plan = _plan(chain)
+                coefs = [ab for row in rows for ab in row.values()]
+                hub_vals = [v for h in hubs for v in h.values()]
+            vals = [e * a + stay * b for a, b in coefs]
+            law = _law_of(chain, None, *_replay(plan, vals + hub_vals))
+        total = sum(law[:p.n], zero_one(mode)[0])
+        laws.append(Distribution(tuple(v / total for v in law[:p.n]), mode))
     return laws
 
 

@@ -136,14 +136,15 @@ def rand_general_q(rng, n):
     return rand_irreducible(rng, n)
 
 
-def rand_partly_shared_q(rng, n):
-    """General Q in which some states share one positive row: part of them
-    hold the same row object, the others equal copies of it."""
+def rand_partly_shared_q(rng, n, k=1):
+    """General Q in which some states share one of k positive rows: part of
+    them hold the same row object, the others equal copies of it."""
     own = rand_general_q(rng, n).rows
-    shared = rand_personalization(rng, n)
+    pool = [rand_personalization(rng, n) for _ in range(k)]
     rows = []
     for x in range(n):
         pick = rng.choice(("own", "object", "copy"))
+        shared = pool[rng.randrange(k)] if k > 1 else pool[0]  # k = 1 keeps the draws of earlier seeds
         rows.append(own[x] if pick == "own" else shared if pick == "object" else tuple(list(shared)))
     return RowStochasticMatrix(StateSpace(n), tuple(rows))
 
@@ -229,6 +230,18 @@ def rand_mixed_chain(rng, sizes, t):
         for v, w in weights.items():
             rows[u][v] = w / total
     return RowStochasticMatrix(StateSpace(n), tuple(tuple(r) for r in rows))
+
+
+def markowitz_reference(rows, ins, live, order):
+    """The Markowitz order search as first written, the reference for
+    stationary._markowitz: each step takes the live state with the fewest
+    in- times out-neighbours, ties to the lower index, by scanning every
+    live state's key afresh."""
+    while live:
+        k = min(live, key=lambda s: (len(ins[s]) * len(rows[s]), s))
+        live.discard(k)
+        order.append(k)
+        yield k
 
 
 def assert_stationary(p, values):

@@ -210,6 +210,14 @@ def test_shared_rows_stay_shared_in_float():
     assert len({id(row) for row in m.to_float().rows}) == 2
 
 
+def test_repr_prints_each_shared_row_once():
+    size = len(repr(uniform_matrix(1000, numeric_mode="float")))  # 11.9 million when printed per state
+    assert size < 10**5
+    half = {0: F(1, 2), 2: F(1, 2)}
+    text = repr(RowStochasticMatrix(StateSpace(3), (half, {1: F(1)}, half)))
+    assert "rows={(0, 2): {0: Fraction(1, 2), 2: Fraction(1, 2)}, (1,): {1: Fraction(1, 1)}}" in text
+
+
 def test_float_row_sum_check_is_exact_on_long_rows():
     # the plain left-to-right sum of 100000 entries 1e-5 misses 1 by 1.9e-12;
     # a failure is reported without its traceback, whose frames hold the rows

@@ -21,6 +21,12 @@ decimal weights, a dangling node under each `--dangling` policy, and
 `uniform` or `personalized=` Q with integer, fractional and repeated masses;
 they run `rank`, `rank-float`, `sweep-float` and, up to `ORACLE_MAX_N`
 states, `oracle`.
+
+The `bench*` cases are float sweeps of the benchmark's size and shape: 48
+states in closed classes (24, 16, 8), or (20, 14, 8) plus 6 transients, as
+a `--graph` edge list with `uniform`, `personalized=` or a `matrix=` Q whose
+rows are partly shared, on the default grid and on `--eps 1e-1..1e-14`.
+They run only `sweep-float`.
 """
 
 import contextlib
@@ -52,6 +58,7 @@ from znrank.graph import DANGLING_POLICIES, RowStochasticMatrix, StateSpace  # n
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "pinned_outputs.json"
 COMMANDS = ("rank", "sweep", "oracle", "adjudicate", "rank-float", "sweep-float", "adjudicate-float")
 GRAPH_COMMANDS = ("rank", "rank-float", "sweep-float", "oracle")
+BENCH_COMMANDS = ("sweep-float",)
 ORACLE_MAX_N = 10  # the polynomial oracle and adjudicate's exact verdicts stop here
 
 
@@ -110,6 +117,66 @@ def _graph_cases(rng):
     return cases
 
 
+def _bench_edges(rng, sizes, n_transient):
+    """(edge list text, closed classes): closed classes of the given sizes,
+    each a random cycle plus 3 more in-class edges per state, and transient
+    states with 3 edges anywhere plus one into a closed state; integer
+    weights 1 to 9, nodes s0, s1, ... in shuffled class order."""
+    n = sum(sizes) + n_transient
+    order = list(range(n))
+    rng.shuffle(order)
+    classes, at = [], 0
+    for size in sizes:
+        classes.append(sorted(order[at:at + size]))
+        at += size
+    transient = sorted(order[at:])
+    closed = [x for c in classes for x in c]
+    lines = [f"s{x}" for x in range(n)]
+    for cls in classes:
+        cyc = rng.sample(cls, len(cls))
+        for i, u in enumerate(cyc):
+            for v in sorted({cyc[(i + 1) % len(cyc)], *rng.sample(cls, 3)}):
+                lines.append(f"s{u} s{v} {rng.randint(1, 9)}")
+    for t in transient:
+        for v in sorted({rng.choice(closed), *rng.sample([x for x in range(n) if x != t], 3)}):
+            lines.append(f"s{t} s{v} {rng.randint(1, 9)}")
+    return "\n".join(lines) + "\n", classes
+
+
+def _bench_q_rows(rng, n, classes):
+    """Q rows into one random state of each closed class and one more state;
+    about half the states share one of three such rows, so the hub chain
+    has several hubs next to states with Q rows of their own."""
+    def row():
+        targets = sorted({rng.choice(cls) for cls in classes} | {rng.randrange(n)})
+        w = {y: rng.randint(1, 9) for y in targets}
+        return [Fraction(w.get(y, 0), sum(w.values())) for y in range(n)]
+
+    hubs = [row() for _ in range(3)]
+    return [rng.choice(hubs) if rng.random() < 0.5 else row() for _ in range(n)]
+
+
+def _bench_cases(rng):
+    """(name, files, input args) of the benchmark-sized float sweeps."""
+    cases = []
+    shapes = {"plain": ((24, 16, 8), 0), "transient": ((20, 14, 8), 6)}
+    for q in ("uniform", "personalized"):
+        for shape, (sizes, t) in shapes.items():
+            edges, _ = _bench_edges(rng, sizes, t)
+            files = {"p.edges": edges}
+            spec = "uniform"
+            if q == "personalized":
+                files["nu.txt"] = "".join(f"s{x} {rng.randint(1, 9)}\n" for x in range(48))
+                spec = "personalized=nu.txt"
+            cases.append((f"bench-{q}-{shape}", files, ["--graph", "p.edges", "--q", spec]))
+    edges, classes = _bench_edges(rng, *shapes["transient"])
+    files = {"p.edges": edges, "q.json": _matrix_json(_bench_q_rows(rng, 48, classes))}
+    cases.append(("bench-matrix-transient", files, ["--graph", "p.edges", "--q", "matrix=q.json"]))
+    name, files, args = cases[3]
+    cases.append((f"{name}-wide", files, [*args, "--eps", "1e-1..1e-14"]))
+    return cases
+
+
 def _cases():
     """(name, files, input args): files maps file name to text; P is p.json
     or, in the --graph cases, p.edges."""
@@ -162,11 +229,13 @@ def _cases():
             files["q.json"] = _matrix_json([q.row(i) for i in range(n)])
             spec = "matrix=q.json"
         cases.append((f"c{i:02d}-n{n}-{kind}", files, ["--matrix", "p.json", "--q", spec]))
-    return cases + _graph_cases(rng_for("pinned-graph-outputs"))
+    return cases + _graph_cases(rng_for("pinned-graph-outputs")) + _bench_cases(rng_for("pinned-bench-sweeps"))
 
 
-def _argv(full_command, args, n):
+def _argv(full_command, name, args, n):
     command, floating, _ = full_command.partition("-float")
+    if name.startswith("bench") and full_command not in BENCH_COMMANDS:
+        return None
     if args[0] == "--graph" and full_command not in GRAPH_COMMANDS:
         return None
     base = [*args, "--numeric", "float" if floating else "exact"]
@@ -203,7 +272,7 @@ def compute_digests(workdir, commands=COMMANDS):
                 Path(fname).write_text(text)
             n = _n_states(files)
             for command in commands:
-                argv = _argv(command, args, n)
+                argv = _argv(command, name, args, n)
                 if argv is not None:
                     out[f"{name}/{command}"] = _digest(argv)[0]
             for fname in files:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import znrank.stationary
 from znrank.errors import MaxIterExceeded, NotIrreducible
 from znrank.graph import RowStochasticMatrix, StateSpace, classify_states
 from znrank.stationary import (
@@ -13,14 +14,23 @@ from znrank.stationary import (
     stationary_power,
     unichain_law,
     _eliminate,
+    _law,
+    _law_of,
+    _plan,
+    _replay,
     _scaled_rows,
+    _sparse_rows,
 )
 from znrank.arborescence import mctt_stationary
+from znrank.sweep import _hub_rows, _shared_q_rows
 from helpers import (
     assert_stationary,
     fractions_built,
+    markowitz_reference,
     rand_irreducible,
     rand_mixed_chain,
+    rand_partly_shared_q,
+    rand_q,
     rand_reducible_no_transient,
     rand_sizes,
     rand_stochastic,
@@ -281,3 +291,66 @@ def test_exact_class_law_does_at_most_n_fraction_operations(monkeypatch):
     monkeypatch.undo()
     assert len(ops) <= 24
     assert_stationary(p, law.values)
+
+
+def _hub_chain(rng, sizes, t, kind, eps):
+    """Float dict rows of the sweep's hub chain at eps for P with closed
+    classes of the given sizes and t transient states, and a Q of the given
+    kind ("hubs": several shared rows next to rows of their own)."""
+    p = rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes)
+    q = rand_partly_shared_q(rng, p.n, 3) if kind == "hubs" else rand_q(rng, kind, p, sizes)
+    pf, qf = p.to_float(), q.to_float()
+    rows, hubs = _hub_rows(pf, qf, _shared_q_rows(qf))
+    return [{y: eps * a + (1 - eps) * b for y, (a, b) in row.items()} for row in rows] + [dict(h) for h in hubs]
+
+
+def _float_rows(p):
+    return _sparse_rows(p.to_float(), range(p.n))[0]
+
+
+def test_markowitz_order_is_the_reference_order(monkeypatch):
+    rng = rng_for("markowitz-order")
+    patterns = []
+    for i in range(240):
+        if i % 4 == 0:
+            sizes, t = ((24, 16, 8), 0) if i % 8 else ((20, 14, 8), 6)
+            patterns.append(_hub_chain(rng, sizes, t, ("uniform", "personalized", "hubs")[i % 3], 1e-3))
+        elif i % 4 == 1:
+            patterns.append(_float_rows(rand_stochastic(rng, rng.randint(1, 60))))  # any support
+        else:
+            sizes = rand_sizes(rng, rng.randint(1, 4), hi=12, total_cap=40)
+            t = rng.randint(0, 5) if i % 4 == 3 else 0
+            patterns.append(_float_rows(rand_with_transients(rng, sizes, t) if t
+                                        else rand_reducible_no_transient(rng, sizes)))
+    left = []
+    for rows in patterns:
+        got = _eliminate([dict(r) for r in rows])[0]
+        monkeypatch.setattr(znrank.stationary, "_markowitz", markowitz_reference)
+        want = _eliminate([dict(r) for r in rows])[0]
+        monkeypatch.undo()
+        assert got == want
+        left.append(len(rows) - len(got))
+    assert max(left) >= 3 and min(left) == 1  # rows that empty: several closed classes
+
+
+def test_replayed_plan_is_the_elimination_to_the_bit():
+    rng = rng_for("plan-replay")
+    kinds = ("uniform", "personalized", "general", "partly shared", "hubs")
+    sizes_seen = []
+    for trial in range(120):
+        sizes = rand_sizes(rng, rng.randint(1, 3), hi=20, total_cap=50)
+        t = rng.choice((0, 0, 2, 6))
+        rows = _hub_chain(rng, sizes, t, kinds[trial % 5], 10.0 ** -rng.uniform(1, 14))
+        vals = [v for row in rows for v in row.values()]
+        order, cols = _replay(_plan(rows), vals)
+        assert (order, cols) == _eliminate([dict(r) for r in rows])
+        assert _law_of(rows, None, order, cols) == _law([dict(r) for r in rows])[0]
+        sizes_seen.append(len(rows))
+    assert 50 <= max(sizes_seen) <= 60
+    two = _float_rows(rand_reducible_no_transient(rng, [3, 4]))
+    vals = [v for row in two for v in row.values()]
+    message = "^the chain has more than one closed class$"
+    with pytest.raises(NotIrreducible, match=message):
+        _law([dict(r) for r in two])
+    with pytest.raises(NotIrreducible, match=message):
+        _law_of(two, None, *_replay(_plan(two), vals))

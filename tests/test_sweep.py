@@ -296,23 +296,57 @@ def test_float_sweep_never_forms_p_eps(monkeypatch):
 
 
 def test_float_sweep_finds_its_elimination_order_once(monkeypatch):
-    searches = []
-    law = znrank.sweep._law
+    # float eps replay one plan of the hub chain's reduction; exact eps
+    # reuse the elimination order found at the first
+    plans, searches = [], []
+    plan, law = znrank.sweep._plan, znrank.sweep._law
 
-    def spy(rows, dens, order=None):
+    def plan_spy(rows):
+        plans.append(len(rows))
+        return plan(rows)
+
+    def law_spy(rows, dens, order=None):
         searches.append(order is None)
         return law(rows, dens, order)
 
-    monkeypatch.setattr(znrank.sweep, "_law", spy)
-    p = rand_with_transients(rng_for("order-once"), [3, 2, 4], 2).to_float()
-    q = rand_partly_shared_q(rng_for("order-once-q"), p.n).to_float()
-    result = epsilon_sweep(p, q)
+    monkeypatch.setattr(znrank.sweep, "_plan", plan_spy)
+    monkeypatch.setattr(znrank.sweep, "_law", law_spy)
+    p = rand_with_transients(rng_for("order-once"), [3, 2, 4], 2)
+    q = rand_partly_shared_q(rng_for("order-once-q"), p.n)
+    pf, qf = p.to_float(), q.to_float()
+    result = epsilon_sweep(pf, qf)
     assert len(result.pi_table) == 6
-    assert searches == [True] + [False] * 5
-    searches.clear()
-    first_order_estimate(p, q, (1e-3, 1e-4))
-    extrapolate_limit(p, q)
-    assert searches == [True, False] * 2
+    assert plans == [p.n + 1] and searches == []
+    first_order_estimate(pf, qf, (1e-3, 1e-4))
+    extrapolate_limit(pf, qf)
+    assert plans == [p.n + 1] * 3 and searches == []
+    plans.clear()
+    assert len(epsilon_sweep(p, q).pi_table) == 3
+    assert plans == [] and searches == [True, False, False]
+
+
+def _shared_q_rows_reference(q):
+    """The grouping as first written: one value key per distinct row object,
+    looked up and hashed again for every state."""
+    keys = {id(row): tuple(row.items()) for row in {id(r): r for r in q.rows}.values()}
+    groups = {}
+    for x, row in enumerate(q.rows):
+        groups.setdefault(keys[id(row)], []).append(x)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+def test_shared_q_rows_keep_their_groups_and_order():
+    rng = rng_for("shared-q-rows")
+    copies = 0
+    for trial in range(120):
+        q = rand_partly_shared_q(rng, rng.randint(1, 30), 1 + trial % 3)
+        if trial % 2:
+            q = q.to_float()
+        got = znrank.sweep._shared_q_rows(q)
+        assert got == _shared_q_rows_reference(q)
+        copies += sum(len({id(q.rows[x]) for x in g}) > 1 for g in got)  # equal rows, distinct objects
+    assert copies >= 50
+    assert znrank.sweep._shared_q_rows(uniform_matrix(5)) == [[0, 1, 2, 3, 4]]
 
 
 def test_exact_hub_route_laws_are_stationary(monkeypatch):
