@@ -159,12 +159,11 @@ def root_weight_minor(w, root):
 
 def _integer_rows(*mats):
     """(lcms, rows): l_u is the lcm of the denominators of row u over all
-    the exact matrices, and rows holds each matrix with row u scaled by
-    l_u to integers, as dict rows."""
-    n = mats[0].n
-    lcms = [math.lcm(*[x.denominator for m in mats for x in m.rows[u].values()]) for u in range(n)]
+    the exact matrices, that of their row denominators, and rows holds each
+    matrix with row u scaled by l_u to integers, as dict rows."""
+    lcms = [math.lcm(*dens) for dens in zip(*[m.dens for m in mats])]
     rows = [
-        [{v: x.numerator * (l // x.denominator) for v, x in m.rows[u].items()} for u, l in enumerate(lcms)]
+        [{v: x * (l // d) for v, x in row.items()} for row, d, l in zip(m.num_rows, m.dens, lcms)]
         for m in mats
     ]
     return lcms, rows

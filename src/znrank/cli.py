@@ -35,7 +35,7 @@ from znrank.graph import (
     to_stochastic,
     uniform_matrix,
 )
-from znrank.rational import EXACT, FLOAT, common_numerators, int_ratio, number_to_json, parse_rational
+from znrank.rational import EXACT, FLOAT, common_denominator, number_to_json, parse_rational
 
 EXACT_N_DEFAULT = 12  # auto numeric mode: exact up to here, floating above
 
@@ -172,9 +172,9 @@ def load_p(args):
 
 
 def parse_personalization(text, p):
-    """nu as a dict of its nonzero entries in P's numeric mode: the masses,
-    summed per node and scaled to integers (rational.common_numerators),
-    each divided by their total (rational.int_ratio)."""
+    """(nu, total): the masses, summed per node and scaled to integers
+    (rational.common_denominator), as a dict of the nonzero ones, and their
+    total; nu[i] / total is the mass of node i."""
     labels = {lab: i for i, lab in enumerate(p.states.label_list())}
     masses = [0] * p.n
     for ln, toks in data_lines(text):
@@ -194,12 +194,11 @@ def parse_personalization(text, p):
         if w.numerator < 0:
             raise InputFormatError("negative mass", line=ln)
         masses[i] += w
-    nums = common_numerators(masses)
+    nums = common_denominator(masses)[0]
     total = sum(nums)
     if total == 0:
         raise InputFormatError("personalization vector has no mass")
-    ratio = int_ratio(p.numeric_mode)
-    return {i: ratio(x, total) for i, x in enumerate(nums) if x}
+    return {i: x for i, x in enumerate(nums) if x}, total
 
 
 def parse_block_q(text, p, part=None):
@@ -250,15 +249,14 @@ def load_q(spec, p, part=None):
     if spec == "uniform":
         return uniform_matrix(p.n, p.states, p.numeric_mode)
     if spec.startswith("personalized="):
-        nu = parse_personalization(read_text(spec.split("=", 1)[1]), p)
-        return RowStochasticMatrix(p.states, (nu,) * p.n, p.numeric_mode)
+        nu, total = parse_personalization(read_text(spec.split("=", 1)[1]), p)
+        return RowStochasticMatrix(p.states, (nu,) * p.n, p.numeric_mode, (total,) * p.n)
     if spec.startswith("block="):
         q = parse_block_q(read_text(spec.split("=", 1)[1]), p, part)
     elif spec.startswith("matrix="):
-        q = load_matrix_json(read_text(spec.split("=", 1)[1]), numeric_mode=EXACT)
+        q = load_matrix_json(read_text(spec.split("=", 1)[1]), EXACT, p.states)
         if q.n != p.n:
             raise InputFormatError(f"Q is {q.n} x {q.n} but the chain has {p.n} states")
-        q = type(q)(p.states, q.rows, q.numeric_mode)
     else:
         raise UsageError(f"bad --q value {spec!r}")
     return q.to_float() if p.numeric_mode == FLOAT else q

@@ -6,25 +6,17 @@ components no positive entry leaves; they are listed in increasing order of
 their smallest member. Everything else is transient. In floating mode an
 entry counts as positive above 1e-15. Matrix rows are sparse, the nonzero
 entries in ascending column order; only row(i) and JSON output are dense.
+Exact matrices store integer numerators over one denominator per row.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from znrank.errors import InputFormatError, NotIrreducible
-from znrank.rational import (
-    EXACT,
-    FLOAT,
-    common_numerators,
-    exact_sum,
-    int_ratio,
-    json_to_number,
-    number_to_json,
-    parse_rational,
-    zero_one,
-)
+from znrank.rational import EXACT, FLOAT, common_denominator, json_to_number, number_to_json, parse_rational, zero_one
 
 POSITIVE_EPS = 1e-15
 
@@ -144,9 +136,9 @@ def serialize_edge_list(g):
     return "\n".join(lines) + "\n"
 
 
-def _sparse_row(row, n, kind):
-    """A dense sequence of n entries or a dict {column: entry} as a dict of
-    the nonzero entries in kind, columns ascending; a dict already so is kept."""
+def _sparse_row(row, n):
+    """(row as a dict, its columns ascending) of a dense sequence of n
+    entries or a dict {column: entry}, after checking shape and columns."""
     if not isinstance(row, dict):
         if len(row) != n:
             raise ValueError("matrix shape does not match the state space")
@@ -154,42 +146,105 @@ def _sparse_row(row, n, kind):
     cols = sorted(row)
     if cols and (cols[0] < 0 or cols[-1] >= n):
         raise ValueError("matrix column outside the state space")
-    if cols == list(row) and all(type(x) is kind and x for x in row.values()):
-        return row
-    return {j: x for j, x in ((j, kind(row[j])) for j in cols) if x}
+    return row, cols
 
 
-@dataclass
+def _float_row(i, row, n, den=None):
+    """(row, None) of row i: a dict of its nonzero entries as floats,
+    columns ascending (a dict already so is kept), after the row checks: no
+    entry below -1e-15 and a sum within 1e-12 of 1. With den the entries
+    are integer numerators over den, and a float entry is their int / int
+    quotient, the correctly rounded float of the exact entry."""
+    row, cols = _sparse_row(row, n)
+    if den is not None:
+        row = {j: x / den for j, x in row.items()}
+    if cols != list(row) or not all(type(x) is float and x for x in row.values()):
+        row = {j: x for j, x in ((j, float(row[j])) for j in cols) if x}
+    if any(x < -POSITIVE_EPS for x in row.values()):
+        raise ValueError(f"negative entry in row {i}")
+    total = math.fsum(row.values())
+    if abs(total - 1) > 1e-12:
+        raise ValueError(f"row {i} sums to {total}, not 1")
+    return row, None
+
+
+def _integer_row(i, row, n, den=None):
+    """(numerators, den) of row i: its nonzero entries, columns ascending,
+    as integers over den, after the row checks: no negative entry and a
+    sum of den. The entries are integer numerators over den or, without
+    den, rationals over the lcm of their denominators. Both are divided by
+    their gcd, so den is then the lcm of the entries' denominators. A dict
+    already so is kept."""
+    row, cols = _sparse_row(row, n)
+    if den is None:
+        values = [row[j] if type(row[j]) in (int, Fraction) else Fraction(row[j]) for j in cols]
+        nums, den = common_denominator(values)
+        row = {j: x for j, x in zip(cols, nums) if x}
+    elif cols != list(row) or not all(row.values()):
+        row = {j: row[j] for j in cols if row[j]}
+    if any(x < 0 for x in row.values()):
+        raise ValueError(f"negative entry in row {i}")
+    total = sum(row.values())
+    if total != den:
+        raise ValueError(f"row {i} sums to {Fraction(total, den)}, not 1")
+    g = math.gcd(*row.values())  # = gcd(den, numerators), as they sum to den
+    return ({j: x // g for j, x in row.items()}, den // g) if g > 1 else (row, den)
+
+
 class RowStochasticMatrix:
-    """Row-stochastic matrix: each row a dict of its nonzero entries (see
-    _sparse_row), a row object shared by several states checked once and
-    kept shared. entry and the dense row(i) fill in the mode's zero."""
+    """Row-stochastic matrix, its rows sparse: a dict per row of the
+    nonzero entries, columns ascending. A row object shared by several
+    states is checked and converted once and stays shared.
 
-    states: StateSpace
-    rows: tuple
-    numeric_mode: str = EXACT
+    Rows are given as numbers (in exact mode rationals: int, Fraction or
+    anything Fraction takes) or, with dens, as integer numerators over
+    dens[i] in either mode. An exact matrix stores each row as integer
+    numerators over one row denominator, the form stationary._eliminate
+    takes: entry (i, j) is num_rows[i][j] / dens[i], with dens[i] the lcm
+    of the row's entry denominators, so equal matrices have equal
+    numerators and dens. rows, entry, row and the repr give Fractions,
+    built on first use. A float matrix stores the entries themselves:
+    num_rows is rows and dens is None. entry and the dense row(i) fill in
+    the mode's zero."""
 
-    def __post_init__(self):
-        n = self.states.n
-        if len(self.rows) != n:
+    __hash__ = None
+
+    def __init__(self, states, rows, numeric_mode=EXACT, dens=None):
+        n = states.n
+        if len(rows) != n:
             raise ValueError("matrix shape does not match the state space")
-        exact = self.numeric_mode == EXACT
-        if not exact and self.numeric_mode != FLOAT:
-            raise ValueError(f"unknown numeric mode {self.numeric_mode!r}")
-        kind = Fraction if exact else float
-        done = {}  # id of a given row -> its converted form
-        rows = []
-        for i, row in enumerate(self.rows):
-            out = done.get(id(row))
-            if out is None:
-                out = done[id(row)] = _sparse_row(row, n, kind)
-                if any(x.numerator < 0 if exact else x < -POSITIVE_EPS for x in out.values()):
-                    raise ValueError(f"negative entry in row {i}")
-                total = exact_sum(out.values()) if exact else math.fsum(out.values())  # one Fraction
-                if total != 1 and (exact or abs(total - 1) > 1e-12):
-                    raise ValueError(f"row {i} sums to {total}, not 1")
-            rows.append(out)
-        self.rows = tuple(rows)
+        exact = numeric_mode == EXACT
+        if not exact and numeric_mode != FLOAT:
+            raise ValueError(f"unknown numeric mode {numeric_mode!r}")
+        self.states = states
+        self.numeric_mode = numeric_mode
+        checked = _integer_row if exact else _float_row
+        done = {}  # id of a given row -> (stored row, den)
+        stored = []
+        for i, row in enumerate(rows):
+            got = done.get(id(row))
+            if got is None:
+                got = done[id(row)] = checked(i, row, n, None if dens is None else dens[i])
+            stored.append(got)
+        self.num_rows = tuple([row for row, _ in stored])
+        self.dens = tuple([den for _, den in stored]) if exact else None
+        if not exact:
+            self.rows = self.num_rows
+
+    @functools.cached_property
+    def rows(self):
+        """Exact rows as dicts of Fractions, each distinct row once."""
+        done = {}
+        for row, den in zip(self.num_rows, self.dens):
+            if id(row) not in done:
+                done[id(row)] = {j: Fraction(x, den) for j, x in row.items()}
+        return tuple(done[id(row)] for row in self.num_rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.states, self.numeric_mode, self.num_rows, self.dens) == (
+            other.states, other.numeric_mode, other.num_rows, other.dens)
 
     def __repr__(self):
         """Each distinct row object once, keyed by the states that share it,
@@ -215,7 +270,7 @@ class RowStochasticMatrix:
         stay shared."""
         if self.numeric_mode == FLOAT:
             return self
-        return RowStochasticMatrix(self.states, self.rows, FLOAT)
+        return RowStochasticMatrix(self.states, self.num_rows, FLOAT, self.dens)
 
     def support(self, row):
         """Columns of a stored row's positive entries, ascending."""
@@ -223,12 +278,11 @@ class RowStochasticMatrix:
 
     def support_successors(self):
         """Adjacency lists of the positive-entry digraph, self-loops left out."""
-        return [[j for j in self.support(row) if j != i] for i, row in enumerate(self.rows)]
+        return [[j for j in self.support(row) if j != i] for i, row in enumerate(self.num_rows)]
 
 
 def uniform_matrix(n, states=None, numeric_mode=EXACT):
-    row = dict.fromkeys(range(n), int_ratio(numeric_mode)(1, n))
-    return RowStochasticMatrix(states or StateSpace(n), (row,) * n, numeric_mode)
+    return RowStochasticMatrix(states or StateSpace(n), (dict.fromkeys(range(n), 1),) * n, numeric_mode, (n,) * n)
 
 
 def ones_outer(nu_values, states=None):
@@ -319,7 +373,7 @@ def require_unichain_union(p, q):
     support; no closed class is made of such nodes alone."""
     adj = p.support_successors()
     hubs = {}  # id of a Q row -> its node
-    for x, row in enumerate(q.rows):
+    for x, row in enumerate(q.num_rows):
         if id(row) not in hubs:
             hubs[id(row)] = len(adj)
             adj.append(q.support(row))
@@ -365,9 +419,9 @@ DANGLING_POLICIES = ("self_loop", "uniform_row")
 def to_stochastic(g, dangling="self_loop", numeric_mode=EXACT):
     """Row-normalize a weighted digraph into a stochastic matrix in the
     given numeric mode. Each row's weights are scaled to integers
-    (rational.common_numerators), and each entry is the ratio of its integer
-    to the row total (rational.int_ratio): a float entry is the correctly
-    rounded weight ratio, the float of the exact entry.
+    (rational.common_denominator) and given with their total as the row
+    denominator: an exact entry is stored as that integer ratio, a float
+    entry is its correctly rounded quotient, the float of the exact entry.
 
     Rows with zero total weight follow the dangling policy: "self_loop"
     makes the state absorbing, "uniform_row" spreads mass evenly.
@@ -375,27 +429,31 @@ def to_stochastic(g, dangling="self_loop", numeric_mode=EXACT):
     if dangling not in DANGLING_POLICIES:
         raise ValueError(f"unknown dangling policy {dangling!r}")
     n = g.states.n
-    ratio = int_ratio(numeric_mode)
     uniform = None
-    rows = []
+    rows, dens = [], []
     for u in range(n):
         out = sorted(g.out_edges(u))
-        nums = common_numerators([w for _, w in out])
+        nums = common_denominator([w for _, w in out])[0]
         total = sum(nums)
         if total:
-            rows.append({d: ratio(x, total) for (d, _), x in zip(out, nums) if x})
+            rows.append({d: x for (d, _), x in zip(out, nums) if x})
         elif dangling == "self_loop":
-            rows.append({u: zero_one(numeric_mode)[1]})
+            rows.append({u: 1})
+            total = 1
         else:
-            uniform = uniform or dict.fromkeys(range(n), ratio(1, n))
+            uniform = uniform or dict.fromkeys(range(n), 1)
             rows.append(uniform)
-    return RowStochasticMatrix(g.states, tuple(rows), numeric_mode)
+            total = n
+        dens.append(total)
+    return RowStochasticMatrix(g.states, tuple(rows), numeric_mode, tuple(dens))
 
 
-def load_matrix_json(text, numeric_mode=EXACT):
+def load_matrix_json(text, numeric_mode=EXACT, states=None):
     """Read {"n": int, "rows": [[...]]} with entries as numbers or "p/q"
     strings. In exact mode decimal literals keep decimal semantics. Zero
-    entries are dropped, numeric ones and "0" before conversion."""
+    entries are dropped, numeric ones and "0" before conversion. Given
+    states of n states, the matrix takes them in place of its own, as a Q
+    read for a chain takes the chain's."""
     try:
         obj = json.loads(text, parse_float=Fraction) if numeric_mode == EXACT else json.loads(text)
     except json.JSONDecodeError as exc:
@@ -411,9 +469,9 @@ def load_matrix_json(text, numeric_mode=EXACT):
     parsed = [{j: json_to_number(x, numeric_mode) for j, x in enumerate(row)
                if type(x) is bool or x not in (0, "0")} for row in rows]  # the matrix drops other zeros
     labels = obj.get("labels")
-    states = StateSpace(n, tuple(labels)) if labels else StateSpace(n)
+    own = StateSpace(n, tuple(labels)) if labels else StateSpace(n)
     try:
-        return RowStochasticMatrix(states, tuple(parsed), numeric_mode)
+        return RowStochasticMatrix(states if states and states.n == n else own, tuple(parsed), numeric_mode)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
 

@@ -5,7 +5,6 @@ slash, so formatting and parsing round-trip byte for byte.
 """
 
 import math
-import operator
 from fractions import Fraction
 
 from znrank.errors import InputFormatError
@@ -20,12 +19,6 @@ def zero_one(mode):
     return EXACT_ZERO_ONE if mode == EXACT else (0.0, 1.0)
 
 
-def int_ratio(mode):
-    """(a, b) -> a / b for integers a and b > 0: a Fraction in exact
-    mode, else the correctly rounded float, which is float(Fraction(a, b))."""
-    return Fraction if mode == EXACT else operator.truediv
-
-
 def parse_rational(token, line=None):
     """Parse "3" into an int, "3/4" or "0.5" into a Fraction. Decimal
     strings are read with decimal semantics, so "0.1" is exactly 1/10."""
@@ -35,11 +28,11 @@ def parse_rational(token, line=None):
         raise InputFormatError(f"bad number {token!r}: {exc}", line=line) from None
 
 
-def common_numerators(xs):
-    """The rationals xs (ints or Fractions) times the lcm of their
-    denominators: integers in the same ratios."""
+def common_denominator(xs):
+    """(numerators, d): the rationals xs (ints or Fractions) as integers
+    over d, the lcm of their denominators."""
     d = math.lcm(*[x.denominator for x in xs])
-    return [x.numerator * (d // x.denominator) for x in xs]
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def exact_sum(xs):

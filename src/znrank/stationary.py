@@ -3,8 +3,9 @@ probabilities and the tree-theorem arborescence sums of every root, all
 from one sparse GTH state reduction in Markowitz order (`_eliminate`), in
 exact and float arithmetic alike. The reduced chain, `root_weights` and the
 polynomial oracle run on it too. Exact rows are integer numerators over one
-denominator per row, so the reduction does integer arithmetic with one gcd
-per updated row, and Fractions are built only for the final values.
+denominator per row, the form an exact RowStochasticMatrix stores, so the
+reduction reads a matrix without a Fraction, does integer arithmetic with
+one gcd per updated row, and builds Fractions only for the final values.
 
 A float sweep reduces one pattern at several eps. It works the reduction
 out once from the pattern (`_plan`) and runs each eps as the same float
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from znrank.errors import MaxIterExceeded, NotIrreducible
 from znrank.graph import is_irreducible
-from znrank.rational import EXACT, FLOAT, exact_sum, zero_one
+from znrank.rational import EXACT, FLOAT, common_denominator, exact_sum, zero_one
 
 
 @dataclass(frozen=True)
@@ -60,23 +61,22 @@ def linf(xs, ys):
     return max(abs(x - y) for x, y in zip(xs, ys))
 
 
-def _scaled_rows(rows, mode):
-    """(rows, dens) for _eliminate. Exact dict rows become integer
-    numerators over one denominator per row, a(i, j) = r(i, j) / d_i with d_i
-    the lcm of the row's denominators; float rows stay as they are, with
-    dens None."""
-    if mode != EXACT:
-        return rows, None
-    dens = [math.lcm(*[v.denominator for v in row.values()]) for row in rows]
-    return [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row, d in zip(rows, dens)], dens
+def _scaled_rows(rows):
+    """(rows, dens) for _eliminate from exact dict rows of Fractions:
+    integer numerators over one denominator per row, a(i, j) = r(i, j) /
+    d_i with d_i the lcm of the row's denominators. A matrix already stores
+    this form (_sparse_rows reads it); the exact sweep's mixed rows do not."""
+    scaled = [common_denominator(row.values()) for row in rows]
+    return [dict(zip(row, nums)) for row, (nums, _) in zip(rows, scaled)], [d for _, d in scaled]
 
 
 def _sparse_rows(p, states):
-    """P restricted to states, relabelled 0, 1, ..., as dict rows without
-    zero or diagonal entries, scaled for its numeric mode (_scaled_rows)."""
+    """P restricted to states, relabelled 0, 1, ..., as the (rows, dens)
+    _eliminate takes, read from the matrix's stored rows: dict rows without
+    zero or diagonal entries, exact ones over the row denominators of P."""
     pos = {j: k for k, j in enumerate(states)}
-    rows = [{pos[j]: v for j, v in p.rows[s].items() if j != s and j in pos} for s in states]
-    return _scaled_rows(rows, p.numeric_mode)
+    rows = [{pos[j]: v for j, v in p.num_rows[s].items() if j != s and j in pos} for s in states]
+    return rows, None if p.dens is None else [p.dens[s] for s in states]
 
 
 def _markowitz(rows, ins, live, order):
@@ -404,9 +404,8 @@ def absorption_probabilities(p, part):
     units = [[one if c == k else zero for c in range(m)] for k in range(m)]
     a = {s: units[k] for k, cls in enumerate(part.closed_classes) for s in cls}
     den = dict.fromkeys(a, 1)
-    rows = [{} if s in a else {j: v for j, v in row.items() if j != s} for s, row in enumerate(p.rows)]
-    rows, dens = _scaled_rows(rows, p.numeric_mode)
-    for k in reversed(_eliminate(rows, dens)[0]):
+    rows = [{} if s in a else {j: v for j, v in row.items() if j != s} for s, row in enumerate(p.num_rows)]
+    for k in reversed(_eliminate(rows, None if p.dens is None else list(p.dens))[0]):
         row = rows[k]
         pivot = sum(row.values())
         if not exact:

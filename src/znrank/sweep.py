@@ -28,29 +28,32 @@ from znrank.arborescence import SYMBOLIC_N_GUARD, all_root_polynomials
 from znrank.errors import EpsOutOfRange
 from znrank.graph import RowStochasticMatrix, require_unichain_union
 from znrank.polynomial import sum_polynomials
-from znrank.rational import EXACT, zero_one
+from znrank.rational import EXACT, FLOAT, zero_one
 from znrank.stationary import Distribution, _law, _law_of, _plan, _replay, _scaled_rows, linf, unichain_law
 
 DEFAULT_FLOAT_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_EXACT_GRID = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
 
 
-def _mixing_inputs(p, q, eps):
-    """P, Q and eps in one numeric mode: exact when everything involved is
-    rational, floating otherwise. eps must lie in (0, 1]."""
+def _mixing_eps(p, q, eps):
+    """(numeric mode, eps in it) of mixing P and Q at eps: exact when
+    everything involved is rational, floating otherwise, in which mode P
+    and Q are then taken. eps must lie in (0, 1]."""
     if not 0 < eps <= 1:
         raise EpsOutOfRange(f"eps = {eps} outside (0, 1]")
     if q.n != p.n:
         raise ValueError("P and Q must share a state space")
     if p.numeric_mode == EXACT and q.numeric_mode == EXACT and not isinstance(eps, float):
-        return p, q, Fraction(eps)
-    return p.to_float(), q.to_float(), float(eps)
+        return EXACT, Fraction(eps)
+    return FLOAT, float(eps)
 
 
 def perturbed_matrix(p, q, eps):
     """(1 - eps) P + eps Q. eps must lie in (0, 1]. Exact when everything
     involved is rational, floating otherwise."""
-    p, q, e = _mixing_inputs(p, q, eps)
+    mode, e = _mixing_eps(p, q, eps)
+    if mode == FLOAT:
+        p, q = p.to_float(), q.to_float()
     rows = tuple(
         {j: (1 - e) * p.entry(i, j) + e * q.entry(i, j) for j in sorted(p.rows[i].keys() | q.rows[i].keys())}
         for i in range(p.n)
@@ -99,27 +102,30 @@ def _perturbed_laws(p, q, grid):
     class; its transient states, hubs among them, get 0. Below eps = 1
     each is the hub chain's law on the states of P, renormalized.
 
-    Every eps is checked before any row is built. The chain's pattern does
-    not depend on eps and no entry cancels, so its reduction is worked out
-    once per numeric mode: float eps replay one _plan on the flat list of
-    the values at eps, exact eps reuse the order found at the first."""
-    inputs = [_mixing_inputs(p, q, eps) for eps in grid]
+    Every eps is checked before any row is built, and P and Q are
+    converted once per numeric mode. The chain's pattern does not depend on
+    eps and no entry cancels, so its reduction is worked out once per
+    numeric mode: float eps replay one _plan on the flat list of the values
+    at eps, exact eps reuse the order found at the first."""
+    mixes = [_mixing_eps(p, q, eps) for eps in grid]
+    matrices = {mode: (p, q) if mode == EXACT else (p.to_float(), q.to_float())
+                for mode in {mode for mode, _ in mixes}}
     groups = _shared_q_rows(q)
     chains = {}  # numeric mode -> (state rows, hub rows) of the hub chain
     plan = order = None
     laws = []
-    for pe, qe, e in inputs:
+    for mode, e in mixes:
+        pe, qe = matrices[mode]
         if e == 1:
             laws.append(unichain_law(qe))
             continue
-        mode = pe.numeric_mode
         if mode not in chains:
             chains[mode] = _hub_rows(pe, qe, groups)
         rows, hubs = chains[mode]
         stay = 1 - e
         if mode == EXACT:
             mixed = [{y: e * a + stay * b for y, (a, b) in row.items()} for row in rows]
-            law, order = _law(*_scaled_rows(mixed + hubs, EXACT), order)
+            law, order = _law(*_scaled_rows(mixed + hubs), order)
         else:
             if plan is None:
                 chain = rows + hubs

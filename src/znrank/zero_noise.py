@@ -13,13 +13,14 @@ transient states the two coincide, and `limit_rank` is the one route to
 either.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from znrank.arborescence import SYMBOLIC_N_GUARD, exact_limit_from_polynomials
 from znrank.errors import GammaReducible, GuardExceeded, NotIrreducible, TransientStatesPresent
 from znrank.graph import RowStochasticMatrix, StateSpace, classify_states
-from znrank.rational import EXACT, exact_sum, number_to_json, zero_one
+from znrank.rational import EXACT, common_denominator, number_to_json, zero_one
 from znrank.stationary import (
     Distribution,
     absorption_probabilities,
@@ -83,43 +84,68 @@ def _reduced_rows(q, part, class_laws, absorb=None):
     """Gamma(i, j) = sum over x in C_i of pi_i(x) Q(x, C_j): each member of
     a class is weighted by the class stationary law. With absorb, the mass
     Q(x, t) on a transient state t continues into C_j with probability
-    A(t, j). Exact sums are integer sums (exact_sum), and members sharing a Q
-    row object are weighted once, by the sum of their law entries; float
+    A(t, j). Exact rows are integer sums, one Fraction per entry: Q(x, C_j)
+    over the row denominator of Q (times the lcm of the absorption rows it
+    reads), summed once per Q row object and weighted by the integer sum of
+    its members' law entries over the law's common denominator. Float
     addition is not associative, so float weights each member in turn."""
     m = part.m
-    exact = q.numeric_mode == EXACT
-    total = exact_sum if exact else (lambda xs: sum(xs, 0.0))
     owner = [None] * q.n
     for j, cj in enumerate(part.closed_classes):
         for y in cj:
             owner[y] = j
     routes = {t: absorb.rows[ti] for ti, t in enumerate(part.transient)} if absorb else {}
+    masses = {}  # id of a Q row -> its class masses; rows shared by several states are summed once
+    rows = []
+    if q.dens is None:
+        def class_mass(q_row):  # Q(x, C_j) for every j, formed before weighting by pi_k(x)
+            terms = [[] for _ in range(m)]
+            for y, v in q_row.items():
+                j = owner[y]
+                if j is not None:
+                    terms[j].append(v)
+                else:
+                    for jj, a in enumerate(routes[y]):
+                        terms[jj].append(v * a)
+            return [sum(t, 0.0) for t in terms]
 
-    def class_mass(q_row):  # Q(x, C_j) for every j, formed before weighting by pi_k(x)
-        terms = [[] for _ in range(m)]
+        for k, ck in enumerate(part.closed_classes):
+            weighted = []  # (law entry, class masses) of each member
+            for x in ck:
+                q_row = q.rows[x]
+                if id(q_row) not in masses:
+                    masses[id(q_row)] = class_mass(q_row)
+                weighted.append((class_laws[k][x], masses[id(q_row)]))
+            rows.append([sum([w * out[j] for w, out in weighted if out[j]], 0.0) for j in range(m)])
+        return rows
+
+    routes = {t: common_denominator(a) for t, a in routes.items()}  # A(t, j) = alpha[j] / beta
+
+    def class_mass(q_row, den):  # (M, E): Q(x, C_j) = M[j] / E for every j
+        lcm = math.lcm(*[routes[y][1] for y in q_row if owner[y] is None])
+        out = [0] * m
         for y, v in q_row.items():
             j = owner[y]
             if j is not None:
-                terms[j].append(v)
+                out[j] += v * lcm
             else:
-                for jj, a in enumerate(routes[y]):
-                    terms[jj].append(v * a)
-        return [total(t) for t in terms]
+                alpha, beta = routes[y]
+                f = v * (lcm // beta)
+                for jj, a in enumerate(alpha):
+                    out[jj] += f * a
+        return out, den * lcm
 
-    masses = {}  # id of a Q row -> its class masses; rows shared by several states are summed once
-    rows = []
     for k, ck in enumerate(part.closed_classes):
-        law = class_laws[k]
-        groups = {}  # the members of C_k by Q row object (exact) or one by one (float)
-        for x in ck:
-            groups.setdefault(id(q.rows[x]) if exact else x, []).append(x)
-        weighted = []  # (weight, class masses) of each group
-        for xs in groups.values():
-            q_row = q.rows[xs[0]]
+        law, t = common_denominator([class_laws[k][x] for x in ck])
+        weights = {}  # id of a Q row -> the summed law entries of its members in C_k, over t
+        for x, w in zip(ck, law):
+            q_row = q.num_rows[x]
+            weights[id(q_row)] = weights.get(id(q_row), 0) + w
             if id(q_row) not in masses:
-                masses[id(q_row)] = class_mass(q_row)
-            weighted.append((law[xs[0]] if len(xs) == 1 else total([law[x] for x in xs]), masses[id(q_row)]))
-        rows.append([total([w * out[j] for w, out in weighted if out[j]]) for j in range(m)])
+                masses[id(q_row)] = class_mass(q_row, q.dens[x])
+        terms = [(w, *masses[r]) for r, w in weights.items()]
+        den = math.lcm(*[e for _, _, e in terms])
+        rows.append([Fraction(sum(w * out[j] * (den // e) for w, out, e in terms), t * den) for j in range(m)])
     return rows
 
 

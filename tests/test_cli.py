@@ -224,6 +224,76 @@ def test_rank_matrix_q_size_mismatch(tmp_path, capsys):
     assert "3 states" in err
 
 
+def test_matrix_q_is_checked_once_with_the_chains_states(tmp_path, capsys, monkeypatch):
+    # Q from matrix JSON is built and checked once, with P's states in place
+    # of its own; a size mismatch keeps its message, after Q's own row checks
+    from znrank.cli import load_q
+    from znrank.graph import RowStochasticMatrix, parse_edge_list, to_stochastic
+
+    p = to_stochastic(parse_edge_list(K3))
+    rows = [["0", "1/2", "1/2"], ["1", "0", "0"], ["1/3", "1/3", "1/3"]]
+    qm = wpath(tmp_path, "q.json", json.dumps({"n": 3, "labels": ["x", "y", "z"], "rows": rows}))
+    init = RowStochasticMatrix.__init__
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RowStochasticMatrix, "__init__", counted)
+    q = load_q(f"matrix={qm}", p)
+    monkeypatch.undo()
+    assert len(calls) == 1 and q.states is p.states
+    assert q == RowStochasticMatrix(p.states, tuple(tuple(F(x) for x in row) for row in rows))
+    g = wpath(tmp_path, "g.txt", TWO_CLASS)
+    for q_rows, message in (([["0", "1"], ["1", "0"]], "Q is 2 x 2 but the chain has 3 states"),
+                            ([["1/2", "1"], ["1", "0"]], "row 0 sums to 3/2, not 1")):
+        qm = wpath(tmp_path, "q.json", json.dumps({"n": 2, "rows": q_rows}))
+        assert run(capsys, "rank", "--graph", g, "--q", f"matrix={qm}") == (2, "", f"data error: {message}\n")
+
+
+def _chain_48(rng, degree, n_transient):
+    """Edge list of 48 states: closed classes (24, 16, 8), or (20, 14, 8)
+    with n_transient transient states, each state with a cycle edge and
+    degree more edges (transient ones anywhere, but one into a closed
+    state), integer weights 1 to 9."""
+    sizes = (24, 16, 8) if not n_transient else (20, 14, 8)
+    lines, at = [f"s{x}" for x in range(48)], 0
+    for size in sizes:
+        cls = list(range(at, at + size))
+        for i, u in enumerate(cls):
+            for v in {cls[(i + 1) % size], *rng.sample(cls, min(degree, size))}:
+                lines.append(f"s{u} s{v} {rng.randint(1, 9)}")
+        at += size
+    for t in range(at, 48):
+        for v in {rng.randrange(at), *rng.sample([x for x in range(48) if x != t], degree)}:
+            lines.append(f"s{t} s{v} {rng.randint(1, 9)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_exact_rank_builds_no_fraction_per_entry(tmp_path, capsys, monkeypatch):
+    # P and Q are stored as integer rows from the edge list and masses to the
+    # class laws, so a rank job builds as many Fractions with 9 edges per
+    # state as with 3: the laws, the limit and the output's entries, 122 to
+    # 128. A Fraction per entry of P and Q made 366 to 437 at 3 edges per
+    # state and 627 to 690 at 9
+    import znrank.zero_noise  # noqa: F401  (imported by the first rank call)
+
+    rng = rng_for("rank-fraction-count")
+    nu = wpath(tmp_path, "nu.txt", "".join(f"s{x} {rng.randint(1, 9)}\n" for x in range(48)))
+    for n_transient in (0, 6):
+        built = {}
+        for degree in (3, 9):
+            g = wpath(tmp_path, "g.txt", _chain_48(rng, degree, n_transient))
+            for spec in ("uniform", f"personalized={nu}"):
+                argv = ["rank", "--graph", g, "--numeric", "exact", "--q", spec]
+                code, made = fractions_built(monkeypatch, main, argv)
+                assert code == 0 and json.loads(capsys.readouterr().out)["mode"] != "theorem2"
+                built[degree, spec] = made
+        assert built[3, "uniform"] == built[9, "uniform"] <= 3 * 48, built
+        assert built[3, f"personalized={nu}"] == built[9, f"personalized={nu}"] <= 3 * 48, built
+
+
 def test_rank_bad_q_spec(tmp_path, capsys):
     g = wpath(tmp_path, "g.txt", TWO_CLASS)
     code, _, err = run(capsys, "rank", "--graph", g, "--q", "bogus")
@@ -513,14 +583,14 @@ def test_commands_store_no_zero_entry(tmp_path, capsys, monkeypatch):
     import znrank.graph
 
     cls = znrank.graph.RowStochasticMatrix
-    init = cls.__post_init__
+    init = cls.__init__
     stored = []
 
-    def recorded(self):
-        init(self)
-        stored.extend(x for row in self.rows for x in row.values())
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        stored.extend(x for row in self.num_rows for x in row.values())
 
-    monkeypatch.setattr(cls, "__post_init__", recorded)
+    monkeypatch.setattr(cls, "__init__", recorded)
     g = wpath(tmp_path, "g.txt", "a b\nb a\nc d\nd c\nd e\ne c\nf f\nt a\nt f 0\nz\n")
     m = wpath(tmp_path, "p.json", json.dumps({"n": 3, "rows": [[0, 1, "0"], ["1/2", "0/4", 0.5], [0.0, 0, 1]]}))
     qm = wpath(tmp_path, "q.json", json.dumps({"n": 3, "rows": [[0, "0", 1], [1, 0, 0.0], [0, "1/2", "1/2"]]}))

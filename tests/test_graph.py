@@ -239,14 +239,15 @@ def test_to_stochastic_stores_only_the_edges():
 
 
 def test_to_stochastic_builds_at_most_nnz_plus_n_fractions(monkeypatch):
-    # integer weights are normalised in integers: one Fraction per entry and
-    # one per row sum check; a dense build makes about n**2
+    # weights are normalised and stored in integers, numerators over one
+    # denominator per row: no Fraction at all. Storing a Fraction per entry
+    # made one per entry and one per row sum check; a dense build about n**2
     rng = rng_for("to-stochastic-count")
     n = 60
     edges = {(u, v): rng.randint(1, 9) for u in range(n) for v in rng.sample(range(n), 3)}
     g = WeightedDigraph(StateSpace(n), tuple((u, v, F(w)) for (u, v), w in edges.items()))
     p, made = fractions_built(monkeypatch, to_stochastic, g)
-    assert made <= len(edges) + n
+    assert made == 0
     assert sum(len(row) for row in p.rows) == len(edges)
 
 
@@ -283,6 +284,94 @@ def test_float_inputs_are_the_float_of_the_exact_inputs(tmp_path):
         nu.write_text("".join(f"v{x} {m}\n" for x, m in masses))  # nodes repeat
         for spec in ("uniform", f"personalized={nu}"):
             assert _rows(load_q(spec, flt)) == _rows(load_q(spec, exact).to_float())
+
+
+def _sharing(rows):
+    """Index of the first state holding each row object, per state."""
+    first = {}
+    return [first.setdefault(id(row), i) for i, row in enumerate(rows)]
+
+
+def _edge_list_rows(g, policy):
+    """Exact rows of an edge list by Fraction arithmetic, entry by entry;
+    the uniform row of the dangling states is one shared dict."""
+    n = g.states.n
+    uniform = {j: F(1, n) for j in range(n)}
+    rows = []
+    for u in range(n):
+        out = sorted(g.out_edges(u))
+        total = sum(F(w) for _, w in out)
+        if total:
+            rows.append({v: F(w) / total for v, w in out if w})
+        else:
+            rows.append({u: F(1)} if policy == "self_loop" else uniform)
+    return tuple(rows)
+
+
+def test_exact_matrices_agree_however_built(tmp_path):
+    # an edge list under either dangling policy, its rows as Fraction dicts,
+    # as dense lists and as matrix JSON give the same matrix: equal rows,
+    # entries, ==, repr and shared rows; so do the uniform and
+    # personalized Q built from integers and from Fractions
+    rng = rng_for("exact-matrix-forms")
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        lines = [f"v{x}" for x in range(n)]
+        for u in range(n):
+            if rng.random() < 0.8:  # else dangling
+                lines += [f"v{u} v{v} {_token(rng)}" for v in rng.sample(range(n), rng.randint(1, min(n, 4)))]
+        g = parse_edge_list("\n".join(lines))
+        for policy in DANGLING_POLICIES:
+            ref = _edge_list_rows(g, policy)
+            dense = {id(row): [row.get(j, 0) for j in range(n)] for row in ref}
+            built = (
+                to_stochastic(g, policy),
+                RowStochasticMatrix(g.states, ref),
+                RowStochasticMatrix(g.states, tuple(dense[id(row)] for row in ref)),
+            )
+            obj = {"n": n, "labels": list(g.states.labels), "rows": [[str(x) for x in dense[id(row)]] for row in ref]}
+            from_json = load_matrix_json(json.dumps(obj))
+            for m in (*built, from_json):
+                assert m == built[0] and m.rows == ref
+                assert all(list(row) == sorted(row) and all(type(x) is F for x in row.values()) for row in m.rows)
+                assert all(m.entry(i, j) == ref[i].get(j, 0) and type(m.entry(i, j)) is F
+                           for i in range(n) for j in range(n))
+            for m in built:
+                assert repr(m) == repr(built[0])
+                assert _sharing(m.rows) == _sharing(m.num_rows) == _sharing(ref)
+        p = built[0]
+        u = F(1, n)
+        qs = (load_q("uniform", p), uniform_matrix(n, g.states), ones_outer((u,) * n, g.states),
+              RowStochasticMatrix(g.states, ([u] * n,) * n))
+        masses = [(rng.randrange(n), _token(rng)) for _ in range(rng.randint(1, 2 * n))] + [(0, "1")]
+        nu = [F(0)] * n
+        for x, mass in masses:
+            nu[x] += F(mass)
+        (tmp_path / "nu.txt").write_text("".join(f"v{x} {mass}\n" for x, mass in masses))  # nodes repeat
+        personalized = (load_q(f"personalized={tmp_path / 'nu.txt'}", p),
+                        ones_outer([x / sum(nu) for x in nu], g.states))
+        for group in (qs, personalized):
+            for q in group:
+                assert q == group[0] and repr(q) == repr(group[0])
+                assert _sharing(q.rows) == _sharing(q.num_rows) == [0] * n
+
+
+def test_to_float_is_the_float_of_each_fraction():
+    # the float of an integer ratio over the row denominator is the float of
+    # the Fraction in lowest terms, to the bit, down to entries that round
+    # to subnormals or to zero
+    rng = rng_for("to-float-bits")
+    tokens = ("1", "3", "7", str(10**30 + 7), str(2**61 - 1), "1/3", "2/7", "0.1", "1e-30", "1e-310", "1e-330")
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        lines = [f"v{x}" for x in range(n)]
+        for u in range(n):
+            lines += [f"v{u} v{v} {rng.choice(tokens)}" for v in rng.sample(range(n), rng.randint(1, n))]
+        p = to_stochastic(parse_edge_list("\n".join(lines)))
+        pf = p.to_float()
+        for i, row in enumerate(p.rows):
+            assert [pf.entry(i, j).hex() for j in row] == [float(x).hex() for x in row.values()]
+            assert set(pf.rows[i]) == {j for j, x in row.items() if float(x)}
 
 
 def test_float_sweep_on_integer_inputs_builds_no_fraction(tmp_path, monkeypatch, capsys):

@@ -156,7 +156,7 @@ def _absorption_per_entry(p, part):
     units = [[one if c == k else zero for c in range(part.m)] for k in range(part.m)]
     a = {s: units[k] for k, cls in enumerate(part.closed_classes) for s in cls}
     rows = [{} if s in a else {j: v for j, v in row.items() if j != s} for s, row in enumerate(p.rows)]
-    rows, dens = _scaled_rows(rows, p.numeric_mode)
+    rows, dens = _scaled_rows(rows) if p.numeric_mode == "exact" else (rows, None)
     for k in reversed(_eliminate(rows, dens)[0]):
         pivot = sum(rows[k].values())
         a[k] = [sum((v * a[j][c] for j, v in rows[k].items()), zero) / pivot for c in range(part.m)]

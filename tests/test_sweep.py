@@ -325,6 +325,34 @@ def test_float_sweep_finds_its_elimination_order_once(monkeypatch):
     assert plans == [] and searches == [True, False, False]
 
 
+def test_exact_inputs_are_converted_once_per_float_sweep(monkeypatch):
+    # P and Q are converted to floats once, however many float eps the grid
+    # holds, and the laws are those of the converted matrices to the bit.
+    # Converting per eps built 12 matrices on the default grid
+    rng = rng_for("convert-once")
+    p = rand_with_transients(rng, [3, 2, 4], 2)
+    q = rand_partly_shared_q(rng, p.n)
+    pf, qf = p.to_float(), q.to_float()
+    init = RowStochasticMatrix.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(args[2] if len(args) > 2 else kwargs.get("numeric_mode", "exact"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RowStochasticMatrix, "__init__", counted)
+    for grid in (DEFAULT_FLOAT_GRID, (F(1, 10), 1e-2, F(1, 1000), 1e-4)):
+        built.clear()
+        laws = _perturbed_laws(p, q, grid)
+        assert built == ["float", "float"], grid
+        floats = [law for eps, law in zip(grid, laws) if isinstance(eps, float)]
+        assert [[x.hex() for x in law.values] for law in floats] == [
+            [x.hex() for x in law.values] for law in _perturbed_laws(pf, qf, [e for e in grid if isinstance(e, float)])]
+    built.clear()
+    first_order_estimate(p, q, (1e-3, 1e-4))
+    assert built == ["float", "float"]
+
+
 def _shared_q_rows_reference(q):
     """The grouping as first written: one value key per distinct row object,
     looked up and hashed again for every state."""
