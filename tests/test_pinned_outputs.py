@@ -26,7 +26,8 @@ The `bench*` cases are float sweeps of the benchmark's size and shape: 48
 states in closed classes (24, 16, 8), or (20, 14, 8) plus 6 transients, as
 a `--graph` edge list with `uniform`, `personalized=` or a `matrix=` Q whose
 rows are partly shared, on the default grid and on `--eps 1e-1..1e-14`.
-They run `sweep-float` and exact `rank`.
+They run `sweep-float`, exact `rank` and, on the default grid only, exact
+`sweep`.
 """
 
 import contextlib
@@ -58,7 +59,7 @@ from znrank.graph import DANGLING_POLICIES, RowStochasticMatrix, StateSpace  # n
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "pinned_outputs.json"
 COMMANDS = ("rank", "sweep", "oracle", "adjudicate", "rank-float", "sweep-float", "adjudicate-float")
 GRAPH_COMMANDS = ("rank", "rank-float", "sweep-float", "oracle")
-BENCH_COMMANDS = ("rank", "sweep-float")
+BENCH_COMMANDS = ("rank", "sweep", "sweep-float")
 ORACLE_MAX_N = 10  # the polynomial oracle and adjudicate's exact verdicts stop here
 
 
@@ -234,11 +235,10 @@ def _cases():
 
 def _argv(full_command, name, args, n):
     command, floating, _ = full_command.partition("-float")
-    if name.startswith("bench") and full_command not in BENCH_COMMANDS:
+    if full_command not in (BENCH_COMMANDS if name.startswith("bench") else
+                            GRAPH_COMMANDS if args[0] == "--graph" else COMMANDS):
         return None
-    if "--eps" in args and command != "sweep":
-        return None
-    if args[0] == "--graph" and full_command not in GRAPH_COMMANDS:
+    if "--eps" in args and full_command != "sweep-float":
         return None
     base = [*args, "--numeric", "float" if floating else "exact"]
     if command == "sweep":
