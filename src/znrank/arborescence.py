@@ -26,7 +26,7 @@ from znrank.kernels import enumerate_parents, sum_tree_products
 from znrank.linalg import det_exact, det_float
 from znrank.polynomial import EpsPolynomial, sum_polynomials
 from znrank.rational import EXACT, EXACT_ZERO_ONE, FLOAT, format_rational
-from znrank.stationary import Distribution, _sparse_rows, root_sums
+from znrank.stationary import Distribution, _mixed_rows, _sparse_rows, root_sums
 
 DEFAULT_ASSIGNMENT_BUDGET = 10_000_000
 ENUMERATION_N_GUARD = 12
@@ -157,18 +157,6 @@ def root_weight_minor(w, root):
     return max(0.0, det_float(m))
 
 
-def _integer_rows(*mats):
-    """(lcms, rows): l_u is the lcm of the denominators of row u over all
-    the exact matrices, that of their row denominators, and rows holds each
-    matrix with row u scaled by l_u to integers, as dict rows."""
-    lcms = [math.lcm(*dens) for dens in zip(*[m.dens for m in mats])]
-    rows = [
-        [{v: x * (l // d) for v, x in row.items()} for row, d, l in zip(m.num_rows, m.dens, lcms)]
-        for m in mats
-    ]
-    return lcms, rows
-
-
 def root_weights(w):
     """Sum of arborescence weights at every root, in either numeric mode,
     from one GTH reduction of w (stationary.root_sums)."""
@@ -245,9 +233,9 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     from n integer evaluations (stationary.root_sums) and interpolation;
     no enumeration.
 
-    Row u of P and Q scaled by l_u gives integer rows A_u and B_u, and for
-    k >= 1, W_k = k A + B is P_eps at eps = 1/(k+1) up to the row factor
-    l_u (k+1), on the union support. G_r(k) = H_r(W_k) has integer
+    stationary._mixed_rows gives row u of P and Q as integer rows A_u and
+    B_u over l_u, and for k >= 1, W_k = k A + B is P_eps at eps = 1/(k+1)
+    up to the row factor l_u (k+1), on the union support. G_r(k) = H_r(W_k) has integer
     coefficients g_d and degree at most n-1, so k = 1..n determine it, and
     H_r(eps) = sum_d g_d (1-eps)^d eps^(n-1-d) / prod_(u != r) l_u.
     """
@@ -257,13 +245,11 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
         raise ValueError("P and Q must share a state space")
     if n > n_guard:
         raise GuardExceeded(f"n = {n} exceeds the symbolic guard {n_guard}")
-    lcms, (a, b) = _integer_rows(p, q)
-    triples = [[(v, ra.get(v, 0), rb.get(v, 0)) for v in sorted(ra.keys() | rb.keys()) if v != u]
-               for u, (ra, rb) in enumerate(zip(a, b))]  # (column, A, B) of each row of W_k
+    rows, lcms = _mixed_rows(p, q)
     order = None  # W_k has one pattern for every k: the order found at k = 1 serves all
     values = []
     for k in range(1, n + 1):
-        sums, den, order = root_sums([{v: k * x + y for v, x, y in row} for row in triples], [1] * n, order)
+        sums, den, order = root_sums([{y: k * v + u for y, (u, v) in row.items()} for row in rows], [1] * n, order)
         values.append([h // den for h in sums])  # exact: minors of an integer matrix are integers
     total = math.prod(lcms)
     top = n - 1

@@ -7,10 +7,11 @@ denominator per row, the form an exact RowStochasticMatrix stores, so the
 reduction reads a matrix without a Fraction, does integer arithmetic with
 one gcd per updated row, and builds Fractions only for the final values.
 
-A float sweep reduces one pattern at several eps. It works the reduction
-out once from the pattern (`_plan`) and runs each eps as the same float
-operations on a flat list of values (`_replay`), which gives the bits of
-`_eliminate`."""
+The sweeps and the polynomial oracle reduce the rows of (1 - e) P + e Q
+from one builder (`_mixed_rows`) at several e. A float sweep works the
+reduction out once from the pattern (`_plan`) and runs each eps as the
+same float operations on a flat list of values (`_replay`), which gives
+the bits of `_eliminate`."""
 
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from znrank.errors import MaxIterExceeded, NotIrreducible
 from znrank.graph import is_irreducible
-from znrank.rational import EXACT, FLOAT, common_denominator, exact_sum, zero_one
+from znrank.rational import EXACT, FLOAT, exact_sum, zero_one
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,33 @@ def linf(xs, ys):
     return max(abs(x - y) for x, y in zip(xs, ys))
 
 
-def _scaled_rows(rows):
-    """(rows, dens) for _eliminate from exact dict rows of Fractions:
-    integer numerators over one denominator per row, a(i, j) = r(i, j) /
-    d_i with d_i the lcm of the row's denominators. A matrix already stores
-    this form (_sparse_rows reads it); the exact sweep's mixed rows do not."""
-    scaled = [common_denominator(row.values()) for row in rows]
-    return [dict(zip(row, nums)) for row, (nums, _) in zip(rows, scaled)], [d for _, d in scaled]
+def _mixed_rows(p, q, groups=()):
+    """(rows, dens) of (1 - e) P + e Q for _eliminate, e left open, from
+    the stored rows of P and Q: dict rows without diagonal entries, entry
+    (u, v) of row x worth (e u + (1 - e) v) / dens[x], dens[x] being the
+    lcm of P's and Q's row denominators at x (1 in float mode, where dens
+    is None). Group k of states with equal Q rows gets hub n + k: its
+    members go to it with e, over P's denominator alone, and its row is
+    their stored Q row object, over Q's denominator, whatever e is.
+    Censoring the hubs out gives back (1 - e) P + e Q (stochastic
+    complementation, Meyer, SIAM Review 1989)."""
+    n = p.n
+    p_dens, q_dens = (p.dens, q.dens) if p.dens is not None else ((1,) * n, (1,) * n)
+    hub_of = {x: n + k for k, group in enumerate(groups) for x in group}
+    rows, dens = [], []
+    for x, (p_row, q_row) in enumerate(zip(p.num_rows, q.num_rows)):
+        hub = hub_of.get(x)
+        q_row, q_den = (q_row, q_dens[x]) if hub is None else ({hub: 1}, 1)  # a hub member's Q goes to its hub
+        d = math.lcm(p_dens[x], q_den)
+        row = {y: (v * (d // q_den), 0) for y, v in q_row.items() if y != x}
+        f = d // p_dens[x]
+        for y, v in p_row.items():
+            if y != x:
+                row[y] = (row[y][0], v * f) if y in row else (0, v * f)
+        rows.append(row)
+        dens.append(d)
+    hubs = [group[0] for group in groups]
+    return rows + [q.num_rows[x] for x in hubs], None if p.dens is None else dens + [q_dens[x] for x in hubs]
 
 
 def _sparse_rows(p, states):

@@ -13,10 +13,11 @@ The reduction never forms the dense P_eps. States that share a Q row send
 their eps mass to one hub state whose row is that Q row, so the chain stays
 as sparse as P; censoring the hubs out gives back P_eps exactly (stochastic
 complementation, Meyer, SIAM Review 1989). The chain is built once per
-sweep, each entry as the coefficients of its value at eps. Its pattern does
-not depend on eps, so a float sweep plans the reduction once and replays
-it on the values at each eps, and an exact sweep reuses the Markowitz
-elimination order found at its first eps.
+sweep from the stored rows of P and Q (stationary._mixed_rows), each entry
+as coefficients over a row denominator, so an exact row at eps = a/b is
+integers, with no Fraction. Its pattern does not depend on eps, so a float
+sweep plans the reduction once and replays it on the values at each eps,
+and an exact sweep reuses the elimination order found at its first eps.
 """
 
 import math
@@ -29,7 +30,7 @@ from znrank.errors import EpsOutOfRange
 from znrank.graph import RowStochasticMatrix, require_unichain_union
 from znrank.polynomial import sum_polynomials
 from znrank.rational import EXACT, FLOAT, zero_one
-from znrank.stationary import Distribution, _law, _law_of, _plan, _replay, _scaled_rows, linf, unichain_law
+from znrank.stationary import Distribution, _law, _law_of, _mixed_rows, _plan, _replay, linf, unichain_law
 
 DEFAULT_FLOAT_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_EXACT_GRID = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
@@ -64,36 +65,15 @@ def perturbed_matrix(p, q, eps):
 def _shared_q_rows(q):
     """Groups of two or more states whose Q rows are equal, in order of
     their first member. States are first grouped by row object, so each
-    distinct row object is hashed once."""
+    distinct row object is hashed once, as stored: an exact row's
+    denominator is the sum of its numerators."""
     members = {}
-    for x, row in enumerate(q.rows):
+    for x, row in enumerate(q.num_rows):
         members.setdefault(id(row), []).append(x)
     groups = {}
     for xs in members.values():
-        groups.setdefault(tuple(q.rows[xs[0]].items()), []).extend(xs)
+        groups.setdefault(tuple(q.num_rows[xs[0]].items()), []).extend(xs)
     return [sorted(g) for g in groups.values() if len(g) > 1]
-
-
-def _hub_rows(p, q, groups):
-    """Dict rows of the hub chain in coefficient form: each entry is (a, b),
-    its value at e being e * a + (1 - e) * b. State x goes to y with
-    (1 - e) P(x, y) and, when its Q row is shared, to its hub (state n + k
-    for group k) with e; a state with a Q row of its own keeps the mixed
-    row. Hub k goes by the Q row of its group, which does not depend on e:
-    those rows come back apart, as plain dicts. Diagonal entries are left
-    out. Returns (state rows, hub rows)."""
-    n = p.n
-    zero, one = zero_one(p.numeric_mode)
-    hub_of = {x: n + k for k, group in enumerate(groups) for x in group}
-    rows = []
-    for x in range(n):
-        hub = hub_of.get(x)
-        row = {hub: (one, zero)} if hub is not None else {y: (v, zero) for y, v in q.rows[x].items() if y != x}
-        for y, v in p.rows[x].items():
-            if y != x:
-                row[y] = (row[y][0], v) if y in row else (zero, v)
-        rows.append(row)
-    return rows, [q.rows[group[0]] for group in groups]
 
 
 def _perturbed_laws(p, q, grid):
@@ -111,7 +91,8 @@ def _perturbed_laws(p, q, grid):
     matrices = {mode: (p, q) if mode == EXACT else (p.to_float(), q.to_float())
                 for mode in {mode for mode, _ in mixes}}
     groups = _shared_q_rows(q)
-    chains = {}  # numeric mode -> (state rows, hub rows) of the hub chain
+    n = p.n
+    chains = {}  # numeric mode -> (rows, dens) of the hub chain, hubs last
     plan = order = None
     laws = []
     for mode, e in mixes:
@@ -120,22 +101,23 @@ def _perturbed_laws(p, q, grid):
             laws.append(unichain_law(qe))
             continue
         if mode not in chains:
-            chains[mode] = _hub_rows(pe, qe, groups)
-        rows, hubs = chains[mode]
-        stay = 1 - e
-        if mode == EXACT:
-            mixed = [{y: e * a + stay * b for y, (a, b) in row.items()} for row in rows]
-            law, order = _law(*_scaled_rows(mixed + hubs), order)
+            chains[mode] = _mixed_rows(pe, qe, groups)
+        rows, dens = chains[mode]
+        if mode == EXACT:  # at e = a/b, row x is a u + (b - a) v over b dens[x]
+            a, b = e.numerator, e.denominator
+            mixed = [{y: a * u + (b - a) * v for y, (u, v) in row.items()} for row in rows[:n]]
+            hubs = [dict(h) for h in rows[n:]]  # the elimination updates rows in place
+            law, order = _law(mixed + hubs, [b * d for d in dens[:n]] + dens[n:], order)
         else:
             if plan is None:
-                chain = rows + hubs
-                plan = _plan(chain)
-                coefs = [ab for row in rows for ab in row.values()]
-                hub_vals = [v for h in hubs for v in h.values()]
-            vals = [e * a + stay * b for a, b in coefs]
-            law = _law_of(chain, None, *_replay(plan, vals + hub_vals))
-        total = sum(law[:p.n], zero_one(mode)[0])
-        laws.append(Distribution(tuple(v / total for v in law[:p.n]), mode))
+                plan = _plan(rows)
+                coefs = [(float(u), float(v)) for row in rows[:n] for u, v in row.values()]
+                hub_vals = [v for h in rows[n:] for v in h.values()]
+            stay = 1 - e
+            vals = [e * u + stay * v for u, v in coefs]
+            law = _law_of(rows, None, *_replay(plan, vals + hub_vals))
+        total = sum(law[:n], zero_one(mode)[0])
+        laws.append(Distribution(tuple(v / total for v in law[:n]), mode))
     return laws
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from znrank.arborescence import SYMBOLIC_N_GUARD, exact_limit_from_polynomials
 from znrank.errors import GammaReducible, GuardExceeded, NotIrreducible, TransientStatesPresent
-from znrank.graph import RowStochasticMatrix, StateSpace, classify_states
+from znrank.graph import RowStochasticMatrix, StateSpace, classify_states, require_unichain_union
 from znrank.rational import EXACT, common_denominator, number_to_json, zero_one
 from znrank.stationary import (
     Distribution,
@@ -75,7 +75,7 @@ def _gamma_chain_from_rows(rows, part, numeric_mode):
     except NotIrreducible:
         raise GammaReducible(
             "reduced class chain has more than one closed class; the limit may still exist:"
-            " `znrank adjudicate` or `znrank oracle --q` computes it from the perturbed chain"
+            f" `znrank oracle --q` computes it from the perturbed chain, up to {SYMBOLIC_N_GUARD} states"
         ) from None
     return GammaChain(gamma, law)
 
@@ -176,12 +176,17 @@ def extended_gamma(p, q, part, class_laws=None):
     class i that lands on a transient state t continues into class j with
     the absorption probability A(t, j). Without transient states this is
     the plain reduced chain. class_laws defaults to
-    class_stationary(p, part)."""
+    class_stationary(p, part). If the reduced chain is refused, a union
+    support of P and Q with several closed classes is reported first."""
     p, q = _common_mode(p, q)
     if class_laws is None:
         class_laws = class_stationary(p, part)
     absorb = absorption_probabilities(p, part) if part.transient else None
-    return _gamma_chain_from_rows(_reduced_rows(q, part, class_laws, absorb), part, p.numeric_mode)
+    try:
+        return _gamma_chain_from_rows(_reduced_rows(q, part, class_laws, absorb), part, p.numeric_mode)
+    except GammaReducible:
+        require_unichain_union(p, q)
+        raise
 
 
 def limit_rank(p, q, part=None, mode="auto"):

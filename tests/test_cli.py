@@ -212,8 +212,16 @@ def test_rank_refuses_a_reduced_chain_with_two_closed_classes(tmp_path, capsys):
     code, _, err = run(capsys, "rank", "--graph", g, "--q", f"matrix={qm}")
     assert code == 3
     assert "more than one closed class" in err and "oracle --q" in err
+    assert "adjudicate" not in err
     code, out, _ = run(capsys, "oracle", "--graph", g, "--q", f"matrix={qm}")
     assert json.loads(out)["exact_limit"] == ["1/2", "1/2", "0/1", "0/1"]
+    # with Q the identity the union support itself has two closed classes:
+    # rank refuses as oracle --q does, and names no route
+    g = wpath(tmp_path, "g2.txt", "a a\nb b\n")
+    qm = wpath(tmp_path, "q2.json", json.dumps({"n": 2, "rows": [[1, 0], [0, 1]]}))
+    union = "precondition failed: the union support of P and Q has more than one closed class\n"
+    for command in ("rank", "oracle"):
+        assert run(capsys, command, "--graph", g, "--q", f"matrix={qm}")[::2] == (3, union)
 
 
 def test_rank_matrix_q_size_mismatch(tmp_path, capsys):

@@ -17,12 +17,13 @@ from znrank.stationary import (
     _law,
     _law_of,
     _plan,
+    _mixed_rows,
     _replay,
-    _scaled_rows,
     _sparse_rows,
 )
 from znrank.arborescence import mctt_stationary
-from znrank.sweep import _hub_rows, _shared_q_rows
+from znrank.rational import common_denominator
+from znrank.sweep import _shared_q_rows, perturbed_matrix
 from helpers import (
     assert_stationary,
     fractions_built,
@@ -156,7 +157,10 @@ def _absorption_per_entry(p, part):
     units = [[one if c == k else zero for c in range(part.m)] for k in range(part.m)]
     a = {s: units[k] for k, cls in enumerate(part.closed_classes) for s in cls}
     rows = [{} if s in a else {j: v for j, v in row.items() if j != s} for s, row in enumerate(p.rows)]
-    rows, dens = _scaled_rows(rows) if p.numeric_mode == "exact" else (rows, None)
+    dens = None
+    if p.numeric_mode == "exact":  # each row as integers over the lcm of its denominators
+        scaled = [common_denominator(row.values()) for row in rows]
+        rows, dens = [dict(zip(row, nums)) for row, (nums, _) in zip(rows, scaled)], [d for _, d in scaled]
     for k in reversed(_eliminate(rows, dens)[0]):
         pivot = sum(rows[k].values())
         a[k] = [sum((v * a[j][c] for j, v in rows[k].items()), zero) / pivot for c in range(part.m)]
@@ -300,8 +304,35 @@ def _hub_chain(rng, sizes, t, kind, eps):
     p = rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes)
     q = rand_partly_shared_q(rng, p.n, 3) if kind == "hubs" else rand_q(rng, kind, p, sizes)
     pf, qf = p.to_float(), q.to_float()
-    rows, hubs = _hub_rows(pf, qf, _shared_q_rows(qf))
-    return [{y: eps * a + (1 - eps) * b for y, (a, b) in row.items()} for row in rows] + [dict(h) for h in hubs]
+    rows, _ = _mixed_rows(pf, qf, _shared_q_rows(qf))
+    mixed = [{y: eps * u + (1 - eps) * v for y, (u, v) in row.items()} for row in rows[:p.n]]
+    return mixed + [dict(h) for h in rows[p.n:]]
+
+
+def test_mixed_rows_are_p_eps_with_hubs():
+    # at e = 2/7 each state row is the row of (1 - e) P + e Q without its
+    # diagonal, a hub member's going to its hub with e; each hub row is the
+    # Q row of its group, over Q's own denominator
+    rng = rng_for("mixed-rows")
+    e = F(2, 7)
+    for trial in range(30):
+        p = rand_mixed_chain(rng, rand_sizes(rng, rng.randint(1, 3), hi=4), trial % 3)
+        q = rand_partly_shared_q(rng, p.n, 1 + trial % 3)
+        groups = _shared_q_rows(q) if trial % 2 else []
+        hub_of = {x: p.n + k for k, group in enumerate(groups) for x in group}
+        rows, dens = _mixed_rows(p, q, groups)
+        assert len(rows) == len(dens) == p.n + len(groups)
+        pe = perturbed_matrix(p, q, e)
+        for x, (row, d) in enumerate(zip(rows, dens)):
+            if x >= p.n:
+                assert {y: F(v, d) for y, v in row.items()} == q.rows[groups[x - p.n][0]]
+                continue
+            want = {y: v for y, v in pe.rows[x].items() if y != x}
+            if x in hub_of:
+                want = {y: (1 - e) * v for y, v in p.rows[x].items() if y != x} | {hub_of[x]: e}
+            assert {y: (e * u + (1 - e) * v) / d for y, (u, v) in row.items()} == want
+    rows, dens = _mixed_rows(p.to_float(), q.to_float())
+    assert dens is None and all(type(v) is float for row in rows for _, v in row.values() if v)
 
 
 def _float_rows(p):

@@ -25,6 +25,7 @@ from znrank.sweep import (
 )
 from helpers import (
     assert_stationary,
+    fractions_built,
     rand_irreducible,
     rand_mixed_chain,
     rand_partly_shared_q,
@@ -404,3 +405,30 @@ def test_exact_hub_route_laws_are_stationary(monkeypatch):
         for eps, pi in zip(grid, laws):
             assert_stationary(perturbed_matrix(p, q, eps), pi.values)
             assert all(x == 0 for x in pi.values[closed:])
+
+
+def test_exact_sweep_leaves_its_inputs_alone():
+    # the elimination updates its rows in place: the hub rows it gets must
+    # be copies of Q's stored rows, taken afresh at every eps
+    rng = rng_for("sweep-inputs")
+    p = rand_with_transients(rng, [4, 3], 2)
+    q = rand_partly_shared_q(rng, p.n, 2)
+    assert znrank.sweep._shared_q_rows(q)
+    before = [([dict(r) for r in m.num_rows], m.dens) for m in (p, q)]
+    laws = _perturbed_laws(p, q, (F(1, 3), F(1, 100), F(1, 10**5)))
+    assert [([dict(r) for r in m.num_rows], m.dens) for m in (p, q)] == before
+    for eps, pi in zip((F(1, 3), F(1, 100), F(1, 10**5)), laws):
+        assert_stationary(perturbed_matrix(p, q, eps), pi.values)
+
+
+def test_exact_sweep_builds_fractions_only_for_its_laws(monkeypatch):
+    # 48 states on the default exact grid: the mixed rows are integers, so
+    # the Fractions are those of the laws and their renormalization. Mixing
+    # Fraction rows per eps built about 14 per state and eps
+    rng = rng_for("sweep-fractions")
+    p = rand_with_transients(rng, [20, 14, 8], 6)
+    for q in (uniform_matrix(p.n), rand_partly_shared_q(rng, p.n, 3)):
+        laws, made = fractions_built(monkeypatch, _perturbed_laws, p, q, DEFAULT_EXACT_GRID)
+        assert made <= 5 * p.n * len(DEFAULT_EXACT_GRID), made
+        assert [law.values for law in laws] == [stationary_direct(perturbed_matrix(p, q, e)).values
+                                                for e in DEFAULT_EXACT_GRID]

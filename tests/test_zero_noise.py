@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from znrank.errors import GammaReducible, TransientStatesPresent
+from znrank.errors import GammaReducible, NotIrreducible, TransientStatesPresent
 from znrank.graph import (
     RowStochasticMatrix,
     StateSpace,
@@ -83,11 +83,19 @@ def test_build_gamma_rejects_transients_and_reducible():
     )
     with pytest.raises(TransientStatesPresent):
         build_gamma(p, uniform_matrix(3), classify_states(p))
-    # identity perturbation never moves mass between classes
+    # identity perturbation never moves mass between classes: the union
+    # support of P and Q has two closed classes, and no route has a limit
     p2 = RowStochasticMatrix(StateSpace(2), ((1, 0), (0, 1)))
     q2 = RowStochasticMatrix(StateSpace(2), ((1, 0), (0, 1)))
-    with pytest.raises(GammaReducible, match="adjudicate"):
+    with pytest.raises(NotIrreducible, match="^the union support of P and Q has more than one closed class$"):
         build_gamma(p2, q2, classify_states(p2))
+    # Q leaves each class only through a transient state that P sends back:
+    # the union is one closed class, and the oracle has the limit
+    p4 = RowStochasticMatrix(StateSpace(4), ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)))
+    q4 = RowStochasticMatrix(StateSpace(4), ((0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0)))
+    with pytest.raises(GammaReducible, match="more than one closed class") as refused:
+        extended_gamma(p4, q4, classify_states(p4))
+    assert "oracle --q" in str(refused.value) and "adjudicate" not in str(refused.value)
 
 
 def test_limit_rank_general_rejects_transients():
