@@ -28,6 +28,10 @@ a `--graph` edge list with `uniform`, `personalized=` or a `matrix=` Q whose
 rows are partly shared, on the default grid and on `--eps 1e-1..1e-14`.
 They run `sweep-float`, exact `rank` and, on the default grid only, exact
 `sweep`.
+
+`rank`'s `--format tsv` and `--format pretty`, exact and float, are pinned
+under the command names `rank-tsv`, `rank-pretty`, `rank-float-tsv` and
+`rank-float-pretty` on the `bench*` cases and on `FORMAT_CASES`.
 """
 
 import contextlib
@@ -57,7 +61,11 @@ from znrank.cli import main  # noqa: E402
 from znrank.graph import DANGLING_POLICIES, RowStochasticMatrix, StateSpace  # noqa: E402
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "pinned_outputs.json"
-COMMANDS = ("rank", "sweep", "oracle", "adjudicate", "rank-float", "sweep-float", "adjudicate-float")
+FORMATS = ("tsv", "pretty")
+FORMAT_COMMANDS = tuple(f"{command}-{fmt}" for command in ("rank", "rank-float") for fmt in FORMATS)
+FORMAT_CASES = ("repro-unichain", "g18-n9-frac-self_loop-repeated")  # a transient state; labels and p/q weights
+COMMANDS = ("rank", "sweep", "oracle", "adjudicate", "rank-float", "sweep-float", "adjudicate-float",
+            *FORMAT_COMMANDS)
 GRAPH_COMMANDS = ("rank", "rank-float", "sweep-float", "oracle")
 BENCH_COMMANDS = ("rank", "sweep", "sweep-float")
 ORACLE_MAX_N = 10  # the polynomial oracle and adjudicate's exact verdicts stop here
@@ -234,6 +242,11 @@ def _cases():
 
 
 def _argv(full_command, name, args, n):
+    if full_command in FORMAT_COMMANDS:
+        if not (name.startswith("bench") or name in FORMAT_CASES) or "--eps" in args:
+            return None
+        command, _, fmt = full_command.rpartition("-")
+        return ["rank", *args, "--numeric", "float" if "-float" in command else "exact", "--format", fmt]
     command, floating, _ = full_command.partition("-float")
     if full_command not in (BENCH_COMMANDS if name.startswith("bench") else
                             GRAPH_COMMANDS if args[0] == "--graph" else COMMANDS):
