@@ -50,15 +50,25 @@ def format_rational(x):
 
 def number_to_json(x):
     """A Fraction as its "p/q" string, any other number as a JSON float."""
-    return format_rational(x) if isinstance(x, Fraction) else float(x)
+    return format_rational(x) if type(x) is Fraction else float(x)
+
+
+def ratios_to_json(nums, den):
+    """The JSON numbers nums[i] / den: "p/q" strings in lowest terms by one
+    gcd each (0 is "0/1"), or with den None the numbers nums as floats."""
+    if den is None:
+        return [float(x) for x in nums]
+    return [f"{x // g}/{den // g}" for x in nums for g in [math.gcd(x, den)]]
 
 
 def json_to_number(value, mode, line=None):
-    """Read a JSON scalar (number or "p/q" string) in the given mode."""
+    """Read a finite JSON scalar (number or "p/q" string) in the given mode."""
     if isinstance(value, str):
         x = parse_rational(value, line=line)
     elif isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise InputFormatError(f"expected a number, got {value!r}", line=line)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise InputFormatError(f"expected a finite number, got {value!r}", line=line)
     else:
         x = value
     if mode == EXACT:

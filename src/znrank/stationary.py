@@ -4,8 +4,9 @@ from one sparse GTH state reduction in Markowitz order (`_eliminate`), in
 exact and float arithmetic alike. The reduced chain, `root_weights` and the
 polynomial oracle run on it too. Exact rows are integer numerators over one
 denominator per row, the form an exact RowStochasticMatrix stores, so the
-reduction reads a matrix without a Fraction, does integer arithmetic with
-one gcd per updated row, and builds Fractions only for the final values.
+reduction reads a matrix without a Fraction and does integer arithmetic
+with one gcd per updated row; an exact law (Distribution) keeps the
+back-substituted integers over their sum, and builds no Fraction.
 
 The sweeps and the polynomial oracle reduce the rows of (1 - e) P + e Q
 from one builder (`_mixed_rows`) at several e. A float sweep works the
@@ -13,49 +14,72 @@ reduction out once from the pattern (`_plan`) and runs each eps as the
 same float operations on a flat list of values (`_replay`), which gives
 the bits of `_eliminate`."""
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from znrank.errors import MaxIterExceeded, NotIrreducible
 from znrank.graph import is_irreducible
-from znrank.rational import EXACT, FLOAT, exact_sum, zero_one
+from znrank.rational import EXACT, FLOAT, common_denominator
 
 
-@dataclass(frozen=True)
 class Distribution:
-    values: tuple
-    numeric_mode: str = EXACT
+    """A law on the states 0, ..., n - 1. An exact law stores integer
+    numerators nums over one denominator den, in lowest terms; values, [i]
+    and the repr give Fractions, built on first use. A float law stores its
+    floats: nums is values and den is None."""
 
-    def __post_init__(self):
-        if self.numeric_mode == EXACT:
-            vals = self.values
-            if type(vals) is not tuple or any(type(x) is not Fraction for x in vals):
-                vals = tuple(Fraction(x) for x in vals)
-            if any(x.numerator < 0 for x in vals):
-                raise ValueError("negative probability")
-            total = exact_sum(vals)
-            if total != 1:
-                raise ValueError(f"probabilities sum to {total}, not 1")
-        else:
-            vals = tuple(0.0 if -1e-12 < float(x) < 0 else float(x) for x in self.values)
-            if any(x < 0 for x in vals):
-                raise ValueError("negative probability")
-            if abs(sum(vals) - 1.0) > 1e-9:
-                raise ValueError(f"probabilities sum to {sum(vals)!r}, not 1")
-        object.__setattr__(self, "values", vals)
+    __hash__ = None
+
+    def __init__(self, values, numeric_mode=EXACT):
+        if numeric_mode == EXACT:
+            vals = tuple(x if type(x) is Fraction else Fraction(x) for x in values)
+            law = Distribution.of_integers(*common_denominator(vals))
+            self.numeric_mode, self.values, self.nums, self.den = EXACT, vals, law.nums, law.den
+            return
+        vals = tuple(0.0 if -1e-12 < float(x) < 0 else float(x) for x in values)
+        if any(x < 0 for x in vals):
+            raise ValueError("negative probability")
+        if abs(sum(vals) - 1.0) > 1e-9:
+            raise ValueError(f"probabilities sum to {sum(vals)!r}, not 1")
+        self.numeric_mode, self.values, self.nums, self.den = numeric_mode, vals, vals, None
+
+    @classmethod
+    def of_integers(cls, nums, den):
+        """The exact law nums[i] / den of integers nums >= 0 that sum to
+        den > 0 (a den of 0 raises ZeroDivisionError)."""
+        if any(x < 0 for x in nums):
+            raise ValueError("negative probability")
+        if sum(nums) != den:
+            raise ValueError(f"probabilities sum to {Fraction(sum(nums), den)}, not 1")
+        law = cls.__new__(cls)
+        g = math.gcd(*nums)  # = gcd(den, nums), as they sum to den
+        law.numeric_mode, law.nums, law.den = EXACT, tuple([x // g for x in nums]), den // g
+        return law
+
+    @functools.cached_property
+    def values(self):
+        return tuple([Fraction(x, self.den) for x in self.nums])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.numeric_mode, self.nums, self.den) == (other.numeric_mode, other.nums, other.den)
+
+    def __repr__(self):
+        return f"Distribution(values={self.values!r}, numeric_mode={self.numeric_mode!r})"
 
     @property
     def n(self):
-        return len(self.values)
+        return len(self.nums)
 
     def __getitem__(self, i):
         return self.values[i]
 
     def to_float(self):
-        if self.numeric_mode == FLOAT:
-            return self
-        return Distribution(tuple(float(x) for x in self.values), FLOAT)
+        """Float copy; int / int division rounds as float(Fraction) does."""
+        return self if self.den is None else Distribution([x / self.den for x in self.nums], FLOAT)
 
 
 def linf(xs, ys):
@@ -201,7 +225,7 @@ def _back_substitute(rows, dens, order, cols):
     if dens is None:
         x = [1.0] * len(rows)
         for k in reversed(order):
-            x[k] = sum((x[i] * f for i, f in cols[k]), 0.0)
+            x[k] = sum([x[i] * f for i, f in cols[k]], 0.0)
         return x
     x = [1] * len(rows)
     for k in reversed(order):
@@ -286,26 +310,24 @@ def _replay(plan, vals):
 
 
 def _law_of(rows, dens, order, cols):
-    """Normalised stationary law from a finished reduction (_eliminate or
-    _replay) of the chain with the given rows, of which float mode reads
-    only the number. Raises NotIrreducible when more than one state is
-    left, that is when the chain has several closed classes."""
+    """Stationary law from a finished reduction (_eliminate or _replay) of
+    the chain with the given rows, of which float mode reads only the
+    number: normalised floats, or in exact mode the back-substituted
+    integers x of the law x / sum(x). Raises NotIrreducible when the chain
+    has several closed classes (more than one state is left)."""
     if len(order) != len(rows) - 1:
         raise NotIrreducible("the chain has more than one closed class")
     x = _back_substitute(rows, dens, order, cols)
     if dens is None:
         total = sum(x, 0.0)
         return [v / total for v in x]
-    total = sum(x)
-    return [Fraction(v, total) for v in x]
+    return x
 
 
 def _law(rows, dens=None, order=None):
-    """(stationary law, elimination order) of the chain with the given dict
-    rows and row denominators (see _eliminate), which must have exactly one
-    closed class; transient states get 0. Raises NotIrreducible when the
-    chain has several closed classes. Only the normalised law is made of
-    Fractions."""
+    """(law as _law_of gives it, elimination order) of the chain with the
+    given dict rows and row denominators (see _eliminate), which must have
+    one closed class, else NotIrreducible; transient states get 0."""
     order, cols = _eliminate(rows, dens, order)
     return _law_of(rows, dens, order, cols), order
 
@@ -340,7 +362,8 @@ def unichain_law(p):
     """Unique stationary law of a chain with one closed class, zero on its
     transient states, by sparse GTH state reduction. Raises NotIrreducible
     when the chain has several closed classes."""
-    return Distribution(tuple(_law(*_sparse_rows(p, range(p.n)))[0]), p.numeric_mode)
+    x = _law(*_sparse_rows(p, range(p.n)))[0]
+    return Distribution(x, FLOAT) if p.dens is None else Distribution.of_integers(x, sum(x))
 
 
 def stationary_direct(p):
@@ -392,19 +415,27 @@ def stationary_power(p, tol=1e-12, max_iter=100000):
 def class_stationary(p, part):
     """Stationary law of P restricted to each closed class, embedded into
     the full state space with zeros elsewhere."""
-    zero = zero_one(p.numeric_mode)[0]
     out = []
     for cls in part.closed_classes:
-        law = dict(zip(cls, _law(*_sparse_rows(p, cls))[0]))
-        out.append(Distribution(tuple(law.get(s, zero) for s in range(p.n)), p.numeric_mode))
+        x = dict(zip(cls, _law(*_sparse_rows(p, cls))[0]))
+        law = [x.get(s, 0) for s in range(p.n)]
+        out.append(Distribution(law, FLOAT) if p.dens is None else Distribution.of_integers(law, sum(x.values())))
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class AbsorptionTable:
+    """rows[t][k] = probability that transient state t is absorbed in class k:
+    num_rows[t][k] / dens[t], built on first use, or with dens None floats."""
+
     transient: tuple
-    rows: tuple  # rows[t][k] = probability transient state t is absorbed in class k
-    numeric_mode: str = EXACT
+    num_rows: tuple
+    dens: tuple = None
+
+    @functools.cached_property
+    def rows(self):
+        return self.num_rows if self.dens is None else tuple(
+            tuple([Fraction(x, d) for x in row]) for row, d in zip(self.num_rows, self.dens))
 
     def row_for(self, state):
         return self.rows[self.transient.index(state)]
@@ -417,8 +448,8 @@ def absorption_probabilities(p, part):
     among states whose absorption is known by then. In exact mode a state's
     absorption row stays integer numerators a[k] over one denominator
     den[k], as _back_substitute keeps x integral: den[k] is the pivot times
-    the lcm of the den of the states k's row reads, reduced by one gcd.
-    Fractions are built only for the table."""
+    the lcm of the den of the states k's row reads, reduced by one gcd,
+    and the table keeps them so."""
     m = part.m
     exact = p.numeric_mode == EXACT
     zero, one = (0, 1) if exact else (0.0, 1.0)
@@ -438,5 +469,5 @@ def absorption_probabilities(p, part):
         d = pivot * lcm
         g = math.gcd(d, *nums)
         a[k], den[k] = [x // g for x in nums], d // g
-    table = (tuple(Fraction(x, den[t]) for x in a[t]) if exact else tuple(a[t]) for t in part.transient)
-    return AbsorptionTable(part.transient, tuple(table), p.numeric_mode)
+    rows = tuple(tuple(a[t]) for t in part.transient)
+    return AbsorptionTable(part.transient, rows, tuple(den[t] for t in part.transient) if exact else None)

@@ -29,7 +29,7 @@ from znrank.arborescence import SYMBOLIC_N_GUARD, all_root_polynomials
 from znrank.errors import EpsOutOfRange
 from znrank.graph import RowStochasticMatrix, require_unichain_union
 from znrank.polynomial import sum_polynomials
-from znrank.rational import EXACT, FLOAT, zero_one
+from znrank.rational import EXACT, FLOAT
 from znrank.stationary import Distribution, _law, _law_of, _mixed_rows, _plan, _replay, linf, unichain_law
 
 DEFAULT_FLOAT_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -107,7 +107,8 @@ def _perturbed_laws(p, q, grid):
             a, b = e.numerator, e.denominator
             mixed = [{y: a * u + (b - a) * v for y, (u, v) in row.items()} for row in rows[:n]]
             hubs = [dict(h) for h in rows[n:]]  # the elimination updates rows in place
-            law, order = _law(mixed + hubs, [b * d for d in dens[:n]] + dens[n:], order)
+            x, order = _law(mixed + hubs, [b * d for d in dens[:n]] + dens[n:], order)
+            laws.append(Distribution.of_integers(x[:n], sum(x[:n])))
         else:
             if plan is None:
                 plan = _plan(rows)
@@ -115,9 +116,9 @@ def _perturbed_laws(p, q, grid):
                 hub_vals = [v for h in rows[n:] for v in h.values()]
             stay = 1 - e
             vals = [e * u + stay * v for u, v in coefs]
-            law = _law_of(rows, None, *_replay(plan, vals + hub_vals))
-        total = sum(law[:n], zero_one(mode)[0])
-        laws.append(Distribution(tuple(v / total for v in law[:n]), mode))
+            law = _law_of(rows, None, *_replay(plan, vals + hub_vals))[:n]
+            total = sum(law, 0.0)
+            laws.append(Distribution([v / total for v in law], FLOAT))
     return laws
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from znrank.arborescence import SYMBOLIC_N_GUARD, exact_limit_from_polynomials
 from znrank.errors import GammaReducible, GuardExceeded, NotIrreducible, TransientStatesPresent
 from znrank.graph import RowStochasticMatrix, StateSpace, classify_states, require_unichain_union
-from znrank.rational import EXACT, common_denominator, number_to_json, zero_one
+from znrank.rational import EXACT, FLOAT, number_to_json, ratios_to_json
 from znrank.stationary import (
     Distribution,
     absorption_probabilities,
@@ -64,10 +64,10 @@ def _class_labels(part):
     return tuple(f"C{k + 1}" for k in range(part.m))
 
 
-def _gamma_chain_from_rows(rows, part, numeric_mode):
+def _gamma_chain_from_rows(rows, dens, part, numeric_mode):
     states = StateSpace(part.m, _class_labels(part))
     try:
-        gamma = RowStochasticMatrix(states, tuple(rows), numeric_mode)
+        gamma = RowStochasticMatrix(states, tuple(rows), numeric_mode, dens)
     except ValueError as exc:
         raise GammaReducible(f"reduced chain is not stochastic: {exc}") from None
     try:
@@ -84,17 +84,18 @@ def _reduced_rows(q, part, class_laws, absorb=None):
     """Gamma(i, j) = sum over x in C_i of pi_i(x) Q(x, C_j): each member of
     a class is weighted by the class stationary law. With absorb, the mass
     Q(x, t) on a transient state t continues into C_j with probability
-    A(t, j). Exact rows are integer sums, one Fraction per entry: Q(x, C_j)
-    over the row denominator of Q (times the lcm of the absorption rows it
-    reads), summed once per Q row object and weighted by the integer sum of
-    its members' law entries over the law's common denominator. Float
-    addition is not associative, so float weights each member in turn."""
+    A(t, j). Returns (rows, dens) as RowStochasticMatrix takes them: exact
+    rows are integers over dens, Q(x, C_j) over the row denominator of Q
+    (times the lcm of the absorption rows it reads), summed once per Q row
+    object and weighted by the integer sum of its members' law numerators.
+    Float addition is not associative, so float weights each member in
+    turn, and dens is None."""
     m = part.m
     owner = [None] * q.n
     for j, cj in enumerate(part.closed_classes):
         for y in cj:
             owner[y] = j
-    routes = {t: absorb.rows[ti] for ti, t in enumerate(part.transient)} if absorb else {}
+    routes = dict(zip(part.transient, absorb.num_rows)) if absorb else {}
     masses = {}  # id of a Q row -> its class masses; rows shared by several states are summed once
     rows = []
     if q.dens is None:
@@ -117,36 +118,37 @@ def _reduced_rows(q, part, class_laws, absorb=None):
                     masses[id(q_row)] = class_mass(q_row)
                 weighted.append((class_laws[k][x], masses[id(q_row)]))
             rows.append([sum([w * out[j] for w, out in weighted if out[j]], 0.0) for j in range(m)])
-        return rows
+        return rows, None
 
-    routes = {t: common_denominator(a) for t, a in routes.items()}  # A(t, j) = alpha[j] / beta
+    betas = dict(zip(part.transient, absorb.dens)) if absorb else {}  # A(t, j) = routes[t][j] / betas[t]
 
     def class_mass(q_row, den):  # (M, E): Q(x, C_j) = M[j] / E for every j
-        lcm = math.lcm(*[routes[y][1] for y in q_row if owner[y] is None])
+        lcm = math.lcm(*[betas[y] for y in q_row if owner[y] is None])
         out = [0] * m
         for y, v in q_row.items():
             j = owner[y]
             if j is not None:
                 out[j] += v * lcm
             else:
-                alpha, beta = routes[y]
-                f = v * (lcm // beta)
-                for jj, a in enumerate(alpha):
+                f = v * (lcm // betas[y])
+                for jj, a in enumerate(routes[y]):
                     out[jj] += f * a
         return out, den * lcm
 
+    dens = []
     for k, ck in enumerate(part.closed_classes):
-        law, t = common_denominator([class_laws[k][x] for x in ck])
-        weights = {}  # id of a Q row -> the summed law entries of its members in C_k, over t
-        for x, w in zip(ck, law):
+        law = class_laws[k].nums
+        weights = {}  # id of a Q row -> the summed law numerators of its members in C_k
+        for x in ck:
             q_row = q.num_rows[x]
-            weights[id(q_row)] = weights.get(id(q_row), 0) + w
+            weights[id(q_row)] = weights.get(id(q_row), 0) + law[x]
             if id(q_row) not in masses:
                 masses[id(q_row)] = class_mass(q_row, q.dens[x])
         terms = [(w, *masses[r]) for r, w in weights.items()]
         den = math.lcm(*[e for _, _, e in terms])
-        rows.append([Fraction(sum(w * out[j] * (den // e) for w, out, e in terms), t * den) for j in range(m)])
-    return rows
+        rows.append([sum([w * out[j] * (den // e) for w, out, e in terms]) for j in range(m)])
+        dens.append(class_laws[k].den * den)
+    return rows, dens
 
 
 def build_gamma(p, q, part, class_laws=None):
@@ -165,10 +167,9 @@ def personalization_gamma(nu, part):
     class without mass is transient in Gamma."""
     if part.transient:
         raise TransientStatesPresent("personalization reduction needs a transient-free chain")
-    zero = zero_one(nu.numeric_mode)[0]
-    masses = [sum((nu[x] for x in c), zero) for c in part.closed_classes]
-    rows = [list(masses) for _ in range(part.m)]
-    return _gamma_chain_from_rows(rows, part, nu.numeric_mode)
+    masses = [sum(nu.nums[x] for x in c) for c in part.closed_classes]  # over nu.den in exact mode
+    dens = None if nu.den is None else (nu.den,) * part.m
+    return _gamma_chain_from_rows([masses] * part.m, dens, part, nu.numeric_mode)
 
 
 def extended_gamma(p, q, part, class_laws=None):
@@ -183,7 +184,7 @@ def extended_gamma(p, q, part, class_laws=None):
         class_laws = class_stationary(p, part)
     absorb = absorption_probabilities(p, part) if part.transient else None
     try:
-        return _gamma_chain_from_rows(_reduced_rows(q, part, class_laws, absorb), part, p.numeric_mode)
+        return _gamma_chain_from_rows(*_reduced_rows(q, part, class_laws, absorb), part, p.numeric_mode)
     except GammaReducible:
         require_unichain_union(p, q)
         raise
@@ -209,24 +210,27 @@ def limit_rank(p, q, part=None, mode="auto"):
         raise TransientStatesPresent(
             "P has transient states; use the extended reduction (limit_rank_extended)"
         )
+    exact = p.numeric_mode == EXACT
     per_class = class_stationary(p, part)
     if mode == "theorem2":
         chain = None
-        share = zero_one(p.numeric_mode)[1] / part.m
-        masses = Distribution(tuple(share for _ in range(part.m)), p.numeric_mode)
+        m = part.m
+        masses = Distribution.of_integers((1,) * m, m) if exact else Distribution([1.0 / m] * m, FLOAT)
     else:
         chain = extended_gamma(p, q, part, class_laws=per_class)
         masses = chain.pi_gamma
-    node = [zero_one(p.numeric_mode)[0]] * p.n
-    for k, cls in enumerate(part.closed_classes):
+    lcm = math.lcm(*[law.den for law in per_class]) if exact else None
+    node = [0] * p.n
+    for k, (cls, law) in enumerate(zip(part.closed_classes, per_class)):
+        f = masses.nums[k] * (lcm // law.den) if exact else masses.nums[k]
         for v in cls:
-            node[v] = per_class[k][v] * masses[k]
+            node[v] = law.nums[v] * f
     return LimitReport(
         partition=part,
         per_class_stationary=per_class,
         gamma_chain=chain,
         class_masses=masses,
-        node_limit=Distribution(tuple(node), p.numeric_mode),
+        node_limit=Distribution.of_integers(node, lcm * masses.den) if exact else Distribution(node, FLOAT),
         mode=mode,
         labels=tuple(p.states.label_list()),
     )
@@ -251,19 +255,22 @@ def theorem2_prediction(p, part=None):
 
 
 def report_to_json(report):
-    """Fixed-key JSON form of a LimitReport."""
+    """Fixed-key JSON form of a LimitReport, exact numbers formatted from
+    the integer numerators and denominators that the laws and Gamma store."""
     part = report.partition
-    chain = report.gamma_chain
+    g = None if report.gamma_chain is None else report.gamma_chain.gamma
+    gamma = None if g is None else [ratios_to_json([row.get(j, 0) for j in range(g.n)], den)
+                                    for row, den in zip(g.num_rows, g.dens or (None,) * g.n)]
+    masses = report.class_masses
     return {
         "mode": report.mode,
         "classes": [list(c) for c in part.closed_classes],
         "transient": list(part.transient),
-        "gamma": None if chain is None else [[number_to_json(x) for x in chain.gamma.row(i)]
-                                             for i in range(chain.m)],
-        "pi_gamma": [number_to_json(x) for x in report.class_masses.values],
-        "per_class_stationary": [[number_to_json(x) for x in d.values] for d in report.per_class_stationary],
-        "class_masses": [number_to_json(x) for x in report.class_masses.values],
-        "node_limit": [number_to_json(x) for x in report.node_limit.values],
+        "gamma": gamma,
+        "pi_gamma": ratios_to_json(masses.nums, masses.den),
+        "per_class_stationary": [ratios_to_json(d.nums, d.den) for d in report.per_class_stationary],
+        "class_masses": ratios_to_json(masses.nums, masses.den),
+        "node_limit": ratios_to_json(report.node_limit.nums, report.node_limit.den),
         "labels": list(report.labels),
     }
 

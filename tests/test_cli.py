@@ -280,10 +280,11 @@ def _chain_48(rng, degree, n_transient):
 
 
 def test_exact_rank_builds_no_fraction_per_entry(tmp_path, capsys, monkeypatch):
-    # P and Q are stored as integer rows from the edge list and masses to the
-    # class laws, so a rank job builds as many Fractions with 9 edges per
-    # state as with 3: the laws, the limit and the output's entries, 122 to
-    # 128. A Fraction per entry of P and Q made 366 to 437 at 3 edges per
+    # P and Q are stored as integer rows from the edge list and masses, the
+    # laws, Gamma and the limit as integers over one denominator, and the
+    # report is formatted from those integers, so a uniform or personalized
+    # rank job builds no Fraction. Fraction laws, limit and output made 122
+    # to 128; a Fraction per entry of P and Q made 366 to 437 at 3 edges per
     # state and 627 to 690 at 9
     import znrank.zero_noise  # noqa: F401  (imported by the first rank call)
 
@@ -298,8 +299,17 @@ def test_exact_rank_builds_no_fraction_per_entry(tmp_path, capsys, monkeypatch):
                 code, made = fractions_built(monkeypatch, main, argv)
                 assert code == 0 and json.loads(capsys.readouterr().out)["mode"] != "theorem2"
                 built[degree, spec] = made
-        assert built[3, "uniform"] == built[9, "uniform"] <= 3 * 48, built
-        assert built[3, f"personalized={nu}"] == built[9, f"personalized={nu}"] <= 3 * 48, built
+        assert set(built.values()) == {0}, built
+
+
+def test_rank_refuses_non_finite_matrix_entries(tmp_path, capsys):
+    # a data error, exit 2: an exact Infinity ended in an OverflowError
+    # traceback, with the exit code of a usage error
+    for token, shown in (("Infinity", "inf"), ("-Infinity", "-inf"), ("NaN", "nan")):
+        m = wpath(tmp_path, "m.json", f'{{"n": 2, "rows": [[{token}, 1], [0, 1]]}}')
+        for numeric in ("exact", "float"):
+            assert run(capsys, "rank", "--matrix", m, "--numeric", numeric, "--q", "uniform") == (
+                2, "", f"data error: expected a finite number, got {shown}\n")
 
 
 def test_rank_bad_q_spec(tmp_path, capsys):

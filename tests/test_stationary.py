@@ -66,6 +66,38 @@ def test_exact_distribution_checks_keep_their_messages():
         assert str(ei.value) == message
 
 
+def test_integer_and_fraction_laws_agree():
+    # Distribution.of_integers(nums, den) is Distribution(values) with
+    # values[i] = nums[i] / den: the same values, equality, repr and float
+    # bits, and the same refusals
+    rng = rng_for("law-forms")
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        nums = [rng.choice((0, rng.randint(1, 9), rng.randint(1, 10**25))) for _ in range(n)]
+        nums[rng.randrange(n)] += 1
+        nums = [x * rng.choice((1, 6, 2**70)) for x in nums]  # not always in lowest terms
+        den = sum(nums)
+        values = tuple(F(x, den) for x in nums)
+        a, b = Distribution.of_integers(nums, den), Distribution(values)
+        assert a.values == b.values == values and all(type(x) is F for x in a.values)
+        assert a == b and (a.nums, a.den) == (b.nums, b.den) and repr(a) == repr(b)
+        assert [x.hex() for x in a.to_float().values] == [float(x).hex() for x in values]
+        assert a.to_float() == b.to_float()
+        if n > 1:
+            moved = [*nums[1:], nums[0]]
+            assert (Distribution.of_integers(moved, den) == a) == (moved == nums)
+        neg = list(nums)
+        neg[rng.randrange(n)] = -rng.randint(1, 9)
+        off = den + rng.choice((-1, 1)) * rng.randint(1, den - 1) if den > 1 else 2
+        for bad, bad_den, message in ((neg, den, "negative probability"),
+                                      (nums, off, f"probabilities sum to {F(den, off)}, not 1")):
+            for make in (lambda: Distribution.of_integers(bad, bad_den),
+                         lambda: Distribution(tuple(F(x, bad_den) for x in bad))):
+                with pytest.raises(ValueError) as ei:
+                    make()
+                assert str(ei.value) == message
+
+
 def test_stationary_direct_fixture():
     p = RowStochasticMatrix(StateSpace(3), ((0, F(1, 2), F(1, 2)), (1, 0, 0), (1, 0, 0)))
     pi = stationary_direct(p)

@@ -266,8 +266,9 @@ def _per_state_reduced_rows(q, part, laws, absorb):
 
 
 def test_reduced_rows_equal_the_per_state_sum():
-    # exact rows equal the reference exactly; float rows, weighted member
-    # by member in the same order, equal it bit for bit
+    # exact rows, integers over their row denominators, equal the reference
+    # exactly; float rows, weighted member by member in the same order,
+    # equal it bit for bit
     rng = rng_for("reduced-rows-per-state")
     kinds = ("uniform", "personalized", "block", "general", "partly shared")
     seen = set()
@@ -281,7 +282,11 @@ def test_reduced_rows_equal_the_per_state_sum():
         for pm, qm in ((p, q), (p.to_float(), q.to_float())):
             laws = class_stationary(pm, part)
             absorb = absorption_probabilities(pm, part) if part.transient else None
-            assert _reduced_rows(qm, part, laws, absorb) == _per_state_reduced_rows(qm, part, laws, absorb), kind
+            rows, dens = _reduced_rows(qm, part, laws, absorb)
+            if dens is not None:
+                assert all(type(x) is int for row in rows for x in row)
+                rows = [[F(x, d) for x in row] for row, d in zip(rows, dens)]
+            assert rows == _per_state_reduced_rows(qm, part, laws, absorb), kind
         seen.add((kind, bool(part.transient)))
     assert len(seen) == 9
 
