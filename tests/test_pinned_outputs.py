@@ -32,6 +32,11 @@ They run `sweep-float`, exact `rank` and, on the default grid only, exact
 `rank`'s `--format tsv` and `--format pretty`, exact and float, are pinned
 under the command names `rank-tsv`, `rank-pretty`, `rank-float-tsv` and
 `rank-float-pretty` on the `bench*` cases and on `FORMAT_CASES`.
+
+The `in-*` cases, pinned under the command name `inputs`, run one full
+command each on a malformed edge list, matrix JSON or block file, so every
+input error message, its line number and its exit code show here; a few
+well-formed inputs with unusual number tokens ride along.
 """
 
 import contextlib
@@ -64,8 +69,9 @@ FIXTURE = Path(__file__).resolve().parent / "fixtures" / "pinned_outputs.json"
 FORMATS = ("tsv", "pretty")
 FORMAT_COMMANDS = tuple(f"{command}-{fmt}" for command in ("rank", "rank-float") for fmt in FORMATS)
 FORMAT_CASES = ("repro-unichain", "g18-n9-frac-self_loop-repeated")  # a transient state; labels and p/q weights
+INPUT_COMMAND = "inputs"
 COMMANDS = ("rank", "sweep", "oracle", "adjudicate", "rank-float", "sweep-float", "adjudicate-float",
-            *FORMAT_COMMANDS)
+            *FORMAT_COMMANDS, INPUT_COMMAND)
 GRAPH_COMMANDS = ("rank", "rank-float", "sweep-float", "oracle")
 BENCH_COMMANDS = ("rank", "sweep", "sweep-float")
 ORACLE_MAX_N = 10  # the polynomial oracle and adjudicate's exact verdicts stop here
@@ -186,6 +192,98 @@ def _bench_cases(rng):
     return cases
 
 
+def _input_cases():
+    """(name, files, full argv) of the `inputs` cases: edge lists read by
+    classify, matrix JSON read as P by classify and as Q by rank, block
+    files read as Q by rank on P with closed classes {a, b} and {c}."""
+    big = "1" + "0" * 5000  # past int's default digit limit for str
+    edges = {
+        "fields": "a b\nb a 1 2\n",
+        "fields-comment": "a b # 1 2 3\nb a 1 2 3 # x\n",
+        "number": "a b\nb a x\n",
+        "zero-den": "a b 1/0\n",
+        "slash-sign": "a b 1/-2\n",
+        "spaced-slash": "a b 1 /2\n",
+        "negative-int": "a b -1\n",
+        "negative-frac": "# c\n\na b 1\nb a -1/2\n",
+        "negative-dec": "a b 1\nb a -0.5\n",
+        "negative-zero": "a b -0\nb a -0/3\n",
+        "duplicate": "a b\nb a\na b 0\n",
+        "duplicate-zero-first": "a b 0\na b 2\n",
+        "duplicate-self-loop": "a a 1/2\nb\na a\n",
+        "empty": "# nothing\n\n   \n",
+        "big-int": f"a b {big}\n",
+        "big-den": f"a b 1/{big}\n",
+        "big-dec": f"a b 1.{big}\n",
+        "odd-tokens": "a b +1/2\nb a \u0663\nb c .5\nc a 5.\nc b 1_0\nc c 1E-3\na c \u0661/\u0662\n",
+    }
+    cases = [(f"in-edges-{k}", {"p.edges": text}, ["classify", "--graph", "p.edges"])
+             for k, text in edges.items()]
+    for mode in ("exact", "float"):
+        cases.append((f"in-edges-odd-tokens-rank-{mode}", {"p.edges": edges["odd-tokens"]},
+                      ["rank", "--graph", "p.edges", "--q", "uniform", "--format", "tsv", "--numeric", mode]))
+    matrices = {
+        "bad-json": "{",
+        "keys": '{"n": 2}',
+        "n-string": '{"n": "2", "rows": []}',
+        "n-zero": '{"n": 0, "rows": []}',
+        "n-float": '{"n": 1.0, "rows": [[1]]}',
+        "rows-short": '{"n": 2, "rows": [[1, 0]]}',
+        "rows-ragged": '{"n": 2, "rows": [[1, 0], [1]]}',
+        "rows-string": '{"n": 1, "rows": "1"}',
+        "true": '{"n": 2, "rows": [[true, 0], [0, 1]]}',
+        "false": '{"n": 2, "rows": [[0, 1], [false, 1]]}',
+        "null": '{"n": 2, "rows": [[null, 1], [0, 1]]}',
+        "list": '{"n": 2, "rows": [[[1], 0], [0, 1]]}',
+        "infinity": '{"n": 2, "rows": [[Infinity, 1], [0, 1]]}',
+        "nan": '{"n": 2, "rows": [[0, 1], [NaN, 1]]}',
+        "bad-string": '{"n": 2, "rows": [["1/x", 0], [0, 1]]}',
+        "zero-den": '{"n": 2, "rows": [["1/0", 0], [0, 1]]}',
+        "negative": '{"n": 2, "rows": [["-1/2", "3/2"], [0, 1]]}',
+        "negative-decimal": '{"n": 2, "rows": [[0, 1], [-0.5, 1.5]]}',
+        "sum": '{"n": 2, "rows": [[0, 1], ["1/2", "1/3"]]}',
+        "sum-decimal": '{"n": 2, "rows": [[0.5, 0.6], [0, 1]]}',
+        "sum-int": '{"n": 2, "rows": [[1, 1], [0, 1]]}',
+        "sum-zero": '{"n": 2, "rows": [[0, "0/3"], [0, 1]]}',
+        "token-before-sum": '{"n": 2, "rows": [["1/2", "1/3"], [0, "y"]]}',
+        "negative-before-sum": '{"n": 2, "rows": [["-1", "1/2"], [0, 1]]}',
+        "labels-duplicate": '{"n": 2, "labels": ["x", "x"], "rows": [[0, 1], [1, 0]]}',
+        "labels-count": '{"n": 2, "labels": ["x"], "rows": [[0, 1], [1, 0]]}',
+        "size": '{"n": 2, "rows": [[0, 1], [1, 0]]}',
+        "odd-tokens": '{"n": 3, "rows": [[" 1/2 ", "+1/4", "0.25"], ["2/4", 0.5, "-0"], ["1e-1", 9e-1, "0/7"]]}',
+    }
+    p = "a b\nb a\nc c\n"
+    for k, text in matrices.items():
+        cases.append((f"in-matrix-{k}-p", {"m.json": text}, ["classify", "--matrix", "m.json"]))
+        cases.append((f"in-matrix-{k}-q", {"p.edges": p, "q.json": text},
+                      ["rank", "--graph", "p.edges", "--q", "matrix=q.json"]))
+    cases.append(("in-matrix-odd-tokens-q-float", {"p.edges": p, "q.json": matrices["odd-tokens"]},
+                  ["rank", "--graph", "p.edges", "--q", "matrix=q.json", "--numeric", "float"]))
+    blocks = {
+        "empty": "",
+        "m-word": "x\n",
+        "m-two": "2 3\n",
+        "m-frac": "1/2\n1\n",
+        "rows-missing": "2\n1/4 1/2\n",
+        "row-width": "2\n1/4\n0 1\n",
+        "number": "2\n1/4 x\n0 1\n",
+        "zero-den": "2\n1/4 1/0\n0 1\n",
+        "m-mismatch": "3\n0 0 1\n0 0 1\n1/2 0 0\n",
+        "negative": "2\n1/3 1/3\n-1/2 2\n",
+        "sum": "2\n1/3 1/3\n1/2 1/2\n",
+        "sum-int": "2\n1 1\n0 1\n",
+        "sum-decimal": "# gamma\n2\n\n0.3 0.5 # row 0\n0 1.0\n",
+        "sum-before-negative": "2\n1 1\n-1 3\n",
+        "odd-tokens": "# m\n 2 # classes\n+1/4 .5\n0 1_0/10\n",
+    }
+    for k, text in blocks.items():
+        cases.append((f"in-block-{k}", {"p.edges": p, "b.txt": text},
+                      ["rank", "--graph", "p.edges", "--q", "block=b.txt"]))
+    cases.append(("in-block-transient", {"p.edges": "a a\nb b\nt a\n", "b.txt": "2\n1/2 0\n0 1\n"},
+                  ["rank", "--graph", "p.edges", "--q", "block=b.txt"]))
+    return cases
+
+
 def _cases():
     """(name, files, input args): files maps file name to text; P is p.json
     or, in the --graph cases, p.edges."""
@@ -238,10 +336,15 @@ def _cases():
             files["q.json"] = _matrix_json([q.row(i) for i in range(n)])
             spec = "matrix=q.json"
         cases.append((f"c{i:02d}-n{n}-{kind}", files, ["--matrix", "p.json", "--q", spec]))
-    return cases + _graph_cases(rng_for("pinned-graph-outputs")) + _bench_cases(rng_for("pinned-bench-sweeps"))
+    return (cases + _graph_cases(rng_for("pinned-graph-outputs")) + _bench_cases(rng_for("pinned-bench-sweeps"))
+            + _input_cases())
 
 
 def _argv(full_command, name, args, n):
+    if (full_command == INPUT_COMMAND) != name.startswith("in-"):
+        return None
+    if full_command == INPUT_COMMAND:
+        return args
     if full_command in FORMAT_COMMANDS:
         if not (name.startswith("bench") or name in FORMAT_CASES) or "--eps" in args:
             return None
@@ -285,7 +388,7 @@ def compute_digests(workdir, commands=COMMANDS):
         for name, files, args in _cases():
             for fname, text in files.items():
                 Path(fname).write_text(text)
-            n = _n_states(files)
+            n = None if name.startswith("in-") else _n_states(files)
             for command in commands:
                 argv = _argv(command, name, args, n)
                 if argv is not None:
