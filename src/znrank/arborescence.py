@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from znrank.errors import GuardExceeded, NotIrreducible, TransientStatesPresent
-from znrank.graph import is_irreducible, require_unichain_union
+from znrank.graph import closed_components, is_irreducible, require_unichain_union
 from znrank.kernels import enumerate_parents, sum_tree_products
 from znrank.linalg import det_exact, det_float
 from znrank.polynomial import EpsPolynomial, sum_polynomials
@@ -230,14 +230,17 @@ def _interpolate(ys):
 
 def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     """Root polynomials H_r(eps), for every root r, of (1-eps) P + eps Q,
-    from n integer evaluations (stationary.root_sums) and interpolation;
-    no enumeration.
+    from n - m + 1 integer evaluations (stationary.root_sums) and
+    interpolation, with m the number of P's closed classes; no enumeration.
 
     stationary._mixed_rows gives row u of P and Q as integer rows A_u and
     B_u over l_u, and for k >= 1, W_k = k A + B is P_eps at eps = 1/(k+1)
     up to the row factor l_u (k+1), on the union support. G_r(k) = H_r(W_k) has integer
-    coefficients g_d and degree at most n-1, so k = 1..n determine it, and
-    H_r(eps) = sum_d g_d (1-eps)^d eps^(n-1-d) / prod_(u != r) l_u.
+    coefficients g_d, and H_r(eps) = sum_d g_d (1-eps)^d eps^(n-1-d) / prod_(u != r) l_u.
+    No entry of P leaves a closed class, so an arborescence leaves each of
+    the m - 1 or m closed classes without r by an edge of Q alone, whose
+    factor does not depend on k: G_r has degree at most n - m, and
+    k = 1..n-m+1 determine it.
     """
     _require_exact(p, q)
     n = p.n
@@ -248,7 +251,8 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     rows, lcms = _mixed_rows(p, q)
     order = None  # W_k has one pattern for every k: the order found at k = 1 serves all
     values = []
-    for k in range(1, n + 1):
+    m = len(closed_components(p.support_successors(), n)[0])
+    for k in range(1, n - m + 2):
         sums, den, order = root_sums([{y: k * v + u for y, (u, v) in row.items()} for row in rows], [1] * n, order)
         values.append([h // den for h in sums])  # exact: minors of an integer matrix are integers
     total = math.prod(lcms)

@@ -8,6 +8,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 
 from znrank import __version__
 from znrank.errors import (
@@ -35,7 +36,7 @@ from znrank.graph import (
     to_stochastic,
     uniform_matrix,
 )
-from znrank.rational import EXACT, FLOAT, common_denominator, number_to_json, parse_rational
+from znrank.rational import EXACT, FLOAT, common_denominator, number_to_json, over_lcm, parse_ratio, parse_rational
 
 EXACT_N_DEFAULT = 12  # auto numeric mode: exact up to here, floating above
 
@@ -202,7 +203,10 @@ def parse_personalization(text, p):
 
 
 def parse_block_q(text, p, part=None):
-    """Block Q over P's closed classes; part is P's partition if known."""
+    """Block Q over P's closed classes; part is P's partition if known.
+    Each block row is read as integer numerators over one denominator and
+    expanded to one row object per class, shared by its members; the matrix
+    checks each once, and a block row it refuses is named here."""
     part = part or classify_states(p)
     if part.transient:
         raise TransientStatesPresent(
@@ -219,27 +223,33 @@ def parse_block_q(text, p, part=None):
             continue
         if len(toks) != m:
             raise InputFormatError(f"expected {m} values per row", line=ln)
-        rows.append([parse_rational(t, line=ln) for t in toks])
+        rows.append(over_lcm([parse_ratio(t, line=ln) for t in toks]))
     if m is None or len(rows) != m:
         raise InputFormatError(f"expected m and then m rows, got {len(rows)} rows")
     if m != part.m:
         raise InputFormatError(f"block file has m = {m} but the chain has {part.m} closed classes")
-    sizes = [len(c) for c in part.closed_classes]
-    for i, row in enumerate(rows):
-        if any(x < 0 for x in row):
-            raise InputFormatError(f"negative block value in row {i}")
-        s = sum(x * sz for x, sz in zip(row, sizes))
-        if s != 1:
-            raise InputFormatError(
-                f"block row {i} expands to row sum {s}, not 1 (sum_j gamma_ij |C_j| must be 1)"
-            )
-    owner = {y: j for j, cj in enumerate(part.closed_classes) for y in cj}
-    qrows = [None] * p.n
-    for i, ci in enumerate(part.closed_classes):
-        row = {y: rows[i][owner[y]] for y in range(p.n)}  # one row object per class, shared by its members
+    owner = [None] * p.n
+    for j, cj in enumerate(part.closed_classes):
+        for y in cj:
+            owner[y] = j
+    qrows, dens = [None] * p.n, [None] * p.n
+    for (nums, den), ci in zip(rows, part.closed_classes):
+        row = {y: nums[j] for y, j in enumerate(owner)}
         for x in ci:
-            qrows[x] = row
-    return RowStochasticMatrix(p.states, tuple(qrows), EXACT)
+            qrows[x], dens[x] = row, den
+    try:
+        return RowStochasticMatrix(p.states, tuple(qrows), EXACT, tuple(dens))
+    except ValueError:  # the rows of classes in order, each row's sign before its sum, as the matrix checks them
+        sizes = [len(c) for c in part.closed_classes]
+        for i, (nums, den) in enumerate(rows):
+            if min(nums) < 0:
+                raise InputFormatError(f"negative block value in row {i}") from None
+            s = sum(x * sz for x, sz in zip(nums, sizes))
+            if s != den:
+                raise InputFormatError(
+                    f"block row {i} expands to row sum {Fraction(s, den)}, not 1 (sum_j gamma_ij |C_j| must be 1)"
+                ) from None
+        raise
 
 
 def load_q(spec, p, part=None):

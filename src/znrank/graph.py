@@ -12,11 +12,12 @@ Exact matrices store integer numerators over one denominator per row.
 import functools
 import json
 import math
+from itertools import compress
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from znrank.errors import InputFormatError, NotIrreducible
-from znrank.rational import EXACT, FLOAT, common_denominator, json_to_number, number_to_json, parse_rational, zero_one
+from znrank.rational import EXACT, FLOAT, common_denominator, number_to_json, over_lcm, parse_ratio, parse_rational, zero_one
 
 POSITIVE_EPS = 1e-15
 
@@ -46,33 +47,31 @@ class StateSpace:
 class WeightedDigraph:
     """Directed graph with nonnegative rational edge weights, each an int
     or a Fraction, no parallel edges, in order of first appearance; a given
-    _adj is taken as checked."""
+    _adj, the out-edges {dst: weight} of each node, is taken as checked."""
 
     states: StateSpace
     edges: tuple  # of (src, dst, int or Fraction weight)
-    _adj: dict = field(default_factory=dict, repr=False, compare=False)
+    _adj: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         if self._adj:
             return
         self.edges = tuple((int(s), int(d), w if type(w) is int else Fraction(w)) for s, d, w in self.edges)
-        seen = set()
-        self._adj = {u: [] for u in range(self.states.n)}
+        self._adj = [{} for _ in range(self.states.n)]
         for s, d, w in self.edges:
             if not (0 <= s < self.states.n and 0 <= d < self.states.n):
                 raise ValueError(f"edge ({s}, {d}) outside the state space")
             if w < 0:
                 raise ValueError(f"negative weight on edge ({s}, {d})")
-            if (s, d) in seen:
+            if d in self._adj[s]:
                 raise ValueError(f"duplicate edge ({s}, {d})")
-            seen.add((s, d))
-            self._adj[s].append((d, w))
+            self._adj[s][d] = w
 
     def successors(self, u):
-        return [d for d, _ in self._adj[u]]
+        return list(self._adj[u])
 
     def out_edges(self, u):
-        return list(self._adj[u])
+        return list(self._adj[u].items())
 
     def out_degree(self, u):
         return len(self._adj[u])
@@ -96,34 +95,33 @@ def parse_edge_list(text):
     first appearance.
     """
     index = {}
-    adj = []  # out-edges (dst, weight) of each node, in index order
+    adj = []  # out-edges {dst: weight} of each node, in index order
     edges = []
-    seen = set()
-
-    def node(tok):
-        if tok not in index:
-            index[tok] = len(adj)
-            adj.append([])
-        return index[tok]
-
-    for ln, toks in data_lines(text):
-        if len(toks) == 1:
-            node(toks[0])
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
+        k = len(toks)
+        if not k:
             continue
-        if len(toks) > 3:
-            raise InputFormatError(f"expected `src dst [weight]`, got {len(toks)} fields", line=ln)
-        s, d = node(toks[0]), node(toks[1])
-        w = parse_rational(toks[2], line=ln) if len(toks) == 3 else 1
-        if w.numerator < 0:
+        if k > 3:
+            raise InputFormatError(f"expected `src dst [weight]`, got {k} fields", line=ln)
+        s = index.setdefault(toks[0], len(index))
+        if s == len(adj):
+            adj.append({})
+        if k == 1:
+            continue
+        d = index.setdefault(toks[1], len(index))
+        if d == len(adj):
+            adj.append({})
+        w = parse_rational(toks[2], line=ln) if k == 3 else 1
+        if w < 0:
             raise InputFormatError("negative weight", line=ln)
-        if (s, d) in seen:
+        if d in adj[s]:
             raise InputFormatError(f"duplicate edge {toks[0]} -> {toks[1]}", line=ln)
-        seen.add((s, d))
+        adj[s][d] = w
         edges.append((s, d, w))
-        adj[s].append((d, w))
     if not adj:
         raise InputFormatError("no nodes in input")
-    return WeightedDigraph(StateSpace(len(adj), tuple(index)), tuple(edges), dict(enumerate(adj)))
+    return WeightedDigraph(StateSpace(len(adj), tuple(index)), tuple(edges), adj)
 
 
 def serialize_edge_list(g):
@@ -160,7 +158,7 @@ def _float_row(i, row, n, den=None):
         row = {j: x / den for j, x in row.items()}
     if cols != list(row) or not all(type(x) is float and x for x in row.values()):
         row = {j: x for j, x in ((j, float(row[j])) for j in cols) if x}
-    if any(x < -POSITIVE_EPS for x in row.values()):
+    if row and min(row.values()) < -POSITIVE_EPS:
         raise ValueError(f"negative entry in row {i}")
     total = math.fsum(row.values())
     if abs(total - 1) > 1e-12:
@@ -182,7 +180,7 @@ def _integer_row(i, row, n, den=None):
         row = {j: x for j, x in zip(cols, nums) if x}
     elif cols != list(row) or not all(row.values()):
         row = {j: row[j] for j in cols if row[j]}
-    if any(x < 0 for x in row.values()):
+    if row and min(row.values()) < 0:
         raise ValueError(f"negative entry in row {i}")
     total = sum(row.values())
     if total != den:
@@ -370,7 +368,11 @@ def require_unichain_union(p, q):
     support of (1 - eps) P + eps Q, whose stationary law is then unique and
     zero on the transient states. It runs on the hub pattern: x goes to its
     P successors and to a node per distinct Q row, which goes to the row's
-    support; no closed class is made of such nodes alone."""
+    support; no closed class is made of such nodes alone. A Q row held by
+    every state (uniform, personalized=) needs no search: every state
+    reaches its node, which so lies in every closed class."""
+    if all(row is q.num_rows[0] for row in q.num_rows):
+        return
     adj = p.support_successors()
     hubs = {}  # id of a Q row -> its node
     for x, row in enumerate(q.num_rows):
@@ -418,8 +420,8 @@ DANGLING_POLICIES = ("self_loop", "uniform_row")
 
 def to_stochastic(g, dangling="self_loop", numeric_mode=EXACT):
     """Row-normalize a weighted digraph into a stochastic matrix in the
-    given numeric mode. Each row's weights are scaled to integers
-    (rational.common_denominator) and given with their total as the row
+    given numeric mode. Each row's weights are scaled to integers over the
+    lcm of their denominators and given with their total as the row
     denominator: an exact entry is stored as that integer ratio, a float
     entry is its correctly rounded quotient, the float of the exact entry.
 
@@ -431,31 +433,48 @@ def to_stochastic(g, dangling="self_loop", numeric_mode=EXACT):
     n = g.states.n
     uniform = None
     rows, dens = [], []
-    for u in range(n):
-        out = sorted(g.out_edges(u))
-        nums = common_denominator([w for _, w in out])[0]
-        total = sum(nums)
-        if total:
-            rows.append({d: x for (d, _), x in zip(out, nums) if x})
-        elif dangling == "self_loop":
-            rows.append({u: 1})
-            total = 1
+    for u, out in enumerate(g._adj):
+        if all(type(w) is int for w in out.values()):
+            row = dict(out)
         else:
-            uniform = uniform or dict.fromkeys(range(n), 1)
-            rows.append(uniform)
-            total = n
+            row = dict(zip(out, common_denominator(list(out.values()))[0]))
+        total = sum(row.values())
+        if not total:
+            if dangling == "self_loop":
+                row, total = {u: 1}, 1
+            else:
+                row = uniform = uniform or dict.fromkeys(range(n), 1)
+                total = n
+        rows.append(row)
         dens.append(total)
     return RowStochasticMatrix(g.states, tuple(rows), numeric_mode, tuple(dens))
 
 
+NUMBER_TYPES = frozenset((int, str, tuple))  # a tuple is a JSON decimal literal read as a ratio
+
+
+def _json_ratio(x):
+    """(a, b) of a JSON entry: an int, a "p/q" string or a decimal literal."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is tuple:
+        return x
+    if type(x) is str:
+        return parse_ratio(x)
+    if type(x) is float:  # Infinity or NaN
+        raise InputFormatError(f"expected a finite number, got {x!r}")
+    raise InputFormatError(f"expected a number, got {x!r}")
+
+
 def load_matrix_json(text, numeric_mode=EXACT, states=None):
     """Read {"n": int, "rows": [[...]]} with entries as numbers or "p/q"
-    strings. In exact mode decimal literals keep decimal semantics. Zero
-    entries are dropped, numeric ones and "0" before conversion. Given
-    states of n states, the matrix takes them in place of its own, as a Q
-    read for a chain takes the chain's."""
+    strings, exactly: decimal literals keep decimal semantics. Each row is
+    read as integer numerators over the lcm of its entries' denominators
+    and checked once, as the matrix is built; in float mode its entries are
+    the quotients. Given states of n states, the matrix takes them in place
+    of its own, as a Q read for a chain takes the chain's."""
     try:
-        obj = json.loads(text, parse_float=Fraction) if numeric_mode == EXACT else json.loads(text)
+        obj = json.loads(text, parse_float=parse_ratio)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"bad JSON: {exc}") from None
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
@@ -466,12 +485,17 @@ def load_matrix_json(text, numeric_mode=EXACT, states=None):
         raise InputFormatError('"n" must be a positive integer')
     if not isinstance(rows, list) or len(rows) != n or any(not isinstance(r, list) or len(r) != n for r in rows):
         raise InputFormatError('"rows" must be an n x n array')
-    parsed = [{j: json_to_number(x, numeric_mode) for j, x in enumerate(row)
-               if type(x) is bool or x not in (0, "0")} for row in rows]  # the matrix drops other zeros
+    nums, dens = [], []
+    for row in rows:
+        # int zeros are the only false entries of a row of numbers; other rows meet _json_ratio's errors
+        cols = list(compress(range(n), row) if NUMBER_TYPES.issuperset(map(type, row)) else range(n))
+        scaled, den = over_lcm([_json_ratio(row[j]) for j in cols])
+        nums.append(dict(zip(cols, scaled)))
+        dens.append(den)
     labels = obj.get("labels")
     own = StateSpace(n, tuple(labels)) if labels else StateSpace(n)
     try:
-        return RowStochasticMatrix(states if states and states.n == n else own, tuple(parsed), numeric_mode)
+        return RowStochasticMatrix(states if states and states.n == n else own, tuple(nums), numeric_mode, tuple(dens))
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
 

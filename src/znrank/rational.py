@@ -28,6 +28,29 @@ def parse_rational(token, line=None):
         raise InputFormatError(f"bad number {token!r}: {exc}", line=line) from None
 
 
+def parse_ratio(token, line=None):
+    """parse_rational(token) as an integer ratio (a, b), b > 0, not always
+    in lowest terms: "3", "3/4" and "0.5" are read without a Fraction,
+    any other token by parse_rational, with its messages."""
+    a, mark, b = token.partition("/" if "/" in token else ".")
+    try:
+        if a.isdecimal() and (b.isdecimal() or not mark):
+            den = 10 ** len(b) if mark == "." else int(b) if mark else 1
+            if den:
+                return int(a + b if mark == "." else a), den
+    except ValueError:  # past int's digit limit
+        pass
+    x = parse_rational(token, line)
+    return x.numerator, x.denominator
+
+
+def over_lcm(ratios):
+    """(numerators, d): the integer ratios (a, b), b > 0, as integers over
+    d, the lcm of the b."""
+    d = math.lcm(*[b for _, b in ratios])
+    return [a * (d // b) for a, b in ratios], d
+
+
 def common_denominator(xs):
     """(numerators, d): the rationals xs (ints or Fractions) as integers
     over d, the lcm of their denominators."""
@@ -59,18 +82,3 @@ def ratios_to_json(nums, den):
     if den is None:
         return [float(x) for x in nums]
     return [f"{x // g}/{den // g}" for x in nums for g in [math.gcd(x, den)]]
-
-
-def json_to_number(value, mode, line=None):
-    """Read a finite JSON scalar (number or "p/q" string) in the given mode."""
-    if isinstance(value, str):
-        x = parse_rational(value, line=line)
-    elif isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-        raise InputFormatError(f"expected a number, got {value!r}", line=line)
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise InputFormatError(f"expected a finite number, got {value!r}", line=line)
-    else:
-        x = value
-    if mode == EXACT:
-        return x if type(x) is Fraction else Fraction(x)
-    return float(x)
