@@ -237,10 +237,8 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     B_u over l_u, and for k >= 1, W_k = k A + B is P_eps at eps = 1/(k+1)
     up to the row factor l_u (k+1), on the union support. G_r(k) = H_r(W_k) has integer
     coefficients g_d, and H_r(eps) = sum_d g_d (1-eps)^d eps^(n-1-d) / prod_(u != r) l_u.
-    No entry of P leaves a closed class, so an arborescence leaves each of
-    the m - 1 or m closed classes without r by an edge of Q alone, whose
-    factor does not depend on k: G_r has degree at most n - m, and
-    k = 1..n-m+1 determine it.
+    An arborescence leaves each closed class without r by an edge of Q
+    alone, constant in k, so G_r has degree at most n - m.
     """
     _require_exact(p, q)
     n = p.n

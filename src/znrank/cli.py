@@ -204,9 +204,8 @@ def parse_personalization(text, p):
 
 def parse_block_q(text, p, part=None):
     """Block Q over P's closed classes; part is P's partition if known.
-    Each block row is read as integer numerators over one denominator and
-    expanded to one row object per class, shared by its members; the matrix
-    checks each once, and a block row it refuses is named here."""
+    Each block row becomes integer numerators over one denominator and one
+    row object of Q, shared by the class's members, which the matrix checks."""
     part = part or classify_states(p)
     if part.transient:
         raise TransientStatesPresent(
@@ -228,27 +227,22 @@ def parse_block_q(text, p, part=None):
         raise InputFormatError(f"expected m and then m rows, got {len(rows)} rows")
     if m != part.m:
         raise InputFormatError(f"block file has m = {m} but the chain has {part.m} closed classes")
-    owner = [None] * p.n
-    for j, cj in enumerate(part.closed_classes):
-        for y in cj:
-            owner[y] = j
+    owner = {y: j for j, cj in enumerate(part.closed_classes) for y in cj}
     qrows, dens = [None] * p.n, [None] * p.n
     for (nums, den), ci in zip(rows, part.closed_classes):
-        row = {y: nums[j] for y, j in enumerate(owner)}
+        row = {y: nums[owner[y]] for y in range(p.n)}
         for x in ci:
             qrows[x], dens[x] = row, den
     try:
         return RowStochasticMatrix(p.states, tuple(qrows), EXACT, tuple(dens))
-    except ValueError:  # the rows of classes in order, each row's sign before its sum, as the matrix checks them
-        sizes = [len(c) for c in part.closed_classes]
+    except ValueError:  # it checks the class rows in order, each sign before sum: name the block row refused
         for i, (nums, den) in enumerate(rows):
             if min(nums) < 0:
                 raise InputFormatError(f"negative block value in row {i}") from None
-            s = sum(x * sz for x, sz in zip(nums, sizes))
+            s = sum(x * len(c) for x, c in zip(nums, part.closed_classes))
             if s != den:
-                raise InputFormatError(
-                    f"block row {i} expands to row sum {Fraction(s, den)}, not 1 (sum_j gamma_ij |C_j| must be 1)"
-                ) from None
+                raise InputFormatError(f"block row {i} expands to row sum {Fraction(s, den)}, not 1 "
+                                       "(sum_j gamma_ij |C_j| must be 1)") from None
         raise
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from znrank.errors import InputFormatError, NotIrreducible
-from znrank.rational import EXACT, FLOAT, common_denominator, number_to_json, over_lcm, parse_ratio, parse_rational, zero_one
+from znrank.rational import (EXACT, FLOAT, common_denominator, number_to_json, over_lcm, parse_ratio, parse_rational,
+                             zero_one)
 
 POSITIVE_EPS = 1e-15
 
@@ -95,7 +96,7 @@ def parse_edge_list(text):
     first appearance.
     """
     index = {}
-    adj = []  # out-edges {dst: weight} of each node, in index order
+    adj = {}  # out-edges {dst: weight} of each node with an edge
     edges = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         toks = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
@@ -105,23 +106,21 @@ def parse_edge_list(text):
         if k > 3:
             raise InputFormatError(f"expected `src dst [weight]`, got {k} fields", line=ln)
         s = index.setdefault(toks[0], len(index))
-        if s == len(adj):
-            adj.append({})
         if k == 1:
             continue
         d = index.setdefault(toks[1], len(index))
-        if d == len(adj):
-            adj.append({})
         w = parse_rational(toks[2], line=ln) if k == 3 else 1
         if w < 0:
             raise InputFormatError("negative weight", line=ln)
-        if d in adj[s]:
+        out = adj.setdefault(s, {})
+        if d in out:
             raise InputFormatError(f"duplicate edge {toks[0]} -> {toks[1]}", line=ln)
-        adj[s][d] = w
+        out[d] = w
         edges.append((s, d, w))
-    if not adj:
+    if not index:
         raise InputFormatError("no nodes in input")
-    return WeightedDigraph(StateSpace(len(adj), tuple(index)), tuple(edges), adj)
+    adj = [adj.get(u, {}) for u in range(len(index))]
+    return WeightedDigraph(StateSpace(len(index), tuple(index)), tuple(edges), adj)
 
 
 def serialize_edge_list(g):
@@ -368,9 +367,8 @@ def require_unichain_union(p, q):
     support of (1 - eps) P + eps Q, whose stationary law is then unique and
     zero on the transient states. It runs on the hub pattern: x goes to its
     P successors and to a node per distinct Q row, which goes to the row's
-    support; no closed class is made of such nodes alone. A Q row held by
-    every state (uniform, personalized=) needs no search: every state
-    reaches its node, which so lies in every closed class."""
+    support; no closed class is made of such nodes alone. The node of a Q
+    row held by every state lies in every closed class, so in just one."""
     if all(row is q.num_rows[0] for row in q.num_rows):
         return
     adj = p.support_successors()
@@ -434,9 +432,8 @@ def to_stochastic(g, dangling="self_loop", numeric_mode=EXACT):
     uniform = None
     rows, dens = [], []
     for u, out in enumerate(g._adj):
-        if all(type(w) is int for w in out.values()):
-            row = dict(out)
-        else:
+        row = dict(out)
+        if not all(type(w) is int for w in out.values()):  # scale Fraction weights to integers
             row = dict(zip(out, common_denominator(list(out.values()))[0]))
         total = sum(row.values())
         if not total:
@@ -455,15 +452,10 @@ NUMBER_TYPES = frozenset((int, str, tuple))  # a tuple is a JSON decimal literal
 
 def _json_ratio(x):
     """(a, b) of a JSON entry: an int, a "p/q" string or a decimal literal."""
-    if type(x) is int:
-        return x, 1
-    if type(x) is tuple:
-        return x
-    if type(x) is str:
-        return parse_ratio(x)
-    if type(x) is float:  # Infinity or NaN
-        raise InputFormatError(f"expected a finite number, got {x!r}")
-    raise InputFormatError(f"expected a number, got {x!r}")
+    if type(x) in NUMBER_TYPES:
+        return parse_ratio(x) if type(x) is str else x if type(x) is tuple else (x, 1)
+    finite = "finite " if type(x) is float else ""  # a float here is inf or nan
+    raise InputFormatError(f"expected a {finite}number, got {x!r}")
 
 
 def load_matrix_json(text, numeric_mode=EXACT, states=None):

@@ -30,14 +30,12 @@ def parse_rational(token, line=None):
 
 def parse_ratio(token, line=None):
     """parse_rational(token) as an integer ratio (a, b), b > 0, not always
-    in lowest terms: "3", "3/4" and "0.5" are read without a Fraction,
-    any other token by parse_rational, with its messages."""
+    in lowest terms: "3", "3/4" and "0.5" are read without a Fraction, any
+    other token by parse_rational, with its messages."""
     a, mark, b = token.partition("/" if "/" in token else ".")
     try:
-        if a.isdecimal() and (b.isdecimal() or not mark):
-            den = 10 ** len(b) if mark == "." else int(b) if mark else 1
-            if den:
-                return int(a + b if mark == "." else a), den
+        if a.isdecimal() and (b.isdecimal() or not mark) and (mark != "/" or int(b)):
+            return (int(a + b), 10 ** len(b)) if mark == "." else (int(a), int(b or 1))
     except ValueError:  # past int's digit limit
         pass
     x = parse_rational(token, line)

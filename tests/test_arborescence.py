@@ -265,3 +265,39 @@ def test_skeleton_identity_rejects_transients_and_loose_q():
     )
     with pytest.raises(ValueError):
         skeleton_identity_check(p2, q2, classify_states(p2))
+
+
+def test_root_polynomials_interpolate_on_n_minus_m_plus_one_points(monkeypatch):
+    # G_r(k) has degree at most n - m, m the number of P's closed classes, so
+    # n - m + 1 evaluations determine it: one pass at m = n (identity P), n
+    # at m = 1, and the polynomials still match enumeration, transient
+    # roots included
+    import znrank.arborescence
+
+    rng = rng_for("interpolation-points")
+    calls = []
+    root_sums = znrank.arborescence.root_sums
+    monkeypatch.setattr(znrank.arborescence, "root_sums", lambda *a: calls.append(1) or root_sums(*a))
+    seen = set()
+    for n in range(1, 8):
+        for kind in ("identity", "irreducible", "classes", "transient"):
+            if kind == "identity":
+                p = RowStochasticMatrix(StateSpace(n), tuple({x: 1} for x in range(n)))
+            elif kind == "irreducible":
+                p = rand_irreducible(rng, n)
+            elif kind == "classes":
+                p = rand_reducible_no_transient(rng, rand_sizes(rng, rng.randint(1, n), total_cap=n))
+            elif n >= 2:
+                t = rng.randint(1, n - 1)
+                p = rand_with_transients(rng, rand_sizes(rng, rng.randint(1, n - t), total_cap=n - t), t)
+            else:
+                continue
+            m = classify_states(p).m
+            q = rand_general_q(rng, p.n)
+            del calls[:]
+            polys = all_root_polynomials(p, q)
+            assert len(calls) == p.n - m + 1
+            assert polys == tuple(perturbed_root_polynomial(p, q, r) for r in range(p.n))
+            seen.add((kind, m == 1, m == p.n, bool(classify_states(p).transient)))
+    assert {("identity", False, True, False), ("irreducible", True, False, False),
+            ("transient", True, False, True), ("transient", False, False, True)} <= seen

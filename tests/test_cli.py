@@ -832,3 +832,63 @@ def test_oracle_with_q_builds_one_fraction_per_coefficient(tmp_path, capsys, mon
     assert code == 0
     assert json.loads(out)["min_degree"] == 2
     assert made <= n * n + 3 * n + len(edges) + 2 * n
+
+
+def test_block_file_errors_keep_their_messages(tmp_path, capsys):
+    # each message and line number of parse_block_q, on P with the closed
+    # classes {a, b} and {c}; the matrix checks the expanded rows, in class
+    # order, and the block row it refuses is named
+    g = wpath(tmp_path, "g.txt", TWO_CLASS)
+    cases = (
+        ("", "expected m and then m rows, got 0 rows"),
+        ("# only a comment\n", "expected m and then m rows, got 0 rows"),
+        ("x\n", "line 1: first value must be the class count m"),
+        ("\n2 3\n", "line 2: first value must be the class count m"),
+        ("2\n1/4 1/2\n", "expected m and then m rows, got 1 rows"),
+        ("2\n1/4\n0 1\n", "line 2: expected 2 values per row"),
+        ("2\n1/4 x\n0 1\n", "line 2: bad number 'x': Invalid literal for Fraction: 'x'"),
+        ("2\n# gamma\n1/4 1/2\n0 1/0\n", "line 4: bad number '1/0': Fraction(1, 0)"),
+        ("3\n0 0 1\n0 0 1\n1/2 0 0\n", "block file has m = 3 but the chain has 2 closed classes"),
+        ("1\n1\n", "block file has m = 1 but the chain has 2 closed classes"),
+        ("2\n1/3 1/3\n-1/2 2\n", "negative block value in row 1"),
+        ("2\n-1/4 3/2\n0 1\n", "negative block value in row 0"),
+        ("2\n1/3 1/3\n1/2 1/2\n", "block row 1 expands to row sum 3/2, not 1 (sum_j gamma_ij |C_j| must be 1)"),
+        ("2\n1 1\n-1 3\n", "block row 0 expands to row sum 3, not 1 (sum_j gamma_ij |C_j| must be 1)"),
+        ("2\n0.3 0.5\n0 1.0\n", "block row 0 expands to row sum 11/10, not 1 (sum_j gamma_ij |C_j| must be 1)"),
+        ("2\n0 0\n0 1\n", "block row 0 expands to row sum 0, not 1 (sum_j gamma_ij |C_j| must be 1)"),
+    )
+    for text, message in cases:
+        b = wpath(tmp_path, "b.txt", text)
+        assert run(capsys, "rank", "--graph", g, "--q", f"block={b}") == (2, "", f"data error: {message}\n"), text
+    odd = wpath(tmp_path, "odd.txt", "# m\n 2 # classes\n+1/4 .5\n1/8 1_5/20\n")
+    plain = wpath(tmp_path, "plain.txt", "2\n1/4 1/2\n1/8 3/4\n")
+    code, out, _ = run(capsys, "rank", "--graph", g, "--q", f"block={odd}")
+    assert code == 0 and (code, out) == run(capsys, "rank", "--graph", g, "--q", f"block={plain}")[:2]
+
+
+def test_exact_rank_reads_block_and_matrix_q_without_a_fraction(tmp_path, capsys, monkeypatch):
+    # "p/q" block values and matrix entries are read straight into integer
+    # rows; reading them as Fractions made 27 per block= job and about 190
+    # per matrix= job at 48 states
+    import znrank.zero_noise  # noqa: F401  (imported by the first rank call)
+
+    rng = rng_for("rank-fraction-count-q-files")
+    sizes = (24, 16, 8)
+    classes = [range(0, 24), range(24, 40), range(40, 48)]
+    g = wpath(tmp_path, "g.txt", _chain_48(rng, 3, 0))
+    gamma = []
+    for _ in sizes:
+        r = [rng.randint(1, 9) for _ in sizes]
+        total = sum(a * s for a, s in zip(r, sizes))
+        gamma.append(" ".join(f"{a}/{total}" for a in r))
+    b = wpath(tmp_path, "b.txt", f"3\n" + "\n".join(gamma) + "\n")
+    rows = []
+    for _ in range(48):
+        w = {y: rng.randint(1, 9) for y in {rng.choice(c) for c in classes} | {rng.randrange(48)}}
+        rows.append([f"{w[y]}/{sum(w.values())}" if y in w else 0 for y in range(48)])
+    qm = wpath(tmp_path, "q.json", json.dumps({"n": 48, "rows": rows}))
+    for spec in (f"block={b}", f"matrix={qm}"):
+        argv = ["rank", "--graph", g, "--numeric", "exact", "--q", spec]
+        code, made = fractions_built(monkeypatch, main, argv)
+        assert code == 0 and len(json.loads(capsys.readouterr().out)["node_limit"]) == 48
+        assert made == 0, spec

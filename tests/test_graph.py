@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -486,3 +487,188 @@ def test_unichain_union_check_matches_dense_union_support():
                 with pytest.raises(NotIrreducible):
                     require_unichain_union(pm, qm)
     assert seen == {(kind, verdict) for kind in ("shared", "partly", "distinct") for verdict in (True, False)}
+
+
+def _reference_rows(text, policy):
+    """(labels, num_rows, dens) of an edge list read apart from znrank: a
+    Fraction per weight, each row divided by its total and then written as
+    integers over the lcm of its entries' denominators."""
+    labels, out = {}, []
+    for raw in text.splitlines():
+        toks = raw.split("#")[0].split()
+        for tok in toks[:2]:
+            if tok not in labels:
+                labels[tok] = len(out)
+                out.append({})
+        if len(toks) > 1:
+            out[labels[toks[0]]][labels[toks[1]]] = F(toks[2]) if len(toks) == 3 else F(1)
+    n = len(out)
+    num_rows, dens = [], []
+    for u, weights in enumerate(out):
+        total = sum(weights.values())
+        if total:
+            row = {v: w / total for v, w in sorted(weights.items()) if w}
+        else:
+            row = {u: F(1)} if policy == "self_loop" else {v: F(1, n) for v in range(n)}
+        den = math.lcm(*[x.denominator for x in row.values()])
+        num_rows.append({v: x.numerator * (den // x.denominator) for v, x in row.items()})
+        dens.append(den)
+    return tuple(labels), tuple(num_rows), tuple(dens)
+
+
+def test_edge_list_rows_match_a_fraction_reference():
+    # comments, blank lines, node lines, int, p/q, decimal and zero weights,
+    # self-loops and dangling rows, in both modes: the stored integer rows
+    # are canonical and each float entry is the float of the exact one
+    rng = rng_for("edge-list-reference")
+    tokens = ("1", "7", str(10**30 + 3), "3/4", "10/4", "0.5", "2.250", "1e-330", "0", "0/3", "0.0")
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        names = [f"v{x}" for x in rng.sample(range(50), n)]
+        lines = ["# header", ""]
+        for u in rng.sample(range(n), n):
+            if rng.random() < 0.3:
+                lines.append(f"  {names[u]}   # a node line")
+            for v in rng.sample(range(n), rng.randint(0, min(n, 4))):
+                weight = "" if rng.random() < 0.2 else " " + rng.choice(tokens)
+                lines.append(f"{names[u]}\t{names[v]}{weight}" + (" # edge" if rng.random() < 0.1 else ""))
+        if all(len(line.split("#")[0].split()) == 2 for line in lines if line.split("#")[0].split()):
+            lines.append(names[0])
+        text = "\n".join(lines)
+        g = parse_edge_list(text)
+        for policy in DANGLING_POLICIES:
+            labels, num_rows, dens = _reference_rows(text, policy)
+            p = to_stochastic(g, policy)
+            assert (p.states.labels, p.num_rows, p.dens) == (labels, num_rows, dens)
+            assert all(list(row) == sorted(row) for row in p.num_rows)
+            pf = to_stochastic(g, policy, FLOAT)
+            want = [{v: F(x, den) for v, x in row.items()} for row, den in zip(num_rows, dens)]
+            assert [[(v, x.hex()) for v, x in row.items()] for row in pf.num_rows] == [
+                [(v, float(x).hex()) for v, x in row.items() if float(x)] for row in want]
+            seen.update(("dangling", policy) for u in range(p.n) if not any(w for _, w in g.out_edges(u)))
+            seen.update(("underflow",) for low, row in zip(pf.num_rows, p.num_rows) if len(low) < len(row))
+        seen.update(("self-loop",) for u in range(p.n) if u in g.successors(u))
+    assert seen >= {("dangling", "self_loop"), ("dangling", "uniform_row"), ("self-loop",), ("underflow",)}
+
+
+def test_edge_list_errors_keep_their_messages_and_lines():
+    cases = (
+        ("a b\nb a 1 2\n", "line 2: expected `src dst [weight]`, got 4 fields"),
+        ("a b # 1 2\nb a 1 2 3 # x\n", "line 2: expected `src dst [weight]`, got 5 fields"),
+        ("a b\n\n# x\nb a x\n", "line 4: bad number 'x': Invalid literal for Fraction: 'x'"),
+        ("a b 1/0\n", "line 1: bad number '1/0': Fraction(1, 0)"),
+        ("a b 1/-2\n", "line 1: bad number '1/-2': Invalid literal for Fraction: '1/-2'"),
+        ("a b -1\n", "line 1: negative weight"),
+        ("a b 1\n# x\nb a -1/2\n", "line 3: negative weight"),
+        ("a b 1\nb a -0.5\n", "line 2: negative weight"),
+        ("a b\nb a\na b 0\n", "line 3: duplicate edge a -> b"),
+        ("a b 0\na b 2\n", "line 2: duplicate edge a -> b"),
+        ("a a 1/2\nb\na a\n", "line 3: duplicate edge a -> a"),
+        ("# nothing\n\n   \n", "no nodes in input"),
+        ("", "no nodes in input"),
+    )
+    for text, message in cases:
+        with pytest.raises(InputFormatError) as ei:
+            parse_edge_list(text)
+        assert str(ei.value) == message, text
+
+
+def test_matrix_json_errors_keep_their_messages():
+    # in both modes; a row's bad entry comes before any row's sum
+    cases = (
+        ("not json", "bad JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[1, 2]", 'matrix JSON needs keys "n" and "rows"'),
+        ('{"n": 2}', 'matrix JSON needs keys "n" and "rows"'),
+        ('{"n": "2", "rows": []}', '"n" must be a positive integer'),
+        ('{"n": 0, "rows": []}', '"n" must be a positive integer'),
+        ('{"n": 2, "rows": [[1, 0]]}', '"rows" must be an n x n array'),
+        ('{"n": 2, "rows": [[1, 0], [1]]}', '"rows" must be an n x n array'),
+        ('{"n": 1, "rows": "1"}', '"rows" must be an n x n array'),
+        ('{"n": 2, "rows": [[0, 1], [true, 0]]}', "expected a number, got True"),
+        ('{"n": 2, "rows": [[false, 1], [0, 1]]}', "expected a number, got False"),
+        ('{"n": 2, "rows": [[null, 1], [0, 1]]}', "expected a number, got None"),
+        ('{"n": 2, "rows": [[[1], 0], [0, 1]]}', "expected a number, got [1]"),
+        ('{"n": 2, "rows": [[{}, 1], [0, 1]]}', "expected a number, got {}"),
+        ('{"n": 2, "rows": [[0, 1], [NaN, 1]]}', "expected a finite number, got nan"),
+        ('{"n": 2, "rows": [[-Infinity, 1], [0, 1]]}', "expected a finite number, got -inf"),
+        ('{"n": 2, "rows": [["1/x", 0], [0, 1]]}', "bad number '1/x': Invalid literal for Fraction: '1/x'"),
+        ('{"n": 2, "rows": [["1/0", 0], [0, 1]]}', "bad number '1/0': Fraction(1, 0)"),
+        ('{"n": 2, "rows": [["1/2", "1/3"], [0, "y"]]}', "bad number 'y': Invalid literal for Fraction: 'y'"),
+        ('{"n": 2, "rows": [["-1/2", "3/2"], [0, 1]]}', "negative entry in row 0"),
+        ('{"n": 2, "rows": [[0, 1], [-0.5, 1.5]]}', "negative entry in row 1"),
+    )
+    for mode in ("exact", "float"):
+        for text, message in cases:
+            with pytest.raises(InputFormatError) as ei:
+                load_matrix_json(text, mode)
+            assert str(ei.value) == message, (mode, text)
+    sums = (
+        ('{"n": 2, "rows": [[0, 1], ["1/2", "1/3"]]}', "row 1 sums to 5/6, not 1", "row 1 sums to 0.8333333333333333, not 1"),
+        ('{"n": 2, "rows": [[0.5, 0.6], [0, 1]]}', "row 0 sums to 11/10, not 1", "row 0 sums to 1.1, not 1"),
+        ('{"n": 2, "rows": [[1, 1], [0, 1]]}', "row 0 sums to 2, not 1", "row 0 sums to 2.0, not 1"),
+        ('{"n": 2, "rows": [[0, "0/3"], [0, 1]]}', "row 0 sums to 0, not 1", "row 0 sums to 0.0, not 1"),
+    )
+    for text, exact, floating in sums:
+        for mode, message in (("exact", exact), ("float", floating)):
+            with pytest.raises(InputFormatError) as ei:
+                load_matrix_json(text, mode)
+            assert str(ei.value) == message, (mode, text)
+    for labels, message in ((["x", "x"], "duplicate labels"), (["x"], "label count does not match n")):
+        with pytest.raises(ValueError, match=message):
+            load_matrix_json(json.dumps({"n": 2, "labels": labels, "rows": [[0, 1], [1, 0]]}))
+
+
+def test_matrix_json_reads_tokens_as_their_exact_values():
+    # "p/q" strings with signs, spaces, unicode digits and underscores, and
+    # decimal literals, as Fraction reads them; float entries are their floats
+    tokens = (" 1/8 ", "+1/8", "١/٨", "1_0/80", "0.125", 0.125, 1.25e-1, "125e-3", "-0", "0/9", 0)
+    rng = rng_for("matrix-json-tokens")
+    for _ in range(40):
+        row = [rng.choice(tokens) for _ in range(8)]
+        value = sum(F(x.strip()) if isinstance(x, str) else F(str(x)) for x in row)
+        row.append(str(1 - value))
+        for mode in ("exact", "float"):
+            p = load_matrix_json(json.dumps({"n": 9, "rows": [row] + [[0] * 8 + [1]] * 8}), mode)
+            want = {j: F(x.strip()) if isinstance(x, str) else F(str(x)) for j, x in enumerate(row)}
+            want = {j: x for j, x in want.items() if x}
+            if mode == "exact":
+                assert p.rows[0] == want and p.dens[0] == math.lcm(*[x.denominator for x in want.values()])
+            else:
+                assert p.rows[0] == {j: float(x) for j, x in want.items()}
+
+
+def _union_verdict(p, q):
+    try:
+        require_unichain_union(p, q)
+        return True
+    except NotIrreducible:
+        return False
+
+
+def test_unichain_union_skips_the_search_for_one_shared_q_row(monkeypatch):
+    # a Q row held by every state answers at once; the same rows as equal
+    # but distinct objects take the full search and agree
+    import znrank.graph
+
+    rng = rng_for("shared-q-row-union")
+    searched = []
+    search = znrank.graph.closed_components
+    monkeypatch.setattr(znrank.graph, "closed_components", lambda adj, n: searched.append(n) or search(adj, n))
+    for _ in range(60):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        p = rand_with_transients(rng, sizes, rng.randint(0, 3))
+        nu = rand_personalization(rng, p.n)
+        for q in (uniform_matrix(p.n), ones_outer(nu)):
+            distinct = RowStochasticMatrix(p.states, tuple(dict(q.rows[0]) for _ in range(p.n)))
+            assert distinct == q and len({id(row) for row in distinct.num_rows}) == p.n
+            for pm, qm, route in ((p, q, 0), (p, distinct, int(p.n > 1)), (p.to_float(), q.to_float(), 0)):
+                del searched[:]
+                assert _union_verdict(pm, qm)
+                assert len(searched) == route
+    # rows of Q shared by a class only, as block= makes them, still refuse
+    # a union with two closed classes
+    p = RowStochasticMatrix(StateSpace(4), ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)))
+    left, right = {0: F(1, 2), 2: F(1, 2)}, {1: F(1, 2), 3: F(1, 2)}
+    q = RowStochasticMatrix(StateSpace(4), (left, right, left, right))
+    assert not _union_verdict(p, q) and not _union_verdict(p.to_float(), q.to_float())
