@@ -488,7 +488,7 @@ def load_matrix_json(text, numeric_mode=EXACT, states=None):
     own = StateSpace(n, tuple(labels)) if labels else StateSpace(n)
     try:
         return RowStochasticMatrix(states if states and states.n == n else own, tuple(nums), numeric_mode, tuple(dens))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a float-mode entry past the float range
         raise InputFormatError(str(exc)) from None
 
 

@@ -614,6 +614,9 @@ def test_matrix_json_errors_keep_their_messages():
             with pytest.raises(InputFormatError) as ei:
                 load_matrix_json(text, mode)
             assert str(ei.value) == message, (mode, text)
+    for entry in ("1e400", "1" + "0" * 400, '"1e400"'):  # past the float range: a data error in float mode
+        with pytest.raises(InputFormatError, match="too large for a float"):
+            load_matrix_json(f'{{"n": 2, "rows": [[{entry}, 0], [0, 1]]}}', "float")
     for labels, message in ((["x", "x"], "duplicate labels"), (["x"], "label count does not match n")):
         with pytest.raises(ValueError, match=message):
             load_matrix_json(json.dumps({"n": 2, "labels": labels, "rows": [[0, 1], [1, 0]]}))
