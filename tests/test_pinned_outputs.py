@@ -33,6 +33,11 @@ They run `sweep-float`, exact `rank` and, on the default grid only, exact
 under the command names `rank-tsv`, `rank-pretty`, `rank-float-tsv` and
 `rank-float-pretty` on the `bench*` cases and on `FORMAT_CASES`.
 
+The `big-*` cases run the exact `oracle` and `adjudicate` on edge lists of
+8 to 10 nodes whose weights are 30-digit integers or `p/q` with 20-digit
+denominators, under `uniform` or `personalized=` Q with masses of the same
+kinds, so the root polynomials' integers grow far past a machine word.
+
 The `in-*` cases, pinned under the command name `inputs`, run one full
 command each on a malformed edge list, matrix JSON or block file, so every
 input error message, its line number and its exit code show here; a few
@@ -74,6 +79,7 @@ COMMANDS = ("rank", "sweep", "oracle", "adjudicate", "rank-float", "sweep-float"
             *FORMAT_COMMANDS, INPUT_COMMAND)
 GRAPH_COMMANDS = ("rank", "rank-float", "sweep-float", "oracle")
 BENCH_COMMANDS = ("rank", "sweep", "sweep-float")
+WIDE_COMMANDS = ("oracle", "adjudicate")
 ORACLE_MAX_N = 10  # the polynomial oracle and adjudicate's exact verdicts stop here
 
 
@@ -189,6 +195,43 @@ def _bench_cases(rng):
     cases.append(("bench-matrix-transient", files, ["--graph", "p.edges", "--q", "matrix=q.json"]))
     name, files, args = cases[3]
     cases.append((f"{name}-wide", files, [*args, "--eps", "1e-1..1e-14"]))
+    return cases
+
+
+def _wide_weight(rng, kind):
+    """A 30-digit integer or a `p/q` with a 20-digit denominator."""
+    if kind == "int":
+        return str(rng.randrange(10**29, 10**30))
+    return f"{rng.randrange(1, 10**20)}/{rng.randrange(10**19, 10**20)}"
+
+
+def _wide_cases(rng):
+    """(name, files, input args) of the `big-*` cases: 8 to 10 nodes, one to
+    three closed classes (a cycle plus in-class edges each) and up to two
+    transient nodes, every weight and personalization mass wide."""
+    cases = []
+    for i in range(8):
+        n = 8 + i % 3
+        kind = ("int", "frac")[i % 2]
+        t = i % 3
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n - t), (i + 1) % 3))
+        classes = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n - t])]
+        lines = [f"v{x}" for x in range(n)]
+        for cls in classes:
+            for j, u in enumerate(cls):
+                for v in sorted({cls[(j + 1) % len(cls)], *rng.sample(cls, min(2, len(cls)))}):
+                    lines.append(f"v{u} v{v} {_wide_weight(rng, kind)}")
+        for u in order[n - t:]:
+            for v in sorted({rng.choice(order[:n - t]), *rng.sample(range(n), 2)}):
+                lines.append(f"v{u} v{v} {_wide_weight(rng, kind)}")
+        files = {"p.edges": "\n".join(lines) + "\n"}
+        q = ("uniform", "personalized")[i // 2 % 2]
+        spec = "uniform"
+        if q == "personalized":
+            files["nu.txt"] = "".join(f"v{x} {_wide_weight(rng, kind)}\n" for x in rng.sample(range(n), 3))
+            spec = "personalized=nu.txt"
+        cases.append((f"big-n{n}-{kind}-{q}-{i}", files, ["--graph", "p.edges", "--q", spec]))
     return cases
 
 
@@ -337,7 +380,7 @@ def _cases():
             spec = "matrix=q.json"
         cases.append((f"c{i:02d}-n{n}-{kind}", files, ["--matrix", "p.json", "--q", spec]))
     return (cases + _graph_cases(rng_for("pinned-graph-outputs")) + _bench_cases(rng_for("pinned-bench-sweeps"))
-            + _input_cases())
+            + _wide_cases(rng_for("pinned-wide-outputs")) + _input_cases())
 
 
 def _argv(full_command, name, args, n):
@@ -352,6 +395,7 @@ def _argv(full_command, name, args, n):
         return ["rank", *args, "--numeric", "float" if "-float" in command else "exact", "--format", fmt]
     command, floating, _ = full_command.partition("-float")
     if full_command not in (BENCH_COMMANDS if name.startswith("bench") else
+                            WIDE_COMMANDS if name.startswith("big-") else
                             GRAPH_COMMANDS if args[0] == "--graph" else COMMANDS):
         return None
     if "--eps" in args and full_command != "sweep-float":
