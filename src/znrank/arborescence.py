@@ -9,9 +9,10 @@ I - P (the tree theorem), and the GTH state reduction of stationary.py,
 the one elimination every route shares, which gives the sums for every
 root at once (stationary.root_sums). The perturbation oracle builds the
 sum-over-trees polynomials in the mixing parameter, with exact rational
-coefficients, by evaluation at n points on that reduction plus
-interpolation; enumeration and the minors stay as independent
-cross-checks. Nothing here is floating point unless the input matrix is.
+coefficients, from one integer run of that reduction at a point large
+enough to read every coefficient off the result (Kronecker substitution);
+enumeration and the minors stay as independent cross-checks. Nothing here
+is floating point unless the input matrix is.
 """
 
 import math
@@ -21,7 +22,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from znrank.errors import GuardExceeded, NotIrreducible, TransientStatesPresent
-from znrank.graph import closed_components, is_irreducible, require_unichain_union
+from znrank.graph import is_irreducible, require_unichain_union
 from znrank.kernels import enumerate_parents, sum_tree_products
 from znrank.linalg import det_exact, det_float
 from znrank.polynomial import EpsPolynomial, sum_polynomials
@@ -160,7 +161,7 @@ def root_weight_minor(w, root):
 def root_weights(w):
     """Sum of arborescence weights at every root, in either numeric mode,
     from one GTH reduction of w (stationary.root_sums)."""
-    sums, den, _ = root_sums(*_sparse_rows(w, range(w.n)))
+    sums, den = root_sums(*_sparse_rows(w, range(w.n)))
     return tuple(sums) if w.numeric_mode == FLOAT else tuple(Fraction(v, den) for v in sums)
 
 
@@ -210,35 +211,19 @@ def perturbed_root_polynomial(p, q, root, budget=None, n_guard=SYMBOLIC_N_GUARD)
     return EpsPolynomial(Fraction(c, denom) for c in coeffs)
 
 
-def _interpolate(ys):
-    """Integer coefficients, lowest degree first, of the polynomial of
-    degree below len(ys) with value ys[i] at i + 1. Newton divided
-    differences at unit-spaced nodes divide exactly by j at order j
-    because the polynomial has integer coefficients."""
-    n = len(ys)
-    c = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) // j
-    coeffs = [0] * n
-    for j in range(n - 1, -1, -1):  # Horner: coeffs * (k - (j + 1)) + c[j]
-        for i in range(n - 1, 0, -1):
-            coeffs[i] = coeffs[i - 1] - (j + 1) * coeffs[i]
-        coeffs[0] = c[j] - (j + 1) * coeffs[0]
-    return coeffs
-
-
 def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     """Root polynomials H_r(eps), for every root r, of (1-eps) P + eps Q,
-    from n - m + 1 integer evaluations (stationary.root_sums) and
-    interpolation, with m the number of P's closed classes; no enumeration.
+    from one integer reduction (stationary.root_sums) read by Kronecker
+    substitution; no enumeration.
 
     stationary._mixed_rows gives row u of P and Q as integer rows A_u and
     B_u over l_u, and for k >= 1, W_k = k A + B is P_eps at eps = 1/(k+1)
-    up to the row factor l_u (k+1), on the union support. G_r(k) = H_r(W_k) has integer
-    coefficients g_d, and H_r(eps) = sum_d g_d (1-eps)^d eps^(n-1-d) / prod_(u != r) l_u.
-    An arborescence leaves each closed class without r by an edge of Q
-    alone, constant in k, so G_r has degree at most n - m.
+    up to the row factor l_u (k+1), on the union support. G_r(k) = H_r(W_k)
+    has non-negative integer coefficients g_d, and H_r(eps) = sum_d g_d
+    (1-eps)^d eps^(n-1-d) / prod_(u != r) l_u. Each g_d is at most G_r(1),
+    below 2^b with b the bit length of the product of W_1's row sums (each
+    taken as at least 1), so g_d is bits [d b, (d+1) b) of G_r(2^b) (von
+    zur Gathen & Gerhard, Modern Computer Algebra, 8.4).
     """
     _require_exact(p, q)
     n = p.n
@@ -247,20 +232,19 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     if n > n_guard:
         raise GuardExceeded(f"n = {n} exceeds the symbolic guard {n_guard}")
     rows, lcms = _mixed_rows(p, q)
-    order = None  # W_k has one pattern for every k: the order found at k = 1 serves all
-    values = []
-    m = len(closed_components(p.support_successors(), n)[0])
-    for k in range(1, n - m + 2):
-        sums, den, order = root_sums([{y: k * v + u for y, (u, v) in row.items()} for row in rows], [1] * n, order)
-        values.append([h // den for h in sums])  # exact: minors of an integer matrix are integers
+    bits = math.prod(max(1, sum(u + v for u, v in row.values())) for row in rows).bit_length()
+    k = 1 << bits
+    mask = k - 1
+    sums, den = root_sums([{y: k * v + u for y, (u, v) in row.items()} for row in rows], [1] * n)
     total = math.prod(lcms)
     top = n - 1
     signed = [[(-1) ** i * math.comb(d, i) for i in range(d + 1)] for d in range(n)]  # (1-eps)^d
     polys = []
-    for r in range(n):
-        g = _interpolate([vals[r] for vals in values])
+    for r, h in enumerate(sums):
+        g = h // den  # exact: minors of an integer matrix are integers
         coeffs = [0] * n
-        for d, gd in enumerate(g):
+        for d in range(n):
+            gd = (g >> d * bits) & mask
             if gd:
                 for i, s in enumerate(signed[d], top - d):  # gd (1-eps)^d eps^(top-d)
                     coeffs[i] += s * gd

@@ -36,7 +36,8 @@ from znrank.graph import (
     to_stochastic,
     uniform_matrix,
 )
-from znrank.rational import EXACT, FLOAT, common_denominator, number_to_json, over_lcm, parse_ratio, parse_rational
+from znrank.rational import (EXACT, FLOAT, common_denominator, number_to_json, over_lcm, parse_ratio, parse_rational,
+                             ratios_to_json)
 
 EXACT_N_DEFAULT = 12  # auto numeric mode: exact up to here, floating above
 
@@ -332,12 +333,13 @@ def cmd_sweep(args):
     if args.format == "tsv":
         print("\t".join(["# eps"] + [f"pi{i}" for i in range(p.n)] + ["linf_error"]))
         for e, pi, err in zip(result.eps_grid, result.pi_table, result.errors):
-            print("\t".join(str(number_to_json(x)) for x in (e, *pi.values, err)))
+            row = (number_to_json(e), *ratios_to_json(pi.nums, pi.den), number_to_json(err))
+            print("\t".join(str(x) for x in row))
     else:
         obj = {
             "eps": [number_to_json(e) for e in result.eps_grid],
-            "pi": [[number_to_json(v) for v in pi.values] for pi in result.pi_table],
-            "predicted_limit": [number_to_json(v) for v in result.predicted_limit.values],
+            "pi": [ratios_to_json(pi.nums, pi.den) for pi in result.pi_table],
+            "predicted_limit": ratios_to_json(result.predicted_limit.nums, result.predicted_limit.den),
             "errors": [number_to_json(e) for e in result.errors],
             "fitted_slope": result.fitted_slope,
             "first_order": None

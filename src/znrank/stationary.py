@@ -9,7 +9,8 @@ with one gcd per updated row; an exact law (Distribution) keeps the
 back-substituted integers over their sum, and builds no Fraction.
 
 The sweeps and the polynomial oracle reduce the rows of (1 - e) P + e Q
-from one builder (`_mixed_rows`) at several e. A float sweep works the
+from one builder (`_mixed_rows`), the sweeps at several e and the oracle
+at one. A float sweep works the
 reduction out once from the pattern (`_plan`) and runs each eps as the
 same float operations on a flat list of values (`_replay`), which gives
 the bits of `_eliminate`."""
@@ -332,11 +333,11 @@ def _law(rows, dens=None, order=None):
     return _law_of(rows, dens, order, cols), order
 
 
-def root_sums(rows, dens=None, order=None):
-    """(sums, den, elimination order): sums[r] / den is the sum of
-    arborescence weights rooted at state r of the chain with the given dict
-    rows and row denominators (see _eliminate); floats over 1 or, in exact
-    mode, integers over one common integer den.
+def root_sums(rows, dens=None):
+    """(sums, den): sums[r] / den is the sum of arborescence weights rooted
+    at state r of the chain with the given dict rows and row denominators
+    (see _eliminate); floats over 1 or, in exact mode, integers over one
+    common integer den.
 
     The reduction's pivots s_k (S_k / d_k in exact mode) are the Schur
     complement pivots of the Laplacian L = D - W, so their product is the
@@ -347,15 +348,15 @@ def root_sums(rows, dens=None, order=None):
     every sum is 0.
     """
     n = len(rows)
-    order, cols = _eliminate(rows, dens, order)
+    order, cols = _eliminate(rows, dens)
     if len(order) != n - 1:
-        return [0.0 if dens is None else 0] * n, 1, order
+        return [0.0 if dens is None else 0] * n, 1
     x = _back_substitute(rows, dens, order, cols)
     minor = math.prod(sum(rows[k].values()) for k in order)
     if dens is None:
-        return [minor * v for v in x], 1, order  # x is 1 at b
+        return [minor * v for v in x], 1  # x is 1 at b
     (b,) = set(range(n)).difference(order)
-    return [minor * v for v in x], math.prod(dens[k] for k in order) * x[b], order
+    return [minor * v for v in x], math.prod(dens[k] for k in order) * x[b]
 
 
 def unichain_law(p):

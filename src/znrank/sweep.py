@@ -168,11 +168,21 @@ def epsilon_sweep(p, q, grid=None, predicted=None, part=None):
         predicted = limit_rank(p, q, part).node_limit
     require_unichain_union(p, q)
     table = _perturbed_laws(p, q, grid)
-    errors = [linf(pi.values, predicted.values) for pi in table]  # exact when both laws are
+    exact = all(pi.den is not None for pi in table)  # then from nums / den, one Fraction per number
+    if exact and predicted.den is not None:  # max |a / d - b / e| per eps
+        ref, e = predicted.nums, predicted.den
+        errors = [Fraction(max([abs(a * e - b * pi.den) for a, b in zip(pi.nums, ref)]), pi.den * e) for pi in table]
+    else:
+        errors = [linf(pi.values, predicted.values) for pi in table]
     fo = None
     if len(grid) >= 2:
-        e1, e2 = grid[-2:]
-        fo = tuple((a - b) / (e1 - e2) for a, b in zip(table[-2].values, table[-1].values))
+        x, y = table[-2:]
+        if exact:
+            gap = Fraction(grid[-2]) - Fraction(grid[-1])
+            fo = tuple(Fraction((a * y.den - b * x.den) * gap.denominator, x.den * y.den * gap.numerator)
+                       for a, b in zip(x.nums, y.nums))
+        else:
+            fo = tuple((a - b) / (grid[-2] - grid[-1]) for a, b in zip(x.values, y.values))
     return SweepResult(
         eps_grid=grid,
         pi_table=tuple(table),

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -267,11 +268,12 @@ def test_skeleton_identity_rejects_transients_and_loose_q():
         skeleton_identity_check(p2, q2, classify_states(p2))
 
 
-def test_root_polynomials_interpolate_on_n_minus_m_plus_one_points(monkeypatch):
-    # G_r(k) has degree at most n - m, m the number of P's closed classes, so
-    # n - m + 1 evaluations determine it: one pass at m = n (identity P), n
-    # at m = 1, and the polynomials still match enumeration, transient
-    # roots included
+def test_root_polynomials_come_from_one_pass_of_degree_at_most_n_minus_m(monkeypatch):
+    # one root_sums pass gives every G_r; G_r has degree at most n - m, m the
+    # number of P's closed classes, and the polynomials still match
+    # enumeration, transient roots included. G_r(k) is (k + 1)^(n-1) H_r(1 /
+    # (k + 1)) up to a constant, so its coefficient of k^d is sum_i h_i
+    # C(n - 1 - i, d) for H_r's coefficients h_i.
     import znrank.arborescence
 
     rng = rng_for("interpolation-points")
@@ -296,8 +298,91 @@ def test_root_polynomials_interpolate_on_n_minus_m_plus_one_points(monkeypatch):
             q = rand_general_q(rng, p.n)
             del calls[:]
             polys = all_root_polynomials(p, q)
-            assert len(calls) == p.n - m + 1
+            assert len(calls) == 1
+            for h in polys:
+                g = [sum(h.coefficient(i) * math.comb(p.n - 1 - i, d) for i in range(p.n)) for d in range(p.n)]
+                assert not any(g[p.n - m + 1:])
             assert polys == tuple(perturbed_root_polynomial(p, q, r) for r in range(p.n))
             seen.add((kind, m == 1, m == p.n, bool(classify_states(p).transient)))
     assert {("identity", False, True, False), ("irreducible", True, False, False),
             ("transient", True, False, True), ("transient", False, False, True)} <= seen
+
+
+def _reweighted(rng, m, weight):
+    """m's support, self-loops included, with fresh weights weight(rng),
+    each row normalised."""
+    rows = []
+    for x in range(m.n):
+        w = {y: F(weight(rng)) for y, v in enumerate(m.row(x)) if v}
+        total = sum(w.values())
+        rows.append({y: v / total for y, v in w.items()})
+    return RowStochasticMatrix(StateSpace(m.n), tuple(rows))
+
+
+def _assert_matches_enumeration(p, q):
+    polys = all_root_polynomials(p, q)
+    assert polys == tuple(perturbed_root_polynomial(p, q, r) for r in range(p.n))
+    return polys
+
+
+WIDE_WEIGHTS = {
+    "int30": lambda rng: 10**30 + rng.randrange(10**6),
+    "den20": lambda rng: F(rng.randrange(1, 10**20), rng.randrange(10**19, 10**20)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE_WEIGHTS))
+def test_root_polynomials_with_wide_weights_match_enumeration(kind):
+    # row denominators of 30 or 20 digits: G_r's coefficients fill fields of
+    # hundreds of bits
+    rng = rng_for(f"wide-weights-{kind}")
+    for n in range(1, 8):
+        for _ in range(3):
+            p = _reweighted(rng, _rand_p(rng, n), WIDE_WEIGHTS[kind])
+            q = _reweighted(rng, rand_general_q(rng, p.n), WIDE_WEIGHTS[kind])
+            _assert_matches_enumeration(p, q)
+
+
+def test_root_polynomials_on_complete_unions_match_enumeration():
+    # irreducible P and uniform Q: every arborescence exists, so G_r(1)
+    # comes within a few bits of the row-sum bound
+    rng = rng_for("complete-unions")
+    for n in range(1, 8):
+        for weight in (lambda rng: rng.randint(1, 9), *WIDE_WEIGHTS.values()):
+            p = _reweighted(rng, rand_irreducible(rng, n), weight)
+            polys = _assert_matches_enumeration(p, uniform_matrix(n))
+            assert not any(h.is_zero() for h in polys)
+
+
+def test_root_polynomials_fill_their_fields():
+    # an in-tree to an absorbing root r, P on each tree edge and Q mostly on
+    # the self-loop: G_r(1) equals the row-sum bound, and the top coefficient
+    # N^(n-1) of G_r(k) = (k N + 1)^(n-1) uses every bit of its field
+    rng = rng_for("full-fields")
+    for n in range(2, 8):
+        for _ in range(3):
+            parent = [None] + [rng.randrange(x) for x in range(1, n)]
+            nn = 10**30 + rng.randrange(10**6)
+            p = RowStochasticMatrix(StateSpace(n), tuple({0: 1} if x == 0 else {parent[x]: 1} for x in range(n)))
+            q = RowStochasticMatrix(StateSpace(n), tuple(
+                {0: 1} if x == 0 else {parent[x]: F(1, nn), x: 1 - F(1, nn)} for x in range(n)))
+            polys = _assert_matches_enumeration(p, q)
+            assert all(h.is_zero() for h in polys[1:])
+            assert polys[0].coefficient(0) == 1
+
+
+def test_zero_root_polynomials_match_enumeration():
+    # unions with several closed classes have no spanning arborescence, and
+    # a root transient in the union has none either
+    rng = rng_for("zero-root-polynomials")
+    for n in range(2, 8):
+        for _ in range(3):
+            sizes = rand_sizes(rng, rng.randint(2, n), total_cap=n)
+            p = _reweighted(rng, rand_reducible_no_transient(rng, sizes), WIDE_WEIGHTS["int30"])
+            assert all(h.is_zero() for h in _assert_matches_enumeration(p, p))
+            t = rng.randint(1, n - 1)
+            base = rand_with_transients(rng, rand_sizes(rng, 1, total_cap=n - t), t)
+            p, q = (_reweighted(rng, base, WIDE_WEIGHTS["den20"]) for _ in range(2))  # Q on P's support
+            polys = _assert_matches_enumeration(p, q)
+            transient = classify_states(p).transient
+            assert [x for x in range(p.n) if polys[x].is_zero()] == sorted(transient)

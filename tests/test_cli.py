@@ -302,6 +302,27 @@ def test_exact_rank_builds_no_fraction_per_entry(tmp_path, capsys, monkeypatch):
         assert set(built.values()) == {0}, built
 
 
+def test_exact_sweep_builds_a_fraction_per_eps_and_first_order_entry(tmp_path, capsys, monkeypatch):
+    # the errors, the first-order quotient and the printed laws come from the
+    # laws' integers: one Fraction per eps for eps itself and one for its
+    # error, three for the gap of the two smallest and one per entry of the
+    # first-order estimate. Reading every law's values and subtracting them
+    # made 627 to 630 at 48 states
+    import znrank.sweep  # noqa: F401  (imported by the first sweep call)
+    import znrank.zero_noise  # noqa: F401
+
+    rng = rng_for("sweep-fraction-count")
+    nu = wpath(tmp_path, "nu.txt", "".join(f"s{x} {rng.randint(1, 9)}\n" for x in range(48)))
+    for n_transient in (0, 6):
+        g = wpath(tmp_path, "g.txt", _chain_48(rng, 3, n_transient))
+        for spec in ("uniform", f"personalized={nu}"):
+            argv = ["sweep", "--graph", g, "--numeric", "exact", "--q", spec, "--format", "json"]
+            code, made = fractions_built(monkeypatch, main, argv)
+            out = json.loads(capsys.readouterr().out)
+            assert code == 0 and len(out["pi"]) == 3 and len(out["first_order"]) == 48
+            assert made <= 48 + 2 * 3 + 3, (spec, made)
+
+
 def test_rank_refuses_non_finite_matrix_entries(tmp_path, capsys):
     # a data error, exit 2: an exact Infinity ended in an OverflowError
     # traceback, with the exit code of a usage error
@@ -525,9 +546,9 @@ def test_oracle_with_q_builds_each_polynomial_once(tmp_path, capsys, monkeypatch
     code, out, _ = run(capsys, "oracle", "--graph", g, "--q", "uniform")
     assert code == 0
     assert json.loads(out)["exact_limit"] == ["1/3", "1/3", "1/3"]
-    # one engine pass for the root weights of P, then n = 3 evaluation
-    # points shared by every root polynomial, which reuse one order
-    assert passes == [3] * 4
+    # one engine pass for the root weights of P, then one at k = 2^B that
+    # every root polynomial is read from
+    assert passes == [3, 3]
     assert searches == [3, 3]
     assert enumerated == []
 
