@@ -10,10 +10,9 @@ back-substituted integers over their sum, and builds no Fraction.
 
 The sweeps and the polynomial oracle reduce the rows of (1 - e) P + e Q
 from one builder (`_mixed_rows`), the sweeps at several e and the oracle
-at one. A float sweep works the
-reduction out once from the pattern (`_plan`) and runs each eps as the
-same float operations on a flat list of values (`_replay`), which gives
-the bits of `_eliminate`."""
+at one. A float sweep works the reduction out once from the pattern
+(`_plan`) and runs each eps as the same float operations on a flat list
+of values (`_replay`), which gives the bits of `_eliminate`."""
 
 import functools
 import math

@@ -176,13 +176,14 @@ def epsilon_sweep(p, q, grid=None, predicted=None, part=None):
         errors = [linf(pi.values, predicted.values) for pi in table]
     fo = None
     if len(grid) >= 2:
+        e1, e2 = grid[-2:]
         x, y = table[-2:]
         if exact:
-            gap = Fraction(grid[-2]) - Fraction(grid[-1])
+            gap = Fraction(e1) - Fraction(e2)
             fo = tuple(Fraction((a * y.den - b * x.den) * gap.denominator, x.den * y.den * gap.numerator)
                        for a, b in zip(x.nums, y.nums))
         else:
-            fo = tuple((a - b) / (grid[-2] - grid[-1]) for a, b in zip(x.values, y.values))
+            fo = tuple((a - b) / (e1 - e2) for a, b in zip(x.values, y.values))
     return SweepResult(
         eps_grid=grid,
         pi_table=tuple(table),
