@@ -320,7 +320,7 @@ def cmd_sweep(args):
     from znrank.sweep import check_eps_grid, convergence_report, epsilon_sweep, parse_eps_grid
 
     p = load_p(args)
-    part = classify_states(p)
+    part = classify_states(p) if p.numeric_mode == EXACT else None  # the float limit needs no partition
     q = load_q(args.q, p, part)
     grid = None
     if args.eps:

@@ -309,6 +309,51 @@ def _replay(plan, vals):
     return order, cols
 
 
+def _lead_law(plan, orders, coefs, n):
+    """Limit as e -> 0 of the law, on the states 0, ..., n - 1, of a chain
+    with one closed class whose input slot s (see _plan) holds an entry
+    with leading term coefs[s] e^orders[s]: _replay along the plan that
+    keeps only leading terms. A pivot is the sum of its row's terms of
+    least order; where an update meets a slot, a lower order replaces it,
+    an equal one adds and a higher one drops, and back-substitution keeps
+    the least order likewise. Every term is positive, so leading terms
+    never cancel and are those of the exact series (the stochastically
+    stable states of Wicks & Greenwald, UAI 2005). The limit is the
+    least-order entries of x among the first n, normalised. orders and
+    coefs are extended and updated in place."""
+    order, steps, size = plan
+    orders += [math.inf] * (size - len(orders))  # a fill-in slot is empty until its first term
+    coefs += [0.0] * (size - len(coefs))
+    cols = {}
+    for k, row_k, entries in steps:
+        low = min([orders[s] for s in row_k])
+        pivot = sum([coefs[s] for s in row_k if orders[s] == low])
+        col = cols[k] = []
+        for i, a, pairs in entries:
+            fo, fc = orders[a] - low, coefs[a] / pivot
+            col.append((i, fo, fc))
+            for s, t in pairs:
+                o = fo + orders[s]
+                if o < orders[t]:
+                    orders[t], coefs[t] = o, fc * coefs[s]
+                elif o == orders[t]:
+                    coefs[t] += fc * coefs[s]
+    x_order, x = [0] * (len(order) + 1), [1.0] * (len(order) + 1)
+    for k in reversed(order):
+        low, c = math.inf, 0.0  # an empty column: x_k = 0
+        for i, fo, fc in cols[k]:
+            o = x_order[i] + fo
+            if o < low:
+                low, c = o, x[i] * fc
+            elif o == low:
+                c += x[i] * fc
+        x_order[k], x[k] = low, c
+    low = min(x_order[:n])
+    lead = [c if o == low else 0.0 for o, c in zip(x_order[:n], x)]
+    total = sum(lead, 0.0)
+    return [c / total for c in lead]
+
+
 def _law_of(rows, dens, order, cols):
     """Stationary law from a finished reduction (_eliminate or _replay) of
     the chain with the given rows, of which float mode reads only the

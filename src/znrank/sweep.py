@@ -18,6 +18,12 @@ as coefficients over a row denominator, so an exact row at eps = a/b is
 integers, with no Fraction. Its pattern does not depend on eps, so a float
 sweep plans the reduction once and replays it on the values at each eps,
 and an exact sweep reuses the elimination order found at its first eps.
+
+The predicted limit of a float sweep is read off the same plan: replayed
+on the leading terms of the entries in eps (stationary._lead_law), it gives
+the limit as eps -> 0 of the hub chain's law, whatever the reduced class
+chain looks like. An exact sweep takes its prediction from
+zero_noise.limit_rank.
 """
 
 import math
@@ -30,7 +36,8 @@ from znrank.errors import EpsOutOfRange
 from znrank.graph import RowStochasticMatrix, require_unichain_union
 from znrank.polynomial import sum_polynomials
 from znrank.rational import EXACT, FLOAT
-from znrank.stationary import Distribution, _law, _law_of, _mixed_rows, _plan, _replay, linf, unichain_law
+from znrank.stationary import (Distribution, _law, _law_of, _lead_law, _mixed_rows, _plan, _replay, linf,
+                               unichain_law)
 
 DEFAULT_FLOAT_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_EXACT_GRID = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
@@ -76,11 +83,13 @@ def _shared_q_rows(q):
     return [sorted(g) for g in groups.values() if len(g) > 1]
 
 
-def _perturbed_laws(p, q, grid):
+def _perturbed_laws(p, q, grid, limit=False):
     """Stationary laws of (1 - eps) P + eps Q for each eps of grid, after
     require_unichain_union(p, q), which leaves the hub chain one closed
     class; its transient states, hubs among them, get 0. Below eps = 1
-    each is the hub chain's law on the states of P, renormalized.
+    each is the hub chain's law on the states of P, renormalized. With
+    limit set, returns (laws, the float limit as eps -> 0), the limit read
+    off the float plan of the hub chain by _lead_law.
 
     Every eps is checked before any row is built, and P and Q are
     converted once per numeric mode. The chain's pattern does not depend on
@@ -88,38 +97,41 @@ def _perturbed_laws(p, q, grid):
     numeric mode: float eps replay one _plan on the flat list of the values
     at eps, exact eps reuse the order found at the first."""
     mixes = [_mixing_eps(p, q, eps) for eps in grid]
-    matrices = {mode: (p, q) if mode == EXACT else (p.to_float(), q.to_float())
-                for mode in {mode for mode, _ in mixes}}
+    modes = {mode for mode, _ in mixes} | ({FLOAT} if limit else set())
+    matrices = {mode: (p, q) if mode == EXACT else (p.to_float(), q.to_float()) for mode in modes}
     groups = _shared_q_rows(q)
     n = p.n
-    chains = {}  # numeric mode -> (rows, dens) of the hub chain, hubs last
-    plan = order = None
+    if FLOAT in modes:  # one plan of the float hub chain for every float eps and the limit
+        rows = _mixed_rows(*matrices[FLOAT], groups)[0]
+        plan = _plan(rows)
+        coefs = [(float(u), float(v)) for row in rows[:n] for u, v in row.values()]
+        hub_vals = [v for h in rows[n:] for v in h.values()]
+    exact_chain = order = None
     laws = []
     for mode, e in mixes:
         pe, qe = matrices[mode]
         if e == 1:
             laws.append(unichain_law(qe))
-            continue
-        if mode not in chains:
-            chains[mode] = _mixed_rows(pe, qe, groups)
-        rows, dens = chains[mode]
-        if mode == EXACT:  # at e = a/b, row x is a u + (b - a) v over b dens[x]
+        elif mode == EXACT:  # at e = a/b, row x is a u + (b - a) v over b dens[x]
+            if exact_chain is None:
+                exact_chain = _mixed_rows(pe, qe, groups)
+            num_rows, dens = exact_chain
             a, b = e.numerator, e.denominator
-            mixed = [{y: a * u + (b - a) * v for y, (u, v) in row.items()} for row in rows[:n]]
-            hubs = [dict(h) for h in rows[n:]]  # the elimination updates rows in place
+            mixed = [{y: a * u + (b - a) * v for y, (u, v) in row.items()} for row in num_rows[:n]]
+            hubs = [dict(h) for h in num_rows[n:]]  # the elimination updates rows in place
             x, order = _law(mixed + hubs, [b * d for d in dens[:n]] + dens[n:], order)
             laws.append(Distribution.of_integers(x[:n], sum(x[:n])))
         else:
-            if plan is None:
-                plan = _plan(rows)
-                coefs = [(float(u), float(v)) for row in rows[:n] for u, v in row.values()]
-                hub_vals = [v for h in rows[n:] for v in h.values()]
             stay = 1 - e
             vals = [e * u + stay * v for u, v in coefs]
             law = _law_of(rows, None, *_replay(plan, vals + hub_vals))[:n]
             total = sum(law, 0.0)
             laws.append(Distribution([v / total for v in law], FLOAT))
-    return laws
+    if not limit:
+        return laws
+    orders = [0 if v else 1 for _, v in coefs] + [0] * len(hub_vals)  # P's entries order 0, Q's alone 1
+    lead = [v or u for u, v in coefs] + hub_vals
+    return laws, Distribution(_lead_law(plan, orders, lead, n), FLOAT)
 
 
 @dataclass(frozen=True)
@@ -129,7 +141,7 @@ class SweepResult:
     predicted_limit: Distribution
     errors: tuple  # L-inf distance to the prediction per eps
     fitted_slope: object  # float or None when too few positive errors
-    first_order: tuple  # Richardson estimate from the two smallest eps
+    first_order: tuple  # difference quotient of the laws at the two smallest eps
 
 
 def _fit_slope(eps, errors):
@@ -156,18 +168,24 @@ def check_eps_grid(grid):
 
 def epsilon_sweep(p, q, grid=None, predicted=None, part=None):
     """Stationary laws along a strictly decreasing grid of mixing weights,
-    with per-eps L-inf distance to the predicted limit. part is P's
-    partition when the caller has it."""
+    with per-eps L-inf distance to the predicted limit. Without a given
+    prediction, exact P and Q take limit_rank's limit (part is P's
+    partition when the caller has it); otherwise the float limit comes from
+    the plan of the laws themselves (_perturbed_laws with limit set), which
+    needs no partition, class laws or reduced chain."""
     from znrank.zero_noise import limit_rank
 
+    exact_inputs = p.numeric_mode == EXACT and q.numeric_mode == EXACT
     if grid is None:
-        exact = p.numeric_mode == EXACT and q.numeric_mode == EXACT
-        grid = DEFAULT_EXACT_GRID if exact else DEFAULT_FLOAT_GRID
+        grid = DEFAULT_EXACT_GRID if exact_inputs else DEFAULT_FLOAT_GRID
     grid = check_eps_grid(grid)
-    if predicted is None:
+    if predicted is None and exact_inputs:
         predicted = limit_rank(p, q, part).node_limit
     require_unichain_union(p, q)
-    table = _perturbed_laws(p, q, grid)
+    if predicted is None:  # read off the float plan of the laws
+        table, predicted = _perturbed_laws(p, q, grid, limit=True)
+    else:
+        table = _perturbed_laws(p, q, grid)
     exact = all(pi.den is not None for pi in table)  # then from nums / den, one Fraction per number
     if exact and predicted.den is not None:  # max |a / d - b / e| per eps
         ref, e = predicted.nums, predicted.den
@@ -195,9 +213,9 @@ def epsilon_sweep(p, q, grid=None, predicted=None, part=None):
 
 
 def first_order_estimate(p, q, eps_pair):
-    """Richardson-style first derivative of the stationary law at zero
-    mixing: the difference quotient between two small weights. Exact when
-    the matrices and both weights are rational."""
+    """First derivative of the stationary law at zero mixing, estimated by
+    the difference quotient between two small weights. Exact when the
+    matrices and both weights are rational."""
     e1, e2 = eps_pair
     if e1 == e2:
         raise ValueError("the two eps values must differ")
@@ -238,6 +256,8 @@ def extrapolate_limit(p, q, grid=None):
     if grid is None:
         grid = DEFAULT_FLOAT_GRID
     grid = tuple(grid)
+    if len(grid) < 2:
+        raise ValueError(f"extrapolation needs two eps values, got {len(grid)}")
     e1, e2 = float(grid[-2]), float(grid[-1])
     require_unichain_union(pf, qf)
     pi1, pi2 = _perturbed_laws(pf, qf, (e1, e2))

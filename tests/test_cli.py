@@ -618,6 +618,42 @@ def test_commands_classify_p_once(tmp_path, capsys, monkeypatch, argv):
     assert calls.count(6) == 1  # the 6-state P once; its partition is passed down
 
 
+@pytest.mark.parametrize("spec", ["uniform", "personalized={nu}"])
+def test_float_sweep_reads_its_limit_off_its_plan(tmp_path, capsys, monkeypatch, spec):
+    # one plan of the hub chain gives the laws and the predicted limit: no
+    # partition of P, class laws or reduced chain
+    import znrank.cli
+    import znrank.graph
+    import znrank.stationary
+    import znrank.sweep
+    import znrank.zero_noise
+
+    plans = []
+    plan = znrank.sweep._plan
+
+    def plan_spy(rows):
+        plans.append(len(rows))
+        return plan(rows)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a float sweep needs no partition, class law or limit_rank")
+
+    monkeypatch.setattr(znrank.sweep, "_plan", plan_spy)
+    for mod, names in ((znrank.cli, ("classify_states",)), (znrank.graph, ("classify_states",)),
+                       (znrank.zero_noise, ("classify_states", "class_stationary", "limit_rank")),
+                       (znrank.stationary, ("class_stationary",))):
+        for name in names:
+            monkeypatch.setattr(mod, name, refused)
+    g = wpath(tmp_path, "g.txt", "a b\nb a\nc d\nd c\nd e\ne c\nf f\nt a\nt f\n")
+    nu = wpath(tmp_path, "nu.txt", "a 1\nc 2\nt 3\n")
+    code, out, err = run(capsys, "sweep", "--graph", g, "--numeric", "float", "--format", "json",
+                         "--q", spec.format(nu=nu))
+    assert (code, err) == (0, "")
+    assert plans == [8]  # 7 states and the one hub of their shared Q row
+    limit = json.loads(out)["predicted_limit"]
+    assert limit[-1] == 0 and sum(limit) == pytest.approx(1)
+
+
 def test_commands_store_no_zero_entry(tmp_path, capsys, monkeypatch):
     import znrank.graph
 

@@ -5,12 +5,12 @@ one command through `znrank.cli.main`; the sha256 of its exit code, stdout
 and stderr must equal the digest in `fixtures/pinned_outputs.json`. The
 commands are exact `rank`, `sweep --numeric exact`, `oracle --q` and
 `adjudicate`, so a change that moves any exact answer, message or exit code
-shows here. After a deliberate change of output, regenerate the fixture
-with
+shows here. After a deliberate change of one command's output, rewrite
+that command's digests, and only those, with
 
-    PYTHONPATH=src python tests/test_pinned_outputs.py --write
+    PYTHONPATH=src python tests/test_pinned_outputs.py --write COMMAND
 
-and list the changed digests in CHANGES.md.
+which prints the keys whose digest changed; list them in CHANGES.md.
 
 The same cases are also pinned in floating point: `rank`, `sweep --format
 json` on the default grid and `adjudicate` with `--numeric float`, under the
@@ -453,13 +453,40 @@ def test_pinned_outputs(command, tmp_path):
     assert not changed, changed
 
 
+def rewrite(commands, workdir):
+    """Recompute the digests of commands in the fixture, leaving every other
+    command's as pinned. Returns the keys that changed, appeared or went."""
+    pinned = json.loads(FIXTURE.read_text())
+    ours = {k for k in pinned if k.rpartition("/")[2] in commands}
+    got = compute_digests(workdir, commands)
+    digests = {k: v for k, v in pinned.items() if k not in ours} | got
+    FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    return sorted(k for k in ours | set(got) if pinned.get(k) != got.get(k))
+
+
+def test_rewrite_touches_only_its_command(tmp_path, monkeypatch):
+    pinned = json.loads(FIXTURE.read_text())
+    edited = dict(pinned)
+    ours, other = "in-edges-empty/" + INPUT_COMMAND, "repro-unichain/rank"
+    edited[ours] = edited[other] = "0" * 64
+    edited["gone/" + INPUT_COMMAND] = "0" * 64
+    fixture = tmp_path / "pinned.json"
+    fixture.write_text(json.dumps(edited))
+    monkeypatch.setattr(sys.modules[__name__], "FIXTURE", fixture)
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    assert rewrite((INPUT_COMMAND,), workdir) == ["gone/" + INPUT_COMMAND, ours]
+    assert json.loads(fixture.read_text()) == pinned | {other: "0" * 64}
+
+
 if __name__ == "__main__":
     import tempfile
 
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_pinned_outputs.py --write")
+    commands = sys.argv[2:]
+    if sys.argv[1:2] != ["--write"] or not commands or not set(commands) <= set(COMMANDS):
+        sys.exit(f"usage: test_pinned_outputs.py --write COMMAND [COMMAND ...]; commands: {' '.join(COMMANDS)}")
     with tempfile.TemporaryDirectory() as d:
-        digests = compute_digests(d)
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"{len(digests)} digests written to {FIXTURE}")
+        changed = rewrite(tuple(commands), d)
+    for key in changed:
+        print(key)
+    print(f"{len(changed)} digests of {', '.join(commands)} changed in {FIXTURE}")

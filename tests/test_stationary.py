@@ -16,6 +16,7 @@ from znrank.stationary import (
     _eliminate,
     _law,
     _law_of,
+    _lead_law,
     _plan,
     _mixed_rows,
     _replay,
@@ -417,3 +418,16 @@ def test_replayed_plan_is_the_elimination_to_the_bit():
         _law([dict(r) for r in two])
     with pytest.raises(NotIrreducible, match=message):
         _law_of(two, None, *_replay(_plan(two), vals))
+
+
+def test_lead_law_of_one_order_is_the_law_to_the_bit():
+    # with every entry at order 0 nothing is dropped: each update adds, as
+    # _replay's does, and the lead law is the chain's law bit for bit
+    rng = rng_for("lead-law-order-0")
+    for trial in range(60):
+        sizes = rand_sizes(rng, rng.randint(1, 3), hi=12, total_cap=30)
+        rows = _hub_chain(rng, sizes, rng.choice((0, 2, 5)), ("uniform", "general", "hubs")[trial % 3], 1e-4)
+        vals = [v for row in rows for v in row.values()]
+        plan = _plan(rows)
+        law = _law_of(rows, None, *_replay(plan, list(vals)))
+        assert _lead_law(plan, [0] * len(vals), list(vals), len(rows)) == law

@@ -3,14 +3,19 @@ from fractions import Fraction
 import pytest
 
 import znrank.sweep
-from znrank.errors import EpsOutOfRange, NotIrreducible
+from znrank.arborescence import exact_limit_from_polynomials
+from znrank.errors import EpsOutOfRange, GammaReducible, NotIrreducible
 from znrank.graph import (
+    DANGLING_POLICIES,
     RowStochasticMatrix,
     StateSpace,
+    parse_edge_list,
     require_unichain_union,
+    to_stochastic,
     uniform_matrix,
 )
 from znrank.stationary import stationary_direct
+from znrank.zero_noise import adjudicate, limit_rank
 from znrank.sweep import (
     DEFAULT_EXACT_GRID,
     DEFAULT_FLOAT_GRID,
@@ -168,6 +173,16 @@ def test_extrapolate_limit_near_truth():
     est = extrapolate_limit(p, q)
     truth = (5 / 9, 4 / 9, 0.0)
     assert max(abs(a - b) for a, b in zip(est, truth)) < 1e-8
+
+
+def test_extrapolation_needs_two_eps():
+    p = cycle_plus_absorber()
+    q = uniform_matrix(3)
+    with pytest.raises(ValueError, match="^extrapolation needs two eps values, got 1$"):
+        extrapolate_limit(p, q, grid=[1e-3])
+    with pytest.raises(ValueError, match="^extrapolation needs two eps values, got 1$"):
+        adjudicate(p.to_float(), q.to_float(), eps_grid=[1e-3])  # float: the oracle extrapolates
+    assert len(extrapolate_limit(p, q, grid=[1e-2, 1e-3])) == 3
 
 
 def test_first_order_matches_sweep_field():
@@ -433,3 +448,71 @@ def test_exact_sweep_builds_fractions_only_for_its_laws(monkeypatch):
         assert made <= len(DEFAULT_EXACT_GRID), made
         assert [law.values for law in laws] == [stationary_direct(perturbed_matrix(p, q, e)).values
                                                 for e in DEFAULT_EXACT_GRID]
+
+
+def _edge_list(p, dangling):
+    """The edge list of P, the states of dangling given no out-edge."""
+    lines = [f"v{x}" for x in range(p.n)]
+    lines += [f"v{x} v{y} {v}" for x in range(p.n) if x not in dangling for y, v in p.rows[x].items()]
+    return "\n".join(lines) + "\n"
+
+
+def _assert_limit(got, exact, what):
+    """got is exact to 1e-12 relative, and exactly 0 where exact is 0."""
+    for x, y in zip(got, exact, strict=True):
+        assert x == 0 if y == 0 else abs(x - y) <= 1e-12 * y, (what, x, y)
+
+
+def test_float_sweep_predicts_the_exact_limit():
+    # the float prediction, read off the plan of the laws, against the
+    # polynomial oracle: n <= 10, 0-3 transient states, dangling states
+    # under both policies, every kind of Q
+    rng = rng_for("float-sweep-limit")
+    kinds = ("uniform", "personalized", "block", "general", "partly shared")
+    seen = set()
+    for trial in range(200):
+        kind = kinds[trial % len(kinds)]
+        t = 0 if kind == "block" else rng.randint(0, 3)
+        sizes = rand_sizes(rng, rng.randint(1, 3), total_cap=10 - t)
+        p = rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes)
+        policy = None
+        if kind != "block" and trial % 3:
+            policy = DANGLING_POLICIES[trial % 2]
+            g = parse_edge_list(_edge_list(p, rng.sample(range(p.n), rng.randint(1, min(2, p.n)))))
+            p = to_stochastic(g, policy)
+        q = rand_q(rng, kind, p, sizes)
+        try:
+            require_unichain_union(p, q)
+        except NotIrreducible:
+            continue
+        exact = exact_limit_from_polynomials(p, q).values
+        _assert_limit(epsilon_sweep(p.to_float(), q.to_float()).predicted_limit.values, exact, trial)
+        seen.add((kind, policy, t > 0, 0 in exact))
+    assert {s[0] for s in seen} == set(kinds) and {s[1] for s in seen} == {None, *DANGLING_POLICIES}
+    assert {s[2] for s in seen} == {s[3] for s in seen} == {False, True}
+
+
+def test_float_sweep_predicts_the_limit_the_reduced_chain_refuses():
+    # the union support has one closed class and the reduced chain two:
+    # exact limit_rank refuses, the float sweep answers as oracle --q does
+    p = to_stochastic(parse_edge_list("a a\nb b\nt a\ns b\n"))
+    q = RowStochasticMatrix(p.states, ({2: 1}, {3: 1}, {1: 1}, {0: 1}))
+    with pytest.raises(GammaReducible):
+        limit_rank(p, q)
+    assert exact_limit_from_polynomials(p, q).values == (F(1, 2), F(1, 2), 0, 0)
+    assert epsilon_sweep(p.to_float(), q.to_float()).predicted_limit.values == (0.5, 0.5, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("edges", [
+    "a b W\na c\nb a\nc a\nd d\ne a\ne d W\nf\n",  # c carries about 1e-31 of the limit
+    "a b W\na c\nb a\nc a W\nc d\nd d\nf\n",  # {a, b, c} leaks to d with about 1e-30
+])
+def test_float_sweep_predicts_the_limit_of_30_digit_weights(edges):
+    # entries of about 1e-30 are order eps^0 like any other P entry, not
+    # absent: the float prediction is the exact limit, tiny masses and all
+    for policy in DANGLING_POLICIES:
+        p = to_stochastic(parse_edge_list(edges.replace("W", str(10**30 + 1))), policy)
+        q = uniform_matrix(p.n, p.states)
+        exact = exact_limit_from_polynomials(p, q).values
+        assert exact == limit_rank(p, q).node_limit.values
+        _assert_limit(epsilon_sweep(p.to_float(), q.to_float()).predicted_limit.values, exact, policy)
