@@ -8,11 +8,12 @@ enumeration (the search kernel, exponential in n), principal minors of
 I - P (the tree theorem), and the GTH state reduction of stationary.py,
 the one elimination every route shares, which gives the sums for every
 root at once (stationary.root_sums). The perturbation oracle builds the
-sum-over-trees polynomials in the mixing parameter, with exact rational
-coefficients, from one integer run of that reduction at a point large
-enough to read every coefficient off the result (Kronecker substitution);
-enumeration and the minors stay as independent cross-checks. Nothing here
-is floating point unless the input matrix is.
+sum-over-trees polynomials in the mixing parameter from one integer run of
+that reduction at a point large enough to read every coefficient off the
+result (Kronecker substitution), and keeps each as integer coefficients
+over one denominator, up to the limit law; enumeration and the minors stay
+as independent cross-checks. Nothing here is floating point unless the
+input matrix is.
 """
 
 import math
@@ -26,7 +27,7 @@ from znrank.graph import is_irreducible, require_unichain_union
 from znrank.kernels import enumerate_parents, sum_tree_products
 from znrank.linalg import det_exact, det_float
 from znrank.polynomial import EpsPolynomial, sum_polynomials
-from znrank.rational import EXACT, EXACT_ZERO_ONE, FLOAT, format_rational
+from znrank.rational import EXACT, FLOAT, format_rational
 from znrank.stationary import Distribution, _mixed_rows, _sparse_rows, root_sums
 
 DEFAULT_ASSIGNMENT_BUDGET = 10_000_000
@@ -158,11 +159,17 @@ def root_weight_minor(w, root):
     return max(0.0, det_float(m))
 
 
-def root_weights(w):
-    """Sum of arborescence weights at every root, in either numeric mode,
-    from one GTH reduction of w (stationary.root_sums)."""
+def root_weight_ratios(w):
+    """(sums, den): sums[r] / den is the sum of arborescence weights at root r, from one GTH
+    reduction of w (stationary.root_sums); integers, or floats with den None in float mode."""
     sums, den = root_sums(*_sparse_rows(w, range(w.n)))
-    return tuple(sums) if w.numeric_mode == FLOAT else tuple(Fraction(v, den) for v in sums)
+    return sums, (None if w.numeric_mode == FLOAT else den)
+
+
+def root_weights(w):
+    """Sum of arborescence weights at every root, in either numeric mode."""
+    sums, den = root_weight_ratios(w)
+    return tuple(sums) if den is None else tuple(Fraction(v, den) for v in sums)
 
 
 def mctt_stationary(p):
@@ -207,8 +214,7 @@ def perturbed_root_polynomial(p, q, root, budget=None, n_guard=SYMBOLIC_N_GUARD)
         if u != root:
             denom *= l
         factors.append([(int(a * l), int(b * l)) for a, b in pairs])
-    coeffs = sum_tree_products(n, root, cands, factors, 2)
-    return EpsPolynomial(Fraction(c, denom) for c in coeffs)
+    return EpsPolynomial.of_integers(sum_tree_products(n, root, cands, factors, 2), denom)
 
 
 def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
@@ -248,8 +254,7 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
             if gd:
                 for i, s in enumerate(signed[d], top - d):  # gd (1-eps)^d eps^(top-d)
                     coeffs[i] += s * gd
-        denom = total // lcms[r]
-        polys.append(EpsPolynomial(Fraction(c, denom) if c else EXACT_ZERO_ONE[0] for c in coeffs))
+        polys.append(EpsPolynomial.of_integers(coeffs, total // lcms[r]))
     return tuple(polys)
 
 
@@ -270,12 +275,13 @@ def exact_limit_from_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
 
 
 def limit_from_root_polynomials(polys):
-    """(limit, total) from root polynomials already built: the limit law is
-    the ratio of the lowest-order coefficients, and total is their sum."""
+    """(limit, total) from root polynomials already built: the limit law is the
+    lowest-order coefficients, integers over their lcm, normalised; total is their sum."""
     total = sum_polynomials(polys)
     d = total.min_degree()
-    lead = total.coefficient(d)
-    return Distribution(tuple(h.coefficient(d) / lead for h in polys), EXACT), total
+    den = math.lcm(*[h.den for h in polys])
+    lead = [h.nums[d] * (den // h.den) if d < len(h.nums) else 0 for h in polys]
+    return Distribution.of_integers(lead, sum(lead)), total
 
 
 def _is_block_structured(q, part):

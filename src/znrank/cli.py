@@ -352,19 +352,10 @@ def cmd_sweep(args):
 
 
 def cmd_oracle(args):
-    from znrank.arborescence import (
-        all_root_polynomials,
-        limit_from_root_polynomials,
-        root_weights,
-    )
+    from znrank.arborescence import all_root_polynomials, limit_from_root_polynomials, root_weight_ratios
 
     p = load_p(args)
-    obj = {
-        "n": p.n,
-        "labels": p.states.label_list(),
-        "numeric": p.numeric_mode,
-        "root_weights": [number_to_json(x) for x in root_weights(p)],
-    }
+    obj = {"n": p.n, "labels": p.states.label_list(), "numeric": p.numeric_mode}
     if args.q:
         if p.numeric_mode != EXACT:
             raise UsageError("the polynomial oracle needs exact arithmetic; use --numeric exact")
@@ -372,10 +363,14 @@ def cmd_oracle(args):
         require_unichain_union(p, q)
         polys = all_root_polynomials(p, q)
         limit, total = limit_from_root_polynomials(polys)
+        # H_r(0) is P's sum of arborescence weights at r
+        obj["root_weights"] = [ratios_to_json(h.nums[:1] or (0,), h.den)[0] for h in polys]
         obj["polynomials"] = [h.to_strings() for h in polys]
         obj["total_polynomial"] = total.to_strings()
         obj["min_degree"] = total.min_degree()
-        obj["exact_limit"] = [number_to_json(v) for v in limit.values]
+        obj["exact_limit"] = ratios_to_json(limit.nums, limit.den)
+    else:
+        obj["root_weights"] = ratios_to_json(*root_weight_ratios(p))
     sys.stdout.write(canonical_dumps(obj))
     return 0
 

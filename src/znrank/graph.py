@@ -3,8 +3,8 @@ closed-class decomposition.
 
 States are 0-based. Closed communicating classes are the strongly connected
 components no positive entry leaves; they are listed in increasing order of
-their smallest member. Everything else is transient. In floating mode an
-entry counts as positive above 1e-15. Matrix rows are sparse, the nonzero
+their smallest member. Everything else is transient. A float entry counts
+as positive above 0, however small. Matrix rows are sparse, the nonzero
 entries in ascending column order; only row(i) and JSON output are dense.
 Exact matrices store integer numerators over one denominator per row.
 """
@@ -271,7 +271,7 @@ class RowStochasticMatrix:
 
     def support(self, row):
         """Columns of a stored row's positive entries, ascending."""
-        return list(row) if self.numeric_mode == EXACT else [j for j, x in row.items() if x > POSITIVE_EPS]
+        return list(row) if self.numeric_mode == EXACT else [j for j, x in row.items() if x > 0]
 
     def support_successors(self):
         """Adjacency lists of the positive-entry digraph, self-loops left out."""

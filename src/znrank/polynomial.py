@@ -1,41 +1,57 @@
 """Univariate polynomials in the perturbation size with exact rational
-coefficients. Coefficients are stored lowest degree first with trailing
-zeros stripped; the zero polynomial has an empty coefficient tuple."""
+coefficients, stored as integer numerators nums over one denominator den,
+lowest degree first, in lowest terms, trailing zeros trimmed; the zero
+polynomial has no numerators and den 1. Arithmetic stays in integers, with
+one gcd per result, and coeffs gives the Fractions, built on first use."""
 
+import functools
+import math
 from fractions import Fraction
 
 from znrank.errors import ZeroPolynomial
-from znrank.rational import EXACT_ZERO_ONE, exact_sum, format_rational
-
-
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+from znrank.rational import EXACT_ZERO_ONE, common_denominator, ratios_to_json
 
 
 class EpsPolynomial:
-    __slots__ = ("coeffs",)
-
     def __init__(self, coeffs=()):
-        self.coeffs = _trim(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        """From rationals (ints, Fractions or floats, read exactly); the
+        Fractions given are kept as coeffs."""
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        poly = EpsPolynomial.of_integers(*common_denominator(coeffs))
+        self.nums, self.den, self.coeffs = poly.nums, poly.den, tuple(coeffs[:len(poly.nums)])
+
+    @classmethod
+    def of_integers(cls, nums, den):
+        """The polynomial with coefficients nums[d] / den, den > 0."""
+        if den <= 0:
+            raise ValueError(f"denominator {den} is not positive")
+        nums = list(nums)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        poly = cls.__new__(cls)
+        g = math.gcd(den, *nums)
+        poly.nums, poly.den = tuple([x // g for x in nums]), den // g
+        return poly
+
+    @functools.cached_property
+    def coeffs(self):
+        return tuple([Fraction(x, self.den) for x in self.nums])
 
     @property
     def degree(self):
         """Degree, or -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, d):
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else EXACT_ZERO_ONE[0]
+        return self.coeffs[d] if 0 <= d < len(self.nums) else EXACT_ZERO_ONE[0]
 
     def min_degree(self):
         """Lowest degree with a nonzero coefficient."""
-        for d, c in enumerate(self.coeffs):
-            if c != 0:
+        for d, c in enumerate(self.nums):
+            if c:
                 return d
         raise ZeroPolynomial("the zero polynomial has no minimal degree")
 
@@ -46,13 +62,7 @@ class EpsPolynomial:
         return acc
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return EpsPolynomial(out)
+        return sum_polynomials((self, other))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -60,41 +70,46 @@ class EpsPolynomial:
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return EpsPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return EpsPolynomial(out)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums, i):
+                    out[j] += a * b
+        return EpsPolynomial.of_integers(out, self.den * other.den)
 
     def scale(self, k):
-        k = Fraction(k)
-        return EpsPolynomial(c * k for c in self.coeffs)
+        a, b = k.as_integer_ratio()
+        return EpsPolynomial.of_integers([c * a for c in self.nums], self.den * b)
 
     def derivative(self):
-        return EpsPolynomial(d * c for d, c in enumerate(self.coeffs) if d > 0)
+        return EpsPolynomial.of_integers([d * c for d, c in enumerate(self.nums)][1:], self.den)
 
     def shift_down(self, k):
-        """Divide by eps**k; the dropped coefficients must be zero."""
-        assert all(c == 0 for c in self.coeffs[:k])
-        return EpsPolynomial(self.coeffs[k:])
+        """Divide by eps**k; ValueError unless the dropped coefficients are zero."""
+        if any(self.nums[:k]):
+            raise ValueError(f"eps**{k} does not divide the polynomial")
+        return EpsPolynomial.of_integers(self.nums[k:], self.den)
 
     def to_strings(self):
-        return [format_rational(c) for c in self.coeffs]
+        return ratios_to_json(self.nums, self.den)
 
     def __eq__(self, other):
-        return isinstance(other, EpsPolynomial) and self.coeffs == other.coeffs
+        return isinstance(other, EpsPolynomial) and (self.nums, self.den) == (other.nums, other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"EpsPolynomial({list(self.coeffs)!r})"
 
 
 def sum_polynomials(polys):
-    """The sum of the polynomials, one exact_sum (integer numerators over
-    one denominator) per degree in place of pairwise additions."""
-    top = max((len(h.coeffs) for h in polys), default=0)
-    return EpsPolynomial(exact_sum([h.coeffs[d] for h in polys if d < len(h.coeffs)]) for d in range(top))
+    """The sum of the polynomials: their numerators over the lcm of their
+    denominators, added per degree, and one gcd."""
+    den = math.lcm(*[h.den for h in polys])
+    out = [0] * max((len(h.nums) for h in polys), default=0)
+    for h in polys:
+        f = den // h.den
+        for d, c in enumerate(h.nums):
+            out[d] += c * f
+    return EpsPolynomial.of_integers(out, den)

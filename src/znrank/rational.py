@@ -56,14 +56,6 @@ def common_denominator(xs):
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def exact_sum(xs):
-    """Sum of rationals as one Fraction: integer numerators over the lcm of
-    the denominators."""
-    pairs = [x.as_integer_ratio() for x in xs]
-    d = math.lcm(*[b for _, b in pairs])
-    return Fraction(sum([a * (d // b) for a, b in pairs]), d)
-
-
 def format_rational(x):
     x = x if type(x) is Fraction else Fraction(x)
     return f"{x.numerator}/{x.denominator}"

@@ -6,8 +6,7 @@ rational, including the grid) gives exact per-eps stationary laws. Floating
 mode stays accurate on grids down to 1e-14: every per-eps law comes from GTH
 state reduction, which never subtracts, and the one closed class that makes
 the law unique is checked once on the union support of P and Q, not on each
-P_eps, whose smallest entries would fall under the float positivity
-threshold. States outside that class are transient and get 0.
+P_eps. States outside that class are transient and get 0.
 
 The reduction never forms the dense P_eps. States that share a Q row send
 their eps mass to one hub state whose row is that Q row, so the chain stays
@@ -231,22 +230,14 @@ def exact_first_order(p, q, n_guard=None):
     """Exact derivative at zero mixing of the stationary law, from the
     polynomial route: d/de of H_i(e) / S(e) at 0 after the common leading
     power is removed."""
-    guard = SYMBOLIC_N_GUARD if n_guard is None else n_guard
-    polys = all_root_polynomials(p, q, n_guard=guard)
+    polys = all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD if n_guard is None else n_guard)
     total = sum_polynomials(polys)
     d = total.min_degree()
-    s = total.shift_down(d)
-    s0 = s.coefficient(0)
-    s1 = s.coefficient(1)
-    out = []
-    for h in polys:
-        # every root polynomial is nonnegative near 0, so its minimal
-        # degree is at least that of the total
-        hs = h.shift_down(d)
-        h0 = hs.coefficient(0)
-        h1 = hs.coefficient(1)
-        out.append((h1 * s0 - h0 * s1) / (s0 * s0))
-    return tuple(out)
+    s0, s1 = (total.nums[d:d + 2] + (0,))[:2]
+    # every root polynomial is nonnegative near 0, so its minimal degree is
+    # at least that of the total
+    return tuple(Fraction((h1 * s0 - h0 * s1) * total.den, h.den * s0 * s0)
+                 for h in polys for h0, h1 in [(h.shift_down(d).nums + (0, 0))[:2]])
 
 
 def extrapolate_limit(p, q, grid=None):

@@ -221,6 +221,28 @@ def test_float_root_weights_match_exact_random():
                     assert abs(x - float(h)) <= 1e-12 * float(h)
 
 
+def test_root_weights_are_the_constant_terms_random():
+    # H_r(0) is P's sum of arborescence weights at r, which `oracle --q`
+    # prints as P's root weights: 0 at every transient state, and at every
+    # root when P has several closed classes
+    rng = rng_for("root-weights-constant-terms")
+    kinds = set()
+    for n in range(1, 10):
+        for _ in range(12):
+            p = _rand_p(rng, n)
+            q = rand_stochastic(rng, p.n) if rng.random() < 0.5 else rand_general_q(rng, p.n)
+            part = classify_states(p)
+            constants = tuple(h.coefficient(0) for h in all_root_polynomials(p, q))
+            assert constants == root_weights(p)
+            if part.m > 1:
+                assert not any(constants)
+                kinds.add("closed classes")
+            elif part.transient:
+                assert all(constants[x] == 0 for x in part.transient) and any(constants)
+                kinds.add("transient")
+    assert kinds == {"closed classes", "transient"}
+
+
 def test_polynomial_guards():
     p = RowStochasticMatrix(StateSpace(3), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     q = uniform_matrix(3)
