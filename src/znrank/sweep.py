@@ -21,8 +21,8 @@ and an exact sweep reuses the elimination order found at its first eps.
 The predicted limit of a float sweep is read off the same plan: replayed
 on the leading terms of the entries in eps (stationary._lead_law), it gives
 the limit as eps -> 0 of the hub chain's law, whatever the reduced class
-chain looks like. An exact sweep takes its prediction from
-zero_noise.limit_rank.
+chain looks like; zero_noise.adjudicate takes it as its leading-order
+oracle. An exact sweep takes its prediction from zero_noise.limit_rank.
 """
 
 import math
@@ -83,9 +83,9 @@ def _shared_q_rows(q):
 
 
 def _perturbed_laws(p, q, grid, limit=False):
-    """Stationary laws of (1 - eps) P + eps Q for each eps of grid, after
-    require_unichain_union(p, q), which leaves the hub chain one closed
-    class; its transient states, hubs among them, get 0. Below eps = 1
+    """Stationary laws of (1 - eps) P + eps Q for each eps of grid. It
+    first runs require_unichain_union(p, q), which leaves the hub chain one
+    closed class; its transient states, hubs among them, get 0. Below eps = 1
     each is the hub chain's law on the states of P, renormalized. With
     limit set, returns (laws, the float limit as eps -> 0), the limit read
     off the float plan of the hub chain by _lead_law.
@@ -95,6 +95,7 @@ def _perturbed_laws(p, q, grid, limit=False):
     eps and no entry cancels, so its reduction is worked out once per
     numeric mode: float eps replay one _plan on the flat list of the values
     at eps, exact eps reuse the order found at the first."""
+    require_unichain_union(p, q)
     mixes = [_mixing_eps(p, q, eps) for eps in grid]
     modes = {mode for mode, _ in mixes} | ({FLOAT} if limit else set())
     matrices = {mode: (p, q) if mode == EXACT else (p.to_float(), q.to_float()) for mode in modes}
@@ -180,7 +181,6 @@ def epsilon_sweep(p, q, grid=None, predicted=None, part=None):
     grid = check_eps_grid(grid)
     if predicted is None and exact_inputs:
         predicted = limit_rank(p, q, part).node_limit
-    require_unichain_union(p, q)
     if predicted is None:  # read off the float plan of the laws
         table, predicted = _perturbed_laws(p, q, grid, limit=True)
     else:
@@ -218,7 +218,6 @@ def first_order_estimate(p, q, eps_pair):
     e1, e2 = eps_pair
     if e1 == e2:
         raise ValueError("the two eps values must differ")
-    require_unichain_union(p, q)
     pi1, pi2 = _perturbed_laws(p, q, eps_pair)
     if pi1.numeric_mode == EXACT and pi2.numeric_mode == EXACT:
         return tuple((a - b) / (Fraction(e1) - Fraction(e2)) for a, b in zip(pi1.values, pi2.values))
@@ -250,20 +249,24 @@ def extrapolate_limit(p, q, grid=None):
     if len(grid) < 2:
         raise ValueError(f"extrapolation needs two eps values, got {len(grid)}")
     e1, e2 = float(grid[-2]), float(grid[-1])
-    require_unichain_union(pf, qf)
     pi1, pi2 = _perturbed_laws(pf, qf, (e1, e2))
     # value at 0 of the line through (e1, pi1), (e2, pi2)
     return tuple(b - e2 * (a - b) / (e1 - e2) for a, b in zip(pi1.values, pi2.values))
 
 
+def rounding_floor(n):
+    """4 n ulps of 1: a float difference of n-state laws up to this is
+    rounding, since GTH gives each law entrywise to a few ulps."""
+    return 4 * n * sys.float_info.epsilon
+
+
 def convergence_report(result):
     """Summary dict with a verdict: exact when all errors vanish, otherwise
     pass when errors stay below the fitted linear envelope and the fitted
-    slope is at least 0.8. A floating error of at most 4 n ulps of 1 is
-    rounding and counts as zero: GTH gives each law entrywise to a few ulps,
-    so a law that does not depend on eps would otherwise fail on noise."""
+    slope is at least 0.8. A floating error within the rounding floor counts
+    as zero, so a law that does not depend on eps does not fail on noise."""
     floating = any(isinstance(e, float) for e in result.errors)
-    floor = 4 * result.predicted_limit.n * sys.float_info.epsilon if floating else 0.0
+    floor = rounding_floor(result.predicted_limit.n) if floating else 0.0
     errs = [float(e) for e in result.errors]
     eps = [float(e) for e in result.eps_grid]
     if all(e <= floor for e in errs):

@@ -7,10 +7,13 @@ class by the class stationary law, so any Q is allowed, and it may have
 transient classes, which get mass 0, but only one closed class. The plain
 reduction requires no transient states; the extended reduction routes
 perturbation mass that lands on transient states through their absorption
-probabilities and is validated empirically (sweeps, exact fixtures and
-random chains against the polynomial oracle), not assumed. Without
-transient states the two coincide, and `limit_rank` is the one route to
-either.
+probabilities. That follows from censoring: the chain watched on its
+closed states only, the stochastic complement of P_eps (Meyer, SIAM Review
+1989), has the law of P_eps there up to normalisation, and to first order
+in eps it is (1 - eps) P + eps Q' on them, where Q' sends the mass Q(x, t)
+on a transient state t on into C_j with the absorption probability A(t, j).
+Without transient states the two reductions coincide, and `limit_rank` is
+the one route to either.
 """
 
 import math
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from znrank.arborescence import SYMBOLIC_N_GUARD, exact_limit_from_polynomials
-from znrank.errors import GammaReducible, GuardExceeded, NotIrreducible, TransientStatesPresent
+from znrank.errors import GammaReducible, NotIrreducible, TransientStatesPresent
 from znrank.graph import RowStochasticMatrix, StateSpace, classify_states, require_unichain_union
 from znrank.rational import EXACT, FLOAT, number_to_json, ratios_to_json
 from znrank.stationary import (
@@ -82,45 +85,25 @@ def _gamma_chain_from_rows(rows, dens, part, numeric_mode):
 
 def _reduced_rows(q, part, class_laws, absorb=None):
     """Gamma(i, j) = sum over x in C_i of pi_i(x) Q(x, C_j): each member of
-    a class is weighted by the class stationary law. With absorb, the mass
-    Q(x, t) on a transient state t continues into C_j with probability
-    A(t, j). Returns (rows, dens) as RowStochasticMatrix takes them: exact
-    rows are integers over dens, Q(x, C_j) over the row denominator of Q
-    (times the lcm of the absorption rows it reads), summed once per Q row
-    object and weighted by the integer sum of its members' law numerators.
-    Float addition is not associative, so float weights each member in
-    turn, and dens is None."""
+    a class is weighted in turn by the class stationary law. With absorb,
+    the mass Q(x, t) on a transient state t continues into C_j with
+    probability A(t, j). Returns (rows, dens) as RowStochasticMatrix takes
+    them: exact rows are integers over dens, Q(x, C_j) over the row
+    denominator of Q (times the lcm of the absorption rows it reads),
+    formed once per Q row object. Float Q rows, their denominators and the
+    absorption rows are read as numerators over the int 1: multiplying a
+    float by 1 and adding it to the int 0 are exact, so float rows are the
+    same sums of the same products in the same order, and dens is None."""
     m = part.m
     owner = [None] * q.n
     for j, cj in enumerate(part.closed_classes):
         for y in cj:
             owner[y] = j
+    ones = (1,) * q.n
     routes = dict(zip(part.transient, absorb.num_rows)) if absorb else {}
-    masses = {}  # id of a Q row -> its class masses; rows shared by several states are summed once
-    rows = []
-    if q.dens is None:
-        def class_mass(q_row):  # Q(x, C_j) for every j, formed before weighting by pi_k(x)
-            terms = [[] for _ in range(m)]
-            for y, v in q_row.items():
-                j = owner[y]
-                if j is not None:
-                    terms[j].append(v)
-                else:
-                    for jj, a in enumerate(routes[y]):
-                        terms[jj].append(v * a)
-            return [sum(t, 0.0) for t in terms]
-
-        for k, ck in enumerate(part.closed_classes):
-            weighted = []  # (law entry, class masses) of each member
-            for x in ck:
-                q_row = q.rows[x]
-                if id(q_row) not in masses:
-                    masses[id(q_row)] = class_mass(q_row)
-                weighted.append((class_laws[k][x], masses[id(q_row)]))
-            rows.append([sum([w * out[j] for w, out in weighted if out[j]], 0.0) for j in range(m)])
-        return rows, None
-
-    betas = dict(zip(part.transient, absorb.dens)) if absorb else {}  # A(t, j) = routes[t][j] / betas[t]
+    betas = dict(zip(part.transient, absorb.dens or ones)) if absorb else {}  # A(t, j) = routes[t][j] / betas[t]
+    q_dens = q.dens or ones
+    masses = {}  # id of a Q row -> its class masses; rows shared by several states are formed once
 
     def class_mass(q_row, den):  # (M, E): Q(x, C_j) = M[j] / E for every j
         lcm = math.lcm(*[betas[y] for y in q_row if owner[y] is None])
@@ -135,20 +118,20 @@ def _reduced_rows(q, part, class_laws, absorb=None):
                     out[jj] += f * a
         return out, den * lcm
 
-    dens = []
+    rows, dens = [], []
     for k, ck in enumerate(part.closed_classes):
         law = class_laws[k].nums
-        weights = {}  # id of a Q row -> the summed law numerators of its members in C_k
+        terms = []  # (pi_k(x) numerator, M, E) of each member x
         for x in ck:
             q_row = q.num_rows[x]
-            weights[id(q_row)] = weights.get(id(q_row), 0) + law[x]
             if id(q_row) not in masses:
-                masses[id(q_row)] = class_mass(q_row, q.dens[x])
-        terms = [(w, *masses[r]) for r, w in weights.items()]
+                masses[id(q_row)] = class_mass(q_row, q_dens[x])
+            terms.append((law[x], *masses[id(q_row)]))
         den = math.lcm(*[e for _, _, e in terms])
-        rows.append([sum([w * out[j] * (den // e) for w, out, e in terms]) for j in range(m)])
-        dens.append(class_laws[k].den * den)
-    return rows, dens
+        terms = [(w * (den // e), out) for w, out, e in terms]
+        rows.append([sum([w * out[j] for w, out in terms]) for j in range(m)])
+        dens.append((class_laws[k].den or 1) * den)
+    return rows, None if q.dens is None else dens
 
 
 def build_gamma(p, q, part, class_laws=None):
@@ -175,10 +158,12 @@ def personalization_gamma(nu, part):
 def extended_gamma(p, q, part, class_laws=None):
     """Reduced chain with transient states folded in: perturbation mass from
     class i that lands on a transient state t continues into class j with
-    the absorption probability A(t, j). Without transient states this is
-    the plain reduced chain. class_laws defaults to
-    class_stationary(p, part). If the reduced chain is refused, a union
-    support of P and Q with several closed classes is reported first."""
+    the absorption probability A(t, j), as it does to first order in eps in
+    the stochastic complement of P_eps on the closed states (Meyer, SIAM
+    Review 1989). Without transient states this is the plain reduced
+    chain. class_laws defaults to class_stationary(p, part). If the reduced
+    chain is refused, a union support of P and Q with several closed
+    classes is reported first."""
     p, q = _common_mode(p, q)
     if class_laws is None:
         class_laws = class_stationary(p, part)
@@ -195,8 +180,8 @@ def limit_rank(p, q, part=None, mode="auto"):
     per-class stationary laws weighted by the class masses of mode.
       theorem3  the reduced-chain stationary law; P must be transient-free;
       extended  the same with mass on transient states routed onward by
-                absorption probabilities (validated by sweeps and the exact
-                oracle, not assumed);
+                absorption probabilities, as censoring onto the closed
+                states (a stochastic complement) does;
       theorem2  uniform masses 1/m, a prediction that ignores q;
       auto      extended if P has transient states, else theorem3.
     Mixed exact/float inputs drop to floating point together. part defaults
@@ -275,32 +260,23 @@ def report_to_json(report):
     }
 
 
-def adjudicate(p, q, n_guard=None, eps_grid=None, part=None):
+def adjudicate(p, q, part=None):
     """Compare the uniform prediction and the class-chain limit against an
-    independent oracle: the exact polynomial route when guards allow, the
-    sweep extrapolation otherwise. Returns a JSON-able report; methods that
-    deviate from the oracle beyond tolerance are flagged discrepant. part
-    defaults to classify_states(p)."""
-    from znrank.sweep import DEFAULT_FLOAT_GRID, extrapolate_limit
+    independent oracle: on exact inputs of up to SYMBOLIC_N_GUARD states the
+    exact limit of the root polynomials ("exact-polynomial"), otherwise the
+    float limit of the perturbed chain's leading terms ("leading-order",
+    sweep._perturbed_laws), with the float rounding floor as tolerance.
+    Returns a JSON-able report; methods that deviate from the oracle beyond
+    tolerance are flagged discrepant. part defaults to classify_states(p)."""
+    from znrank.sweep import _perturbed_laws, rounding_floor
 
     part = part or classify_states(p)
     limit = limit_rank(p, q, part)
     methods = {"theorem2": theorem2_prediction(p, part), limit.mode: limit}
-
-    guard = SYMBOLIC_N_GUARD if n_guard is None else n_guard
-    oracle_mode = "exact-polynomial"
-    tol = 0.0
-    oracle_vals = None
-    if p.numeric_mode == EXACT and q.numeric_mode == EXACT:
-        try:
-            oracle_vals = exact_limit_from_polynomials(p, q, n_guard=guard).values
-        except GuardExceeded:
-            oracle_vals = None
-    if oracle_vals is None:
-        grid = DEFAULT_FLOAT_GRID if eps_grid is None else eps_grid
-        oracle_vals = extrapolate_limit(p, q, grid)
-        oracle_mode = "sweep-extrapolation"
-        tol = 10.0 * float(min(grid))
+    if p.numeric_mode == EXACT and q.numeric_mode == EXACT and p.n <= SYMBOLIC_N_GUARD:
+        oracle_mode, oracle_vals = "exact-polynomial", exact_limit_from_polynomials(p, q).values
+    else:
+        oracle_mode, oracle_vals = "leading-order", _perturbed_laws(p, q, (), limit=True)[1].values
 
     report = {
         "oracle_mode": oracle_mode,
@@ -314,7 +290,7 @@ def adjudicate(p, q, n_guard=None, eps_grid=None, part=None):
         if isinstance(dev, Fraction):
             verdict = "exact" if dev == 0 else "discrepant"
         else:
-            verdict = "pass" if dev <= tol else "discrepant"
+            verdict = "pass" if dev <= rounding_floor(p.n) else "discrepant"
         report["methods"][name] = {
             "values": [number_to_json(x) for x in vals],
             "max_deviation": number_to_json(dev),

@@ -396,6 +396,20 @@ def test_rank_float_keeps_entries_below_1e_15(tmp_path, capsys):
         assert [F(x) for x in obj["node_limit"]] == [0, 0, 0, 1]
 
 
+def test_adjudicate_float_oracle_sees_entries_far_below_eps(tmp_path, capsys):
+    # the chain above: extrapolating from eps = 1e-5 and 1e-6 gave the oracle
+    # 0.375 0.375 5.3e-23 0.25 and called the right limit discrepant; the
+    # leading-order limit gives d all the mass
+    w = 10**30 + 1
+    g = wpath(tmp_path, "g.txt", f"a b {w}\na c\nb a\nc a {w}\nc d\nd d\n")
+    code, out, _ = run(capsys, "adjudicate", "--graph", g, "--q", "uniform", "--numeric", "float")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["oracle_mode"] == "leading-order"
+    assert obj["oracle"] == [0.0, 0.0, 0.0, 1.0]
+    assert obj["methods"]["extended"] == {"values": [0.0, 0.0, 0.0, 1.0], "max_deviation": 0.0, "verdict": "pass"}
+
+
 def test_sweep_exact_tsv(tmp_path, capsys):
     g = wpath(tmp_path, "g.txt", TWO_CLASS)
     code, out, _ = run(capsys, "sweep", "--graph", g, "--q", "uniform")

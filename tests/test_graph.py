@@ -404,11 +404,11 @@ def test_float_sweep_on_integer_inputs_builds_no_fraction(tmp_path, monkeypatch,
         assert code == 0 and len(out["pi"][0]) == n and made == 0
 
 
-def test_reduced_rows_weight_a_shared_q_row_once(monkeypatch):
-    # a Q row held by every member of a class is summed once and weighted
-    # once per class, in integers over the law's denominator, so no
-    # Fraction is built; one per entry of Gamma made 9, and weighting each
-    # member in turn 336 at n = 48
+def test_reduced_rows_form_a_shared_q_rows_masses_once(monkeypatch):
+    # the class masses of a Q row held by every member of a class are
+    # formed once, in integers over Q's row denominator, and each member
+    # weights them by its law numerator, so no Fraction is built; one per
+    # entry of Gamma made 9, and Fraction weights per member 336 at n = 48
     built = {}
     for scale in (1, 4):
         rng = rng_for(f"shared-q-count-{scale}")

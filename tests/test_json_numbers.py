@@ -86,7 +86,7 @@ def test_adjudicate_exact_p_float_q_reports_float_deviations():
         p = rand_with_transients(rng, sizes, rng.randint(1, 2))
         q = rand_with_transients(rng, [p.n], 0).to_float()  # one irreducible class over all states
         report = adjudicate(p, q)
-        assert report["oracle_mode"] == "sweep-extrapolation"
+        assert report["oracle_mode"] == "leading-order"
         assert set(report["methods"]) == {"theorem2", "extended"}
         for name, entry in report["methods"].items():
             assert type(entry["max_deviation"]) is float, name

@@ -15,7 +15,7 @@ from znrank.graph import (
     uniform_matrix,
 )
 from znrank.stationary import stationary_direct
-from znrank.zero_noise import adjudicate, limit_rank
+from znrank.zero_noise import limit_rank
 from znrank.sweep import (
     DEFAULT_EXACT_GRID,
     DEFAULT_FLOAT_GRID,
@@ -180,8 +180,6 @@ def test_extrapolation_needs_two_eps():
     q = uniform_matrix(3)
     with pytest.raises(ValueError, match="^extrapolation needs two eps values, got 1$"):
         extrapolate_limit(p, q, grid=[1e-3])
-    with pytest.raises(ValueError, match="^extrapolation needs two eps values, got 1$"):
-        adjudicate(p.to_float(), q.to_float(), eps_grid=[1e-3])  # float: the oracle extrapolates
     assert len(extrapolate_limit(p, q, grid=[1e-2, 1e-3])) == 3
 
 

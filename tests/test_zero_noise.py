@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from znrank.arborescence import SYMBOLIC_N_GUARD
 from znrank.errors import GammaReducible, NotIrreducible, TransientStatesPresent
 from znrank.graph import (
     RowStochasticMatrix,
@@ -174,10 +175,10 @@ def test_adjudicate_worked_fixture():
     assert report["methods"]["theorem2"]["max_deviation"] == "1/6"
 
 
-def test_adjudicate_sweep_fallback_on_floats():
+def test_adjudicate_leading_order_oracle_on_floats():
     p = cycle_plus_absorber().to_float()
     report = adjudicate(p, uniform_matrix(3).to_float())
-    assert report["oracle_mode"] == "sweep-extrapolation"
+    assert report["oracle_mode"] == "leading-order"
     assert report["methods"]["theorem3"]["verdict"] == "pass"
     assert report["methods"]["theorem2"]["verdict"] == "discrepant"
 
@@ -194,6 +195,30 @@ def test_adjudicate_with_transients_uses_extended():
     assert report["oracle_mode"] == "exact-polynomial"
     assert "extended" in report["methods"]
     assert report["methods"]["extended"]["verdict"] == "exact"
+
+
+def test_adjudicate_passes_the_class_chain_limit_across_the_guard():
+    # exact inputs up to SYMBOLIC_N_GUARD states meet the polynomial oracle
+    # and must match it exactly; larger and float ones meet the float
+    # leading-order limit and must pass within the rounding floor
+    rng = rng_for("adjudicate-class-chain")
+    kinds = ("uniform", "personalized", "block", "general", "partly shared")
+    seen = set()
+    for trial in range(40):
+        kind = kinds[trial % len(kinds)]
+        n = rng.randint(2, 16)
+        t = 0 if kind == "block" else rng.randint(0, min(3, n - 2))
+        sizes = rand_sizes(rng, rng.randint(1, 3), hi=6, total_cap=n - t)
+        p = rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes)
+        q = rand_q(rng, kind, p, sizes)
+        for pm, qm in ((p, q), (p.to_float(), q.to_float())):
+            report = adjudicate(pm, qm)
+            (method,) = set(report["methods"]) - {"theorem2"}
+            polynomial = pm.numeric_mode == "exact" and p.n <= SYMBOLIC_N_GUARD
+            assert report["oracle_mode"] == ("exact-polynomial" if polynomial else "leading-order")
+            assert report["methods"][method]["verdict"] == ("exact" if polynomial else "pass"), (kind, p.n)
+            seen.add((pm.numeric_mode, p.n > SYMBOLIC_N_GUARD))
+    assert len(seen) == 4
 
 
 def test_general_route_matches_oracle_random():
@@ -289,6 +314,97 @@ def test_reduced_rows_equal_the_per_state_sum():
             assert rows == _per_state_reduced_rows(qm, part, laws, absorb), kind
         seen.add((kind, bool(part.transient)))
     assert len(seen) == 9
+
+
+def _float_reduced_rows(q, part, laws, absorb):
+    """Reference float Gamma as the float loop was once written apart from
+    the exact one: Q(x, C_j) summed from 0.0 once per Q row object, then
+    each member weighted in turn, zero masses skipped."""
+    owner = {y: j for j, c in enumerate(part.closed_classes) for y in c}
+    routes = dict(zip(part.transient, absorb.num_rows)) if absorb else {}
+    masses = {}
+    rows = []
+    for k, ck in enumerate(part.closed_classes):
+        weighted = []
+        for x in ck:
+            q_row = q.rows[x]
+            if id(q_row) not in masses:
+                terms = [[] for _ in range(part.m)]
+                for y, v in q_row.items():
+                    if y in owner:
+                        terms[owner[y]].append(v)
+                    else:
+                        for j, a in enumerate(routes[y]):
+                            terms[j].append(v * a)
+                masses[id(q_row)] = [sum(t, 0.0) for t in terms]
+            weighted.append((laws[k].nums[x], masses[id(q_row)]))
+        rows.append([sum([w * out[j] for w, out in weighted if out[j]], 0.0) for j in range(part.m)])
+    return rows
+
+
+def _grouped_reduced_rows(q, part, laws, absorb):
+    """Reference exact Gamma in the grouped form: the members of a class
+    that hold one Q row object are weighted once, by their summed law
+    entries."""
+    owner = {y: j for j, c in enumerate(part.closed_classes) for y in c}
+    rows = []
+    for k, ck in enumerate(part.closed_classes):
+        groups = {}  # id of a Q row -> [summed law entries, a member]
+        for x in ck:
+            groups.setdefault(id(q.rows[x]), [F(0), x])[0] += laws[k][x]
+        row = [F(0)] * part.m
+        for w, x in groups.values():
+            for y, v in q.rows[x].items():
+                for j, a in [(owner[y], 1)] if y in owner else enumerate(absorb.row_for(y)):
+                    row[j] += w * v * a
+        rows.append(row)
+    return rows
+
+
+def _heavy(rng, m):
+    """m with a 30-digit weight, 10^30 + 1, on one entry of some distinct
+    rows, each then normalised again; rows shared by several states stay
+    shared."""
+    done = {}
+    for row in m.rows:
+        if id(row) not in done:
+            w = dict(row)
+            if rng.random() < 0.4:
+                w[rng.choice(list(w))] *= 10**30 + 1
+            total = sum(w.values())
+            done[id(row)] = {j: v / total for j, v in w.items()}
+    return RowStochasticMatrix(m.states, tuple(done[id(row)] for row in m.rows))
+
+
+def test_reduced_rows_float_keeps_its_bits():
+    # float rows come out of the loop that exact rows take, with every
+    # denominator 1; they equal the float loop it replaced bit for bit, and
+    # exact rows equal the grouped form by value
+    rng = rng_for("reduced-rows-float-bits")
+    kinds = ("uniform", "personalized", "block", "partly shared", "general")
+    seen = set()
+    for trial in range(150):
+        kind = kinds[trial % len(kinds)]
+        t = 0 if kind == "block" else rng.randint(0, 3)
+        sizes = rand_sizes(rng, rng.randint(1, 3), hi=5, total_cap=12 - t)
+        p = rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes)
+        q = rand_q(rng, kind, p, sizes)
+        heavy = trial % 3 == 0
+        if heavy:
+            p, q = _heavy(rng, p), _heavy(rng, q)
+        part = classify_states(p)
+        pf, qf = p.to_float(), q.to_float()
+        laws = class_stationary(pf, part)
+        absorb = absorption_probabilities(pf, part) if part.transient else None
+        rows, dens = _reduced_rows(qf, part, laws, absorb)
+        want = _float_reduced_rows(qf, part, laws, absorb)
+        assert dens is None and [[x.hex() for x in r] for r in rows] == [[x.hex() for x in r] for r in want], kind
+        laws = class_stationary(p, part)
+        absorb = absorption_probabilities(p, part) if part.transient else None
+        rows, dens = _reduced_rows(q, part, laws, absorb)
+        assert [[F(x, d) for x in r] for r, d in zip(rows, dens)] == _grouped_reduced_rows(q, part, laws, absorb)
+        seen.add((kind, bool(part.transient), heavy))
+    assert len(seen) == 18, sorted(seen)
 
 
 def test_unichain_gamma_gives_its_transient_classes_mass_zero():
