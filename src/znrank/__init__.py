@@ -4,6 +4,10 @@ A chain P is mixed with a perturbation Q as (1 - eps) P + eps Q. This
 package computes stationary laws along eps, their limit as eps -> 0
 through the closed-class decomposition and the reduced class-level chain,
 and checks every route against exact arborescence and polynomial oracles.
+
+EpsPolynomial is imported on first use, through a module __getattr__ (PEP
+562): only the oracle routes build one, and `import znrank.cli`, which runs
+this module, then leaves `znrank.polynomial` unloaded for `rank` and `sweep`.
 """
 
 __version__ = "0.1.0"
@@ -37,7 +41,6 @@ from znrank.graph import (
     to_stochastic,
     uniform_matrix,
 )
-from znrank.polynomial import EpsPolynomial
 from znrank.stationary import (
     AbsorptionTable,
     Distribution,
@@ -82,3 +85,11 @@ __all__ = [
     "class_stationary",
     "absorption_probabilities",
 ]
+
+
+def __getattr__(name):
+    if name == "EpsPolynomial":
+        from znrank.polynomial import EpsPolynomial
+
+        return EpsPolynomial
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,7 @@ input matrix is.
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -47,17 +47,13 @@ def resolve_budget(budget=None):
     return DEFAULT_ASSIGNMENT_BUDGET
 
 
-@dataclass(frozen=True)
-class Arborescence:
-    root: int
-    parents: tuple  # sorted (node, chosen out-neighbor) pairs, root absent
+class Arborescence(namedtuple("Arborescence", "root parents")):
+    """parents: sorted (node, chosen out-neighbor) pairs, root absent."""
+
+    __slots__ = ()
 
     def as_dict(self):
         return dict(self.parents)
-
-    @property
-    def edges(self):
-        return self.parents
 
 
 def _assignment_count(cands, nodes):

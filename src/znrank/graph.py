@@ -12,9 +12,9 @@ Exact matrices store integer numerators over one denominator per row.
 import functools
 import json
 import math
-from itertools import compress
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from itertools import compress
 
 from znrank.errors import InputFormatError, NotIrreducible
 from znrank.rational import (EXACT, FLOAT, common_denominator, number_to_json, over_lcm, parse_ratio, parse_rational,
@@ -23,20 +23,19 @@ from znrank.rational import (EXACT, FLOAT, common_denominator, number_to_json, o
 POSITIVE_EPS = 1e-15
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    n: int
-    labels: tuple = None
+class StateSpace(namedtuple("StateSpace", "n labels")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n, labels=None):
+        if n < 1:
             raise ValueError("state space needs at least one state")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.n:
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != n:
                 raise ValueError("label count does not match n")
-            if len(set(self.labels)) != self.n:
+            if len(set(labels)) != n:
                 raise ValueError("duplicate labels")
+        return super().__new__(cls, n, labels)
 
     def label_list(self):
         if self.labels is not None:
@@ -44,21 +43,19 @@ class StateSpace:
         return [str(i) for i in range(self.n)]
 
 
-@dataclass
 class WeightedDigraph:
     """Directed graph with nonnegative rational edge weights, each an int
     or a Fraction, no parallel edges, in order of first appearance; a given
     _adj, the out-edges {dst: weight} of each node, is taken as checked."""
 
-    states: StateSpace
-    edges: tuple  # of (src, dst, int or Fraction weight)
-    _adj: list = field(default_factory=list, repr=False, compare=False)
+    __hash__ = None
 
-    def __post_init__(self):
-        if self._adj:
+    def __init__(self, states, edges, _adj=None):
+        self.states, self.edges, self._adj = states, edges, _adj
+        if _adj:
             return
-        self.edges = tuple((int(s), int(d), w if type(w) is int else Fraction(w)) for s, d, w in self.edges)
-        self._adj = [{} for _ in range(self.states.n)]
+        self.edges = tuple((int(s), int(d), w if type(w) is int else Fraction(w)) for s, d, w in edges)
+        self._adj = [{} for _ in range(states.n)]
         for s, d, w in self.edges:
             if not (0 <= s < self.states.n and 0 <= d < self.states.n):
                 raise ValueError(f"edge ({s}, {d}) outside the state space")
@@ -67,6 +64,14 @@ class WeightedDigraph:
             if d in self._adj[s]:
                 raise ValueError(f"duplicate edge ({s}, {d})")
             self._adj[s][d] = w
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.states, self.edges) == (other.states, other.edges)
+
+    def __repr__(self):
+        return f"WeightedDigraph(states={self.states!r}, edges={self.edges!r})"
 
     def successors(self, u):
         return list(self._adj[u])
@@ -288,19 +293,20 @@ def ones_outer(nu_values, states=None):
     return RowStochasticMatrix(states or StateSpace(n), (dict(enumerate(nu_values)),) * n)
 
 
-@dataclass(frozen=True)
-class ClassPartition:
-    closed_classes: tuple  # of sorted tuples of state indices
-    transient: tuple
+class ClassPartition(namedtuple("ClassPartition", "closed_classes transient")):
+    """closed_classes: sorted tuples of state indices; transient: the rest."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "closed_classes", tuple(tuple(c) for c in self.closed_classes))
-        object.__setattr__(self, "transient", tuple(self.transient))
-        all_states = [s for c in self.closed_classes for s in c] + list(self.transient)
+    __slots__ = ()
+
+    def __new__(cls, closed_classes, transient):
+        closed_classes = tuple(tuple(c) for c in closed_classes)
+        transient = tuple(transient)
+        all_states = [s for c in closed_classes for s in c] + list(transient)
         if len(all_states) != len(set(all_states)):
             raise ValueError("partition cells overlap")
-        if not self.closed_classes:
+        if not closed_classes:
             raise ValueError("at least one closed class is required")
+        return super().__new__(cls, closed_classes, transient)
 
     @property
     def m(self):

@@ -2,12 +2,12 @@
 rumor-source scores, win-weight ladders and pairwise comparison chains."""
 
 import math
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from znrank.arborescence import enumerate_arborescences, mctt_stationary
 from znrank.errors import GuardExceeded, MissingReverseWeight, NonpositiveWeight, NotIrreducible
-from znrank.graph import RowStochasticMatrix, StateSpace, WeightedDigraph, to_stochastic
+from znrank.graph import RowStochasticMatrix, WeightedDigraph, to_stochastic
 from znrank.rational import format_rational
 from znrank.stationary import Distribution
 
@@ -31,15 +31,16 @@ def rumor_source_scores(p, g):
     return Distribution(tuple(x / total for x in raw), pi.numeric_mode)
 
 
-@dataclass(frozen=True)
-class NodeWeights:
-    values: tuple  # strictly positive rationals per node
+class NodeWeights(namedtuple("NodeWeights", "values")):
+    """values: strictly positive rationals per node."""
 
-    def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+    __slots__ = ()
+
+    def __new__(cls, values):
+        vals = tuple(Fraction(v) for v in values)
         if any(v <= 0 for v in vals):
             raise NonpositiveWeight("node weights must be strictly positive")
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, vals)
 
 
 def bradley_terry_chain(g, w, dangling="self_loop"):
@@ -54,22 +55,19 @@ def bradley_terry_chain(g, w, dangling="self_loop"):
     return to_stochastic(WeightedDigraph(g.states, edges), dangling=dangling)
 
 
-@dataclass(frozen=True)
-class EdgeComparisons:
-    """Directed comparison data: w_pairs[(i, j)] is the weight of i over j.
-    D must be at least the maximum out-degree; omitted, it defaults to it."""
+class EdgeComparisons(namedtuple("EdgeComparisons", "states w_pairs d")):
+    """Directed comparison data on a StateSpace: w_pairs, sorted ((i, j),
+    weight) items, gives the weight of i over j. D must be at least the
+    maximum out-degree; omitted, it defaults to it."""
 
-    states: StateSpace
-    w_pairs: tuple  # sorted ((i, j), weight) items
-    d: int = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        items = dict(self.w_pairs) if not isinstance(self.w_pairs, dict) else dict(self.w_pairs)
+    def __new__(cls, states, w_pairs, d=None):
         norm = {}
-        for (i, j), w in items.items():
+        for (i, j), w in dict(w_pairs).items():
             if i == j:
                 raise ValueError("self-comparisons are not allowed")
-            if not (0 <= i < self.states.n and 0 <= j < self.states.n):
+            if not (0 <= i < states.n and 0 <= j < states.n):
                 raise ValueError(f"comparison ({i}, {j}) outside the state space")
             w = Fraction(w)
             if w <= 0:
@@ -78,15 +76,11 @@ class EdgeComparisons:
         for i, j in norm:
             if (j, i) not in norm:
                 raise MissingReverseWeight(f"comparison ({i}, {j}) lacks its reverse ({j}, {i})")
-        outdeg = {}
-        for i, _ in norm:
-            outdeg[i] = outdeg.get(i, 0) + 1
-        max_out = max(outdeg.values(), default=0)
-        d = self.d if self.d is not None else max_out
+        max_out = max(Counter(i for i, _ in norm).values(), default=0)
+        d = max_out if d is None else d
         if d < max_out or d < 1:
             raise ValueError(f"D = {d} is below the maximum out-degree {max_out}")
-        object.__setattr__(self, "w_pairs", tuple(sorted(norm.items())))
-        object.__setattr__(self, "d", int(d))
+        return super().__new__(cls, states, tuple(sorted(norm.items())), int(d))
 
     def pairs_dict(self):
         return dict(self.w_pairs)
@@ -127,10 +121,6 @@ def bt_leaf_formula_check(g, w, n_guard=6):
         for a in enumerate_arborescences(g, i):
             has_incoming = {v for _, v in a.parents}
             leaves = [u for u in range(n) if u not in has_incoming and u != i]
-            # the root counts as a leaf only when nothing points at it,
-            # which cannot happen in a spanning arborescence with n > 1
-            if n == 1:
-                leaves = []
             denom = math.prod((w.values[u] for u in leaves), start=Fraction(1))
             total += big_w[i] / denom
         raw.append(total)

@@ -16,7 +16,7 @@ of values (`_replay`), which gives the bits of `_eliminate`."""
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from znrank.errors import MaxIterExceeded, NotIrreducible
@@ -468,14 +468,10 @@ def class_stationary(p, part):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AbsorptionTable:
+class AbsorptionTable(namedtuple("AbsorptionTable", "transient num_rows dens", defaults=(None,))):
     """rows[t][k] = probability that transient state t is absorbed in class k:
-    num_rows[t][k] / dens[t], built on first use, or with dens None floats."""
-
-    transient: tuple
-    num_rows: tuple
-    dens: tuple = None
+    num_rows[t][k] / dens[t], built on first use, or with dens None floats.
+    No __slots__: the cached rows live in the instance __dict__."""
 
     @functools.cached_property
     def rows(self):

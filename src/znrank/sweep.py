@@ -23,17 +23,19 @@ on the leading terms of the entries in eps (stationary._lead_law), it gives
 the limit as eps -> 0 of the hub chain's law, whatever the reduced class
 chain looks like; zero_noise.adjudicate takes it as its leading-order
 oracle. An exact sweep takes its prediction from zero_noise.limit_rank.
+
+`zero_noise` is imported inside epsilon_sweep on its exact-prediction
+branch, and `arborescence` and `polynomial` inside exact_first_order, the
+only code here that calls them, so a float sweep loads none of them.
 """
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from znrank.arborescence import SYMBOLIC_N_GUARD, all_root_polynomials
 from znrank.errors import EpsOutOfRange
 from znrank.graph import RowStochasticMatrix, require_unichain_union
-from znrank.polynomial import sum_polynomials
 from znrank.rational import EXACT, FLOAT
 from znrank.stationary import (Distribution, _law, _law_of, _lead_law, _mixed_rows, _plan, _replay, linf,
                                unichain_law)
@@ -134,14 +136,9 @@ def _perturbed_laws(p, q, grid, limit=False):
     return laws, Distribution(_lead_law(plan, orders, lead, n), FLOAT)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    eps_grid: tuple
-    pi_table: tuple  # one Distribution per eps
-    predicted_limit: Distribution
-    errors: tuple  # L-inf distance to the prediction per eps
-    fitted_slope: object  # float or None when too few positive errors
-    first_order: tuple  # difference quotient of the laws at the two smallest eps
+# pi_table holds one Distribution per eps, errors the L-inf distance to the prediction per eps, fitted_slope a
+# float (None when too few errors are positive), first_order the difference quotient at the two smallest eps
+SweepResult = namedtuple("SweepResult", "eps_grid pi_table predicted_limit errors fitted_slope first_order")
 
 
 def _fit_slope(eps, errors):
@@ -173,13 +170,13 @@ def epsilon_sweep(p, q, grid=None, predicted=None, part=None):
     partition when the caller has it); otherwise the float limit comes from
     the plan of the laws themselves (_perturbed_laws with limit set), which
     needs no partition, class laws or reduced chain."""
-    from znrank.zero_noise import limit_rank
-
     exact_inputs = p.numeric_mode == EXACT and q.numeric_mode == EXACT
     if grid is None:
         grid = DEFAULT_EXACT_GRID if exact_inputs else DEFAULT_FLOAT_GRID
     grid = check_eps_grid(grid)
     if predicted is None and exact_inputs:
+        from znrank.zero_noise import limit_rank
+
         predicted = limit_rank(p, q, part).node_limit
     if predicted is None:  # read off the float plan of the laws
         table, predicted = _perturbed_laws(p, q, grid, limit=True)
@@ -229,6 +226,9 @@ def exact_first_order(p, q, n_guard=None):
     """Exact derivative at zero mixing of the stationary law, from the
     polynomial route: d/de of H_i(e) / S(e) at 0 after the common leading
     power is removed."""
+    from znrank.arborescence import SYMBOLIC_N_GUARD, all_root_polynomials
+    from znrank.polynomial import sum_polynomials
+
     polys = all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD if n_guard is None else n_guard)
     total = sum_polynomials(polys)
     d = total.min_degree()

@@ -14,13 +14,16 @@ in eps it is (1 - eps) P + eps Q' on them, where Q' sends the mass Q(x, t)
 on a transient state t on into C_j with the absorption probability A(t, j).
 Without transient states the two reductions coincide, and `limit_rank` is
 the one route to either.
+
+`arborescence`, which loads the kernels, linalg and polynomial modules, is
+imported inside `adjudicate` and on the GammaReducible path, the only code
+here that calls it, so a `rank` process neither loads nor compiles them.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from znrank.arborescence import SYMBOLIC_N_GUARD, exact_limit_from_polynomials
 from znrank.errors import GammaReducible, NotIrreducible, TransientStatesPresent
 from znrank.graph import RowStochasticMatrix, StateSpace, classify_states, require_unichain_union
 from znrank.rational import EXACT, FLOAT, number_to_json, ratios_to_json
@@ -40,27 +43,20 @@ def _common_mode(p, q):
     return p.to_float(), q.to_float()
 
 
-@dataclass(frozen=True)
-class GammaChain:
-    """Reduced chain over the closed classes."""
+class GammaChain(namedtuple("GammaChain", "gamma pi_gamma")):
+    """Reduced chain over the closed classes: gamma, a RowStochasticMatrix,
+    and its law pi_gamma."""
 
-    gamma: RowStochasticMatrix
-    pi_gamma: Distribution
+    __slots__ = ()
 
     @property
     def m(self):
         return self.gamma.n
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    partition: object
-    per_class_stationary: tuple
-    gamma_chain: object  # GammaChain or None for the uniform prediction
-    class_masses: Distribution
-    node_limit: Distribution
-    mode: str  # "theorem3" | "theorem2" | "extended"
-    labels: tuple
+# gamma_chain is None for the uniform prediction; mode is "theorem3", "theorem2" or "extended"
+LimitReport = namedtuple("LimitReport",
+                         "partition per_class_stationary gamma_chain class_masses node_limit mode labels")
 
 
 def _class_labels(part):
@@ -76,6 +72,8 @@ def _gamma_chain_from_rows(rows, dens, part, numeric_mode):
     try:
         law = unichain_law(gamma)  # classes that are transient in Gamma get mass 0
     except NotIrreducible:
+        from znrank.arborescence import SYMBOLIC_N_GUARD
+
         raise GammaReducible(
             "reduced class chain has more than one closed class; the limit may still exist:"
             f" `znrank oracle --q` computes it from the perturbed chain, up to {SYMBOLIC_N_GUARD} states"
@@ -268,6 +266,7 @@ def adjudicate(p, q, part=None):
     sweep._perturbed_laws), with the float rounding floor as tolerance.
     Returns a JSON-able report; methods that deviate from the oracle beyond
     tolerance are flagged discrepant. part defaults to classify_states(p)."""
+    from znrank.arborescence import SYMBOLIC_N_GUARD, exact_limit_from_polynomials
     from znrank.sweep import _perturbed_laws, rounding_floor
 
     part = part or classify_states(p)

@@ -52,6 +52,17 @@ def test_enumerate_k3_counts_and_order():
         assert dicts == sorted(dicts)
 
 
+def test_arborescences_are_immutable_value_records():
+    trees = enumerate_arborescences(parse_edge_list("a b\nb a\nb c\nc a\n"), 0)
+    assert repr(trees) == ("[Arborescence(root=0, parents=((1, 0), (2, 0))),"
+                           " Arborescence(root=0, parents=((1, 2), (2, 0)))]")
+    twin = Arborescence(0, ((1, 0), (2, 0)))
+    assert trees[0] == twin and hash(trees[0]) == hash(twin)
+    assert twin.as_dict() == {1: 0, 2: 0}
+    with pytest.raises(AttributeError):
+        twin.root = 1
+
+
 def test_enumerate_excludes_self_loops_and_cycles():
     g = parse_edge_list("a a\na b\nb a\n")
     arbs = enumerate_arborescences(g, 0)

@@ -41,11 +41,11 @@ F = Fraction
 
 
 def test_state_space_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^state space needs at least one state$"):
         StateSpace(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^label count does not match n$"):
         StateSpace(2, ("a",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate labels$"):
         StateSpace(2, ("a", "a"))
     assert StateSpace(2).label_list() == ["0", "1"]
     assert StateSpace(2, ("x", "y")).label_list() == ["x", "y"]
@@ -53,12 +53,36 @@ def test_state_space_validation():
 
 def test_digraph_rejects_bad_edges():
     s = StateSpace(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(0, 5\) outside the state space$"):
         WeightedDigraph(s, ((0, 5, F(1)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^negative weight on edge \(0, 1\)$"):
         WeightedDigraph(s, ((0, 1, F(-1)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
         WeightedDigraph(s, ((0, 1, F(1)), (0, 1, F(2))))
+
+
+def test_records_print_compare_and_hash_by_their_fields():
+    s = StateSpace(2, ["a", "b"])
+    part = ClassPartition([[0], [1]], [2])
+    assert repr(s) == "StateSpace(n=2, labels=('a', 'b'))"
+    assert repr(StateSpace(3)) == "StateSpace(n=3, labels=None)"
+    assert repr(part) == "ClassPartition(closed_classes=((0,), (1,)), transient=(2,))"
+    assert repr(uniform_matrix(2, s)) == (
+        "RowStochasticMatrix(states=StateSpace(n=2, labels=('a', 'b')),"
+        " rows={(0, 1): {0: Fraction(1, 2), 1: Fraction(1, 2)}}, numeric_mode='exact')")
+    for record, twin, field in ((s, StateSpace(2, ("a", "b")), "labels"),
+                                (part, ClassPartition(((0,), (1,)), (2,)), "transient")):
+        assert record == twin and hash(record) == hash(twin)
+        assert record == tuple(twin)  # a tuple of its fields
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    g = parse_edge_list("a b\nb a 1/2\n")
+    assert repr(g) == ("WeightedDigraph(states=StateSpace(n=2, labels=('a', 'b')),"
+                       " edges=((0, 1, 1), (1, 0, Fraction(1, 2))))")
+    assert g == WeightedDigraph(g.states, ((0, 1, 1), (1, 0, F(1, 2))))
+    assert g != WeightedDigraph(g.states, ((0, 1, 1), (1, 0, 1)))
+    with pytest.raises(TypeError):
+        hash(g)
 
 
 def test_parse_edge_list_basics():
@@ -157,9 +181,9 @@ def test_is_irreducible():
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^partition cells overlap$"):
         ClassPartition(((0, 1), (1, 2)), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^at least one closed class is required$"):
         ClassPartition((), (0,))
 
 

@@ -64,10 +64,15 @@ def test_rumor_scores_require_out_edges():
 
 
 def test_node_weights_validation():
-    with pytest.raises(NonpositiveWeight):
+    with pytest.raises(NonpositiveWeight, match="^node weights must be strictly positive$"):
         NodeWeights((F(1), F(0)))
     with pytest.raises(NonpositiveWeight):
         NodeWeights((F(-1),))
+    w = NodeWeights([1, "1/2"])
+    assert repr(w) == "NodeWeights(values=(Fraction(1, 1), Fraction(1, 2)))"
+    assert w == NodeWeights((F(1), F(1, 2))) and hash(w) == hash(NodeWeights((F(1), F(1, 2))))
+    with pytest.raises(AttributeError):
+        w.values = ()
 
 
 def test_bradley_terry_fixture():
@@ -82,14 +87,27 @@ def test_bradley_terry_fixture():
 
 def test_edge_comparisons_validation():
     s = StateSpace(2, ("x", "y"))
-    with pytest.raises(MissingReverseWeight):
+    with pytest.raises(MissingReverseWeight, match=r"^comparison \(0, 1\) lacks its reverse \(1, 0\)$"):
         EdgeComparisons(s, (((0, 1), F(3)),))
-    with pytest.raises(NonpositiveWeight):
+    with pytest.raises(NonpositiveWeight, match=r"^comparison weight for \(0, 1\) must be positive$"):
         EdgeComparisons(s, (((0, 1), F(0)), ((1, 0), F(1))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^self-comparisons are not allowed$"):
         EdgeComparisons(s, (((0, 0), F(1)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^comparison \(0, 2\) outside the state space$"):
+        EdgeComparisons(s, (((0, 2), F(1)),))
+    with pytest.raises(ValueError, match="^D = 0 is below the maximum out-degree 1$"):
         EdgeComparisons(s, (((0, 1), F(3)), ((1, 0), F(1))), d=0)
+
+
+def test_edge_comparisons_normalise_their_pairs():
+    c = EdgeComparisons(StateSpace(2), {(1, 0): 1, (0, 1): "3"})
+    assert repr(c) == ("EdgeComparisons(states=StateSpace(n=2, labels=None),"
+                       " w_pairs=(((0, 1), Fraction(3, 1)), ((1, 0), Fraction(1, 1))), d=1)")
+    twin = EdgeComparisons(StateSpace(2), (((0, 1), F(3)), ((1, 0), F(1))), d=1)
+    assert c == twin and hash(c) == hash(twin)
+    assert c.pairs_dict() == {(0, 1): 3, (1, 0): 1}
+    with pytest.raises(AttributeError):
+        c.d = 2
 
 
 def test_pairwise_fixture():

@@ -1,9 +1,14 @@
 """The traced benchmark run (`perfbench/run.py --trace 1`) patches znrank
 functions by name; every name it looks up must exist, or the traced run
-raises AttributeError."""
+raises AttributeError, and every module it looks up must be loaded by then,
+or it raises KeyError."""
 
+import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -20,3 +25,23 @@ def test_every_traced_layer_resolves():
         if not hasattr(importlib.import_module(modname), attr)
     ]
     assert missing == []
+
+
+def test_worker_imports_load_every_traced_module():
+    """The traced worker imports these znrank modules before Tracer.install,
+    which looks each traced module up in sys.modules; a module that znrank
+    now loads only inside a function would be missing there."""
+    worker = (TRACING.parent / "worker.py").read_text()
+    names = [a.name for node in ast.walk(ast.parse(worker)) if isinstance(node, ast.Import)
+             for a in node.names if a.name.startswith("znrank.")]
+    assert names == ["znrank.cli", "znrank.arborescence", "znrank.sweep", "znrank.zero_noise"]
+    script = "".join(f"import {name}\n" for name in names) + (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('perfbench_tracing', {str(TRACING)!r})\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "print(*sorted({modname for _, modname, _, _ in tracing.LAYERS} - set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(TRACING.parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

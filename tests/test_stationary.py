@@ -6,6 +6,7 @@ import znrank.stationary
 from znrank.errors import MaxIterExceeded, NotIrreducible
 from znrank.graph import RowStochasticMatrix, StateSpace, classify_states
 from znrank.stationary import (
+    AbsorptionTable,
     Distribution,
     absorption_probabilities,
     class_stationary,
@@ -159,6 +160,13 @@ def test_absorption_fixture_two_thirds():
     table = absorption_probabilities(p, classify_states(p))
     assert table.transient == (2,)
     assert table.row_for(2) == (F(2, 3), F(1, 3))
+    assert table.rows is table.rows  # built once
+    assert repr(table) == "AbsorptionTable(transient=(2,), num_rows=((2, 1),), dens=(3,))"
+    twin = AbsorptionTable((2,), ((2, 1),), (3,))
+    assert table == twin and hash(table) == hash(twin)
+    with pytest.raises(AttributeError):
+        table.dens = None
+    assert AbsorptionTable((2,), ((0.5, 0.5),)).rows == ((0.5, 0.5),)  # float rows, no dens
 
 
 def test_absorption_fixture_chained_transients():

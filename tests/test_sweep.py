@@ -108,6 +108,17 @@ def test_float_sweep_of_eps_invariant_law_is_exact():
     assert convergence_report(result)["verdict"] == "pass"
 
 
+def test_sweep_result_keeps_its_repr():
+    p = RowStochasticMatrix(StateSpace(2), ((0, 1), (1, 0)))
+    result = epsilon_sweep(p, uniform_matrix(2), grid=(F(1, 2), F(1, 4)))
+    half = "Distribution(values=(Fraction(1, 2), Fraction(1, 2)), numeric_mode='exact')"
+    assert repr(result) == (f"SweepResult(eps_grid=(Fraction(1, 2), Fraction(1, 4)), pi_table=({half}, {half}),"
+                            f" predicted_limit={half}, errors=(Fraction(0, 1), Fraction(0, 1)), fitted_slope=None,"
+                            " first_order=(Fraction(0, 1), Fraction(0, 1)))")
+    with pytest.raises(AttributeError):
+        result.errors = ()
+
+
 def test_sweep_grid_validation():
     p = cycle_plus_absorber()
     q = uniform_matrix(3)

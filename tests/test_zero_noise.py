@@ -136,11 +136,33 @@ def test_extended_gamma_fixture():
     assert report.mode == "extended"
     assert report.class_masses.values == (F(5, 9), F(4, 9))
     assert report.node_limit.values == (F(5, 9), F(4, 9), F(0))
+    assert report == limit_rank_extended(p, q)
     # transient-free chains reduce to the plain construction
     p0 = cycle_plus_absorber()
     plain = build_gamma(p0, uniform_matrix(3), classify_states(p0))
     ext = extended_gamma(p0, uniform_matrix(3), classify_states(p0))
     assert ext.gamma.rows == plain.gamma.rows
+
+
+def test_limit_records_keep_their_repr():
+    p = RowStochasticMatrix(StateSpace(3), ((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 4), F(1, 4))))
+    report = limit_rank_extended(p, uniform_matrix(3))
+    law = "Distribution(values=(Fraction(5, 9), Fraction(4, 9)), numeric_mode='exact')"
+    gamma = ("GammaChain(gamma=RowStochasticMatrix(states=StateSpace(n=2, labels=('C1', 'C2')),"
+             " rows={(0,): {0: Fraction(5, 9), 1: Fraction(4, 9)}, (1,): {0: Fraction(5, 9), 1: Fraction(4, 9)}},"
+             f" numeric_mode='exact'), pi_gamma={law})")
+    assert repr(report.gamma_chain) == gamma
+    assert repr(report) == (
+        "LimitReport(partition=ClassPartition(closed_classes=((0,), (1,)), transient=(2,)), per_class_stationary=("
+        "Distribution(values=(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)), numeric_mode='exact'),"
+        " Distribution(values=(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)), numeric_mode='exact')),"
+        f" gamma_chain={gamma}, class_masses={law}, node_limit=Distribution(values=(Fraction(5, 9), Fraction(4, 9),"
+        " Fraction(0, 1)), numeric_mode='exact'), mode='extended', labels=('0', '1', '2'))")
+    for record, field in ((report, "mode"), (report.gamma_chain, "gamma")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(TypeError):  # a RowStochasticMatrix or Distribution field is unhashable
+            hash(record)
 
 
 def test_theorem2_prediction_reports_uniform_masses():
