@@ -101,7 +101,7 @@ def parse_edge_list(text):
     first appearance.
     """
     index = {}
-    adj = {}  # out-edges {dst: weight} of each node with an edge
+    adj = []  # out-edges {dst: weight} of each node, by index
     edges = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         toks = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
@@ -110,21 +110,29 @@ def parse_edge_list(text):
             continue
         if k > 3:
             raise InputFormatError(f"expected `src dst [weight]`, got {k} fields", line=ln)
-        s = index.setdefault(toks[0], len(index))
+        s = index.setdefault(toks[0], len(adj))
+        if s == len(adj):
+            adj.append({})
         if k == 1:
             continue
-        d = index.setdefault(toks[1], len(index))
-        w = parse_rational(toks[2], line=ln) if k == 3 else 1
-        if w < 0:
-            raise InputFormatError("negative weight", line=ln)
-        out = adj.setdefault(s, {})
+        d = index.setdefault(toks[1], len(adj))
+        if d == len(adj):
+            adj.append({})
+        w = 1
+        if k == 3:
+            try:  # a decimal integer here; any other token, or one past int's digit limit, by parse_rational
+                w = int(toks[2]) if toks[2].isdecimal() else parse_rational(toks[2], line=ln)
+            except ValueError:
+                w = parse_rational(toks[2], line=ln)
+            if w < 0:
+                raise InputFormatError("negative weight", line=ln)
+        out = adj[s]
         if d in out:
             raise InputFormatError(f"duplicate edge {toks[0]} -> {toks[1]}", line=ln)
         out[d] = w
         edges.append((s, d, w))
     if not index:
         raise InputFormatError("no nodes in input")
-    adj = [adj.get(u, {}) for u in range(len(index))]
     return WeightedDigraph(StateSpace(len(index), tuple(index)), tuple(edges), adj)
 
 
@@ -165,7 +173,7 @@ def _float_row(i, row, n, den=None):
     if row and min(row.values()) < -POSITIVE_EPS:
         raise ValueError(f"negative entry in row {i}")
     total = math.fsum(row.values())
-    if abs(total - 1) > 1e-12:
+    if not abs(total - 1) <= 1e-12:  # NaN fails too
         raise ValueError(f"row {i} sums to {total}, not 1")
     return row, None
 
@@ -321,49 +329,44 @@ class ClassPartition(namedtuple("ClassPartition", "closed_classes transient")):
 
 
 def _tarjan_sccs(adj, n):
-    """Strongly connected components, iterative, in a deterministic order."""
+    """Strongly connected components, iterative, in a deterministic order.
+    Each DFS frame keeps an iterator over its successors; a state whose
+    component is done gets index n, above every low link, so it needs no
+    on-stack flag."""
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack = []
     sccs = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        work = [(root, iter(adj[root]), len(stack))]
+        stack.append(root)
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+            v, succ, base = work[-1]
+            for w in succ:
+                i = index[w]
+                if i == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    work.append((w, iter(adj[w]), len(stack)))
+                    stack.append(w)
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(tuple(sorted(comp)))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if i < low[v]:
+                    low[v] = i
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = stack[base:]
+                    del stack[base:]
+                    for w in comp:
+                        index[w] = n
+                    sccs.append(tuple(sorted(comp)))
+                elif low[v] < low[work[-1][0]]:  # v is not a root, so it has a parent frame
+                    low[work[-1][0]] = low[v]
     return sccs
 
 

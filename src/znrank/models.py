@@ -5,7 +5,6 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from znrank.arborescence import enumerate_arborescences, mctt_stationary
 from znrank.errors import GuardExceeded, MissingReverseWeight, NonpositiveWeight, NotIrreducible
 from znrank.graph import RowStochasticMatrix, WeightedDigraph, to_stochastic
 from znrank.rational import format_rational
@@ -22,6 +21,8 @@ def rumor_source_scores(p, g):
     """Scores proportional to pi(i) / d_i for the walk chain p on g; for a
     simple random walk this is proportional to the number of arborescences
     rooted at i."""
+    from znrank.arborescence import mctt_stationary
+
     pi = mctt_stationary(p)
     degs = [g.out_degree(u) for u in range(g.states.n)]
     if any(d == 0 for d in degs):
@@ -104,6 +105,8 @@ def bt_leaf_formula_check(g, w, n_guard=6):
     """Adjudicate the closed-form leaf expression for win-weight ladders:
     score(i) compared with sum over arborescences rooted at i of
     W(i) / prod over leaves j of w_j, both normalized. Measurement only."""
+    from znrank.arborescence import enumerate_arborescences, mctt_stationary
+
     n = g.states.n
     if n > n_guard:
         raise GuardExceeded(f"n = {n} exceeds the leaf-formula guard {n_guard}")

@@ -68,7 +68,8 @@ def number_to_json(x):
 
 def ratios_to_json(nums, den):
     """The JSON numbers nums[i] / den: "p/q" strings in lowest terms by one
-    gcd each (0 is "0/1"), or with den None the numbers nums as floats."""
+    gcd each (0 is "0/1", with none), or with den None the numbers nums as
+    floats."""
     if den is None:
         return [float(x) for x in nums]
-    return [f"{x // g}/{den // g}" for x in nums for g in [math.gcd(x, den)]]
+    return [f"{x // (g := math.gcd(x, den))}/{den // g}" if x else "0/1" for x in nums]

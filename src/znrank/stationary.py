@@ -41,7 +41,7 @@ class Distribution:
         vals = tuple(0.0 if -1e-12 < float(x) < 0 else float(x) for x in values)
         if any(x < 0 for x in vals):
             raise ValueError("negative probability")
-        if abs(sum(vals) - 1.0) > 1e-9:
+        if not abs(sum(vals) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"probabilities sum to {sum(vals)!r}, not 1")
         self.numeric_mode, self.values, self.nums, self.den = numeric_mode, vals, vals, None
 
@@ -49,13 +49,13 @@ class Distribution:
     def of_integers(cls, nums, den):
         """The exact law nums[i] / den of integers nums >= 0 that sum to
         den > 0 (a den of 0 raises ZeroDivisionError)."""
-        if any(x < 0 for x in nums):
+        if min(nums, default=0) < 0:
             raise ValueError("negative probability")
         if sum(nums) != den:
             raise ValueError(f"probabilities sum to {Fraction(sum(nums), den)}, not 1")
         law = cls.__new__(cls)
         g = math.gcd(*nums)  # = gcd(den, nums), as they sum to den
-        law.numeric_mode, law.nums, law.den = EXACT, tuple([x // g for x in nums]), den // g
+        law.numeric_mode, law.nums, law.den = EXACT, tuple([x // g for x in nums] if g > 1 else nums), den // g
         return law
 
     @functools.cached_property
@@ -459,12 +459,16 @@ def stationary_power(p, tol=1e-12, max_iter=100000):
 
 def class_stationary(p, part):
     """Stationary law of P restricted to each closed class, embedded into
-    the full state space with zeros elsewhere."""
+    the full state space with zeros elsewhere. Each law is checked, and an
+    exact one put in lowest terms, over the class's members first."""
     out = []
     for cls in part.closed_classes:
-        x = dict(zip(cls, _law(*_sparse_rows(p, cls))[0]))
-        law = [x.get(s, 0) for s in range(p.n)]
-        out.append(Distribution(law, FLOAT) if p.dens is None else Distribution.of_integers(law, sum(x.values())))
+        x = _law(*_sparse_rows(p, cls))[0]
+        small = Distribution(x, FLOAT) if p.dens is None else Distribution.of_integers(x, sum(x))
+        law = [0] * p.n
+        for s, v in zip(cls, small.nums):
+            law[s] = v
+        out.append(Distribution(law, FLOAT) if small.den is None else Distribution.of_integers(law, small.den))
     return tuple(out)
 
 

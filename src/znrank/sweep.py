@@ -90,7 +90,8 @@ def _perturbed_laws(p, q, grid, limit=False):
     closed class; its transient states, hubs among them, get 0. Below eps = 1
     each is the hub chain's law on the states of P, renormalized. With
     limit set, returns (laws, the float limit as eps -> 0), the limit read
-    off the float plan of the hub chain by _lead_law.
+    off the float plan of the hub chain by _lead_law. A float law that is
+    not finite raises EpsOutOfRange naming its eps.
 
     Every eps is checked before any row is built, and P and Q are
     converted once per numeric mode. The chain's pattern does not depend on
@@ -128,6 +129,8 @@ def _perturbed_laws(p, q, grid, limit=False):
             vals = [e * u + stay * v for u, v in coefs]
             law = _law_of(rows, None, *_replay(plan, vals + hub_vals))[:n]
             total = sum(law, 0.0)
+            if not math.isfinite(total):  # below eps of about 1e-308, 1 / eps can overflow
+                raise EpsOutOfRange(f"eps = {e}: the float law is not finite; use a larger eps")
             laws.append(Distribution([v / total for v in law], FLOAT))
     if not limit:
         return laws

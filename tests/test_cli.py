@@ -491,6 +491,17 @@ def test_sweep_float_json(tmp_path, capsys):
     assert obj["report"]["slope"] >= 0.8
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_sweep_float_refuses_an_eps_whose_law_overflows(tmp_path, capsys, fmt):
+    # c leaves only through the eps leak, so 1 / eps overflows at eps = 1e-310
+    g = wpath(tmp_path, "g.txt", "a b\nb a\nc c\n")
+    code, out, err = run(capsys, "sweep", "--graph", g, "--q", "uniform", "--numeric", "float",
+                         "--eps", "0.5,1e-310", "--format", fmt)
+    assert code == 3
+    assert "eps = 1e-310" in err
+    assert "nan" not in (out + err).lower()
+
+
 def test_sweep_float_down_to_1e14(tmp_path, capsys):
     # three closed classes (6, 4, 2); at eps = 1e-14 the uniform entries
     # eps/12 lie under the float positivity threshold of 1e-15

@@ -12,7 +12,9 @@ from znrank.graph import (
     RowStochasticMatrix,
     StateSpace,
     WeightedDigraph,
+    _tarjan_sccs,
     classify_states,
+    closed_components,
     dump_matrix_json,
     is_irreducible,
     load_matrix_json,
@@ -23,7 +25,7 @@ from znrank.graph import (
     to_stochastic,
     uniform_matrix,
 )
-from znrank.rational import FLOAT
+from znrank.rational import FLOAT, parse_rational
 from znrank.stationary import class_stationary
 from znrank.zero_noise import _reduced_rows
 from helpers import (
@@ -107,6 +109,20 @@ def test_parse_edge_list_node_declarations_and_errors():
         parse_edge_list("# nothing\n")
 
 
+def test_parse_edge_list_reads_weights_as_parse_rational_does():
+    tokens = ("3", "007", "0", "\u0663", "3/4", "0.5", "1e3", "9" * 5000)
+    for token in tokens:
+        try:
+            want = parse_rational(token)
+        except InputFormatError as exc:
+            with pytest.raises(InputFormatError) as ei:
+                parse_edge_list(f"a b {token}\n")
+            assert str(ei.value) == f"line 1: {exc}"
+            continue
+        (w,) = [w for _, _, w in parse_edge_list(f"x\na b {token}\n").edges]
+        assert w == want and type(w) is type(want)
+
+
 def test_negative_edge_weight_keeps_its_message():
     for text in ("a b -1\n", "a b 1\nb a -1/2\n", "a b 1\nb a -0.5\n"):
         with pytest.raises(InputFormatError) as ei:
@@ -130,6 +146,8 @@ def test_stochastic_validation():
         RowStochasticMatrix(s, ((F(3, 2), F(-1, 2)), (0, 1)))
     with pytest.raises(ValueError):
         RowStochasticMatrix(s, ((0.5, 0.6), (0.0, 1.0)), "float")
+    with pytest.raises(ValueError, match="^row 0 sums to nan, not 1$"):
+        RowStochasticMatrix(s, ({0: float("nan"), 1: 1.0}, {1: 1.0}), "float")
     m = RowStochasticMatrix(s, ((0.5, 0.5), (0.25, 0.75)), "float")
     assert m.numeric_mode == "float"
 
@@ -170,6 +188,50 @@ def test_classify_self_loop_class():
     part = classify_states(p)
     assert part.closed_classes == ((0,),)
     assert part.transient == (1,)
+
+
+def _brute_force_components(adj, n):
+    """(components as sets, closed, transient) from the reachability sets of
+    every state: x and y share a component when each reaches the other."""
+    reach = []
+    for x in range(n):
+        seen, todo = {x}, [x]
+        while todo:
+            for w in adj[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    comps = {frozenset(y for y in reach[x] if x in reach[y]) for x in range(n)}
+    closed = sorted((tuple(sorted(c)) for c in comps if all(reach[x] <= c for x in c)), key=min)
+    transient = sorted(x for c in comps if not all(reach[x] <= c for x in c) for x in c)
+    return comps, closed, transient
+
+
+def test_closed_components_match_brute_force_reachability():
+    # random digraphs with self-loops, isolated states and dangling states
+    # (no out-edge), some with a few edges and some dense
+    rng = rng_for("tarjan-vs-reachability")
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        density = rng.choice((0.05, 0.15, 0.4))
+        adj = [[w for w in range(n) if rng.random() < density] for _ in range(n)]
+        for x in rng.sample(range(n), rng.randint(0, n // 3)):
+            adj[x] = []  # dangling, or isolated when nothing enters it
+        for x in range(n):
+            rng.shuffle(adj[x])
+        comps, closed, transient = _brute_force_components(adj, n)
+        assert {frozenset(c) for c in _tarjan_sccs(adj, n)} == comps
+        assert closed_components(adj, n) == (closed, transient)
+
+
+def test_closed_components_of_a_long_path_and_cycle():
+    # far deeper than the recursion limit: the search stays iterative
+    n = 5000
+    path = [[x + 1] for x in range(n - 1)] + [[]]
+    assert closed_components(path, n) == ([(n - 1,)], list(range(n - 1)))
+    cycle = [[(x + 1) % n] for x in range(n)] + [[0]]  # and a state that enters it
+    assert closed_components(cycle, n + 1) == ([tuple(range(n))], [n])
 
 
 def test_is_irreducible():

@@ -98,6 +98,12 @@ def test_float_sweep_loads_neither_oracle_nor_reduced_chain(tmp_path):
     assert loaded & (SLOW_STDLIB | ORACLE_MODULES | {"znrank.zero_noise"}) == set()
 
 
+def test_model_srw_loads_no_oracle_module(tmp_path):
+    loaded = loaded_by(tmp_path, run_cli("model", "srw", "--graph", "g.txt"))
+    assert "znrank.models" in loaded
+    assert loaded & (SLOW_STDLIB | ORACLE_MODULES) == set()
+
+
 def test_oracle_routes_and_package_exports_load_on_demand(tmp_path):
     code = ("from znrank import EpsPolynomial\nfrom znrank import *\nimport znrank\n"
             "assert EpsPolynomial is znrank.polynomial.EpsPolynomial\n"

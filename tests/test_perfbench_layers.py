@@ -1,7 +1,8 @@
 """The traced benchmark run (`perfbench/run.py --trace 1`) patches znrank
 functions by name; every name it looks up must exist, or the traced run
 raises AttributeError, and every module it looks up must be loaded by then,
-or it raises KeyError."""
+or it raises KeyError. The benchmark's answer checks pass their own
+self-test (`perfbench/selftest.py`)."""
 
 import ast
 import importlib
@@ -45,3 +46,9 @@ def test_worker_imports_load_every_traced_module():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_benchmark_answer_checks_pass_their_self_test():
+    done = subprocess.run([sys.executable, str(TRACING.parent / "selftest.py")], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "0 failures"

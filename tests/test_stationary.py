@@ -53,6 +53,8 @@ def test_distribution_validation():
     assert d[2] == 0.0  # tiny negatives clamp
     with pytest.raises(ValueError):
         Distribution((0.5, 0.4), "float")
+    with pytest.raises(ValueError, match="^probabilities sum to nan, not 1$"):
+        Distribution((float("nan"), 0.5), "float")
 
 
 def test_exact_distribution_checks_keep_their_messages():
@@ -261,6 +263,34 @@ def test_class_laws_equal_tree_theorem():
         for cls, law in zip(part.closed_classes, class_stationary(p, part)):
             assert tuple(law[s] for s in cls) == mctt_stationary(_restriction(p, cls)).values
             assert all(law[s] == 0 for s in range(p.n) if s not in cls)
+
+
+def test_class_laws_equal_of_integers_of_their_embedded_integers():
+    # each exact class law is put in lowest terms over its members, then
+    # embedded; it must be the law that of_integers makes of the embedded
+    # back-substituted integers, field for field. of_integers divides only
+    # by a gcd above 1 and keeps its two messages
+    for nums, den in (([2, 0, 4], 6), ([1, 0, 2], 3)):
+        law = Distribution.of_integers(nums, den)
+        assert (law.nums, law.den) == ((1, 0, 2), 3) and type(law.nums) is tuple
+    for nums, den, message in (([3, -1], 2, "negative probability"), ([0, -1, 5], 4, "negative probability"),
+                               ([2, 1], 4, "probabilities sum to 3/4, not 1")):
+        with pytest.raises(ValueError) as ei:
+            Distribution.of_integers(nums, den)
+        assert str(ei.value) == message
+    rng = rng_for("class-laws-of-integers")
+    for _ in range(120):
+        sizes = rand_sizes(rng, rng.randint(1, 4), hi=6, total_cap=14)
+        t = rng.randint(0, 3)
+        p = rand_mixed_chain(rng, sizes, t) if rng.random() < 0.5 else rand_with_transients(rng, sizes, t)
+        part = classify_states(p)
+        for cls, law in zip(part.closed_classes, class_stationary(p, part)):
+            dense = [0] * p.n
+            for s, x in zip(cls, _law(*_sparse_rows(p, cls))[0]):
+                dense[s] = x
+            ref = Distribution.of_integers(dense, sum(dense))
+            assert vars(law) == vars(ref)
+            assert type(law.nums) is tuple and all(type(x) is int for x in law.nums)
 
 
 def _assert_absorption_system(p, part, table):

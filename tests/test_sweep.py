@@ -128,6 +128,15 @@ def test_sweep_grid_validation():
         epsilon_sweep(p, q, grid=(F(1, 100), F(1, 10)))
 
 
+@pytest.mark.parametrize("eps", [1e-310, 1e-315, 5e-324])
+def test_float_sweep_refuses_a_law_that_is_not_finite(eps):
+    # state 2 leaves only through the eps leak, so 1 / eps overflows
+    p, q = cycle_plus_absorber(), uniform_matrix(3)
+    for pf, qf in ((p.to_float(), q.to_float()), (p, q)):
+        with pytest.raises(EpsOutOfRange, match=f"^eps = {eps}: the float law is not finite"):
+            epsilon_sweep(pf, qf, grid=(0.5, eps))
+
+
 def test_first_order_symmetric_fixture_is_zero():
     p = RowStochasticMatrix(StateSpace(2), ((0, 1), (1, 0)))
     q = RowStochasticMatrix(StateSpace(2), ((1, 0), (0, 1)))
