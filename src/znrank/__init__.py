@@ -17,7 +17,6 @@ from znrank.errors import (
     GammaReducible,
     GuardExceeded,
     InputFormatError,
-    MaxIterExceeded,
     MissingReverseWeight,
     NonpositiveWeight,
     NotIrreducible,
@@ -37,7 +36,6 @@ from znrank.graph import (
     load_matrix_json,
     ones_outer,
     parse_edge_list,
-    serialize_edge_list,
     to_stochastic,
     uniform_matrix,
 )
@@ -47,7 +45,6 @@ from znrank.stationary import (
     absorption_probabilities,
     class_stationary,
     stationary_direct,
-    stationary_power,
 )
 
 __all__ = [
@@ -55,7 +52,6 @@ __all__ = [
     "ZnrankError",
     "InputFormatError",
     "NotIrreducible",
-    "MaxIterExceeded",
     "GuardExceeded",
     "TransientStatesPresent",
     "GammaReducible",
@@ -71,7 +67,6 @@ __all__ = [
     "classify_states",
     "is_irreducible",
     "parse_edge_list",
-    "serialize_edge_list",
     "to_stochastic",
     "uniform_matrix",
     "ones_outer",
@@ -81,7 +76,6 @@ __all__ = [
     "Distribution",
     "AbsorptionTable",
     "stationary_direct",
-    "stationary_power",
     "class_stationary",
     "absorption_probabilities",
 ]

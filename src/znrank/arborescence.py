@@ -17,7 +17,6 @@ input matrix is.
 """
 
 import math
-import os
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iter_product
@@ -34,17 +33,6 @@ DEFAULT_ASSIGNMENT_BUDGET = 10_000_000
 ENUMERATION_N_GUARD = 12
 SYMBOLIC_N_GUARD = 10
 SKELETON_M_GUARD = 5
-
-
-def resolve_budget(budget=None):
-    """Candidate-assignment budget: explicit argument, then ZNR_GUARD, then
-    the default of 10**7."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("ZNR_GUARD")
-    if env:
-        return int(env)
-    return DEFAULT_ASSIGNMENT_BUDGET
 
 
 class Arborescence(namedtuple("Arborescence", "root parents")):
@@ -70,11 +58,11 @@ def _check_budget(cands, nodes, budget):
     if count > budget:
         raise GuardExceeded(
             f"{count} candidate assignments exceed the budget of {budget}"
-            " (raise ZNR_GUARD or pass budget= to override)"
+            " (pass budget= to override)"
         )
 
 
-def enumerate_arborescences(g, root, budget=None, n_guard=ENUMERATION_N_GUARD):
+def enumerate_arborescences(g, root, budget=DEFAULT_ASSIGNMENT_BUDGET, n_guard=ENUMERATION_N_GUARD):
     """All arborescences of the digraph g rooted at root, in lexicographic
     order of their parent maps. Self-loops can never appear in one."""
     n = g.states.n
@@ -82,7 +70,6 @@ def enumerate_arborescences(g, root, budget=None, n_guard=ENUMERATION_N_GUARD):
         raise ValueError(f"root {root} outside the state space")
     if n > n_guard:
         raise GuardExceeded(f"n = {n} exceeds the enumeration guard {n_guard}")
-    budget = resolve_budget(budget)
     cands = [sorted(v for v in g.successors(u) if v != u) for u in range(n)]
     nodes = [u for u in range(n) if u != root]
     _check_budget(cands, nodes, budget)
@@ -110,7 +97,7 @@ def _support_cands(w, extra=None):
     return cands
 
 
-def enumerated_root_weight(w, root, budget=None):
+def enumerated_root_weight(w, root, budget=DEFAULT_ASSIGNMENT_BUDGET):
     """Sum of arborescence weights rooted at root, via the search kernel.
 
     The enumeration route: exact in rational mode. One integer sum per root;
@@ -118,7 +105,6 @@ def enumerated_root_weight(w, root, budget=None):
     the product of per-row lcms.
     """
     n = w.n
-    budget = resolve_budget(budget)
     cands = _support_cands(w)
     nodes = [u for u in range(n) if u != root]
     _check_budget(cands, nodes, budget)
@@ -184,7 +170,7 @@ def _require_exact(*mats):
             raise ValueError("symbolic perturbation work needs exact (rational) matrices")
 
 
-def perturbed_root_polynomial(p, q, root, budget=None, n_guard=SYMBOLIC_N_GUARD):
+def perturbed_root_polynomial(p, q, root, budget=DEFAULT_ASSIGNMENT_BUDGET, n_guard=SYMBOLIC_N_GUARD):
     """Exact polynomial, in the mixing weight, of the sum of arborescence
     weights rooted at root for (1-eps) P + eps Q.
 
@@ -197,7 +183,6 @@ def perturbed_root_polynomial(p, q, root, budget=None, n_guard=SYMBOLIC_N_GUARD)
         raise ValueError("P and Q must share a state space")
     if n > n_guard:
         raise GuardExceeded(f"n = {n} exceeds the symbolic guard {n_guard}")
-    budget = resolve_budget(budget)
     cands = _support_cands(p, extra=q)
     nodes = [u for u in range(n) if u != root]
     _check_budget(cands, nodes, budget)
@@ -252,11 +237,6 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
                     coeffs[i] += s * gd
         polys.append(EpsPolynomial.of_integers(coeffs, total // lcms[r]))
     return tuple(polys)
-
-
-def min_degree(poly):
-    """Lowest degree with a nonzero coefficient; ZeroPolynomial if none."""
-    return poly.min_degree()
 
 
 def exact_limit_from_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):

@@ -16,7 +16,6 @@ from znrank.errors import (
     GammaReducible,
     GuardExceeded,
     InputFormatError,
-    MaxIterExceeded,
     MissingReverseWeight,
     NonpositiveWeight,
     NotIrreducible,
@@ -46,7 +45,6 @@ MATH_ERRORS = (
     GammaReducible,
     TransientStatesPresent,
     GuardExceeded,
-    MaxIterExceeded,
     ZeroPolynomial,
     EpsOutOfRange,
     MissingReverseWeight,
@@ -132,7 +130,6 @@ def build_parser():
     add_io(sp)
     sp.add_argument("--q", default=None, metavar="QSPEC",
                     help="include polynomials and the exact limit for this perturbation")
-    sp.add_argument("--format", choices=("json",), default="json")
 
     sp = sub.add_parser("adjudicate", help="compare limit methods against an oracle")
     add_io(sp)
@@ -145,7 +142,6 @@ def build_parser():
     sp.add_argument("--weights", help="bt: node<TAB>w lines; pairwise: src<TAB>dst<TAB>w lines")
     sp.add_argument("--d", type=int, default=None, help="pairwise denominator (default max out-degree)")
     sp.add_argument("--dangling", choices=DANGLING_POLICIES, default="self_loop")
-    sp.add_argument("--format", choices=("json",), default="json")
     return p
 
 

@@ -19,15 +19,6 @@ class NotIrreducible(ZnrankError):
     """The chain is not irreducible where irreducibility is required."""
 
 
-class MaxIterExceeded(ZnrankError):
-    """Iteration budget exhausted; carries the last iterate and its residual."""
-
-    def __init__(self, message, last_iterate, residual):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
-
-
 class GuardExceeded(ZnrankError):
     """An enumeration or size guard would be exceeded."""
 

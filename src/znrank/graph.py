@@ -136,16 +136,6 @@ def parse_edge_list(text):
     return WeightedDigraph(StateSpace(len(index), tuple(index)), tuple(edges), adj)
 
 
-def serialize_edge_list(g):
-    """Inverse of parse_edge_list: node declarations in index order, then
-    edges in stored order with explicit rational weights."""
-    labels = g.states.label_list()
-    lines = [labels[i] for i in range(g.states.n)]
-    for s, d, w in g.edges:
-        lines.append(f"{labels[s]}\t{labels[d]}\t{w.numerator}/{w.denominator}")
-    return "\n".join(lines) + "\n"
-
-
 def _sparse_row(row, n):
     """(row as a dict, its columns ascending) of a dense sequence of n
     entries or a dict {column: entry}, after checking shape and columns."""

@@ -19,7 +19,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from znrank.errors import MaxIterExceeded, NotIrreducible
+from znrank.errors import NotIrreducible
 from znrank.graph import is_irreducible
 from znrank.rational import EXACT, FLOAT, common_denominator
 
@@ -417,44 +417,6 @@ def stationary_direct(p):
     if not is_irreducible(p):
         raise NotIrreducible("stationary_direct needs an irreducible chain")
     return unichain_law(p)
-
-
-def stationary_power(p, tol=1e-12, max_iter=100000):
-    """Stationary law by averaged power iteration, in floating point.
-
-    Each iterate is averaged with its one-step image (x <- (x + xP)/2),
-    which removes periodicity while keeping the stationary vector fixed, so
-    periodic chains converge too. The residual is measured against P itself.
-    Raises MaxIterExceeded carrying the last iterate and residual.
-    """
-    pf = p.to_float()
-    n = pf.n
-    rows = pf.rows
-    x = [1.0 / n] * n
-
-    def step(vec):
-        out = [0.0] * n
-        for i, xi in enumerate(vec):
-            if xi != 0.0:
-                for j, v in rows[i].items():
-                    out[j] += xi * v
-        return out
-
-    residual = None
-    for _ in range(max_iter):
-        px = step(x)
-        residual = sum(abs(a - b) for a, b in zip(px, x))
-        if residual <= tol:
-            s = sum(x)
-            return Distribution(tuple(v / s for v in x), FLOAT)
-        x = [(a + b) / 2.0 for a, b in zip(x, px)]
-        s = sum(x)
-        x = [v / s for v in x]
-    raise MaxIterExceeded(
-        f"no convergence to {tol} within {max_iter} iterations (residual {residual})",
-        last_iterate=tuple(x),
-        residual=residual,
-    )
 
 
 def class_stationary(p, part):

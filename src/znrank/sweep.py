@@ -166,6 +166,19 @@ def check_eps_grid(grid):
     return grid
 
 
+def _difference_quotient(eps_pair, laws):
+    """(x - y) / (e1 - e2) entrywise for the laws x, y at e1, e2: from the
+    integers of the laws, one Fraction per entry, when both are exact, and
+    in floating point otherwise."""
+    (e1, e2), (x, y) = eps_pair, laws
+    if x.den is not None and y.den is not None:
+        gap = Fraction(e1) - Fraction(e2)
+        return tuple(Fraction((a * y.den - b * x.den) * gap.denominator, x.den * y.den * gap.numerator)
+                     for a, b in zip(x.nums, y.nums))
+    gap = float(e1) - float(e2)
+    return tuple((float(a) - float(b)) / gap for a, b in zip(x.values, y.values))
+
+
 def epsilon_sweep(p, q, grid=None, predicted=None, part=None):
     """Stationary laws along a strictly decreasing grid of mixing weights,
     with per-eps L-inf distance to the predicted limit. Without a given
@@ -191,23 +204,13 @@ def epsilon_sweep(p, q, grid=None, predicted=None, part=None):
         errors = [Fraction(max([abs(a * e - b * pi.den) for a, b in zip(pi.nums, ref)]), pi.den * e) for pi in table]
     else:
         errors = [linf(pi.values, predicted.values) for pi in table]
-    fo = None
-    if len(grid) >= 2:
-        e1, e2 = grid[-2:]
-        x, y = table[-2:]
-        if exact:
-            gap = Fraction(e1) - Fraction(e2)
-            fo = tuple(Fraction((a * y.den - b * x.den) * gap.denominator, x.den * y.den * gap.numerator)
-                       for a, b in zip(x.nums, y.nums))
-        else:
-            fo = tuple((a - b) / (e1 - e2) for a, b in zip(x.values, y.values))
     return SweepResult(
         eps_grid=grid,
         pi_table=tuple(table),
         predicted_limit=predicted,
         errors=tuple(errors),
         fitted_slope=_fit_slope(grid, errors),
-        first_order=fo,
+        first_order=_difference_quotient(grid[-2:], table[-2:]) if len(grid) >= 2 else None,
     )
 
 
@@ -215,14 +218,9 @@ def first_order_estimate(p, q, eps_pair):
     """First derivative of the stationary law at zero mixing, estimated by
     the difference quotient between two small weights. Exact when the
     matrices and both weights are rational."""
-    e1, e2 = eps_pair
-    if e1 == e2:
+    if eps_pair[0] == eps_pair[1]:
         raise ValueError("the two eps values must differ")
-    pi1, pi2 = _perturbed_laws(p, q, eps_pair)
-    if pi1.numeric_mode == EXACT and pi2.numeric_mode == EXACT:
-        return tuple((a - b) / (Fraction(e1) - Fraction(e2)) for a, b in zip(pi1.values, pi2.values))
-    d = float(e1) - float(e2)
-    return tuple((float(a) - float(b)) / d for a, b in zip(pi1.values, pi2.values))
+    return _difference_quotient(eps_pair, _perturbed_laws(p, q, eps_pair))
 
 
 def exact_first_order(p, q, n_guard=None):
@@ -311,8 +309,10 @@ def parse_eps_grid(text, exact=False):
         if not (0 < b < a < 1):
             raise EpsOutOfRange(f"bad range {text!r}: need 0 < b < a < 1")
         if not exact:
+            if a / b == math.inf:
+                raise EpsOutOfRange(f"bad range {text!r}: a / b overflows a float")
             steps = max(1, round(math.log10(a / b)))
-            return tuple(a * (b / a) ** (k / steps) for k in range(steps + 1))
+            return (*(a * (b / a) ** (k / steps) for k in range(steps)), b)
         ratio = b / a  # each step multiplies by its steps-th root
         steps = max(1, round(math.log10(ratio.denominator) - math.log10(ratio.numerator)))
         roots = [_int_root(x, steps) for x in (ratio.numerator, ratio.denominator)]

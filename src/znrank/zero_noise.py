@@ -43,16 +43,8 @@ def _common_mode(p, q):
     return p.to_float(), q.to_float()
 
 
-class GammaChain(namedtuple("GammaChain", "gamma pi_gamma")):
-    """Reduced chain over the closed classes: gamma, a RowStochasticMatrix,
-    and its law pi_gamma."""
-
-    __slots__ = ()
-
-    @property
-    def m(self):
-        return self.gamma.n
-
+# reduced chain over the closed classes: gamma, a RowStochasticMatrix, and its law pi_gamma
+GammaChain = namedtuple("GammaChain", "gamma pi_gamma")
 
 # gamma_chain is None for the uniform prediction; mode is "theorem3", "theorem2" or "extended"
 LimitReport = namedtuple("LimitReport",
@@ -191,7 +183,7 @@ def limit_rank(p, q, part=None, mode="auto"):
         mode = "extended" if part.transient else "theorem3"
     if mode == "theorem3" and part.transient:
         raise TransientStatesPresent(
-            "P has transient states; use the extended reduction (limit_rank_extended)"
+            "P has transient states; use the extended reduction (--mode extended)"
         )
     exact = p.numeric_mode == EXACT
     per_class = class_stationary(p, part)
@@ -217,24 +209,6 @@ def limit_rank(p, q, part=None, mode="auto"):
         mode=mode,
         labels=tuple(p.states.label_list()),
     )
-
-
-def limit_rank_general(p, q, part=None):
-    """limit_rank in theorem3 mode: requires a transient-free P."""
-    return limit_rank(p, q, part, "theorem3")
-
-
-def limit_rank_extended(p, q, part=None):
-    """limit_rank in extended mode: valid with transient states."""
-    return limit_rank(p, q, part, "extended")
-
-
-def theorem2_prediction(p, part=None):
-    """Uniform-perturbation prediction: every closed class gets mass 1/m.
-    Exposed as a prediction, not a result: the exact oracle contradicts it
-    whenever class sizes differ (see adjudicate). For irreducible P it
-    degenerates to the plain stationary law."""
-    return limit_rank(p, None, part, "theorem2")
 
 
 def report_to_json(report):
@@ -271,7 +245,7 @@ def adjudicate(p, q, part=None):
 
     part = part or classify_states(p)
     limit = limit_rank(p, q, part)
-    methods = {"theorem2": theorem2_prediction(p, part), limit.mode: limit}
+    methods = {"theorem2": limit_rank(p, None, part, "theorem2"), limit.mode: limit}
     if p.numeric_mode == EXACT and q.numeric_mode == EXACT and p.n <= SYMBOLIC_N_GUARD:
         oracle_mode, oracle_vals = "exact-polynomial", exact_limit_from_polynomials(p, q).values
     else:

@@ -40,10 +40,8 @@ from znrank.sweep import (
 )
 from znrank.zero_noise import (
     adjudicate,
-    limit_rank_extended,
-    limit_rank_general,
+    limit_rank,
     personalization_gamma,
-    theorem2_prediction,
 )
 from helpers import (
     rand_block_q,
@@ -131,7 +129,7 @@ def test_criterion_04_class_chain_limit_vs_oracle_and_sweep():
     with criterion(4, "class-chain limit equals the oracle; sweep errors decay"):
         resolved = 0
         for p, q, _ in reducible_block_instances("degree-and-limit", 50):
-            limit = limit_rank_general(p, q)
+            limit = limit_rank(p, q, mode="theorem3")
             assert limit.node_limit.values == exact_limit_from_polynomials(p, q).values
             rep = convergence_report(epsilon_sweep(p.to_float(), q.to_float()))
             if rep["verdict"] == "pass":
@@ -152,10 +150,10 @@ def test_criterion_05_worked_adjudication_fixture():
         third = (F(1, 3), F(1, 3), F(1, 3))
         for eps in (F(1, 10), F(1, 100), F(1, 1000), F(1, 7)):
             assert stationary_direct(perturbed_matrix(p, q, eps)).values == third
-        limit = limit_rank_general(p, q)
+        limit = limit_rank(p, q, mode="theorem3")
         assert limit.class_masses.values == (F(2, 3), F(1, 3))  # |C_k| / n
         assert limit.node_limit.values == third
-        pred = theorem2_prediction(p)
+        pred = limit_rank(p, None, mode="theorem2")
         assert pred.node_limit.values == (F(1, 4), F(1, 4), F(1, 2))
         assert max(abs(a - b) for a, b in zip(pred.node_limit.values, third)) == F(1, 6)
         report = adjudicate(p, q)
@@ -190,12 +188,12 @@ def test_criterion_07_extended_reduction_validation():
             sizes = rand_sizes(rng, m, total_cap=5)
             p = rand_with_transients(rng, sizes, rng.randint(1, 3))
             q = uniform_matrix(p.n, p.states)
-            pred = limit_rank_extended(p, q).node_limit.values
+            pred = limit_rank(p, q, mode="extended").node_limit.values
             assert linf(pred, extrapolate_limit(p, q)) <= EXTRAPOLATION_TOL
         # fixed fixture, exact to leading order
         p, q = TRANSIENT_P, uniform_matrix(3)
         assert absorption_probabilities(p, classify_states(p)).row_for(2) == (F(2, 3), F(1, 3))
-        ext = limit_rank_extended(p, q)
+        ext = limit_rank(p, q, mode="extended")
         assert ext.class_masses.values == (F(5, 9), F(4, 9))
         assert exact_limit_from_polynomials(p, q).values == (F(5, 9), F(4, 9), F(0))
         assert ext.node_limit.values == (F(5, 9), F(4, 9), F(0))

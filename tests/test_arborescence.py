@@ -11,7 +11,6 @@ from znrank.arborescence import (
     enumerated_root_weight,
     exact_limit_from_polynomials,
     mctt_stationary,
-    min_degree,
     perturbed_root_polynomial,
     root_weight_minor,
     root_weights,
@@ -129,7 +128,7 @@ def test_polynomials_worked_fixture():
     polys = all_root_polynomials(p, q)
     expected = EpsPolynomial((0, F(2, 3), F(-1, 3)))
     assert polys == (expected, expected, expected)
-    assert min_degree(polys[0]) == 1
+    assert polys[0].min_degree() == 1
     lim = exact_limit_from_polynomials(p, q)
     assert lim.values == (F(1, 3), F(1, 3), F(1, 3))
 

@@ -343,7 +343,7 @@ def test_rank_theorem3_rejects_transients(tmp_path, capsys):
     g = wpath(tmp_path, "g.txt", TRANSIENT)
     code, _, err = run(capsys, "rank", "--graph", g, "--q", "uniform", "--mode", "theorem3")
     assert code == 3
-    assert "precondition failed" in err
+    assert "precondition failed" in err and "--mode extended" in err
 
 
 def test_rank_auto_uses_extended_with_transients(tmp_path, capsys):
@@ -502,6 +502,14 @@ def test_sweep_float_refuses_an_eps_whose_law_overflows(tmp_path, capsys, fmt):
     assert "nan" not in (out + err).lower()
 
 
+@pytest.mark.parametrize("eps", ["0.5..5e-324", "1e-1..1e-320"])
+def test_sweep_float_eps_range_past_the_float_range_is_a_usage_error(tmp_path, capsys, eps):
+    g = wpath(tmp_path, "g.txt", TWO_CLASS)
+    code, out, err = run(capsys, "sweep", "--graph", g, "--q", "uniform", "--numeric", "float", "--eps", eps)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: bad --eps:") and "overflows" in err
+
+
 def test_sweep_float_down_to_1e14(tmp_path, capsys):
     # three closed classes (6, 4, 2); at eps = 1e-14 the uniform entries
     # eps/12 lie under the float positivity threshold of 1e-15
@@ -548,6 +556,12 @@ def test_seed_option_is_gone(tmp_path, capsys):
     assert run(capsys, "rank", "--graph", g, "--q", "uniform", "--seed", "1")[0] == 1
     w = wpath(tmp_path, "w.txt", "x y 3\ny x 1\n")
     assert run(capsys, "model", "pairwise", "--weights", w, "--seed", "1")[0] == 1
+
+
+def test_oracle_and_model_have_no_format_option(tmp_path, capsys):
+    g = wpath(tmp_path, "g.txt", K3)
+    assert run(capsys, "oracle", "--graph", g, "--format", "json")[0] == 1
+    assert run(capsys, "model", "srw", "--graph", g, "--format", "json")[0] == 1
 
 
 def test_oracle_with_q(tmp_path, capsys):

@@ -21,7 +21,6 @@ from znrank.graph import (
     ones_outer,
     parse_edge_list,
     require_unichain_union,
-    serialize_edge_list,
     to_stochastic,
     uniform_matrix,
 )
@@ -128,14 +127,6 @@ def test_negative_edge_weight_keeps_its_message():
         with pytest.raises(InputFormatError) as ei:
             parse_edge_list(text)
         assert str(ei.value) == f"line {text.count(chr(10))}: negative weight"
-
-
-def test_edge_list_round_trip():
-    text = "a\tb\t1/2\nb\ta\t1/1\na\tc\t1/2\nc\ta\t1/1\n"
-    g = parse_edge_list(text)
-    s = serialize_edge_list(g)
-    assert parse_edge_list(s).edges == g.edges
-    assert serialize_edge_list(parse_edge_list(s)) == s
 
 
 def test_stochastic_validation():

@@ -1,6 +1,6 @@
 """Imports in src/znrank. Every module-level import is used in its module
-or re-exported through its __all__, so a name that a change leaves behind
-shows here. No module imports dataclasses, typing or inspect, which cost a
+or re-exported through its __all__, and every name in znrank.__all__
+resolves on the package, so a name that a change leaves behind shows here. No module imports dataclasses, typing or inspect, which cost a
 cold start several milliseconds. Each command, run in a fresh interpreter,
 loads only the znrank modules it calls."""
 
@@ -61,6 +61,13 @@ def test_slow_stdlib_imports_reads_every_nesting():
               "def f():\n    import dataclasses as dc\n\n"
               "class C:\n    def g(self):\n        if True:\n            from inspect import signature\n")
     assert slow_stdlib_imports(source) == ["dataclasses", "inspect", "typing"]
+
+
+def test_every_export_resolves():
+    import znrank
+
+    missing = [name for name in znrank.__all__ if not hasattr(znrank, name)]
+    assert not missing, missing
 
 
 def loaded_by(tmp_path, code):

@@ -6,6 +6,9 @@ what follows it. Full outputs match byte for byte. An output with `...`
 lines is an excerpt of JSON: every `"key": value` line shown must match the
 output at the same nesting, a list ending in `, ...]` matches a prefix, and
 floats match to a relative 1e-12.
+
+The Library python block runs line by line in one namespace, and each
+`expression  # value` line must give value as its repr.
 """
 
 import json
@@ -18,6 +21,7 @@ from znrank.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 SH_BLOCKS = re.findall(r"^```sh\n(.*?)^```", README, flags=re.S | re.M)
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, flags=re.S | re.M)
 
 
 def _input_files():
@@ -98,3 +102,17 @@ def test_readme_examples(tmp_path, capsys, monkeypatch):
             _check_excerpt(expected, json.loads(out))
         else:
             assert out == expected, command
+
+
+def test_readme_library_example():
+    (block,) = PYTHON_BLOCKS
+    namespace = {}
+    shown = 0
+    for line in block.splitlines():
+        code, sep, value = line.partition("  # ")
+        if sep:
+            assert repr(eval(code, namespace)) == value.strip(), line
+            shown += 1
+        else:
+            exec(line, namespace)
+    assert shown >= 4

@@ -3,16 +3,14 @@ from fractions import Fraction
 import pytest
 
 import znrank.stationary
-from znrank.errors import MaxIterExceeded, NotIrreducible
+from znrank.errors import NotIrreducible
 from znrank.graph import RowStochasticMatrix, StateSpace, classify_states
 from znrank.stationary import (
     AbsorptionTable,
     Distribution,
     absorption_probabilities,
     class_stationary,
-    linf,
     stationary_direct,
-    stationary_power,
     unichain_law,
     _eliminate,
     _law,
@@ -30,7 +28,6 @@ from helpers import (
     assert_stationary,
     fractions_built,
     markowitz_reference,
-    rand_irreducible,
     rand_mixed_chain,
     rand_partly_shared_q,
     rand_q,
@@ -124,29 +121,6 @@ def test_float_law_entrywise_accurate_at_tiny_eps():
     exact = stationary_direct(pe)
     approx = stationary_direct(pe.to_float())
     assert max(abs(a - float(b)) / float(b) for a, b in zip(approx.values, exact.values)) <= 1e-12
-
-
-def test_power_matches_direct_and_handles_periodicity():
-    # a plain 2-cycle is periodic; the averaged iteration still converges
-    p = RowStochasticMatrix(StateSpace(2), ((0, 1), (1, 0)))
-    pi = stationary_power(p)
-    assert linf(pi.values, (0.5, 0.5)) < 1e-10
-    rng = rng_for("power-vs-direct")
-    for _ in range(15):
-        m = rand_irreducible(rng, rng.randint(2, 7))
-        exact = stationary_direct(m)
-        approx = stationary_power(m)
-        assert linf([float(x) for x in exact.values], approx.values) < 1e-9
-
-
-def test_power_reports_divergence():
-    # far from the uniform start, three averaged steps cannot reach 1e-12
-    p = RowStochasticMatrix(StateSpace(2), ((F(9, 10), F(1, 10)), (F(1, 5), F(4, 5))))
-    with pytest.raises(MaxIterExceeded) as ei:
-        stationary_power(p, tol=1e-12, max_iter=3)
-    err = ei.value
-    assert err.last_iterate is not None
-    assert err.residual is not None
 
 
 def test_class_stationary_embeds():

@@ -209,6 +209,10 @@ def test_first_order_matches_sweep_field():
     result = epsilon_sweep(p, q)
     pair = (result.eps_grid[-2], result.eps_grid[-1])
     assert result.first_order == first_order_estimate(p, q, pair)
+    pf, qf = p.to_float(), q.to_float()
+    result = epsilon_sweep(pf, qf)
+    assert result.first_order == first_order_estimate(pf, qf, result.eps_grid[-2:])
+    assert all(type(v) is float for v in result.first_order)
 
 
 def test_parse_eps_grid():
@@ -235,6 +239,20 @@ def test_eps_range_is_exact_in_exact_mode_and_keeps_both_ends():
     # 1/2, 1/(10 sqrt 5), 1/100: not all rational
     with pytest.raises(ValueError, match="comma list"):
         parse_eps_grid("0.5..0.01", exact=True)
+
+
+def test_float_eps_range_ends_at_b_exactly():
+    grid = parse_eps_grid("1e-2..1e-300")
+    assert len(grid) == 299 and grid[0] == 1e-2 and grid[-1] == 1e-300
+    assert all(b < a for a, b in zip(grid, grid[1:]))
+    # the points before b are a (b / a)^(k / steps), as before
+    assert grid[:-1] == tuple(1e-2 * (1e-300 / 1e-2) ** (k / 298) for k in range(298))
+
+
+@pytest.mark.parametrize("text", ["0.5..5e-324", "1e-1..1e-320"])
+def test_float_eps_range_whose_ratio_overflows_is_refused(text):
+    with pytest.raises(EpsOutOfRange, match="overflows"):
+        parse_eps_grid(text)
 
 
 def test_sweep_rejects_mode_mismatch_gracefully():

@@ -18,11 +18,9 @@ from znrank.zero_noise import (
     adjudicate,
     build_gamma,
     extended_gamma,
-    limit_rank_extended,
-    limit_rank_general,
+    limit_rank,
     personalization_gamma,
     report_to_json,
-    theorem2_prediction,
 )
 from helpers import (
     rand_block_q,
@@ -74,7 +72,7 @@ def test_build_gamma_block_fixture():
     chain = build_gamma(p, q, classify_states(p))
     assert (chain.gamma.row(0), chain.gamma.row(1)) == ((F(2, 3), F(1, 3)), (F(1), F(0)))
     assert chain.pi_gamma.values == (F(3, 4), F(1, 4))
-    report = limit_rank_general(p, q)
+    report = limit_rank(p, q, mode="theorem3")
     assert report.node_limit.values == (F(3, 8), F(3, 8), F(1, 4))
 
 
@@ -104,7 +102,7 @@ def test_limit_rank_general_rejects_transients():
         StateSpace(3), ((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 4), F(1, 4)))
     )
     with pytest.raises(TransientStatesPresent):
-        limit_rank_general(p, uniform_matrix(3))
+        limit_rank(p, uniform_matrix(3), mode="theorem3")
 
 
 def test_personalization_gamma():
@@ -112,7 +110,7 @@ def test_personalization_gamma():
     nu = Distribution((F(1, 5), F(3, 10), F(1, 2)))
     chain = personalization_gamma(nu, classify_states(p))
     assert chain.pi_gamma.values == (F(1, 2), F(1, 2))
-    report = limit_rank_general(p, ones_outer(nu.values, p.states))
+    report = limit_rank(p, ones_outer(nu.values, p.states), mode="theorem3")
     assert report.node_limit.values == (F(1, 4), F(1, 4), F(1, 2))
 
 
@@ -120,7 +118,7 @@ def test_personalization_gamma_gives_a_zero_class_no_mass():
     p = cycle_plus_absorber()
     nu = Distribution((F(1, 2), F(1, 2), F(0)))
     assert personalization_gamma(nu, classify_states(p)).pi_gamma.values == (F(1), F(0))
-    report = limit_rank_general(p, ones_outer(nu.values, p.states))
+    report = limit_rank(p, ones_outer(nu.values, p.states), mode="theorem3")
     assert report.node_limit.values == (F(1, 2), F(1, 2), F(0))
 
 
@@ -132,11 +130,11 @@ def test_extended_gamma_fixture():
         StateSpace(3),
         ((0, F(1, 2), F(1, 2)), (F(1, 2), 0, F(1, 2)), (F(1, 2), F(1, 2), 0)),
     )
-    report = limit_rank_extended(p, q)
+    report = limit_rank(p, q, mode="extended")
     assert report.mode == "extended"
     assert report.class_masses.values == (F(5, 9), F(4, 9))
     assert report.node_limit.values == (F(5, 9), F(4, 9), F(0))
-    assert report == limit_rank_extended(p, q)
+    assert report == limit_rank(p, q, mode="extended")
     # transient-free chains reduce to the plain construction
     p0 = cycle_plus_absorber()
     plain = build_gamma(p0, uniform_matrix(3), classify_states(p0))
@@ -146,7 +144,7 @@ def test_extended_gamma_fixture():
 
 def test_limit_records_keep_their_repr():
     p = RowStochasticMatrix(StateSpace(3), ((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 4), F(1, 4))))
-    report = limit_rank_extended(p, uniform_matrix(3))
+    report = limit_rank(p, uniform_matrix(3), mode="extended")
     law = "Distribution(values=(Fraction(5, 9), Fraction(4, 9)), numeric_mode='exact')"
     gamma = ("GammaChain(gamma=RowStochasticMatrix(states=StateSpace(n=2, labels=('C1', 'C2')),"
              " rows={(0,): {0: Fraction(5, 9), 1: Fraction(4, 9)}, (1,): {0: Fraction(5, 9), 1: Fraction(4, 9)}},"
@@ -167,7 +165,7 @@ def test_limit_records_keep_their_repr():
 
 def test_theorem2_prediction_reports_uniform_masses():
     p = cycle_plus_absorber()
-    pred = theorem2_prediction(p)
+    pred = limit_rank(p, None, mode="theorem2")
     assert pred.mode == "theorem2"
     assert pred.gamma_chain is None
     assert pred.class_masses.values == (F(1, 2), F(1, 2))
@@ -176,13 +174,13 @@ def test_theorem2_prediction_reports_uniform_masses():
 
 def test_report_to_json_schema_and_round_trip():
     p = cycle_plus_absorber()
-    report = limit_rank_general(p, uniform_matrix(3))
+    report = limit_rank(p, uniform_matrix(3), mode="theorem3")
     obj = report_to_json(report)
     assert list(obj.keys()) == REPORT_KEYS
     assert obj["gamma"] == [["2/3", "1/3"], ["2/3", "1/3"]]
     assert obj["node_limit"] == ["1/3", "1/3", "1/3"]
     json.dumps(obj)  # serializable
-    obj2 = report_to_json(theorem2_prediction(p))
+    obj2 = report_to_json(limit_rank(p, None, mode="theorem2"))
     assert obj2["gamma"] is None
     assert list(obj2.keys()) == REPORT_KEYS
 
@@ -251,7 +249,7 @@ def test_general_route_matches_oracle_random():
         sizes = rand_sizes(rng, rng.randint(2, 3), total_cap=5)
         p = rand_reducible_no_transient(rng, sizes)
         q, _ = rand_block_q(rng, sizes)
-        report = limit_rank_general(p, q)
+        report = limit_rank(p, q, mode="theorem3")
         oracle = exact_limit_from_polynomials(p, q)
         assert report.node_limit.values == oracle.values
 
@@ -272,9 +270,9 @@ def test_general_q_matches_oracle_random():
         else:
             p = rand_reducible_no_transient(rng, sizes)
         q = rand_general_q(rng, p.n)
-        limit = limit_rank_extended if with_transients else limit_rank_general
+        mode = "extended" if with_transients else "theorem3"
         try:
-            report = limit(p, q)
+            report = limit_rank(p, q, mode=mode)
         except GammaReducible:
             # only a reduced chain with several closed classes is refused
             part = classify_states(p)
@@ -284,7 +282,7 @@ def test_general_q_matches_oracle_random():
             continue
         oracle = exact_limit_from_polynomials(p, q)
         assert report.node_limit.values == oracle.values
-        floats = limit(p.to_float(), q.to_float()).node_limit.values
+        floats = limit_rank(p.to_float(), q.to_float(), mode=mode).node_limit.values
         assert max(abs(a - float(b)) for a, b in zip(floats, oracle.values)) < 1e-12
         checked[with_transients] += 1
     assert checked[False] >= 20 and checked[True] >= 15
@@ -438,7 +436,7 @@ def test_unichain_gamma_gives_its_transient_classes_mass_zero():
 
     p = RowStochasticMatrix(StateSpace(3), ((1, 0, 0), (0, 1, 0), (0, 1, 0)))
     q = ones_outer((F(0), F(2, 3), F(1, 3)))
-    report = limit_rank_extended(p, q)
+    report = limit_rank(p, q, mode="extended")
     assert report.gamma_chain.pi_gamma.values == (F(0), F(1))
     assert report.node_limit.values == (F(0), F(1), F(0))
     law = unichain_law(perturbed_matrix(p, q, F(1, 10**12)))
