@@ -292,23 +292,20 @@ def cmd_rank(args):
     p = load_p(args)
     part = classify_states(p)
     report = limit_rank(p, load_q(args.q, p, part), part, args.mode)
-    obj = report_to_json(report)
     if args.format == "json":
-        sys.stdout.write(canonical_dumps(obj))
-    elif args.format == "tsv":
-        for lab, v in zip(obj["labels"], obj["node_limit"]):
-            print(f"{lab}\t{v}")
-    else:
+        sys.stdout.write(canonical_dumps(report_to_json(report)))
+        return 0
+    labels, node = report.labels, ratios_to_json(report.node_limit.nums, report.node_limit.den)
+    if args.format == "pretty":
         if report.mode == "theorem2":
             print("PREDICTION (uniform class masses); contradicted by the exact oracle"
                   " when class sizes differ. See `znrank adjudicate`.")
         print(f"mode: {report.mode}")
-        labels = obj["labels"]
+        masses = ratios_to_json(report.class_masses.nums, report.class_masses.den)
         for k, c in enumerate(report.partition.closed_classes):
-            mass = obj["class_masses"][k]
-            print(f"class C{k + 1} {{{', '.join(labels[i] for i in c)}}}: mass {mass}")
-        for i, lab in enumerate(labels):
-            print(f"{lab}\t{obj['node_limit'][i]}")
+            print(f"class C{k + 1} {{{', '.join(labels[i] for i in c)}}}: mass {masses[k]}")
+    for lab, v in zip(labels, node):
+        print(f"{lab}\t{v}")
     return 0
 
 

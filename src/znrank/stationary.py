@@ -38,9 +38,11 @@ class Distribution:
             law = Distribution.of_integers(*common_denominator(vals))
             self.numeric_mode, self.values, self.nums, self.den = EXACT, vals, law.nums, law.den
             return
-        vals = tuple(0.0 if -1e-12 < float(x) < 0 else float(x) for x in values)
-        if any(x < 0 for x in vals):
-            raise ValueError("negative probability")
+        vals = tuple(map(float, values))
+        if not min(vals, default=0.0) >= 0:  # a negative, or a NaN first, which min cannot pass
+            vals = tuple(0.0 if -1e-12 < x < 0 else x for x in vals)
+            if any(x < 0 for x in vals):
+                raise ValueError("negative probability")
         if not abs(sum(vals) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"probabilities sum to {sum(vals)!r}, not 1")
         self.numeric_mode, self.values, self.nums, self.den = numeric_mode, vals, vals, None
@@ -448,6 +450,15 @@ class AbsorptionTable(namedtuple("AbsorptionTable", "transient num_rows dens", d
         return self.rows[self.transient.index(state)]
 
 
+def _absorbing_reduction(p, part):
+    """(rows, order) of _eliminate on P with its closed states absorbing:
+    it removes the transient states in order, and rows[k][j] / sum(rows[k])
+    is the chance that k next meets j among states later in order or closed."""
+    closed = {s for cls in part.closed_classes for s in cls}
+    rows = [{} if s in closed else {j: v for j, v in row.items() if j != s} for s, row in enumerate(p.num_rows)]
+    return rows, _eliminate(rows, None if p.dens is None else list(p.dens))[0]
+
+
 def absorption_probabilities(p, part):
     """Probability that each transient state is absorbed into each closed
     class, by censoring the transient states onto the closed states, each
@@ -463,8 +474,8 @@ def absorption_probabilities(p, part):
     units = [[one if c == k else zero for c in range(m)] for k in range(m)]
     a = {s: units[k] for k, cls in enumerate(part.closed_classes) for s in cls}
     den = dict.fromkeys(a, 1)
-    rows = [{} if s in a else {j: v for j, v in row.items() if j != s} for s, row in enumerate(p.num_rows)]
-    for k in reversed(_eliminate(rows, None if p.dens is None else list(p.dens))[0]):
+    rows, order = _absorbing_reduction(p, part)
+    for k in reversed(order):
         row = rows[k]
         pivot = sum(row.values())
         if not exact:

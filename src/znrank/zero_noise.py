@@ -29,6 +29,7 @@ from znrank.graph import RowStochasticMatrix, StateSpace, classify_states, requi
 from znrank.rational import EXACT, FLOAT, number_to_json, ratios_to_json
 from znrank.stationary import (
     Distribution,
+    _absorbing_reduction,
     absorption_probabilities,
     class_stationary,
     linf,
@@ -134,15 +135,50 @@ def build_gamma(p, q, part, class_laws=None):
     return extended_gamma(p, q, part, class_laws)
 
 
+def _one_row_chain(p, part, row, den, numeric_mode):
+    """Reduced chain of a Q whose states all hold one row object (integer
+    numerators over den, None in float mode): Gamma = 1 mu^T, mu the row's
+    class masses, is its law. As the absorbing elimination removes k, the
+    mass that reached k goes on over k's row, to states removed later or
+    closed: one pass, no |T| x m table. Exact sums are reduced term by term
+    (their lcm had 32849 bits, mu's den 1318, on a 5000-page web graph)."""
+    exact = numeric_mode == EXACT
+
+    def total(terms):  # (num, den) of the sum of the masses num / den in terms
+        if not exact:
+            return sum([a / e for a, e in terms], 0.0), 1
+        a, d = 0, 1
+        for b, e in terms:
+            a, d = a * e + b * d, d * e
+            g = math.gcd(a, d)
+            a, d = a // g, d // g
+        return a, d
+
+    inflow = {y: [(v, den or 1)] for y, v in row.items()}  # state -> the masses that reach it
+    if not inflow.keys().isdisjoint(part.transient):
+        rows, order = _absorbing_reduction(p, part)
+        for k in order:
+            if k in inflow:
+                a, e = total(inflow.pop(k))
+                e *= sum(rows[k].values())
+                for j, v in rows[k].items():
+                    inflow.setdefault(j, []).append((a * v, e))
+    masses = [total([t for y in c if y in inflow for t in inflow[y]]) for c in part.closed_classes]
+    d = math.lcm(*[e for _, e in masses])
+    nums = [a * (d // e) for a, e in masses]
+    law = Distribution.of_integers(nums, d) if exact else Distribution(nums, FLOAT)
+    dens = None if law.den is None else (law.den,) * part.m
+    gamma = RowStochasticMatrix(StateSpace(part.m, _class_labels(part)), (law.nums,) * part.m, numeric_mode, dens)
+    return GammaChain(gamma, law)
+
+
 def personalization_gamma(nu, part):
     """Reduced chain for rank-one perturbations with every row equal to nu:
     all rows of Gamma equal the class masses of nu, which are its law; a
     class without mass is transient in Gamma."""
     if part.transient:
         raise TransientStatesPresent("personalization reduction needs a transient-free chain")
-    masses = [sum(nu.nums[x] for x in c) for c in part.closed_classes]  # over nu.den in exact mode
-    dens = None if nu.den is None else (nu.den,) * part.m
-    return _gamma_chain_from_rows([masses] * part.m, dens, part, nu.numeric_mode)
+    return _one_row_chain(None, part, {x: v for x, v in enumerate(nu.nums) if v}, nu.den, nu.numeric_mode)
 
 
 def extended_gamma(p, q, part, class_laws=None):
@@ -151,10 +187,13 @@ def extended_gamma(p, q, part, class_laws=None):
     the absorption probability A(t, j), as it does to first order in eps in
     the stochastic complement of P_eps on the closed states (Meyer, SIAM
     Review 1989). Without transient states this is the plain reduced
-    chain. class_laws defaults to class_stationary(p, part). If the reduced
-    chain is refused, a union support of P and Q with several closed
-    classes is reported first."""
+    chain. A Q whose states all hold one row object takes _one_row_chain;
+    class_laws defaults to class_stationary(p, part). If Gamma is refused,
+    a union support of P and Q with several closed classes is reported first."""
     p, q = _common_mode(p, q)
+    row = q.num_rows[0]
+    if all(r is row for r in q.num_rows):
+        return _one_row_chain(p, part, row, q.dens and q.dens[0], p.numeric_mode)
     if class_laws is None:
         class_laws = class_stationary(p, part)
     absorb = absorption_probabilities(p, part) if part.transient else None
@@ -213,11 +252,14 @@ def limit_rank(p, q, part=None, mode="auto"):
 
 def report_to_json(report):
     """Fixed-key JSON form of a LimitReport, exact numbers formatted from
-    the integer numerators and denominators that the laws and Gamma store."""
+    the integer numerators and denominators that the laws and Gamma store.
+    A Gamma row object that several classes share is formatted once."""
     part = report.partition
     g = None if report.gamma_chain is None else report.gamma_chain.gamma
-    gamma = None if g is None else [ratios_to_json([row.get(j, 0) for j in range(g.n)], den)
-                                    for row, den in zip(g.num_rows, g.dens or (None,) * g.n)]
+    done = {}  # id of a Gamma row -> its JSON numbers
+    gamma = None if g is None else [done[id(row)] if id(row) in done else done.setdefault(
+        id(row), ratios_to_json([row.get(j, 0) for j in range(g.n)], den))
+        for row, den in zip(g.num_rows, g.dens or (None,) * g.n)]
     masses = report.class_masses
     return {
         "mode": report.mode,

@@ -232,6 +232,20 @@ def rand_mixed_chain(rng, sizes, t):
     return RowStochasticMatrix(StateSpace(n), tuple(tuple(r) for r in rows))
 
 
+def rand_web_edges(rng, n):
+    """Edge list text of a web-like graph on nodes 0, ..., n - 1: a quarter
+    of the pages, drawn one by one, are dangling (no out-link; `rank`'s
+    default self_loop policy makes each a closed class of its own), the
+    others link to int(Pareto(1.5)) distinct pages drawn uniformly, which
+    may include the page itself. rng_for(0) at n = 2000 gives 524 closed
+    classes and 1476 transient states, at n = 5000 1265 and 3735."""
+    lines = [str(u) for u in range(n)]
+    for u in range(n):
+        if rng.random() >= 0.25:
+            lines += [f"{u} {v}" for v in rng.sample(range(n), min(n - 1, int(rng.paretovariate(1.5))))]
+    return "\n".join(lines) + "\n"
+
+
 def markowitz_reference(rows, ins, live, order):
     """The Markowitz order search as first written, the reference for
     stationary._markowitz: each step takes the live state with the fewest

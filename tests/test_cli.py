@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from znrank.cli import canonical_dumps, main
-from helpers import fractions_built, rng_for
+from helpers import fractions_built, rand_web_edges, rng_for
 
 TWO_CLASS = "a b\nb a\nc c\n"
 TRANSIENT = "a a\nb b\nt a 1/2\nt b 1/4\nt t 1/4\n"
@@ -300,6 +300,39 @@ def test_exact_rank_builds_no_fraction_per_entry(tmp_path, capsys, monkeypatch):
                 assert code == 0 and json.loads(capsys.readouterr().out)["mode"] != "theorem2"
                 built[degree, spec] = made
         assert set(built.values()) == {0}, built
+
+
+def test_uniform_rank_on_a_web_like_graph_takes_the_one_row_route(tmp_path, capsys, monkeypatch):
+    # 400 pages, 103 closed classes and 294 transient states: uniform Q is
+    # one shared row, so rank reads the class masses off its routed row,
+    # with no absorption table and no law of Gamma, and tsv formats no
+    # report. Equal rows held as separate objects take the general route,
+    # which runs both, and print the same bytes.
+    import znrank.cli
+    import znrank.graph
+    import znrank.zero_noise
+
+    calls = []
+    for name in ("absorption_probabilities", "unichain_law"):
+        def counted(*args, name=name, original=getattr(znrank.zero_noise, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(znrank.zero_noise, name, counted)
+    monkeypatch.setattr(znrank.zero_noise, "report_to_json", None)  # tsv must not call it
+    g = wpath(tmp_path, "web.txt", rand_web_edges(rng_for(0), 400))
+    argv = ["rank", "--graph", g, "--numeric", "exact", "--q", "uniform", "--format", "tsv"]
+    code, one_row, _ = run(capsys, *argv)
+    assert code == 0 and calls == []
+
+    def separate_rows(n, states, mode):
+        return znrank.graph.RowStochasticMatrix(states, tuple(dict.fromkeys(range(n), 1) for _ in range(n)), mode,
+                                                (n,) * n)
+
+    monkeypatch.setattr(znrank.cli, "uniform_matrix", separate_rows)
+    code, general, _ = run(capsys, *argv)
+    assert code == 0 and calls == ["absorption_probabilities", "unichain_law"]
+    assert one_row == general and one_row.count("\n") == 400 and "0/1" in one_row
 
 
 def test_exact_sweep_builds_a_fraction_per_eps_and_first_order_entry(tmp_path, capsys, monkeypatch):

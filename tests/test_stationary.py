@@ -54,6 +54,48 @@ def test_distribution_validation():
         Distribution((float("nan"), 0.5), "float")
 
 
+def _float_law_reference(values):
+    """The float Distribution check as first written: (values, None) or
+    (None, (exception type, message))."""
+    try:
+        vals = tuple(0.0 if -1e-12 < float(x) < 0 else float(x) for x in values)
+        if any(x < 0 for x in vals):
+            raise ValueError("negative probability")
+        if not abs(sum(vals) - 1.0) <= 1e-9:
+            raise ValueError(f"probabilities sum to {sum(vals)!r}, not 1")
+    except (TypeError, ValueError) as exc:
+        return None, (type(exc), str(exc))
+    return vals, None
+
+
+def test_float_distribution_equals_its_reference():
+    # values, bits and every refusal and its message equal the loop it
+    # replaced, on laws with NaN, infinities, tiny negatives, -0.0, ints,
+    # Fractions, strings and non-numbers, in every position
+    rng = rng_for("float-law-reference")
+    specials = (float("nan"), float("inf"), -float("inf"), -1e-13, -5e-13, -1e-12, -2e-12, -0.0, 0.0,
+                -0.25, 1.0, 1, F(1, 3), True, "0.5", "x", None)
+    seen = set()
+    for trial in range(3000):
+        n = rng.randint(0, 6)
+        w = [rng.random() for _ in range(n)]
+        values = [x / sum(w) for x in w]
+        for _ in range(rng.randint(0, 2) if n else 0):
+            values[rng.randrange(n)] = rng.choice(specials)
+        want, refused = _float_law_reference(values)
+        if refused:
+            with pytest.raises(refused[0]) as ei:
+                Distribution(values, "float")
+            assert str(ei.value) == refused[1], values
+            seen.add(refused[1].split(" ")[0])
+        else:
+            got = Distribution(values, "float")
+            assert [x.hex() for x in got.values] == [x.hex() for x in want], values
+            assert got.nums is got.values and got.den is None
+            seen.add("ok")
+    assert {"ok", "negative", "probabilities", "could"} <= seen, seen
+
+
 def test_exact_distribution_checks_keep_their_messages():
     cases = (
         ((F(3, 2), F(-1, 2)), "negative probability"),

@@ -14,6 +14,7 @@ from znrank.graph import (
 )
 from znrank.stationary import Distribution, absorption_probabilities, class_stationary
 from znrank.zero_noise import (
+    _gamma_chain_from_rows,
     _reduced_rows,
     adjudicate,
     build_gamma,
@@ -25,6 +26,8 @@ from znrank.zero_noise import (
 from helpers import (
     rand_block_q,
     rand_general_q,
+    rand_mixed_chain,
+    rand_personalization,
     rand_q,
     rand_reducible_no_transient,
     rand_sizes,
@@ -147,7 +150,7 @@ def test_limit_records_keep_their_repr():
     report = limit_rank(p, uniform_matrix(3), mode="extended")
     law = "Distribution(values=(Fraction(5, 9), Fraction(4, 9)), numeric_mode='exact')"
     gamma = ("GammaChain(gamma=RowStochasticMatrix(states=StateSpace(n=2, labels=('C1', 'C2')),"
-             " rows={(0,): {0: Fraction(5, 9), 1: Fraction(4, 9)}, (1,): {0: Fraction(5, 9), 1: Fraction(4, 9)}},"
+             " rows={(0, 1): {0: Fraction(5, 9), 1: Fraction(4, 9)}},"
              f" numeric_mode='exact'), pi_gamma={law})")
     assert repr(report.gamma_chain) == gamma
     assert repr(report) == (
@@ -178,6 +181,7 @@ def test_report_to_json_schema_and_round_trip():
     obj = report_to_json(report)
     assert list(obj.keys()) == REPORT_KEYS
     assert obj["gamma"] == [["2/3", "1/3"], ["2/3", "1/3"]]
+    assert obj["gamma"][0] is obj["gamma"][1]  # a shared Gamma row is formatted once
     assert obj["node_limit"] == ["1/3", "1/3", "1/3"]
     json.dumps(obj)  # serializable
     obj2 = report_to_json(limit_rank(p, None, mode="theorem2"))
@@ -259,17 +263,25 @@ def test_general_q_matches_oracle_random():
 
     rng = rng_for("general-q-vs-oracle")
     checked = {False: 0, True: 0}
-    for trial in range(60):
+    refused = 0
+    for trial in range(61):
         with_transients = trial % 2 == 1
-        t = rng.randint(1, 2) if with_transients else 0
-        sizes = rand_sizes(rng, rng.randint(2, 3), total_cap=7 - t)
-        if not 3 <= sum(sizes) + t <= 7:
-            continue
-        if with_transients:
-            p = rand_with_transients(rng, sizes, t)
+        if trial == 60:
+            # repro-two-closed: Q leaves a and b only for the transient
+            # state that P sends back, so Gamma is the identity
+            with_transients = True
+            p = RowStochasticMatrix(StateSpace(4), ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)))
+            q = RowStochasticMatrix(StateSpace(4), ((0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0)))
         else:
-            p = rand_reducible_no_transient(rng, sizes)
-        q = rand_general_q(rng, p.n)
+            t = rng.randint(1, 2) if with_transients else 0
+            sizes = rand_sizes(rng, rng.randint(2, 3), total_cap=7 - t)
+            if not 3 <= sum(sizes) + t <= 7:
+                continue
+            if with_transients:
+                p = rand_with_transients(rng, sizes, t)
+            else:
+                p = rand_reducible_no_transient(rng, sizes)
+            q = rand_general_q(rng, p.n)
         mode = "extended" if with_transients else "theorem3"
         try:
             report = limit_rank(p, q, mode=mode)
@@ -277,15 +289,16 @@ def test_general_q_matches_oracle_random():
             # only a reduced chain with several closed classes is refused
             part = classify_states(p)
             absorb = absorption_probabilities(p, part) if with_transients else None
-            rows = _reduced_rows(q, part, class_stationary(p, part), absorb)
-            assert classify_states(RowStochasticMatrix(StateSpace(part.m), tuple(map(tuple, rows)))).m >= 2
+            rows, dens = _reduced_rows(q, part, class_stationary(p, part), absorb)
+            assert classify_states(RowStochasticMatrix(StateSpace(part.m), tuple(rows), "exact", dens)).m >= 2
+            refused += 1
             continue
         oracle = exact_limit_from_polynomials(p, q)
         assert report.node_limit.values == oracle.values
         floats = limit_rank(p.to_float(), q.to_float(), mode=mode).node_limit.values
         assert max(abs(a - float(b)) for a, b in zip(floats, oracle.values)) < 1e-12
         checked[with_transients] += 1
-    assert checked[False] >= 20 and checked[True] >= 15
+    assert checked[False] >= 20 and checked[True] >= 15 and refused >= 1
 
 
 def _per_state_reduced_rows(q, part, laws, absorb):
@@ -441,3 +454,53 @@ def test_unichain_gamma_gives_its_transient_classes_mass_zero():
     assert report.node_limit.values == (F(0), F(1), F(0))
     law = unichain_law(perturbed_matrix(p, q, F(1, 10**12)))
     assert max(abs(a - b) for a, b in zip(law.values, report.node_limit.values)) < F(1, 10**11)
+
+
+def _one_row_q(rng, kind, p, part):
+    """Q = 1 nu^T, every row one object, for a kind of nu: "uniform",
+    "full" (positive everywhere), "transient" (mass on transient states
+    only) or "no-mass" (some closed classes get none)."""
+    if kind == "uniform":
+        return uniform_matrix(p.n)
+    nu = list(rand_personalization(rng, p.n))
+    if kind == "transient":
+        nu = [x if s in part.transient else 0 for s, x in enumerate(nu)]
+    elif kind == "no-mass":
+        dropped = rng.sample(part.closed_classes, rng.randint(1, part.m - 1))
+        nu = [0 if any(s in c for c in dropped) else x for s, x in enumerate(nu)]
+    total = sum(nu)
+    return ones_outer([x / total for x in nu])
+
+
+def test_one_row_gamma_equals_the_general_route():
+    # for Q = 1 nu^T, Gamma is m references to nu's routed class masses and
+    # pi_Gamma those masses; the member-by-member reduced chain and its GTH
+    # law agree, exactly in exact mode and within the rounding floor in
+    # float
+    from znrank.sweep import rounding_floor
+
+    rng = rng_for("one-row-gamma")
+    seen = set()
+    for trial in range(400):
+        t = trial % 5
+        sizes = rand_sizes(rng, rng.randint(1, 4), hi=4, total_cap=10)
+        p = rand_mixed_chain(rng, sizes, t) if trial % 2 else rand_with_transients(rng, sizes, t)
+        part = classify_states(p)
+        kinds = ["uniform", "full"] + (["transient"] if t else []) + (["no-mass"] if part.m > 1 else [])
+        kind = kinds[trial // 10 % len(kinds)]
+        q = _one_row_q(rng, kind, p, part)
+        for pm, qm in ((p, q), (p.to_float(), q.to_float())):
+            chain = extended_gamma(pm, qm, part)
+            assert len({id(row) for row in chain.gamma.num_rows}) == 1
+            laws = class_stationary(pm, part)
+            absorb = absorption_probabilities(pm, part) if t else None
+            want = _gamma_chain_from_rows(*_reduced_rows(qm, part, laws, absorb), part, pm.numeric_mode)
+            if pm.numeric_mode == "exact":
+                assert chain == want, (kind, trial)
+            else:
+                floor = rounding_floor(p.n)
+                assert all(abs(a - b) <= floor for i in range(part.m)
+                           for a, b in zip(chain.gamma.row(i), want.gamma.row(i))), (kind, trial)
+                assert all(abs(a - b) <= floor for a, b in zip(chain.pi_gamma.values, want.pi_gamma.values))
+        seen.add((kind, t > 0, trial % 2))
+    assert len(seen) == 14, sorted(seen)
