@@ -423,13 +423,14 @@ def stationary_direct(p):
 
 def class_stationary(p, part):
     """Stationary law of P restricted to each closed class, embedded into
-    the full state space with zeros elsewhere. Each law is checked, and an
-    exact one put in lowest terms, over the class's members first."""
+    the full state space with zeros elsewhere, a float law's zeros all one
+    0.0. Each law is checked, and an exact one put in lowest terms, over
+    the class's members first."""
     out = []
     for cls in part.closed_classes:
         x = _law(*_sparse_rows(p, cls))[0]
         small = Distribution(x, FLOAT) if p.dens is None else Distribution.of_integers(x, sum(x))
-        law = [0] * p.n
+        law = [0 if small.den else 0.0] * p.n
         for s, v in zip(cls, small.nums):
             law[s] = v
         out.append(Distribution(law, FLOAT) if small.den is None else Distribution.of_integers(law, small.den))
@@ -467,7 +468,9 @@ def absorption_probabilities(p, part):
     absorption row stays integer numerators a[k] over one denominator
     den[k], as _back_substitute keeps x integral: den[k] is the pivot times
     the lcm of the den of the states k's row reads, reduced by one gcd,
-    and the table keeps them so."""
+    and the table keeps them so. No command builds the |T| x m table:
+    zero_noise pushes Q's mass along the same elimination, and the table
+    is the reference it is tested against."""
     m = part.m
     exact = p.numeric_mode == EXACT
     zero, one = (0, 1) if exact else (0.0, 1.0)

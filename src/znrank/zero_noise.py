@@ -2,18 +2,20 @@
 
 For (1-eps) P + eps Q with P reducible, the limit stationary law factors
 into per-class stationary laws weighted by the stationary law of a reduced
-chain over the closed classes. The reduced chain weights each member of a
-class by the class stationary law, so any Q is allowed, and it may have
-transient classes, which get mass 0, but only one closed class. The plain
-reduction requires no transient states; the extended reduction routes
-perturbation mass that lands on transient states through their absorption
-probabilities. That follows from censoring: the chain watched on its
-closed states only, the stochastic complement of P_eps (Meyer, SIAM Review
-1989), has the law of P_eps there up to normalisation, and to first order
-in eps it is (1 - eps) P + eps Q' on them, where Q' sends the mass Q(x, t)
-on a transient state t on into C_j with the absorption probability A(t, j).
-Without transient states the two reductions coincide, and `limit_rank` is
-the one route to either.
+chain over the closed classes. Row i of the reduced chain is class i's Q
+mass, each member weighted by the class stationary law, so any Q is
+allowed, and the chain may have transient classes, which get mass 0, but
+only one closed class. The plain reduction requires no transient states;
+the extended reduction carries the mass that lands on a transient state
+on into the classes that absorb it. That follows from censoring: the chain
+watched on its closed states only, the stochastic complement of P_eps
+(Meyer, SIAM Review 1989), has the law of P_eps there up to normalisation,
+and to first order in eps it is (1 - eps) P + eps Q' on them, where Q'
+sends the mass Q(x, t) on a transient state t on into C_j with the
+absorption probability A(t, j). Every class's mass is pushed along one
+absorbing elimination of P, with no |T| x m table of A. Without transient
+states the two reductions coincide, and `limit_rank` is the one route to
+either.
 
 `arborescence`, which loads the kernels, linalg and polynomial modules, is
 imported inside `adjudicate` and on the GammaReducible path, the only code
@@ -30,7 +32,6 @@ from znrank.rational import EXACT, FLOAT, number_to_json, ratios_to_json
 from znrank.stationary import (
     Distribution,
     _absorbing_reduction,
-    absorption_probabilities,
     class_stationary,
     linf,
     unichain_law,
@@ -52,16 +53,18 @@ LimitReport = namedtuple("LimitReport",
                          "partition per_class_stationary gamma_chain class_masses node_limit mode labels")
 
 
-def _class_labels(part):
-    return tuple(f"C{k + 1}" for k in range(part.m))
-
-
 def _gamma_chain_from_rows(rows, dens, part, numeric_mode):
-    states = StateSpace(part.m, _class_labels(part))
+    """Gamma with the given rows over dens, and its law: mu itself, with no
+    solve, when every row is one object mu (Gamma = 1 mu^T), else the GTH law."""
+    states = StateSpace(part.m, tuple(f"C{k + 1}" for k in range(part.m)))
     try:
         gamma = RowStochasticMatrix(states, tuple(rows), numeric_mode, dens)
     except ValueError as exc:
         raise GammaReducible(f"reduced chain is not stochastic: {exc}") from None
+    if all(row is rows[0] for row in rows):
+        mu = [gamma.num_rows[0].get(j, 0) for j in range(part.m)]
+        law = Distribution(mu, FLOAT) if dens is None else Distribution.of_integers(mu, gamma.dens[0])
+        return GammaChain(gamma, law)
     try:
         law = unichain_law(gamma)  # classes that are transient in Gamma get mass 0
     except NotIrreducible:
@@ -74,55 +77,49 @@ def _gamma_chain_from_rows(rows, dens, part, numeric_mode):
     return GammaChain(gamma, law)
 
 
-def _reduced_rows(q, part, class_laws, absorb=None):
-    """Gamma(i, j) = sum over x in C_i of pi_i(x) Q(x, C_j): each member of
-    a class is weighted in turn by the class stationary law. With absorb,
-    the mass Q(x, t) on a transient state t continues into C_j with
-    probability A(t, j). Returns (rows, dens) as RowStochasticMatrix takes
-    them: exact rows are integers over dens, Q(x, C_j) over the row
-    denominator of Q (times the lcm of the absorption rows it reads),
-    formed once per Q row object. Float Q rows, their denominators and the
-    absorption rows are read as numerators over the int 1: multiplying a
-    float by 1 and adding it to the int 0 are exact, so float rows are the
-    same sums of the same products in the same order, and dens is None."""
-    m = part.m
-    owner = [None] * q.n
-    for j, cj in enumerate(part.closed_classes):
-        for y in cj:
-            owner[y] = j
-    ones = (1,) * q.n
-    routes = dict(zip(part.transient, absorb.num_rows)) if absorb else {}
-    betas = dict(zip(part.transient, absorb.dens or ones)) if absorb else {}  # A(t, j) = routes[t][j] / betas[t]
-    q_dens = q.dens or ones
-    masses = {}  # id of a Q row -> its class masses; rows shared by several states are formed once
+def _routed_rows(p, part, sources, of_class, exact):
+    """(rows, dens) of Gamma for _gamma_chain_from_rows. sources maps a key
+    to (row, den): a dict row of integer numerators over den, or of floats
+    with den 1. Row i is the class masses of sources[of_class[i]], one row
+    object per source: its mass on each closed class, plus the mass it puts
+    on transient states, which goes on into the classes that absorb it. As
+    the absorbing elimination of P removes k, the mass that reached k goes
+    on over k's row to states removed later or closed: one pass per source
+    over one elimination, built only if a source reaches a transient state.
+    Exact masses over one den are added as integers, others with a gcd each
+    (their lcm had 32849 bits, mu's den 1318, on a 5000-page web graph);
+    dens is None in float mode."""
 
-    def class_mass(q_row, den):  # (M, E): Q(x, C_j) = M[j] / E for every j
-        lcm = math.lcm(*[betas[y] for y in q_row if owner[y] is None])
-        out = [0] * m
-        for y, v in q_row.items():
-            j = owner[y]
-            if j is not None:
-                out[j] += v * lcm
+    def total(terms):  # (num, den) of the sum of the masses num / den in terms
+        if not exact:
+            return sum([a / e for a, e in terms], 0.0), 1
+        a, d = 0, terms[0][1] if terms else 1
+        for b, e in terms:
+            if e == d:
+                a += b
             else:
-                f = v * (lcm // betas[y])
-                for jj, a in enumerate(routes[y]):
-                    out[jj] += f * a
-        return out, den * lcm
+                a, d = a * e + b * d, d * e
+                g = math.gcd(a, d)
+                a, d = a // g, d // g
+        g = math.gcd(a, d)
+        return a // g, d // g
 
-    rows, dens = [], []
-    for k, ck in enumerate(part.closed_classes):
-        law = class_laws[k].nums
-        terms = []  # (pi_k(x) numerator, M, E) of each member x
-        for x in ck:
-            q_row = q.num_rows[x]
-            if id(q_row) not in masses:
-                masses[id(q_row)] = class_mass(q_row, q_dens[x])
-            terms.append((law[x], *masses[id(q_row)]))
-        den = math.lcm(*[e for _, _, e in terms])
-        terms = [(w * (den // e), out) for w, out, e in terms]
-        rows.append([sum([w * out[j] for w, out in terms]) for j in range(m)])
-        dens.append((class_laws[k].den or 1) * den)
-    return rows, None if q.dens is None else dens
+    reduction = None  # (rows, order) of the absorbing elimination, built on first use
+    routed = {}
+    for s, (row, den) in sources.items():
+        inflow = {y: [(v, den)] for y, v in row.items()}  # state -> the masses that reach it
+        if not inflow.keys().isdisjoint(part.transient):
+            rows, order = reduction = reduction or _absorbing_reduction(p, part)
+            for k in order:
+                if k in inflow:
+                    a, e = total(inflow.pop(k))
+                    e *= sum(rows[k].values())
+                    for j, v in rows[k].items():
+                        inflow.setdefault(j, []).append((a * v, e))
+        masses = [total([t for y in c if y in inflow for t in inflow[y]]) for c in part.closed_classes]
+        d = math.lcm(*[e for _, e in masses])
+        routed[s] = [a * (d // e) for a, e in masses], d
+    return [routed[s][0] for s in of_class], [routed[s][1] for s in of_class] if exact else None
 
 
 def build_gamma(p, q, part, class_laws=None):
@@ -135,70 +132,57 @@ def build_gamma(p, q, part, class_laws=None):
     return extended_gamma(p, q, part, class_laws)
 
 
-def _one_row_chain(p, part, row, den, numeric_mode):
-    """Reduced chain of a Q whose states all hold one row object (integer
-    numerators over den, None in float mode): Gamma = 1 mu^T, mu the row's
-    class masses, is its law. As the absorbing elimination removes k, the
-    mass that reached k goes on over k's row, to states removed later or
-    closed: one pass, no |T| x m table. Exact sums are reduced term by term
-    (their lcm had 32849 bits, mu's den 1318, on a 5000-page web graph)."""
-    exact = numeric_mode == EXACT
-
-    def total(terms):  # (num, den) of the sum of the masses num / den in terms
-        if not exact:
-            return sum([a / e for a, e in terms], 0.0), 1
-        a, d = 0, 1
-        for b, e in terms:
-            a, d = a * e + b * d, d * e
-            g = math.gcd(a, d)
-            a, d = a // g, d // g
-        return a, d
-
-    inflow = {y: [(v, den or 1)] for y, v in row.items()}  # state -> the masses that reach it
-    if not inflow.keys().isdisjoint(part.transient):
-        rows, order = _absorbing_reduction(p, part)
-        for k in order:
-            if k in inflow:
-                a, e = total(inflow.pop(k))
-                e *= sum(rows[k].values())
-                for j, v in rows[k].items():
-                    inflow.setdefault(j, []).append((a * v, e))
-    masses = [total([t for y in c if y in inflow for t in inflow[y]]) for c in part.closed_classes]
-    d = math.lcm(*[e for _, e in masses])
-    nums = [a * (d // e) for a, e in masses]
-    law = Distribution.of_integers(nums, d) if exact else Distribution(nums, FLOAT)
-    dens = None if law.den is None else (law.den,) * part.m
-    gamma = RowStochasticMatrix(StateSpace(part.m, _class_labels(part)), (law.nums,) * part.m, numeric_mode, dens)
-    return GammaChain(gamma, law)
-
-
 def personalization_gamma(nu, part):
     """Reduced chain for rank-one perturbations with every row equal to nu:
     all rows of Gamma equal the class masses of nu, which are its law; a
     class without mass is transient in Gamma."""
     if part.transient:
         raise TransientStatesPresent("personalization reduction needs a transient-free chain")
-    return _one_row_chain(None, part, {x: v for x, v in enumerate(nu.nums) if v}, nu.den, nu.numeric_mode)
+    sources = {0: ({x: v for x, v in enumerate(nu.nums) if v}, nu.den or 1)}
+    rows = _routed_rows(None, part, sources, [0] * part.m, nu.numeric_mode == EXACT)
+    return _gamma_chain_from_rows(*rows, part, nu.numeric_mode)
 
 
 def extended_gamma(p, q, part, class_laws=None):
-    """Reduced chain with transient states folded in: perturbation mass from
-    class i that lands on a transient state t continues into class j with
-    the absorption probability A(t, j), as it does to first order in eps in
-    the stochastic complement of P_eps on the closed states (Meyer, SIAM
-    Review 1989). Without transient states this is the plain reduced
-    chain. A Q whose states all hold one row object takes _one_row_chain;
-    class_laws defaults to class_stationary(p, part). If Gamma is refused,
-    a union support of P and Q with several closed classes is reported first."""
+    """Reduced chain with transient states folded in: row i is the routed
+    class mass of r_i = sum over x in C_i of pi_i(x) Q(x, .), whose mass
+    on a transient state t continues into class j with the absorption
+    probability A(t, j), as it does to first order in eps in the stochastic
+    complement of P_eps on the closed states (Meyer, SIAM Review 1989).
+    Without transient states this is the plain reduced chain. r_i is formed
+    over one denominator, the members that hold one Q row object weighted
+    once by their summed law numerators; a class whose members all hold one
+    row object routes that row as it is, and when every class routes one
+    row, Gamma = 1 mu^T is not solved. class_laws defaults to
+    class_stationary(p, part), computed only if some class needs it. If
+    Gamma is refused, a union support of P and Q with several closed
+    classes is reported first."""
     p, q = _common_mode(p, q)
-    row = q.num_rows[0]
-    if all(r is row for r in q.num_rows):
-        return _one_row_chain(p, part, row, q.dens and q.dens[0], p.numeric_mode)
-    if class_laws is None:
-        class_laws = class_stationary(p, part)
-    absorb = absorption_probabilities(p, part) if part.transient else None
+    q_dens = q.dens or (1,) * q.n
+    sources, of_class = {}, []  # key -> (row, den) to route; the key of each class's source
+    for k, ck in enumerate(part.closed_classes):
+        row = q.num_rows[ck[0]]
+        if all(q.num_rows[x] is row for x in ck):  # the class routes its one Q row as it is
+            key, source = id(row), (row, q_dens[ck[0]])
+        else:
+            groups = {}  # id of a Q row -> the members that hold it
+            for x in ck:
+                groups.setdefault(id(q.num_rows[x]), []).append(x)
+            class_laws = class_laws or class_stationary(p, part)
+            law = class_laws[k]
+            weights = [(sum([law.nums[x] for x in xs]), xs[0]) for xs in groups.values()]
+            lcm = math.lcm(*[q_dens[x] for _, x in weights])
+            row = {}
+            for w, x in weights:
+                f = w * (lcm // q_dens[x])
+                for y, v in q.num_rows[x].items():
+                    row[y] = row.get(y, 0) + f * v
+            key, source = -1 - k, (row, (law.den or 1) * lcm)  # no id is negative
+        sources[key] = source
+        of_class.append(key)
     try:
-        return _gamma_chain_from_rows(*_reduced_rows(q, part, class_laws, absorb), part, p.numeric_mode)
+        return _gamma_chain_from_rows(*_routed_rows(p, part, sources, of_class, p.numeric_mode == EXACT),
+                                      part, p.numeric_mode)
     except GammaReducible:
         require_unichain_union(p, q)
         raise

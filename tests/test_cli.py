@@ -305,33 +305,37 @@ def test_exact_rank_builds_no_fraction_per_entry(tmp_path, capsys, monkeypatch):
 def test_uniform_rank_on_a_web_like_graph_takes_the_one_row_route(tmp_path, capsys, monkeypatch):
     # 400 pages, 103 closed classes and 294 transient states: uniform Q is
     # one shared row, so rank reads the class masses off its routed row,
-    # with no absorption table and no law of Gamma, and tsv formats no
-    # report. Equal rows held as separate objects take the general route,
-    # which runs both, and print the same bytes.
+    # with no law of Gamma, and tsv formats no report. Equal rows held as
+    # separate objects take the general route, which solves Gamma once and
+    # prints the same bytes. Both route every class's mass over one
+    # absorbing elimination of P, and neither builds the absorption table.
     import znrank.cli
     import znrank.graph
+    import znrank.stationary
     import znrank.zero_noise
 
     calls = []
-    for name in ("absorption_probabilities", "unichain_law"):
-        def counted(*args, name=name, original=getattr(znrank.zero_noise, name)):
+    for module, name in ((znrank.zero_noise, "_absorbing_reduction"), (znrank.zero_noise, "unichain_law"),
+                         (znrank.stationary, "absorption_probabilities")):
+        def counted(*args, name=name, original=getattr(module, name)):
             calls.append(name)
             return original(*args)
 
-        monkeypatch.setattr(znrank.zero_noise, name, counted)
+        monkeypatch.setattr(module, name, counted)
     monkeypatch.setattr(znrank.zero_noise, "report_to_json", None)  # tsv must not call it
     g = wpath(tmp_path, "web.txt", rand_web_edges(rng_for(0), 400))
     argv = ["rank", "--graph", g, "--numeric", "exact", "--q", "uniform", "--format", "tsv"]
     code, one_row, _ = run(capsys, *argv)
-    assert code == 0 and calls == []
+    assert code == 0 and calls == ["_absorbing_reduction"]
 
     def separate_rows(n, states, mode):
         return znrank.graph.RowStochasticMatrix(states, tuple(dict.fromkeys(range(n), 1) for _ in range(n)), mode,
                                                 (n,) * n)
 
     monkeypatch.setattr(znrank.cli, "uniform_matrix", separate_rows)
+    calls.clear()
     code, general, _ = run(capsys, *argv)
-    assert code == 0 and calls == ["absorption_probabilities", "unichain_law"]
+    assert code == 0 and calls == ["_absorbing_reduction", "unichain_law"]
     assert one_row == general and one_row.count("\n") == 400 and "0/1" in one_row
 
 

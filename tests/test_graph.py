@@ -25,12 +25,12 @@ from znrank.graph import (
     uniform_matrix,
 )
 from znrank.rational import FLOAT, parse_rational
-from znrank.stationary import class_stationary
-from znrank.zero_noise import _reduced_rows
+from znrank.zero_noise import extended_gamma
 from helpers import (
     fractions_built,
     rand_irreducible,
     rand_personalization,
+    rand_q,
     rand_reducible_no_transient,
     rand_row,
     rand_stochastic,
@@ -482,21 +482,20 @@ def test_float_sweep_on_integer_inputs_builds_no_fraction(tmp_path, monkeypatch,
 
 
 def test_reduced_rows_form_a_shared_q_rows_masses_once(monkeypatch):
-    # the class masses of a Q row held by every member of a class are
-    # formed once, in integers over Q's row denominator, and each member
-    # weights them by its law numerator, so no Fraction is built; one per
-    # entry of Gamma made 9, and Fraction weights per member 336 at n = 48
+    # each class's Q mass is formed in integers over one denominator, the
+    # members that hold one Q row object weighted once by their summed law
+    # numerators, and routed in integers, so Gamma builds no Fraction; one
+    # per entry of Gamma made 9, and Fraction weights per member 336 at n = 48
     built = {}
     for scale in (1, 4):
         rng = rng_for(f"shared-q-count-{scale}")
-        p = rand_reducible_no_transient(rng, [6 * scale, 4 * scale, 2 * scale])
+        sizes = [6 * scale, 4 * scale, 2 * scale]
+        p = rand_reducible_no_transient(rng, sizes)
         part = classify_states(p)
-        laws = class_stationary(p, part)
-        for kind in ("uniform", "personalized"):
-            q = uniform_matrix(p.n) if kind == "uniform" else ones_outer(rand_personalization(rng, p.n))
-            built[kind, p.n] = fractions_built(monkeypatch, _reduced_rows, q, part, laws)[1]
-    for kind in ("uniform", "personalized"):
-        assert built[kind, 12] == built[kind, 48] == 0, built
+        for kind in ("block", "general", "partly shared"):
+            q = rand_q(rng, kind, p, sizes)
+            built[kind, p.n] = fractions_built(monkeypatch, extended_gamma, p, q, part)[1]
+    assert set(built.values()) == {0}, built
 
 
 def test_matrix_json_drops_zeros_and_keeps_its_errors():

@@ -14,8 +14,6 @@ from znrank.graph import (
 )
 from znrank.stationary import Distribution, absorption_probabilities, class_stationary
 from znrank.zero_noise import (
-    _gamma_chain_from_rows,
-    _reduced_rows,
     adjudicate,
     build_gamma,
     extended_gamma,
@@ -289,8 +287,8 @@ def test_general_q_matches_oracle_random():
             # only a reduced chain with several closed classes is refused
             part = classify_states(p)
             absorb = absorption_probabilities(p, part) if with_transients else None
-            rows, dens = _reduced_rows(q, part, class_stationary(p, part), absorb)
-            assert classify_states(RowStochasticMatrix(StateSpace(part.m), tuple(rows), "exact", dens)).m >= 2
+            rows = _per_state_reduced_rows(q, part, class_stationary(p, part), absorb)
+            assert classify_states(RowStochasticMatrix(StateSpace(part.m), tuple(map(tuple, rows)))).m >= 2
             refused += 1
             continue
         oracle = exact_limit_from_polynomials(p, q)
@@ -323,10 +321,17 @@ def _per_state_reduced_rows(q, part, laws, absorb):
     return rows
 
 
+def _gamma_rows(p, q, part):
+    """extended_gamma's rows of Gamma, dense."""
+    gamma = extended_gamma(p, q, part).gamma
+    return [list(gamma.row(i)) for i in range(part.m)]
+
+
 def test_reduced_rows_equal_the_per_state_sum():
-    # exact rows, integers over their row denominators, equal the reference
-    # exactly; float rows, weighted member by member in the same order,
-    # equal it bit for bit
+    # Gamma's rows equal the reference formed member by member: exactly in
+    # exact mode, within the rounding floor in float
+    from znrank.sweep import rounding_floor
+
     rng = rng_for("reduced-rows-per-state")
     kinds = ("uniform", "personalized", "block", "general", "partly shared")
     seen = set()
@@ -337,42 +342,14 @@ def test_reduced_rows_equal_the_per_state_sum():
         p = rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes)
         q = rand_q(rng, kind, p, sizes)
         part = classify_states(p)
-        for pm, qm in ((p, q), (p.to_float(), q.to_float())):
-            laws = class_stationary(pm, part)
-            absorb = absorption_probabilities(pm, part) if part.transient else None
-            rows, dens = _reduced_rows(qm, part, laws, absorb)
-            if dens is not None:
-                assert all(type(x) is int for row in rows for x in row)
-                rows = [[F(x, d) for x in row] for row, d in zip(rows, dens)]
-            assert rows == _per_state_reduced_rows(qm, part, laws, absorb), kind
+        absorb = absorption_probabilities(p, part) if part.transient else None
+        want = _per_state_reduced_rows(q, part, class_stationary(p, part), absorb)
+        rows = _gamma_rows(p, q, part)
+        assert rows == want, kind
+        floats = _gamma_rows(p.to_float(), q.to_float(), part)
+        assert all(abs(a - b) <= rounding_floor(p.n) for r, w in zip(floats, want) for a, b in zip(r, w)), kind
         seen.add((kind, bool(part.transient)))
     assert len(seen) == 9
-
-
-def _float_reduced_rows(q, part, laws, absorb):
-    """Reference float Gamma as the float loop was once written apart from
-    the exact one: Q(x, C_j) summed from 0.0 once per Q row object, then
-    each member weighted in turn, zero masses skipped."""
-    owner = {y: j for j, c in enumerate(part.closed_classes) for y in c}
-    routes = dict(zip(part.transient, absorb.num_rows)) if absorb else {}
-    masses = {}
-    rows = []
-    for k, ck in enumerate(part.closed_classes):
-        weighted = []
-        for x in ck:
-            q_row = q.rows[x]
-            if id(q_row) not in masses:
-                terms = [[] for _ in range(part.m)]
-                for y, v in q_row.items():
-                    if y in owner:
-                        terms[owner[y]].append(v)
-                    else:
-                        for j, a in enumerate(routes[y]):
-                            terms[j].append(v * a)
-                masses[id(q_row)] = [sum(t, 0.0) for t in terms]
-            weighted.append((laws[k].nums[x], masses[id(q_row)]))
-        rows.append([sum([w * out[j] for w, out in weighted if out[j]], 0.0) for j in range(part.m)])
-    return rows
 
 
 def _grouped_reduced_rows(q, part, laws, absorb):
@@ -410,9 +387,10 @@ def _heavy(rng, m):
 
 
 def test_reduced_rows_float_keeps_its_bits():
-    # float rows come out of the loop that exact rows take, with every
-    # denominator 1; they equal the float loop it replaced bit for bit, and
-    # exact rows equal the grouped form by value
+    # on rows with 30-digit weights too, exact rows equal the grouped form
+    # and float rows are within the rounding floor of them
+    from znrank.sweep import rounding_floor
+
     rng = rng_for("reduced-rows-float-bits")
     kinds = ("uniform", "personalized", "block", "partly shared", "general")
     seen = set()
@@ -426,16 +404,11 @@ def test_reduced_rows_float_keeps_its_bits():
         if heavy:
             p, q = _heavy(rng, p), _heavy(rng, q)
         part = classify_states(p)
-        pf, qf = p.to_float(), q.to_float()
-        laws = class_stationary(pf, part)
-        absorb = absorption_probabilities(pf, part) if part.transient else None
-        rows, dens = _reduced_rows(qf, part, laws, absorb)
-        want = _float_reduced_rows(qf, part, laws, absorb)
-        assert dens is None and [[x.hex() for x in r] for r in rows] == [[x.hex() for x in r] for r in want], kind
-        laws = class_stationary(p, part)
         absorb = absorption_probabilities(p, part) if part.transient else None
-        rows, dens = _reduced_rows(q, part, laws, absorb)
-        assert [[F(x, d) for x in r] for r, d in zip(rows, dens)] == _grouped_reduced_rows(q, part, laws, absorb)
+        rows = _gamma_rows(p, q, part)
+        assert rows == _grouped_reduced_rows(q, part, class_stationary(p, part), absorb), kind
+        floats = _gamma_rows(p.to_float(), q.to_float(), part)
+        assert all(abs(a - b) <= rounding_floor(p.n) for r, w in zip(floats, rows) for a, b in zip(r, w)), kind
         seen.add((kind, bool(part.transient), heavy))
     assert len(seen) == 18, sorted(seen)
 
@@ -474,9 +447,10 @@ def _one_row_q(rng, kind, p, part):
 
 def test_one_row_gamma_equals_the_general_route():
     # for Q = 1 nu^T, Gamma is m references to nu's routed class masses and
-    # pi_Gamma those masses; the member-by-member reduced chain and its GTH
-    # law agree, exactly in exact mode and within the rounding floor in
-    # float
+    # pi_Gamma those masses; the same Q with its rows held as separate
+    # objects takes the general route, each class's Q mass weighted by its
+    # class law and Gamma solved, and agrees, exactly in exact mode and
+    # within the rounding floor in float
     from znrank.sweep import rounding_floor
 
     rng = rng_for("one-row-gamma")
@@ -492,9 +466,8 @@ def test_one_row_gamma_equals_the_general_route():
         for pm, qm in ((p, q), (p.to_float(), q.to_float())):
             chain = extended_gamma(pm, qm, part)
             assert len({id(row) for row in chain.gamma.num_rows}) == 1
-            laws = class_stationary(pm, part)
-            absorb = absorption_probabilities(pm, part) if t else None
-            want = _gamma_chain_from_rows(*_reduced_rows(qm, part, laws, absorb), part, pm.numeric_mode)
+            separate = RowStochasticMatrix(qm.states, tuple(dict(row) for row in qm.num_rows), qm.numeric_mode, qm.dens)
+            want = extended_gamma(pm, separate, part)
             if pm.numeric_mode == "exact":
                 assert chain == want, (kind, trial)
             else:
