@@ -204,13 +204,16 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     substitution; no enumeration.
 
     stationary._mixed_rows gives row u of P and Q as integer rows A_u and
-    B_u over l_u, and for k >= 1, W_k = k A + B is P_eps at eps = 1/(k+1)
-    up to the row factor l_u (k+1), on the union support. G_r(k) = H_r(W_k)
-    has non-negative integer coefficients g_d, and H_r(eps) = sum_d g_d
-    (1-eps)^d eps^(n-1-d) / prod_(u != r) l_u. Each g_d is at most G_r(1),
-    below 2^b with b the bit length of the product of W_1's row sums (each
-    taken as at least 1), so g_d is bits [d b, (d+1) b) of G_r(2^b) (von
-    zur Gathen & Gerhard, Modern Computer Algebra, 8.4).
+    B_u over l_u, and W = (K-1) A + B is P_eps at eps = 1/K up to the row
+    factor K l_u, on the union support. So G_r = H_r(W) is sum_j h_j
+    K^(top-j), top = n - 1, where h_j / prod_(u != r) l_u is the eps^j
+    coefficient of H_r. With g_d the coefficients of G_r(k) = H_r(k A + B),
+    which are non-negative integers, H_r(eps) prod_(u != r) l_u = sum_d g_d
+    (1-eps)^d eps^(top-d), so |h_j| <= G_r(1) 2^top < K / 2 for K = 2^b,
+    b being n plus the bit length of the product of W_1's row sums (each
+    taken as at least 1), which bounds G_r(1). The h_j are then the signed
+    base-K digits of G_r (von zur Gathen & Gerhard, Modern Computer
+    Algebra, 8.4).
     """
     _require_exact(p, q)
     n = p.n
@@ -219,22 +222,17 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     if n > n_guard:
         raise GuardExceeded(f"n = {n} exceeds the symbolic guard {n_guard}")
     rows, lcms = _mixed_rows(p, q)
-    bits = math.prod(max(1, sum(u + v for u, v in row.values())) for row in rows).bit_length()
+    bits = n + math.prod(max(1, sum(u + v for u, v in row.values())) for row in rows).bit_length()
     k = 1 << bits
-    mask = k - 1
-    sums, den = root_sums([{y: k * v + u for y, (u, v) in row.items()} for row in rows], [1] * n)
+    mask, half = k - 1, k >> 1
+    sums, den = root_sums([{y: (k - 1) * v + u for y, (u, v) in row.items()} for row in rows], [1] * n)
     total = math.prod(lcms)
     top = n - 1
-    signed = [[(-1) ** i * math.comb(d, i) for i in range(d + 1)] for d in range(n)]  # (1-eps)^d
+    offset = sum(half << i * bits for i in range(n))  # every digit h_j + K/2 lies in [0, K)
     polys = []
     for r, h in enumerate(sums):
-        g = h // den  # exact: minors of an integer matrix are integers
-        coeffs = [0] * n
-        for d in range(n):
-            gd = (g >> d * bits) & mask
-            if gd:
-                for i, s in enumerate(signed[d], top - d):  # gd (1-eps)^d eps^(top-d)
-                    coeffs[i] += s * gd
+        g = h // den + offset  # exact: minors of an integer matrix are integers
+        coeffs = [((g >> (top - j) * bits) & mask) - half for j in range(n)]
         polys.append(EpsPolynomial.of_integers(coeffs, total // lcms[r]))
     return tuple(polys)
 

@@ -12,7 +12,8 @@ The sweeps and the polynomial oracle reduce the rows of (1 - e) P + e Q
 from one builder (`_mixed_rows`), the sweeps at several e and the oracle
 at one. A float sweep works the reduction out once from the pattern
 (`_plan`) and runs each eps as the same float operations on a flat list
-of values (`_replay`), which gives the bits of `_eliminate`."""
+of values (`_replay`), each factor kept in the slot it empties, which
+gives the bits of `_law`."""
 
 import functools
 import math
@@ -251,10 +252,11 @@ def _plan(rows):
     the iteration orders do not depend on the values, and every chain with
     this pattern reduces the same way.
 
-    Returns (order, steps, size): per pivot k in order, a step (k, the
-    slots of k's row, entries), with one entry (i, slot of a(i, k), the
+    Returns (order, steps, size, n): per pivot k in order, a step (k, the
+    slots of k's row, entries), with one entry (i, slot a of a(i, k), the
     (source, target) slot pairs of i's update) per state i that enters k;
-    size counts input and fill-in slots."""
+    size counts input and fill-in slots, n the rows. Slot a empties as k
+    goes, and no later step reads it."""
     n = len(rows)
     size = 0
     pattern = []
@@ -289,26 +291,31 @@ def _plan(rows):
         for j in row_k:
             ins[j].discard(k)
         steps.append((k, list(row_k.values()), entries))
-    return order, steps, size
+    return order, steps, size, n
 
 
 def _replay(plan, vals):
-    """_eliminate's float arithmetic along a _plan, on the flat list vals
-    of the input values in slot order, which it extends and updates in
-    place. The operations and their order are _eliminate's, so the result
-    is the same to the bit: returns (order, cols) as _eliminate does."""
-    order, steps, size = plan
+    """Stationary law, normalised, of the float chain whose input values
+    are vals in slot order (see _plan): _eliminate's float operations in
+    _eliminate's order along the plan, then _back_substitute's, so the law
+    is _law's to the bit. vals is extended and updated in place; each
+    factor a(i, k) / s is kept in slot a, which k's step empties. Raises
+    NotIrreducible when the chain has several closed classes."""
+    order, steps, size, n = plan
+    if len(order) != n - 1:
+        raise NotIrreducible("the chain has more than one closed class")
     vals += [0.0] * (size - len(vals))  # fill-in: 0.0 + f * v is f * v
-    cols = {}
-    for k, row_k, entries in steps:
+    for _, row_k, entries in steps:
         pivot = sum([vals[s] for s in row_k])
-        col = cols[k] = []
-        for i, a, pairs in entries:
-            f = vals[a] / pivot
-            col.append((i, f))
+        for _, a, pairs in entries:
+            f = vals[a] = vals[a] / pivot
             for s, t in pairs:
                 vals[t] += f * vals[s]
-    return order, cols
+    x = [1.0] * n
+    for k, _, entries in reversed(steps):
+        x[k] = sum([x[i] * vals[a] for i, a, _ in entries], 0.0)
+    total = sum(x, 0.0)
+    return [v / total for v in x]
 
 
 def _lead_law(plan, orders, coefs, n):
@@ -322,33 +329,31 @@ def _lead_law(plan, orders, coefs, n):
     never cancel and are those of the exact series (the stochastically
     stable states of Wicks & Greenwald, UAI 2005). The limit is the
     least-order entries of x among the first n, normalised. orders and
-    coefs are extended and updated in place."""
-    order, steps, size = plan
+    coefs are extended and updated in place, each factor kept in the slot
+    it empties as _replay keeps it."""
+    _, steps, size, count = plan
     orders += [math.inf] * (size - len(orders))  # a fill-in slot is empty until its first term
     coefs += [0.0] * (size - len(coefs))
-    cols = {}
-    for k, row_k, entries in steps:
+    for _, row_k, entries in steps:
         low = min([orders[s] for s in row_k])
         pivot = sum([coefs[s] for s in row_k if orders[s] == low])
-        col = cols[k] = []
-        for i, a, pairs in entries:
-            fo, fc = orders[a] - low, coefs[a] / pivot
-            col.append((i, fo, fc))
+        for _, a, pairs in entries:
+            fo, fc = orders[a], coefs[a] = orders[a] - low, coefs[a] / pivot
             for s, t in pairs:
                 o = fo + orders[s]
                 if o < orders[t]:
                     orders[t], coefs[t] = o, fc * coefs[s]
                 elif o == orders[t]:
                     coefs[t] += fc * coefs[s]
-    x_order, x = [0] * (len(order) + 1), [1.0] * (len(order) + 1)
-    for k in reversed(order):
+    x_order, x = [0] * count, [1.0] * count
+    for k, _, entries in reversed(steps):
         low, c = math.inf, 0.0  # an empty column: x_k = 0
-        for i, fo, fc in cols[k]:
-            o = x_order[i] + fo
+        for i, a, _ in entries:
+            o = x_order[i] + orders[a]
             if o < low:
-                low, c = o, x[i] * fc
+                low, c = o, x[i] * coefs[a]
             elif o == low:
-                c += x[i] * fc
+                c += x[i] * coefs[a]
         x_order[k], x[k] = low, c
     low = min(x_order[:n])
     lead = [c if o == low else 0.0 for o, c in zip(x_order[:n], x)]
@@ -356,27 +361,20 @@ def _lead_law(plan, orders, coefs, n):
     return [c / total for c in lead]
 
 
-def _law_of(rows, dens, order, cols):
-    """Stationary law from a finished reduction (_eliminate or _replay) of
-    the chain with the given rows, of which float mode reads only the
-    number: normalised floats, or in exact mode the back-substituted
-    integers x of the law x / sum(x). Raises NotIrreducible when the chain
-    has several closed classes (more than one state is left)."""
+def _law(rows, dens=None, order=None):
+    """(law, elimination order) of the chain with the given dict rows and
+    row denominators (see _eliminate), which must have one closed class,
+    else NotIrreducible; transient states get 0. The law is normalised
+    floats, or in exact mode the back-substituted integers x of the law
+    x / sum(x)."""
+    order, cols = _eliminate(rows, dens, order)
     if len(order) != len(rows) - 1:
         raise NotIrreducible("the chain has more than one closed class")
     x = _back_substitute(rows, dens, order, cols)
     if dens is None:
         total = sum(x, 0.0)
-        return [v / total for v in x]
-    return x
-
-
-def _law(rows, dens=None, order=None):
-    """(law as _law_of gives it, elimination order) of the chain with the
-    given dict rows and row denominators (see _eliminate), which must have
-    one closed class, else NotIrreducible; transient states get 0."""
-    order, cols = _eliminate(rows, dens, order)
-    return _law_of(rows, dens, order, cols), order
+        x = [v / total for v in x]
+    return x, order
 
 
 def root_sums(rows, dens=None):

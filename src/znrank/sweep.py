@@ -37,8 +37,7 @@ from fractions import Fraction
 from znrank.errors import EpsOutOfRange
 from znrank.graph import RowStochasticMatrix, require_unichain_union
 from znrank.rational import EXACT, FLOAT
-from znrank.stationary import (Distribution, _law, _law_of, _lead_law, _mixed_rows, _plan, _replay, linf,
-                               unichain_law)
+from znrank.stationary import Distribution, _law, _lead_law, _mixed_rows, _plan, _replay, linf, unichain_law
 
 DEFAULT_FLOAT_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_EXACT_GRID = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
@@ -97,7 +96,8 @@ def _perturbed_laws(p, q, grid, limit=False):
     converted once per numeric mode. The chain's pattern does not depend on
     eps and no entry cancels, so its reduction is worked out once per
     numeric mode: float eps replay one _plan on the flat list of the values
-    at eps, exact eps reuse the order found at the first."""
+    at eps, P's values times 1 - eps with e u added on the slots with a Q
+    part u, and exact eps reuse the order found at the first."""
     require_unichain_union(p, q)
     mixes = [_mixing_eps(p, q, eps) for eps in grid]
     modes = {mode for mode, _ in mixes} | ({FLOAT} if limit else set())
@@ -108,6 +108,8 @@ def _perturbed_laws(p, q, grid, limit=False):
         rows = _mixed_rows(*matrices[FLOAT], groups)[0]
         plan = _plan(rows)
         coefs = [(float(u), float(v)) for row in rows[:n] for u, v in row.values()]
+        p_vals = [v for _, v in coefs]
+        q_slots = [(s, u) for s, (u, _) in enumerate(coefs) if u]  # at u = 0.0, e u + stay v is stay v
         hub_vals = [v for h in rows[n:] for v in h.values()]
     exact_chain = order = None
     laws = []
@@ -126,8 +128,10 @@ def _perturbed_laws(p, q, grid, limit=False):
             laws.append(Distribution.of_integers(x[:n], sum(x[:n])))
         else:
             stay = 1 - e
-            vals = [e * u + stay * v for u, v in coefs]
-            law = _law_of(rows, None, *_replay(plan, vals + hub_vals))[:n]
+            vals = [stay * v for v in p_vals]
+            for s, u in q_slots:
+                vals[s] = e * u + vals[s]
+            law = _replay(plan, vals + hub_vals)[:n]
             total = sum(law, 0.0)
             if not math.isfinite(total):  # below eps of about 1e-308, 1 / eps can overflow
                 raise EpsOutOfRange(f"eps = {e}: the float law is not finite; use a larger eps")

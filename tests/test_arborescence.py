@@ -182,15 +182,25 @@ def _rand_p(rng, n):
 
 def test_interpolated_polynomials_match_enumeration_random():
     # any support: transients, several closed classes, general Q and unions
-    # that are not strongly connected
-    rng = rng_for("interpolation-vs-enumeration")
-    for n in range(1, 9):
-        for _ in range(12):
+    # that are not strongly connected; unit and 30-digit weights in one row
+    # give coefficients far apart in size
+    rng, weights = rng_for("interpolation-vs-enumeration"), rng_for("interpolation-weights")
+
+    def unit_or_int30(rng):
+        return rng.choice((1, WIDE_WEIGHTS["int30"](rng)))
+
+    heavy = 0
+    for n in range(1, 11):
+        for _ in range(12 if n < 9 else 4):
             p = _rand_p(rng, n)
             q = rand_stochastic(rng, p.n) if rng.random() < 0.5 else rand_general_q(rng, p.n)
+            if weights.random() < 0.5:
+                p, q = _reweighted(weights, p, unit_or_int30), _reweighted(weights, q, unit_or_int30)
+                heavy += 1
             polys = all_root_polynomials(p, q)
             assert polys == tuple(perturbed_root_polynomial(p, q, r) for r in range(p.n))
             assert root_weights(p) == tuple(root_weight_minor(p, r) for r in range(p.n))
+    assert heavy > 30
 
 
 def test_polynomial_sum_equals_pairwise_sum_random():
@@ -388,8 +398,9 @@ def test_root_polynomials_on_complete_unions_match_enumeration():
 
 def test_root_polynomials_fill_their_fields():
     # an in-tree to an absorbing root r, P on each tree edge and Q mostly on
-    # the self-loop: G_r(1) equals the row-sum bound, and the top coefficient
-    # N^(n-1) of G_r(k) = (k N + 1)^(n-1) uses every bit of its field
+    # the self-loop: G_r(1) equals the row-sum bound, and the coefficients of
+    # (N - (N - 1) eps)^(n-1), whose magnitudes sum to (2 N - 1)^(n-1), come
+    # within a few bits of the digit bound G_r(1) 2^(n-1)
     rng = rng_for("full-fields")
     for n in range(2, 8):
         for _ in range(3):

@@ -14,7 +14,6 @@ from znrank.stationary import (
     unichain_law,
     _eliminate,
     _law,
-    _law_of,
     _lead_law,
     _plan,
     _mixed_rows,
@@ -471,9 +470,11 @@ def test_replayed_plan_is_the_elimination_to_the_bit():
         t = rng.choice((0, 0, 2, 6))
         rows = _hub_chain(rng, sizes, t, kinds[trial % 5], 10.0 ** -rng.uniform(1, 14))
         vals = [v for row in rows for v in row.values()]
-        order, cols = _replay(_plan(rows), vals)
+        order, steps, _, _ = plan = _plan(rows)
+        law = _replay(plan, vals)
+        cols = {k: [(i, vals[a]) for i, a, _ in entries] for k, _, entries in steps}  # the factors left in place
         assert (order, cols) == _eliminate([dict(r) for r in rows])
-        assert _law_of(rows, None, order, cols) == _law([dict(r) for r in rows])[0]
+        assert law == _law([dict(r) for r in rows])[0]
         sizes_seen.append(len(rows))
     assert 50 <= max(sizes_seen) <= 60
     two = _float_rows(rand_reducible_no_transient(rng, [3, 4]))
@@ -482,7 +483,7 @@ def test_replayed_plan_is_the_elimination_to_the_bit():
     with pytest.raises(NotIrreducible, match=message):
         _law([dict(r) for r in two])
     with pytest.raises(NotIrreducible, match=message):
-        _law_of(two, None, *_replay(_plan(two), vals))
+        _replay(_plan(two), vals)
 
 
 def test_lead_law_of_one_order_is_the_law_to_the_bit():
@@ -494,5 +495,5 @@ def test_lead_law_of_one_order_is_the_law_to_the_bit():
         rows = _hub_chain(rng, sizes, rng.choice((0, 2, 5)), ("uniform", "general", "hubs")[trial % 3], 1e-4)
         vals = [v for row in rows for v in row.values()]
         plan = _plan(rows)
-        law = _law_of(rows, None, *_replay(plan, list(vals)))
+        law = _replay(plan, list(vals))
         assert _lead_law(plan, [0] * len(vals), list(vals), len(rows)) == law

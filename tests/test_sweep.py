@@ -14,12 +14,13 @@ from znrank.graph import (
     to_stochastic,
     uniform_matrix,
 )
-from znrank.stationary import stationary_direct
+from znrank.stationary import _law, _mixed_rows, stationary_direct
 from znrank.zero_noise import limit_rank
 from znrank.sweep import (
     DEFAULT_EXACT_GRID,
     DEFAULT_FLOAT_GRID,
     _perturbed_laws,
+    _shared_q_rows,
     convergence_report,
     epsilon_sweep,
     exact_first_order,
@@ -316,6 +317,31 @@ def test_hub_route_float_accuracy_down_to_1e14():
             assert law.numeric_mode == "float"
             rel = max(abs(x - float(y)) / float(y) for x, y in zip(law.values, exact))
             assert rel <= 1e-12, (kind, eps, rel)
+
+
+def test_float_sweep_laws_are_the_unplanned_elimination_to_the_bit():
+    # each eps scales P's values by 1 - eps and rewrites only the slots with
+    # a Q part: every law is that of _eliminate on the rows mixed entry by
+    # entry, on chains whose rows outside a hub group hold entries with both
+    # a P and a Q part
+    rng = rng_for("q-slot-rewrite")
+    grid = (0.999, 0.5, 1e-1, 1e-3, 1e-6, 1e-10, 1e-14)
+    both = hubs = 0
+    for trial in range(84):
+        sizes = rand_sizes(rng, rng.randint(1, 3), hi=6, total_cap=14)
+        t = trial % 7
+        p = rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes)
+        q = rand_q(rng, ("general", "partly shared")[trial % 2], p, sizes)
+        p, q, n = p.to_float(), q.to_float(), p.n
+        rows = _mixed_rows(p, q, _shared_q_rows(q))[0]
+        both += sum(1 for row in rows[:n] for u, v in row.values() if u and v)
+        hubs += len(rows) - n
+        for e, law in zip(grid, _perturbed_laws(p, q, grid)):
+            mixed = [{y: e * u + (1 - e) * v for y, (u, v) in row.items()} for row in rows[:n]]
+            x = _law(mixed + [dict(h) for h in rows[n:]])[0][:n]
+            total = sum(x, 0.0)
+            assert [v.hex() for v in law.values] == [(v / total).hex() for v in x], (trial, e)
+    assert both > 100 and hubs > 30
 
 
 def test_hub_route_keeps_checks():
