@@ -12,8 +12,8 @@ sum-over-trees polynomials in the mixing parameter from one integer run of
 that reduction at a point large enough to read every coefficient off the
 result (Kronecker substitution), and keeps each as integer coefficients
 over one denominator, up to the limit law; enumeration and the minors stay
-as independent cross-checks. Nothing here is floating point unless the
-input matrix is.
+as independent cross-checks, on exact matrices only. Only root_weights and
+root_weight_ratios take a float matrix, and answer in floating point.
 """
 
 import math
@@ -24,7 +24,7 @@ from itertools import product as iter_product
 from znrank.errors import GuardExceeded, NotIrreducible, TransientStatesPresent
 from znrank.graph import is_irreducible, require_unichain_union
 from znrank.kernels import enumerate_parents, sum_tree_products
-from znrank.linalg import det_exact, det_float
+from znrank.linalg import det_exact
 from znrank.polynomial import EpsPolynomial, sum_polynomials
 from znrank.rational import EXACT, FLOAT, format_rational
 from znrank.stationary import Distribution, _mixed_rows, _sparse_rows, root_sums
@@ -33,6 +33,7 @@ DEFAULT_ASSIGNMENT_BUDGET = 10_000_000
 ENUMERATION_N_GUARD = 12
 SYMBOLIC_N_GUARD = 10
 SKELETON_M_GUARD = 5
+LEAF_FORMULA_N_GUARD = 6  # models.bt_leaf_formula_check
 
 
 class Arborescence(namedtuple("Arborescence", "root parents")):
@@ -62,14 +63,14 @@ def _check_budget(cands, nodes, budget):
         )
 
 
-def enumerate_arborescences(g, root, budget=DEFAULT_ASSIGNMENT_BUDGET, n_guard=ENUMERATION_N_GUARD):
+def enumerate_arborescences(g, root, budget=DEFAULT_ASSIGNMENT_BUDGET):
     """All arborescences of the digraph g rooted at root, in lexicographic
     order of their parent maps. Self-loops can never appear in one."""
     n = g.states.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} outside the state space")
-    if n > n_guard:
-        raise GuardExceeded(f"n = {n} exceeds the enumeration guard {n_guard}")
+    if n > ENUMERATION_N_GUARD:
+        raise GuardExceeded(f"n = {n} exceeds the enumeration guard {ENUMERATION_N_GUARD}")
     cands = [sorted(v for v in g.successors(u) if v != u) for u in range(n)]
     nodes = [u for u in range(n) if u != root]
     _check_budget(cands, nodes, budget)
@@ -81,11 +82,9 @@ def enumerate_arborescences(g, root, budget=DEFAULT_ASSIGNMENT_BUDGET, n_guard=E
 
 
 def arborescence_weight(a, w):
-    """Product of the matrix entries along the arborescence's edges."""
-    acc = Fraction(1) if w.numeric_mode == EXACT else 1.0
-    for u, v in a.parents:
-        acc *= w.entry(u, v)
-    return acc
+    """Product of the exact matrix entries along the arborescence's edges."""
+    _require_exact(w)
+    return math.prod((w.entry(u, v) for u, v in a.parents), start=Fraction(1))
 
 
 def _support_cands(w, extra=None):
@@ -98,47 +97,33 @@ def _support_cands(w, extra=None):
 
 
 def enumerated_root_weight(w, root, budget=DEFAULT_ASSIGNMENT_BUDGET):
-    """Sum of arborescence weights rooted at root, via the search kernel.
-
-    The enumeration route: exact in rational mode. One integer sum per root;
-    each row contributes exactly one factor, so the common denominator is
-    the product of per-row lcms.
+    """Sum of arborescence weights rooted at root of an exact matrix, via
+    the search kernel. One integer sum per root; each row contributes
+    exactly one factor, so the common denominator is the product of per-row
+    lcms.
     """
+    _require_exact(w)
     n = w.n
     cands = _support_cands(w)
-    nodes = [u for u in range(n) if u != root]
-    _check_budget(cands, nodes, budget)
-    if w.numeric_mode == EXACT:
-        denom = 1
-        factors = []
-        for u in range(n):
-            row = [w.entry(u, v) for v in cands[u]]
-            l = math.lcm(*(x.denominator for x in row)) if row else 1
-            if u != root:
-                denom *= l
-            factors.append([(int(x * l),) for x in row])
-        total = sum_tree_products(n, root, cands, factors, 1)[0]
-        return Fraction(total, denom)
-    # floating route: enumerate and sum products
-    total = 0.0
-    for vec in enumerate_parents(n, root, cands):
-        prod = 1.0
-        for u in nodes:
-            prod *= w.entry(u, vec[u])
-        total += prod
-    return total
+    _check_budget(cands, [u for u in range(n) if u != root], budget)
+    denom = 1
+    factors = []
+    for u in range(n):
+        row = [w.entry(u, v) for v in cands[u]]
+        l = math.lcm(*(x.denominator for x in row)) if row else 1
+        if u != root:
+            denom *= l
+        factors.append([(int(x * l),) for x in row])
+    return Fraction(sum_tree_products(n, root, cands, factors, 1)[0], denom)
 
 
 def root_weight_minor(w, root):
-    """Tree-theorem route: determinant of I - W with the root row and
-    column deleted. Equals the sum of arborescence weights at the root."""
-    n = w.n
-    idx = [i for i in range(n) if i != root]
-    one = Fraction(1) if w.numeric_mode == EXACT else 1.0
-    m = [[(one if i == j else 0 * one) - w.entry(i, j) for j in idx] for i in idx]
-    if w.numeric_mode == EXACT:
-        return det_exact(m)
-    return max(0.0, det_float(m))
+    """Tree-theorem route: determinant of I - W, W exact, with the root
+    row and column deleted. Equals the sum of arborescence weights at the
+    root."""
+    _require_exact(w)
+    idx = [i for i in range(w.n) if i != root]
+    return det_exact([[(i == j) - w.entry(i, j) for j in idx] for i in idx])
 
 
 def root_weight_ratios(w):
@@ -155,22 +140,23 @@ def root_weights(w):
 
 
 def mctt_stationary(p):
-    """Stationary law from the tree theorem: pi(i) proportional to the
-    root-i minor of I - P."""
+    """Exact stationary law from the tree theorem: pi(i) proportional to
+    the root-i minor of I - P."""
+    _require_exact(p)
     if not is_irreducible(p):
         raise NotIrreducible("the tree-theorem stationary law needs an irreducible chain")
     vals = [root_weight_minor(p, r) for r in range(p.n)]
     total = sum(vals)
-    return Distribution(tuple(v / total for v in vals), p.numeric_mode)
+    return Distribution(tuple(v / total for v in vals), EXACT)
 
 
 def _require_exact(*mats):
     for m in mats:
         if m.numeric_mode != EXACT:
-            raise ValueError("symbolic perturbation work needs exact (rational) matrices")
+            raise ValueError("the tree-theorem routes need exact (rational) matrices")
 
 
-def perturbed_root_polynomial(p, q, root, budget=DEFAULT_ASSIGNMENT_BUDGET, n_guard=SYMBOLIC_N_GUARD):
+def perturbed_root_polynomial(p, q, root, budget=DEFAULT_ASSIGNMENT_BUDGET):
     """Exact polynomial, in the mixing weight, of the sum of arborescence
     weights rooted at root for (1-eps) P + eps Q.
 
@@ -181,8 +167,8 @@ def perturbed_root_polynomial(p, q, root, budget=DEFAULT_ASSIGNMENT_BUDGET, n_gu
     n = p.n
     if q.n != n:
         raise ValueError("P and Q must share a state space")
-    if n > n_guard:
-        raise GuardExceeded(f"n = {n} exceeds the symbolic guard {n_guard}")
+    if n > SYMBOLIC_N_GUARD:
+        raise GuardExceeded(f"n = {n} exceeds the symbolic guard {SYMBOLIC_N_GUARD}")
     cands = _support_cands(p, extra=q)
     nodes = [u for u in range(n) if u != root]
     _check_budget(cands, nodes, budget)
@@ -198,7 +184,7 @@ def perturbed_root_polynomial(p, q, root, budget=DEFAULT_ASSIGNMENT_BUDGET, n_gu
     return EpsPolynomial.of_integers(sum_tree_products(n, root, cands, factors, 2), denom)
 
 
-def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
+def all_root_polynomials(p, q):
     """Root polynomials H_r(eps), for every root r, of (1-eps) P + eps Q,
     from one integer reduction (stationary.root_sums) read by Kronecker
     substitution; no enumeration.
@@ -219,8 +205,8 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     n = p.n
     if q.n != n:
         raise ValueError("P and Q must share a state space")
-    if n > n_guard:
-        raise GuardExceeded(f"n = {n} exceeds the symbolic guard {n_guard}")
+    if n > SYMBOLIC_N_GUARD:
+        raise GuardExceeded(f"n = {n} exceeds the symbolic guard {SYMBOLIC_N_GUARD}")
     rows, lcms = _mixed_rows(p, q)
     bits = n + math.prod(max(1, sum(u + v for u, v in row.values())) for row in rows).bit_length()
     k = 1 << bits
@@ -237,7 +223,7 @@ def all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     return tuple(polys)
 
 
-def exact_limit_from_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
+def exact_limit_from_polynomials(p, q):
     """Exact small-mixing limit of the stationary law of (1-eps) P + eps Q:
     the ratio of lowest-order coefficients of the root polynomials.
 
@@ -245,7 +231,7 @@ def exact_limit_from_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD):
     """
     _require_exact(p, q)
     require_unichain_union(p, q)
-    return limit_from_root_polynomials(all_root_polynomials(p, q, n_guard=n_guard))[0]
+    return limit_from_root_polynomials(all_root_polynomials(p, q))[0]
 
 
 def limit_from_root_polynomials(polys):
@@ -268,7 +254,7 @@ def _is_block_structured(q, part):
     return True
 
 
-def skeleton_identity_check(p, q, part, m_guard=SKELETON_M_GUARD):
+def skeleton_identity_check(p, q, part):
     """Adjudicate, per skeleton, the claimed identity between the product
     of reduced-chain weights and the label-averaged product of Q entries.
 
@@ -289,8 +275,8 @@ def skeleton_identity_check(p, q, part, m_guard=SKELETON_M_GUARD):
     if not _is_block_structured(q, part):
         raise ValueError("Q is not block structured over the closed classes")
     m = part.m
-    if m > m_guard:
-        raise GuardExceeded(f"m = {m} exceeds the skeleton guard {m_guard}")
+    if m > SKELETON_M_GUARD:
+        raise GuardExceeded(f"m = {m} exceeds the skeleton guard {SKELETON_M_GUARD}")
     cells = list(part.closed_classes)
     sizes = [len(c) for c in cells]
     gamma = [

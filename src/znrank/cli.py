@@ -99,7 +99,7 @@ def build_parser():
     p.add_argument("--version", action="version", version=f"znrank {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_io(sp, matrix_only=False):
+    def add_io(sp):
         sp.add_argument("--graph", help="edge list file: src dst [weight], # comments")
         sp.add_argument("--matrix", help='matrix JSON file: {"n": ..., "rows": [[...]]}')
         sp.add_argument("--dangling", choices=DANGLING_POLICIES, default="self_loop",
@@ -165,7 +165,7 @@ def load_p(args):
     if args.graph:
         g = parse_edge_list(read_text(args.graph))
         return to_stochastic(g, args.dangling, numeric_mode(args, g.states.n))
-    p = load_matrix_json(read_text(args.matrix), numeric_mode=EXACT)
+    p = load_matrix_json(read_text(args.matrix))
     return p.to_float() if numeric_mode(args, p.n) == FLOAT else p
 
 
@@ -255,7 +255,7 @@ def load_q(spec, p, part=None):
     if spec.startswith("block="):
         q = parse_block_q(read_text(spec.split("=", 1)[1]), p, part)
     elif spec.startswith("matrix="):
-        q = load_matrix_json(read_text(spec.split("=", 1)[1]), EXACT, p.states)
+        q = load_matrix_json(read_text(spec.split("=", 1)[1]), p.states)
         if q.n != p.n:
             raise InputFormatError(f"Q is {q.n} x {q.n} but the chain has {p.n} states")
     else:

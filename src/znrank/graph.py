@@ -457,13 +457,13 @@ def _json_ratio(x):
     raise InputFormatError(f"expected a {finite}number, got {x!r}")
 
 
-def load_matrix_json(text, numeric_mode=EXACT, states=None):
-    """Read {"n": int, "rows": [[...]]} with entries as numbers or "p/q"
-    strings, exactly: decimal literals keep decimal semantics. Each row is
-    read as integer numerators over the lcm of its entries' denominators
-    and checked once, as the matrix is built; in float mode its entries are
-    the quotients. Given states of n states, the matrix takes them in place
-    of its own, as a Q read for a chain takes the chain's."""
+def load_matrix_json(text, states=None):
+    """Read {"n": int, "rows": [[...]]}, with "labels", a list of n strings,
+    optional, and entries as numbers or "p/q" strings, into an exact matrix:
+    decimal literals keep decimal semantics. Each row is read as integer
+    numerators over the lcm of its entries' denominators and checked once,
+    as the matrix is built. Given states of n states, the matrix takes them
+    in place of its own, as a Q read for a chain takes the chain's."""
     try:
         obj = json.loads(text, parse_float=parse_ratio)
     except json.JSONDecodeError as exc:
@@ -472,8 +472,11 @@ def load_matrix_json(text, numeric_mode=EXACT, states=None):
         raise InputFormatError('matrix JSON needs keys "n" and "rows"')
     n = obj["n"]
     rows = obj["rows"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InputFormatError('"n" must be a positive integer')
+    labels = obj.get("labels")
+    if labels is not None and (type(labels) is not list or not all(type(x) is str for x in labels)):
+        raise InputFormatError('"labels" must be a list of n strings')
     if not isinstance(rows, list) or len(rows) != n or any(not isinstance(r, list) or len(r) != n for r in rows):
         raise InputFormatError('"rows" must be an n x n array')
     nums, dens = [], []
@@ -483,11 +486,10 @@ def load_matrix_json(text, numeric_mode=EXACT, states=None):
         scaled, den = over_lcm([_json_ratio(row[j]) for j in cols])
         nums.append(dict(zip(cols, scaled)))
         dens.append(den)
-    labels = obj.get("labels")
-    own = StateSpace(n, tuple(labels)) if labels else StateSpace(n)
+    own = StateSpace(n, labels)
     try:
-        return RowStochasticMatrix(states if states and states.n == n else own, tuple(nums), numeric_mode, tuple(dens))
-    except (ValueError, OverflowError) as exc:  # OverflowError: a float-mode entry past the float range
+        return RowStochasticMatrix(states if states and states.n == n else own, tuple(nums), EXACT, tuple(dens))
+    except ValueError as exc:
         raise InputFormatError(str(exc)) from None
 
 

@@ -1,8 +1,9 @@
 """Small dense linear algebra on lists of lists.
 
-Exact routines work over Fraction; determinants clear denominators per row
-and run fraction-free (Bareiss) elimination so intermediates stay integer.
-Floating routines use partial pivoting. Sizes here are desk scale.
+Exact routines work over Fraction; the determinant clears denominators per
+row and runs fraction-free (Bareiss) elimination so intermediates stay
+integer. The floating solver uses partial pivoting. Sizes here are desk
+scale.
 """
 
 import math
@@ -86,25 +87,3 @@ def det_exact(a):
         denom *= l
         rows.append([int(f * l) for f in frs])
     return Fraction(det_bareiss_int(rows), 1) / denom
-
-
-def det_float(a):
-    """Floating determinant with partial pivoting."""
-    n = len(a)
-    if n == 0:
-        return 1.0
-    m = [[float(x) for x in row] for row in a]
-    det = 1.0
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(m[r][c]))
-        if m[piv][c] == 0.0:
-            return 0.0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            if f != 0.0:
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det

@@ -101,15 +101,15 @@ def pairwise_comparison_chain(c):
     return RowStochasticMatrix(c.states, tuple(rows))
 
 
-def bt_leaf_formula_check(g, w, n_guard=6):
+def bt_leaf_formula_check(g, w):
     """Adjudicate the closed-form leaf expression for win-weight ladders:
     score(i) compared with sum over arborescences rooted at i of
     W(i) / prod over leaves j of w_j, both normalized. Measurement only."""
-    from znrank.arborescence import enumerate_arborescences, mctt_stationary
+    from znrank.arborescence import LEAF_FORMULA_N_GUARD, enumerate_arborescences, mctt_stationary
 
     n = g.states.n
-    if n > n_guard:
-        raise GuardExceeded(f"n = {n} exceeds the leaf-formula guard {n_guard}")
+    if n > LEAF_FORMULA_N_GUARD:
+        raise GuardExceeded(f"n = {n} exceeds the leaf-formula guard {LEAF_FORMULA_N_GUARD}")
     if not isinstance(w, NodeWeights):
         w = NodeWeights(tuple(w))
     p = bradley_terry_chain(g, w)

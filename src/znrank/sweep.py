@@ -43,25 +43,27 @@ DEFAULT_FLOAT_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_EXACT_GRID = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
 
 
-def _mixing_eps(p, q, eps):
-    """(numeric mode, eps in it) of mixing P and Q at eps: exact when
-    everything involved is rational, floating otherwise, in which mode P
-    and Q are then taken. eps must lie in (0, 1]."""
-    if not 0 < eps <= 1:
-        raise EpsOutOfRange(f"eps = {eps} outside (0, 1]")
+def _mixing_eps(p, q, grid):
+    """The eps of grid, each in (0, 1], in the one numeric mode that P and Q
+    must share: Fractions for exact P and Q, which refuse a float eps, else
+    floats."""
     if q.n != p.n:
         raise ValueError("P and Q must share a state space")
-    if p.numeric_mode == EXACT and q.numeric_mode == EXACT and not isinstance(eps, float):
-        return EXACT, Fraction(eps)
-    return FLOAT, float(eps)
+    if q.numeric_mode != p.numeric_mode:
+        raise ValueError(f"P is {p.numeric_mode} but Q is {q.numeric_mode}; convert both with to_float()")
+    exact = p.numeric_mode == EXACT
+    for eps in grid:
+        if not 0 < eps <= 1:
+            raise EpsOutOfRange(f"eps = {eps} outside (0, 1]")
+        if exact and isinstance(eps, float):
+            raise ValueError(f"eps = {eps} is a float; exact P and Q take a rational eps")
+    return [Fraction(eps) if exact else float(eps) for eps in grid]
 
 
 def perturbed_matrix(p, q, eps):
-    """(1 - eps) P + eps Q. eps must lie in (0, 1]. Exact when everything
-    involved is rational, floating otherwise."""
-    mode, e = _mixing_eps(p, q, eps)
-    if mode == FLOAT:
-        p, q = p.to_float(), q.to_float()
+    """(1 - eps) P + eps Q, in the numeric mode of P and Q. eps must lie in
+    (0, 1]."""
+    (e,) = _mixing_eps(p, q, (eps,))
     rows = tuple(
         {j: (1 - e) * p.entry(i, j) + e * q.entry(i, j) for j in sorted(p.rows[i].keys() | q.rows[i].keys())}
         for i in range(p.n)
@@ -84,46 +86,42 @@ def _shared_q_rows(q):
 
 
 def _perturbed_laws(p, q, grid, limit=False):
-    """Stationary laws of (1 - eps) P + eps Q for each eps of grid. It
-    first runs require_unichain_union(p, q), which leaves the hub chain one
-    closed class; its transient states, hubs among them, get 0. Below eps = 1
-    each is the hub chain's law on the states of P, renormalized. With
-    limit set, returns (laws, the float limit as eps -> 0), the limit read
-    off the float plan of the hub chain by _lead_law. A float law that is
-    not finite raises EpsOutOfRange naming its eps.
+    """Stationary laws of (1 - eps) P + eps Q for each eps of grid, P and Q
+    in one numeric mode (_mixing_eps). It first runs
+    require_unichain_union(p, q), which leaves the hub chain one closed
+    class; its transient states, hubs among them, get 0. Below eps = 1 each
+    is the hub chain's law on the states of P, renormalized. With limit set,
+    float P and Q only, returns (laws, the float limit as eps -> 0), the
+    limit read off the plan of the hub chain by _lead_law. A float law that
+    is not finite raises EpsOutOfRange naming its eps.
 
-    Every eps is checked before any row is built, and P and Q are
-    converted once per numeric mode. The chain's pattern does not depend on
-    eps and no entry cancels, so its reduction is worked out once per
-    numeric mode: float eps replay one _plan on the flat list of the values
-    at eps, P's values times 1 - eps with e u added on the slots with a Q
-    part u, and exact eps reuse the order found at the first."""
+    Every eps is checked before the chain's rows are built, once. Their
+    pattern does not depend on eps and no entry cancels, so the reduction
+    is worked out once: float eps replay one _plan on the flat list of the
+    values at eps, P's values times 1 - eps with e u added on the slots with
+    a Q part u, and exact eps reuse the order found at the first."""
+    grid = _mixing_eps(p, q, grid)
+    exact = p.numeric_mode == EXACT
+    if limit and exact:
+        raise ValueError("the leading-order limit is read off the float plan; pass float P and Q")
     require_unichain_union(p, q)
-    mixes = [_mixing_eps(p, q, eps) for eps in grid]
-    modes = {mode for mode, _ in mixes} | ({FLOAT} if limit else set())
-    matrices = {mode: (p, q) if mode == EXACT else (p.to_float(), q.to_float()) for mode in modes}
-    groups = _shared_q_rows(q)
     n = p.n
-    if FLOAT in modes:  # one plan of the float hub chain for every float eps and the limit
-        rows = _mixed_rows(*matrices[FLOAT], groups)[0]
+    rows, dens = _mixed_rows(p, q, _shared_q_rows(q))
+    if not exact:  # one plan of the hub chain for every eps and the limit
         plan = _plan(rows)
         coefs = [(float(u), float(v)) for row in rows[:n] for u, v in row.values()]
         p_vals = [v for _, v in coefs]
         q_slots = [(s, u) for s, (u, _) in enumerate(coefs) if u]  # at u = 0.0, e u + stay v is stay v
         hub_vals = [v for h in rows[n:] for v in h.values()]
-    exact_chain = order = None
+    order = None
     laws = []
-    for mode, e in mixes:
-        pe, qe = matrices[mode]
+    for e in grid:
         if e == 1:
-            laws.append(unichain_law(qe))
-        elif mode == EXACT:  # at e = a/b, row x is a u + (b - a) v over b dens[x]
-            if exact_chain is None:
-                exact_chain = _mixed_rows(pe, qe, groups)
-            num_rows, dens = exact_chain
+            laws.append(unichain_law(q))
+        elif exact:  # at e = a/b, row x is a u + (b - a) v over b dens[x]
             a, b = e.numerator, e.denominator
-            mixed = [{y: a * u + (b - a) * v for y, (u, v) in row.items()} for row in num_rows[:n]]
-            hubs = [dict(h) for h in num_rows[n:]]  # the elimination updates rows in place
+            mixed = [{y: a * u + (b - a) * v for y, (u, v) in row.items()} for row in rows[:n]]
+            hubs = [dict(h) for h in rows[n:]]  # the elimination updates rows in place
             x, order = _law(mixed + hubs, [b * d for d in dens[:n]] + dens[n:], order)
             laws.append(Distribution.of_integers(x[:n], sum(x[:n])))
         else:
@@ -183,30 +181,24 @@ def _difference_quotient(eps_pair, laws):
     return tuple((float(a) - float(b)) / gap for a, b in zip(x.values, y.values))
 
 
-def epsilon_sweep(p, q, grid=None, predicted=None, part=None):
+def epsilon_sweep(p, q, grid=None, part=None):
     """Stationary laws along a strictly decreasing grid of mixing weights,
-    with per-eps L-inf distance to the predicted limit. Without a given
-    prediction, exact P and Q take limit_rank's limit (part is P's
-    partition when the caller has it); otherwise the float limit comes from
-    the plan of the laws themselves (_perturbed_laws with limit set), which
+    with per-eps L-inf distance to the predicted limit, P and Q in one
+    numeric mode. Exact P and Q take limit_rank's limit (part is P's
+    partition when the caller has it); float ones take the limit from the
+    plan of the laws themselves (_perturbed_laws with limit set), which
     needs no partition, class laws or reduced chain."""
-    exact_inputs = p.numeric_mode == EXACT and q.numeric_mode == EXACT
-    if grid is None:
-        grid = DEFAULT_EXACT_GRID if exact_inputs else DEFAULT_FLOAT_GRID
-    grid = check_eps_grid(grid)
-    if predicted is None and exact_inputs:
+    exact = p.numeric_mode == EXACT
+    grid = check_eps_grid((DEFAULT_EXACT_GRID if exact else DEFAULT_FLOAT_GRID) if grid is None else grid)
+    if exact:
         from znrank.zero_noise import limit_rank
 
         predicted = limit_rank(p, q, part).node_limit
-    if predicted is None:  # read off the float plan of the laws
-        table, predicted = _perturbed_laws(p, q, grid, limit=True)
-    else:
         table = _perturbed_laws(p, q, grid)
-    exact = all(pi.den is not None for pi in table)  # then from nums / den, one Fraction per number
-    if exact and predicted.den is not None:  # max |a / d - b / e| per eps
-        ref, e = predicted.nums, predicted.den
+        ref, e = predicted.nums, predicted.den  # max |a / d - b / e| per eps, one Fraction per number
         errors = [Fraction(max([abs(a * e - b * pi.den) for a, b in zip(pi.nums, ref)]), pi.den * e) for pi in table]
-    else:
+    else:  # the limit read off the float plan of the laws
+        table, predicted = _perturbed_laws(p, q, grid, limit=True)
         errors = [linf(pi.values, predicted.values) for pi in table]
     return SweepResult(
         eps_grid=grid,
@@ -220,21 +212,21 @@ def epsilon_sweep(p, q, grid=None, predicted=None, part=None):
 
 def first_order_estimate(p, q, eps_pair):
     """First derivative of the stationary law at zero mixing, estimated by
-    the difference quotient between two small weights. Exact when the
-    matrices and both weights are rational."""
+    the difference quotient between two small weights, in the numeric mode
+    of P and Q: exact P and Q take rational weights."""
     if eps_pair[0] == eps_pair[1]:
         raise ValueError("the two eps values must differ")
     return _difference_quotient(eps_pair, _perturbed_laws(p, q, eps_pair))
 
 
-def exact_first_order(p, q, n_guard=None):
+def exact_first_order(p, q):
     """Exact derivative at zero mixing of the stationary law, from the
     polynomial route: d/de of H_i(e) / S(e) at 0 after the common leading
     power is removed."""
-    from znrank.arborescence import SYMBOLIC_N_GUARD, all_root_polynomials
+    from znrank.arborescence import all_root_polynomials
     from znrank.polynomial import sum_polynomials
 
-    polys = all_root_polynomials(p, q, n_guard=SYMBOLIC_N_GUARD if n_guard is None else n_guard)
+    polys = all_root_polynomials(p, q)
     total = sum_polynomials(polys)
     d = total.min_degree()
     s0, s1 = (total.nums[d:d + 2] + (0,))[:2]

@@ -38,13 +38,6 @@ from znrank.stationary import (
 )
 
 
-def _common_mode(p, q):
-    """Mixed exact/float inputs drop to floating point together."""
-    if p.numeric_mode == q.numeric_mode:
-        return p, q
-    return p.to_float(), q.to_float()
-
-
 # reduced chain over the closed classes: gamma, a RowStochasticMatrix, and its law pi_gamma
 GammaChain = namedtuple("GammaChain", "gamma pi_gamma")
 
@@ -122,14 +115,13 @@ def _routed_rows(p, part, sources, of_class, exact):
     return [routed[s][0] for s in of_class], [routed[s][1] for s in of_class] if exact else None
 
 
-def build_gamma(p, q, part, class_laws=None):
+def build_gamma(p, q, part):
     """Reduced chain: Gamma(i, j) is the Q mass from class i into class j,
     averaged over the members of class i with the class stationary law of P.
-    class_laws defaults to class_stationary(p, part). Requires a
-    transient-free partition."""
+    Requires a transient-free partition."""
     if part.transient:
         raise TransientStatesPresent("the plain reduction needs a transient-free chain")
-    return extended_gamma(p, q, part, class_laws)
+    return extended_gamma(p, q, part)
 
 
 def personalization_gamma(nu, part):
@@ -156,8 +148,9 @@ def extended_gamma(p, q, part, class_laws=None):
     row, Gamma = 1 mu^T is not solved. class_laws defaults to
     class_stationary(p, part), computed only if some class needs it. If
     Gamma is refused, a union support of P and Q with several closed
-    classes is reported first."""
-    p, q = _common_mode(p, q)
+    classes is reported first. P and Q must share one numeric mode."""
+    if q.numeric_mode != p.numeric_mode:
+        raise ValueError(f"P is {p.numeric_mode} but Q is {q.numeric_mode}; convert both with to_float()")
     q_dens = q.dens or (1,) * q.n
     sources, of_class = {}, []  # key -> (row, den) to route; the key of each class's source
     for k, ck in enumerate(part.closed_classes):
@@ -197,10 +190,8 @@ def limit_rank(p, q, part=None, mode="auto"):
                 states (a stochastic complement) does;
       theorem2  uniform masses 1/m, a prediction that ignores q;
       auto      extended if P has transient states, else theorem3.
-    Mixed exact/float inputs drop to floating point together. part defaults
-    to classify_states(p); a caller that has classified P passes it."""
-    if mode != "theorem2":
-        p, q = _common_mode(p, q)
+    Mixed exact/float inputs are refused (ValueError). part defaults to
+    classify_states(p); a caller that has classified P passes it."""
     part = part or classify_states(p)
     if mode == "auto":
         mode = "extended" if part.transient else "theorem3"
@@ -272,10 +263,11 @@ def adjudicate(p, q, part=None):
     part = part or classify_states(p)
     limit = limit_rank(p, q, part)
     methods = {"theorem2": limit_rank(p, None, part, "theorem2"), limit.mode: limit}
-    if p.numeric_mode == EXACT and q.numeric_mode == EXACT and p.n <= SYMBOLIC_N_GUARD:
+    if p.numeric_mode == EXACT and p.n <= SYMBOLIC_N_GUARD:
         oracle_mode, oracle_vals = "exact-polynomial", exact_limit_from_polynomials(p, q).values
     else:
-        oracle_mode, oracle_vals = "leading-order", _perturbed_laws(p, q, (), limit=True)[1].values
+        oracle_vals = _perturbed_laws(p.to_float(), q.to_float(), (), limit=True)[1].values
+        oracle_mode = "leading-order"
 
     report = {
         "oracle_mode": oracle_mode,

@@ -103,8 +103,7 @@ def test_criterion_01_tree_stationary_matches_direct():
         for _ in range(200):
             p = rand_irreducible(rng, rng.randint(2, 8))
             assert mctt_stationary(p).values == stationary_direct(p).values
-            pf = p.to_float()
-            assert linf(mctt_stationary(pf).values, stationary_direct(pf).values) <= FLOAT_STATIONARY_TOL
+            assert linf(mctt_stationary(p).values, stationary_direct(p.to_float()).values) <= FLOAT_STATIONARY_TOL
 
 
 def test_criterion_02_minor_matches_enumeration():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from znrank.arborescence import (
+    SYMBOLIC_N_GUARD,
     Arborescence,
     all_root_polynomials,
     arborescence_weight,
@@ -117,9 +118,18 @@ def test_float_minor_close_to_exact():
     rng = rng_for("minor-float")
     for _ in range(10):
         p = rand_irreducible(rng, rng.randint(2, 6))
-        pf = p.to_float()
+        floats = root_weights(p.to_float())  # the float tree sums, against the exact minors
         for r in range(p.n):
-            assert abs(float(root_weight_minor(p, r)) - root_weight_minor(pf, r)) < 1e-12
+            assert abs(float(root_weight_minor(p, r)) - floats[r]) < 1e-12
+
+
+def test_tree_theorem_cross_checks_refuse_float_matrices():
+    p = RowStochasticMatrix(StateSpace(3), ((0, F(1, 2), F(1, 2)), (1, 0, 0), (1, 0, 0))).to_float()
+    checks = (lambda: root_weight_minor(p, 0), lambda: enumerated_root_weight(p, 0), lambda: mctt_stationary(p),
+              lambda: arborescence_weight(Arborescence(0, ((1, 0), (2, 0))), p))
+    for check in checks:
+        with pytest.raises(ValueError, match="need exact"):
+            check()
 
 
 def test_polynomials_worked_fixture():
@@ -268,8 +278,9 @@ def test_polynomial_guards():
     q = uniform_matrix(3)
     with pytest.raises(GuardExceeded):
         perturbed_root_polynomial(p, q, 0, budget=1)
-    with pytest.raises(GuardExceeded):
-        all_root_polynomials(p, q, n_guard=2)
+    big = uniform_matrix(SYMBOLIC_N_GUARD + 1)
+    with pytest.raises(GuardExceeded, match=f"n = 11 exceeds the symbolic guard {SYMBOLIC_N_GUARD}"):
+        all_root_polynomials(big, big)
 
 
 def test_exact_limit_needs_connected_union():

@@ -111,6 +111,36 @@ def test_classify_matrix_input(tmp_path, capsys):
     assert obj["m"] == 1 and obj["labels"] == ["u", "v"]
 
 
+def test_matrix_header_is_checked(tmp_path, capsys):
+    # labels that are not a list of n strings crashed with a traceback or
+    # printed as non-strings, and "n": true was read as n = 1
+    g = wpath(tmp_path, "g.txt", TWO_CLASS)
+    labels = '"labels" must be a list of n strings'
+    for header, message in (({"labels": 5}, labels), ({"labels": [[1]]}, labels), ({"labels": [None]}, labels),
+                            ({"labels": [1]}, labels), ({"n": True}, '"n" must be a positive integer')):
+        m = wpath(tmp_path, "m.json", json.dumps({"n": 1, "rows": [[1]], **header}))
+        assert run(capsys, "classify", "--matrix", m) == (2, "", f"data error: {message}\n"), header
+        assert run(capsys, "rank", "--graph", g, "--q", f"matrix={m}") == (2, "", f"data error: {message}\n")
+
+
+@pytest.mark.parametrize("numeric", ["exact", "float"])
+@pytest.mark.parametrize("source", ["--graph", "--matrix"])
+def test_every_q_comes_back_in_the_mode_of_p(tmp_path, source, numeric):
+    # so no command hands the library an exact/float mix, which it refuses
+    from znrank.cli import build_parser, load_p, load_q
+
+    chain = {"--graph": ("p.txt", TWO_CLASS),
+             "--matrix": ("p.json", json.dumps({"n": 3, "rows": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]}))}[source]
+    p = load_p(build_parser().parse_args(["rank", source, wpath(tmp_path, *chain), "--q", "uniform",
+                                          "--numeric", numeric]))
+    q_rows = [["0", "1/2", "1/2"], [1, 0, 0], ["1/3", "1/3", "1/3"]]
+    specs = ("uniform", "personalized=" + wpath(tmp_path, "nu.txt", "0 1\n2 2\n"),
+             "block=" + wpath(tmp_path, "b.txt", BLOCKS),
+             "matrix=" + wpath(tmp_path, "q.json", json.dumps({"n": 3, "rows": q_rows})))
+    for spec in specs:
+        assert (p.numeric_mode, load_q(spec, p).numeric_mode) == (numeric, numeric), spec
+
+
 def test_graph_and_matrix_together_is_usage_error(tmp_path, capsys):
     g = wpath(tmp_path, "g.txt", TWO_CLASS)
     code, _, err = run(capsys, "classify", "--graph", g, "--matrix", g)

@@ -272,10 +272,9 @@ def test_matrix_json_refuses_non_finite_numbers():
     # an exact Infinity raised OverflowError, and a float NaN passed the row
     # sum check, as no comparison with NaN is true
     for token, shown in (("Infinity", "inf"), ("-Infinity", "-inf"), ("NaN", "nan")):
-        for mode in ("exact", "float"):
-            with pytest.raises(InputFormatError) as ei:
-                load_matrix_json(f'{{"n": 2, "rows": [[{token}, 1], [0, 1]]}}', mode)
-            assert str(ei.value) == f"expected a finite number, got {shown}"
+        with pytest.raises(InputFormatError) as ei:
+            load_matrix_json(f'{{"n": 2, "rows": [[{token}, 1], [0, 1]]}}')
+        assert str(ei.value) == f"expected a finite number, got {shown}"
 
 
 def test_uniform_and_rank_one():
@@ -499,8 +498,8 @@ def test_reduced_rows_form_a_shared_q_rows_masses_once(monkeypatch):
 
 
 def test_matrix_json_drops_zeros_and_keeps_its_errors():
-    for mode, kind in (("exact", F), ("float", float)):
-        p = load_matrix_json('{"n": 3, "rows": [[0, 0.0, 1], ["0", "0/5", "1"], ["1/2", 0, 0.5]]}', mode)
+    exact = load_matrix_json('{"n": 3, "rows": [[0, 0.0, 1], ["0", "0/5", "1"], ["1/2", 0, 0.5]]}')
+    for p, kind in ((exact, F), (exact.to_float(), float)):
         assert p.rows[0] == p.rows[1] == {2: 1} and list(p.rows[2]) == [0, 2]
         assert all(type(x) is kind and x for row in p.rows for x in row.values())
     cases = (
@@ -651,7 +650,7 @@ def test_edge_list_errors_keep_their_messages_and_lines():
 
 
 def test_matrix_json_errors_keep_their_messages():
-    # in both modes; a row's bad entry comes before any row's sum
+    # a row's bad entry comes before any row's sum
     cases = (
         ("not json", "bad JSON: Expecting value: line 1 column 1 (char 0)"),
         ("[1, 2]", 'matrix JSON needs keys "n" and "rows"'),
@@ -674,25 +673,16 @@ def test_matrix_json_errors_keep_their_messages():
         ('{"n": 2, "rows": [["-1/2", "3/2"], [0, 1]]}', "negative entry in row 0"),
         ('{"n": 2, "rows": [[0, 1], [-0.5, 1.5]]}', "negative entry in row 1"),
     )
-    for mode in ("exact", "float"):
-        for text, message in cases:
-            with pytest.raises(InputFormatError) as ei:
-                load_matrix_json(text, mode)
-            assert str(ei.value) == message, (mode, text)
     sums = (
-        ('{"n": 2, "rows": [[0, 1], ["1/2", "1/3"]]}', "row 1 sums to 5/6, not 1", "row 1 sums to 0.8333333333333333, not 1"),
-        ('{"n": 2, "rows": [[0.5, 0.6], [0, 1]]}', "row 0 sums to 11/10, not 1", "row 0 sums to 1.1, not 1"),
-        ('{"n": 2, "rows": [[1, 1], [0, 1]]}', "row 0 sums to 2, not 1", "row 0 sums to 2.0, not 1"),
-        ('{"n": 2, "rows": [[0, "0/3"], [0, 1]]}', "row 0 sums to 0, not 1", "row 0 sums to 0.0, not 1"),
+        ('{"n": 2, "rows": [[0, 1], ["1/2", "1/3"]]}', "row 1 sums to 5/6, not 1"),
+        ('{"n": 2, "rows": [[0.5, 0.6], [0, 1]]}', "row 0 sums to 11/10, not 1"),
+        ('{"n": 2, "rows": [[1, 1], [0, 1]]}', "row 0 sums to 2, not 1"),
+        ('{"n": 2, "rows": [[0, "0/3"], [0, 1]]}', "row 0 sums to 0, not 1"),
     )
-    for text, exact, floating in sums:
-        for mode, message in (("exact", exact), ("float", floating)):
-            with pytest.raises(InputFormatError) as ei:
-                load_matrix_json(text, mode)
-            assert str(ei.value) == message, (mode, text)
-    for entry in ("1e400", "1" + "0" * 400, '"1e400"'):  # past the float range: a data error in float mode
-        with pytest.raises(InputFormatError, match="too large for a float"):
-            load_matrix_json(f'{{"n": 2, "rows": [[{entry}, 0], [0, 1]]}}', "float")
+    for text, message in cases + sums:
+        with pytest.raises(InputFormatError) as ei:
+            load_matrix_json(text)
+        assert str(ei.value) == message, text
     for labels, message in ((["x", "x"], "duplicate labels"), (["x"], "label count does not match n")):
         with pytest.raises(ValueError, match=message):
             load_matrix_json(json.dumps({"n": 2, "labels": labels, "rows": [[0, 1], [1, 0]]}))
@@ -707,14 +697,11 @@ def test_matrix_json_reads_tokens_as_their_exact_values():
         row = [rng.choice(tokens) for _ in range(8)]
         value = sum(F(x.strip()) if isinstance(x, str) else F(str(x)) for x in row)
         row.append(str(1 - value))
-        for mode in ("exact", "float"):
-            p = load_matrix_json(json.dumps({"n": 9, "rows": [row] + [[0] * 8 + [1]] * 8}), mode)
-            want = {j: F(x.strip()) if isinstance(x, str) else F(str(x)) for j, x in enumerate(row)}
-            want = {j: x for j, x in want.items() if x}
-            if mode == "exact":
-                assert p.rows[0] == want and p.dens[0] == math.lcm(*[x.denominator for x in want.values()])
-            else:
-                assert p.rows[0] == {j: float(x) for j, x in want.items()}
+        p = load_matrix_json(json.dumps({"n": 9, "rows": [row] + [[0] * 8 + [1]] * 8}))
+        want = {j: F(x.strip()) if isinstance(x, str) else F(str(x)) for j, x in enumerate(row)}
+        want = {j: x for j, x in want.items() if x}
+        assert p.rows[0] == want and p.dens[0] == math.lcm(*[x.denominator for x in want.values()])
+        assert p.to_float().rows[0] == {j: float(x) for j, x in want.items()}
 
 
 def _union_verdict(p, q):

@@ -9,6 +9,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from helpers import rand_sizes, rand_with_transients, rng_for  # noqa: E402
@@ -79,20 +81,22 @@ def test_exact_json_numbers_are_rationals_and_float_json_numbers_are_floats(tmp_
     assert saw_zero_mass and saw_zero_gamma
 
 
-def test_adjudicate_exact_p_float_q_reports_float_deviations():
+def test_adjudicate_float_inputs_report_float_deviations():
+    # an exact P with a float Q is refused; it once dropped to floating point
     rng = rng_for("json-numbers-mixed")
     for _ in range(6):
         sizes = rand_sizes(rng, rng.randint(2, 3), hi=3, total_cap=7)
         p = rand_with_transients(rng, sizes, rng.randint(1, 2))
         q = rand_with_transients(rng, [p.n], 0).to_float()  # one irreducible class over all states
-        report = adjudicate(p, q)
+        with pytest.raises(ValueError, match="P is exact but Q is float"):
+            adjudicate(p, q)
+        report = adjudicate(p.to_float(), q)
         assert report["oracle_mode"] == "leading-order"
         assert set(report["methods"]) == {"theorem2", "extended"}
         for name, entry in report["methods"].items():
             assert type(entry["max_deviation"]) is float, name
             assert entry["verdict"] in ("pass", "discrepant"), name
         assert report["methods"]["extended"]["verdict"] == "pass"
-        # theorem2 ignores Q, so it stays exact in P's mode
-        assert all(RATIONAL.fullmatch(x) for x in report["methods"]["theorem2"]["values"])
+        assert all(type(x) is float for x in report["methods"]["theorem2"]["values"])
         assert all(type(x) is float for x in report["methods"]["extended"]["values"])
         assert all(type(x) is float for x in report["oracle"])

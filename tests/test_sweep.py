@@ -57,7 +57,7 @@ def test_perturbed_matrix_exact_and_float():
     assert pe.numeric_mode == "exact"
     assert pe.entry(0, 0) == F(1, 30)
     assert pe.entry(0, 1) == F(9, 10) + F(1, 30)
-    pf = perturbed_matrix(p, q, 0.1)
+    pf = perturbed_matrix(p.to_float(), q.to_float(), 0.1)
     assert pf.numeric_mode == "float"
     with pytest.raises(EpsOutOfRange):
         perturbed_matrix(p, q, F(0))
@@ -132,10 +132,9 @@ def test_sweep_grid_validation():
 @pytest.mark.parametrize("eps", [1e-310, 1e-315, 5e-324])
 def test_float_sweep_refuses_a_law_that_is_not_finite(eps):
     # state 2 leaves only through the eps leak, so 1 / eps overflows
-    p, q = cycle_plus_absorber(), uniform_matrix(3)
-    for pf, qf in ((p.to_float(), q.to_float()), (p, q)):
-        with pytest.raises(EpsOutOfRange, match=f"^eps = {eps}: the float law is not finite"):
-            epsilon_sweep(pf, qf, grid=(0.5, eps))
+    pf, qf = cycle_plus_absorber().to_float(), uniform_matrix(3).to_float()
+    with pytest.raises(EpsOutOfRange, match=f"^eps = {eps}: the float law is not finite"):
+        epsilon_sweep(pf, qf, grid=(0.5, eps))
 
 
 def test_first_order_symmetric_fixture_is_zero():
@@ -257,11 +256,31 @@ def test_float_eps_range_whose_ratio_overflows_is_refused(text):
 
 
 def test_sweep_rejects_mode_mismatch_gracefully():
-    # float q against exact p falls back to a float sweep
+    # float q against exact p is refused; it once fell back to a float sweep
     p = cycle_plus_absorber()
     q = uniform_matrix(3).to_float()
-    result = epsilon_sweep(p, q)
+    with pytest.raises(ValueError, match="P is exact but Q is float"):
+        epsilon_sweep(p, q)
+    result = epsilon_sweep(p.to_float(), q)
     assert result.pi_table[0].numeric_mode == "float"
+
+
+def test_one_numeric_mode_for_p_q_and_eps():
+    # a float Q with an exact P, or the reverse, and a float eps with exact
+    # P and Q are refused: none is converted for the caller
+    p, q = cycle_plus_absorber(), uniform_matrix(3)
+    for pm, qm in ((p, q.to_float()), (p.to_float(), q)):
+        message = f"P is {pm.numeric_mode} but Q is {qm.numeric_mode}"
+        for call in (lambda: limit_rank(pm, qm), lambda: perturbed_matrix(pm, qm, F(1, 10)),
+                     lambda: _perturbed_laws(pm, qm, (F(1, 10),)), lambda: _perturbed_laws(pm, qm, (), limit=True)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    for call in (lambda e: perturbed_matrix(p, q, e), lambda e: _perturbed_laws(p, q, (F(1, 10), e)),
+                 lambda e: epsilon_sweep(p, q, grid=(e,)), lambda e: first_order_estimate(p, q, (e, F(1, 100)))):
+        with pytest.raises(ValueError, match="eps = 0.1 is a float; exact P and Q take a rational eps"):
+            call(0.1)
+    with pytest.raises(ValueError, match="pass float P and Q"):  # the limit is read off the float plan
+        _perturbed_laws(p, q, (), limit=True)
 
 
 def test_perturbed_matrix_random_row_sums():
@@ -358,7 +377,7 @@ def test_hub_route_keeps_checks():
         _perturbed_laws(p, identity, (F(1),))
     unichain = RowStochasticMatrix(StateSpace(3), ((0, 1, 0), (1, 0, 0), (0, 1, 0)))
     assert _perturbed_laws(p, unichain, (F(1),))[0].values == (F(1, 2), F(1, 2), 0)
-    assert _perturbed_laws(p, q, (1.0,))[0].values == (1 / 3,) * 3
+    assert _perturbed_laws(p.to_float(), q.to_float(), (1.0,))[0].values == (1 / 3,) * 3
 
 
 def test_float_sweep_never_forms_p_eps(monkeypatch):
@@ -401,34 +420,6 @@ def test_float_sweep_finds_its_elimination_order_once(monkeypatch):
     plans.clear()
     assert len(epsilon_sweep(p, q).pi_table) == 3
     assert plans == [] and searches == [True, False, False]
-
-
-def test_exact_inputs_are_converted_once_per_float_sweep(monkeypatch):
-    # P and Q are converted to floats once, however many float eps the grid
-    # holds, and the laws are those of the converted matrices to the bit.
-    # Converting per eps built 12 matrices on the default grid
-    rng = rng_for("convert-once")
-    p = rand_with_transients(rng, [3, 2, 4], 2)
-    q = rand_partly_shared_q(rng, p.n)
-    pf, qf = p.to_float(), q.to_float()
-    init = RowStochasticMatrix.__init__
-    built = []
-
-    def counted(self, *args, **kwargs):
-        built.append(args[2] if len(args) > 2 else kwargs.get("numeric_mode", "exact"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(RowStochasticMatrix, "__init__", counted)
-    for grid in (DEFAULT_FLOAT_GRID, (F(1, 10), 1e-2, F(1, 1000), 1e-4)):
-        built.clear()
-        laws = _perturbed_laws(p, q, grid)
-        assert built == ["float", "float"], grid
-        floats = [law for eps, law in zip(grid, laws) if isinstance(eps, float)]
-        assert [[x.hex() for x in law.values] for law in floats] == [
-            [x.hex() for x in law.values] for law in _perturbed_laws(pf, qf, [e for e in grid if isinstance(e, float)])]
-    built.clear()
-    first_order_estimate(p, q, (1e-3, 1e-4))
-    assert built == ["float", "float"]
 
 
 def _shared_q_rows_reference(q):
