@@ -244,17 +244,7 @@ def limit_from_root_polynomials(polys):
     return Distribution.of_integers(lead, sum(lead)), total
 
 
-def _is_block_structured(q, part):
-    cells = list(part.closed_classes)
-    for ci in cells:
-        for cj in cells:
-            vals = {q.entry(x, y) for x in ci for y in cj}
-            if len(vals) > 1:
-                return False
-    return True
-
-
-def skeleton_identity_check(p, q, part):
+def skeleton_identity_check(p, q):
     """Adjudicate, per skeleton, the claimed identity between the product
     of reduced-chain weights and the label-averaged product of Q entries.
 
@@ -265,19 +255,20 @@ def skeleton_identity_check(p, q, part):
         rhs = (prod_k |C_k|)^-1 * sum over labelings (x_1..x_m) in
               C_1 x ... x C_m of prod over skeleton edges of Q(x_u, x_v)
 
-    computed literally, and whether they are equal. Requires a transient
-    free partition and block-structured Q; nothing downstream assumes the
+    computed literally, and whether they are equal. Requires P free of
+    transient states and block-structured Q; nothing downstream assumes the
     identity, this is measurement only.
     """
     _require_exact(q)
+    part = p.partition
     if part.transient:
         raise TransientStatesPresent("skeleton adjudication needs a transient-free partition")
-    if not _is_block_structured(q, part):
+    cells = list(part.closed_classes)
+    if any(len({q.entry(x, y) for x in ci for y in cj}) > 1 for ci in cells for cj in cells):
         raise ValueError("Q is not block structured over the closed classes")
     m = part.m
     if m > SKELETON_M_GUARD:
         raise GuardExceeded(f"m = {m} exceeds the skeleton guard {SKELETON_M_GUARD}")
-    cells = list(part.closed_classes)
     sizes = [len(c) for c in cells]
     gamma = [
         [sum((q.entry(x, y) for x in cells[i] for y in cells[j]), Fraction(0)) / sizes[i] for j in range(m)]

@@ -26,7 +26,6 @@ from znrank.errors import (
 from znrank.graph import (
     DANGLING_POLICIES,
     RowStochasticMatrix,
-    classify_states,
     data_lines,
     dump_matrix_json,
     load_matrix_json,
@@ -199,11 +198,11 @@ def parse_personalization(text, p):
     return {i: x for i, x in enumerate(nums) if x}, total
 
 
-def parse_block_q(text, p, part=None):
-    """Block Q over P's closed classes; part is P's partition if known.
-    Each block row becomes integer numerators over one denominator and one
-    row object of Q, shared by the class's members, which the matrix checks."""
-    part = part or classify_states(p)
+def parse_block_q(text, p):
+    """Block Q over P's closed classes. Each block row becomes integer
+    numerators over one denominator and one row object of Q, shared by the
+    class's members, which the matrix checks."""
+    part = p.partition
     if part.transient:
         raise TransientStatesPresent(
             "block perturbations are defined over closed classes only; this chain has transient states"
@@ -243,17 +242,17 @@ def parse_block_q(text, p, part=None):
         raise
 
 
-def load_q(spec, p, part=None):
+def load_q(spec, p):
     """Q matrix from QSPEC: uniform | personalized=FILE | block=FILE |
-    matrix=FILE, in P's numeric mode. part is P's partition when the caller
-    has it. block= and matrix= are checked exactly, then converted."""
+    matrix=FILE, in P's numeric mode. block= and matrix= are checked
+    exactly, then converted."""
     if spec == "uniform":
         return uniform_matrix(p.n, p.states, p.numeric_mode)
     if spec.startswith("personalized="):
         nu, total = parse_personalization(read_text(spec.split("=", 1)[1]), p)
         return RowStochasticMatrix(p.states, (nu,) * p.n, p.numeric_mode, (total,) * p.n)
     if spec.startswith("block="):
-        q = parse_block_q(read_text(spec.split("=", 1)[1]), p, part)
+        q = parse_block_q(read_text(spec.split("=", 1)[1]), p)
     elif spec.startswith("matrix="):
         q = load_matrix_json(read_text(spec.split("=", 1)[1]), p.states)
         if q.n != p.n:
@@ -265,7 +264,7 @@ def load_q(spec, p, part=None):
 
 def cmd_classify(args):
     p = load_p(args)
-    part = classify_states(p)
+    part = p.partition
     obj = {
         "n": p.n,
         "labels": p.states.label_list(),
@@ -290,8 +289,7 @@ def cmd_rank(args):
     from znrank.zero_noise import limit_rank, report_to_json
 
     p = load_p(args)
-    part = classify_states(p)
-    report = limit_rank(p, load_q(args.q, p, part), part, args.mode)
+    report = limit_rank(p, load_q(args.q, p), args.mode)
     if args.format == "json":
         sys.stdout.write(canonical_dumps(report_to_json(report)))
         return 0
@@ -313,15 +311,14 @@ def cmd_sweep(args):
     from znrank.sweep import check_eps_grid, convergence_report, epsilon_sweep, parse_eps_grid
 
     p = load_p(args)
-    part = classify_states(p) if p.numeric_mode == EXACT else None  # the float limit needs no partition
-    q = load_q(args.q, p, part)
+    q = load_q(args.q, p)
     grid = None
     if args.eps:
         try:
             grid = check_eps_grid(parse_eps_grid(args.eps, exact=p.numeric_mode == EXACT))
         except (EpsOutOfRange, ValueError) as exc:
             raise UsageError(f"bad --eps: {exc}") from None
-    result = epsilon_sweep(p, q, grid=grid, part=part)
+    result = epsilon_sweep(p, q, grid=grid)
 
     if args.format == "tsv":
         print("\t".join(["# eps"] + [f"pi{i}" for i in range(p.n)] + ["linf_error"]))
@@ -372,8 +369,7 @@ def cmd_adjudicate(args):
     from znrank.zero_noise import adjudicate
 
     p = load_p(args)
-    part = classify_states(p)
-    report = adjudicate(p, load_q(args.q, p, part), part=part)
+    report = adjudicate(p, load_q(args.q, p))
     if args.format == "pretty":
         print(f"oracle: {report['oracle_mode']}")
         print("node\t" + "\t".join(report["labels"]))

@@ -240,6 +240,12 @@ class RowStochasticMatrix:
                 done[id(row)] = {j: Fraction(x, den) for j, x in row.items()}
         return tuple(done[id(row)] for row in self.num_rows)
 
+    @functools.cached_property
+    def partition(self):
+        """classify_states(self), on first use; to_float() gives a new
+        matrix, which classifies its own float support."""
+        return classify_states(self)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -360,6 +366,12 @@ def _tarjan_sccs(adj, n):
     return sccs
 
 
+def require_one_mode(p, q):
+    """ValueError unless P and Q share one numeric mode; none is converted."""
+    if q.numeric_mode != p.numeric_mode:
+        raise ValueError(f"P is {p.numeric_mode} but Q is {q.numeric_mode}; convert both with to_float()")
+
+
 def require_unichain_union(p, q):
     """Raise NotIrreducible unless the union of the supports of P and Q has
     exactly one closed class. For every eps in (0, 1) that union is the
@@ -408,8 +420,7 @@ def classify_states(p):
 
 
 def is_irreducible(p):
-    part = classify_states(p)
-    return part.m == 1 and not part.transient
+    return p.partition.m == 1 and not p.partition.transient
 
 
 DANGLING_POLICIES = ("self_loop", "uniform_row")

@@ -1,7 +1,7 @@
 """Univariate polynomials in the perturbation size with exact rational
 coefficients, stored as integer numerators nums over one denominator den,
 lowest degree first, in lowest terms, trailing zeros trimmed; the zero
-polynomial has no numerators and den 1. Arithmetic stays in integers, with
+polynomial has no numerators and den 1. Sums and shifts stay in integers, with
 one gcd per result, and coeffs gives the Fractions, built on first use."""
 
 import functools
@@ -55,34 +55,8 @@ class EpsPolynomial:
                 return d
         raise ZeroPolynomial("the zero polynomial has no minimal degree")
 
-    def __call__(self, eps):
-        acc = Fraction(0) if not isinstance(eps, float) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * eps + c
-        return acc
-
     def __add__(self, other):
         return sum_polynomials((self, other))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return EpsPolynomial()
-        out = [0] * (len(self.nums) + len(other.nums) - 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in enumerate(other.nums, i):
-                    out[j] += a * b
-        return EpsPolynomial.of_integers(out, self.den * other.den)
-
-    def scale(self, k):
-        a, b = k.as_integer_ratio()
-        return EpsPolynomial.of_integers([c * a for c in self.nums], self.den * b)
-
-    def derivative(self):
-        return EpsPolynomial.of_integers([d * c for d, c in enumerate(self.nums)][1:], self.den)
 
     def shift_down(self, k):
         """Divide by eps**k; ValueError unless the dropped coefficients are zero."""

@@ -419,19 +419,18 @@ def stationary_direct(p):
     return unichain_law(p)
 
 
-def class_stationary(p, part):
+def class_stationary(p):
     """Stationary law of P restricted to each closed class, embedded into
     the full state space with zeros elsewhere, a float law's zeros all one
-    0.0. Each law is checked, and an exact one put in lowest terms, over
-    the class's members first."""
+    0.0; an exact law is the class's integers x over sum(x), checked and
+    put in lowest terms once."""
     out = []
-    for cls in part.closed_classes:
+    for cls in p.partition.closed_classes:
         x = _law(*_sparse_rows(p, cls))[0]
-        small = Distribution(x, FLOAT) if p.dens is None else Distribution.of_integers(x, sum(x))
-        law = [0 if small.den else 0.0] * p.n
-        for s, v in zip(cls, small.nums):
+        law = [0.0 if p.dens is None else 0] * p.n
+        for s, v in zip(cls, x):
             law[s] = v
-        out.append(Distribution(law, FLOAT) if small.den is None else Distribution.of_integers(law, small.den))
+        out.append(Distribution(law, FLOAT) if p.dens is None else Distribution.of_integers(law, sum(x)))
     return tuple(out)
 
 
@@ -449,16 +448,16 @@ class AbsorptionTable(namedtuple("AbsorptionTable", "transient num_rows dens", d
         return self.rows[self.transient.index(state)]
 
 
-def _absorbing_reduction(p, part):
+def _absorbing_reduction(p):
     """(rows, order) of _eliminate on P with its closed states absorbing:
     it removes the transient states in order, and rows[k][j] / sum(rows[k])
     is the chance that k next meets j among states later in order or closed."""
-    closed = {s for cls in part.closed_classes for s in cls}
+    closed = {s for cls in p.partition.closed_classes for s in cls}
     rows = [{} if s in closed else {j: v for j, v in row.items() if j != s} for s, row in enumerate(p.num_rows)]
     return rows, _eliminate(rows, None if p.dens is None else list(p.dens))[0]
 
 
-def absorption_probabilities(p, part):
+def absorption_probabilities(p):
     """Probability that each transient state is absorbed into each closed
     class, by censoring the transient states onto the closed states, each
     made absorbing: an eliminated row over its sum is the next-state law
@@ -469,13 +468,14 @@ def absorption_probabilities(p, part):
     and the table keeps them so. No command builds the |T| x m table:
     zero_noise pushes Q's mass along the same elimination, and the table
     is the reference it is tested against."""
+    part = p.partition
     m = part.m
     exact = p.numeric_mode == EXACT
     zero, one = (0, 1) if exact else (0.0, 1.0)
     units = [[one if c == k else zero for c in range(m)] for k in range(m)]
     a = {s: units[k] for k, cls in enumerate(part.closed_classes) for s in cls}
     den = dict.fromkeys(a, 1)
-    rows, order = _absorbing_reduction(p, part)
+    rows, order = _absorbing_reduction(p)
     for k in reversed(order):
         row = rows[k]
         pivot = sum(row.values())

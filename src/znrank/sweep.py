@@ -35,7 +35,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from znrank.errors import EpsOutOfRange
-from znrank.graph import RowStochasticMatrix, require_unichain_union
+from znrank.graph import RowStochasticMatrix, require_one_mode, require_unichain_union
 from znrank.rational import EXACT, FLOAT
 from znrank.stationary import Distribution, _law, _lead_law, _mixed_rows, _plan, _replay, linf, unichain_law
 
@@ -49,8 +49,7 @@ def _mixing_eps(p, q, grid):
     floats."""
     if q.n != p.n:
         raise ValueError("P and Q must share a state space")
-    if q.numeric_mode != p.numeric_mode:
-        raise ValueError(f"P is {p.numeric_mode} but Q is {q.numeric_mode}; convert both with to_float()")
+    require_one_mode(p, q)
     exact = p.numeric_mode == EXACT
     for eps in grid:
         if not 0 < eps <= 1:
@@ -181,19 +180,18 @@ def _difference_quotient(eps_pair, laws):
     return tuple((float(a) - float(b)) / gap for a, b in zip(x.values, y.values))
 
 
-def epsilon_sweep(p, q, grid=None, part=None):
+def epsilon_sweep(p, q, grid=None):
     """Stationary laws along a strictly decreasing grid of mixing weights,
     with per-eps L-inf distance to the predicted limit, P and Q in one
-    numeric mode. Exact P and Q take limit_rank's limit (part is P's
-    partition when the caller has it); float ones take the limit from the
-    plan of the laws themselves (_perturbed_laws with limit set), which
-    needs no partition, class laws or reduced chain."""
+    numeric mode. Exact P and Q take limit_rank's limit; float ones take
+    the limit from the plan of the laws themselves (_perturbed_laws with
+    limit set), which needs no partition, class laws or reduced chain."""
     exact = p.numeric_mode == EXACT
     grid = check_eps_grid((DEFAULT_EXACT_GRID if exact else DEFAULT_FLOAT_GRID) if grid is None else grid)
     if exact:
         from znrank.zero_noise import limit_rank
 
-        predicted = limit_rank(p, q, part).node_limit
+        predicted = limit_rank(p, q).node_limit
         table = _perturbed_laws(p, q, grid)
         ref, e = predicted.nums, predicted.den  # max |a / d - b / e| per eps, one Fraction per number
         errors = [Fraction(max([abs(a * e - b * pi.den) for a, b in zip(pi.nums, ref)]), pi.den * e) for pi in table]

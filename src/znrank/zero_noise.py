@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from znrank.errors import GammaReducible, NotIrreducible, TransientStatesPresent
-from znrank.graph import RowStochasticMatrix, StateSpace, classify_states, require_unichain_union
+from znrank.graph import RowStochasticMatrix, StateSpace, require_one_mode, require_unichain_union
 from znrank.rational import EXACT, FLOAT, number_to_json, ratios_to_json
 from znrank.stationary import (
     Distribution,
@@ -46,16 +46,16 @@ LimitReport = namedtuple("LimitReport",
                          "partition per_class_stationary gamma_chain class_masses node_limit mode labels")
 
 
-def _gamma_chain_from_rows(rows, dens, part, numeric_mode):
+def _gamma_chain_from_rows(rows, dens, numeric_mode):
     """Gamma with the given rows over dens, and its law: mu itself, with no
     solve, when every row is one object mu (Gamma = 1 mu^T), else the GTH law."""
-    states = StateSpace(part.m, tuple(f"C{k + 1}" for k in range(part.m)))
+    states = StateSpace(len(rows), tuple(f"C{k + 1}" for k in range(len(rows))))
     try:
         gamma = RowStochasticMatrix(states, tuple(rows), numeric_mode, dens)
     except ValueError as exc:
         raise GammaReducible(f"reduced chain is not stochastic: {exc}") from None
     if all(row is rows[0] for row in rows):
-        mu = [gamma.num_rows[0].get(j, 0) for j in range(part.m)]
+        mu = [gamma.num_rows[0].get(j, 0) for j in range(gamma.n)]
         law = Distribution(mu, FLOAT) if dens is None else Distribution.of_integers(mu, gamma.dens[0])
         return GammaChain(gamma, law)
     try:
@@ -71,17 +71,18 @@ def _gamma_chain_from_rows(rows, dens, part, numeric_mode):
 
 
 def _routed_rows(p, part, sources, of_class, exact):
-    """(rows, dens) of Gamma for _gamma_chain_from_rows. sources maps a key
-    to (row, den): a dict row of integer numerators over den, or of floats
-    with den 1. Row i is the class masses of sources[of_class[i]], one row
-    object per source: its mass on each closed class, plus the mass it puts
-    on transient states, which goes on into the classes that absorb it. As
-    the absorbing elimination of P removes k, the mass that reached k goes
-    on over k's row to states removed later or closed: one pass per source
-    over one elimination, built only if a source reaches a transient state.
-    Exact masses over one den are added as integers, others with a gcd each
-    (their lcm had 32849 bits, mu's den 1318, on a 5000-page web graph);
-    dens is None in float mode."""
+    """(rows, dens) of Gamma for _gamma_chain_from_rows over part, P's
+    partition; p is None only if no source reaches a transient state. sources
+    maps a key to (row, den): a dict row of integer numerators over den, or of
+    floats with den 1. Row i is the class masses of sources[of_class[i]], one
+    row object per source: its mass on each closed class, plus the mass it puts
+    on transient states, which goes on into the classes that absorb it. As the
+    absorbing elimination of P removes k, the mass that reached k goes on over
+    k's row to states removed later or closed: one pass per source over one
+    elimination, built only if a source reaches a transient state. Exact masses
+    over one den are added as integers, others with a gcd each (their lcm had
+    32849 bits, mu's den 1318, on a 5000-page web graph); dens is None in float
+    mode."""
 
     def total(terms):  # (num, den) of the sum of the masses num / den in terms
         if not exact:
@@ -102,7 +103,7 @@ def _routed_rows(p, part, sources, of_class, exact):
     for s, (row, den) in sources.items():
         inflow = {y: [(v, den)] for y, v in row.items()}  # state -> the masses that reach it
         if not inflow.keys().isdisjoint(part.transient):
-            rows, order = reduction = reduction or _absorbing_reduction(p, part)
+            rows, order = reduction = reduction or _absorbing_reduction(p)
             for k in order:
                 if k in inflow:
                     a, e = total(inflow.pop(k))
@@ -115,13 +116,13 @@ def _routed_rows(p, part, sources, of_class, exact):
     return [routed[s][0] for s in of_class], [routed[s][1] for s in of_class] if exact else None
 
 
-def build_gamma(p, q, part):
+def build_gamma(p, q):
     """Reduced chain: Gamma(i, j) is the Q mass from class i into class j,
     averaged over the members of class i with the class stationary law of P.
-    Requires a transient-free partition."""
-    if part.transient:
+    Requires a transient-free P."""
+    if p.partition.transient:
         raise TransientStatesPresent("the plain reduction needs a transient-free chain")
-    return extended_gamma(p, q, part)
+    return extended_gamma(p, q)
 
 
 def personalization_gamma(nu, part):
@@ -132,10 +133,10 @@ def personalization_gamma(nu, part):
         raise TransientStatesPresent("personalization reduction needs a transient-free chain")
     sources = {0: ({x: v for x, v in enumerate(nu.nums) if v}, nu.den or 1)}
     rows = _routed_rows(None, part, sources, [0] * part.m, nu.numeric_mode == EXACT)
-    return _gamma_chain_from_rows(*rows, part, nu.numeric_mode)
+    return _gamma_chain_from_rows(*rows, nu.numeric_mode)
 
 
-def extended_gamma(p, q, part, class_laws=None):
+def extended_gamma(p, q, class_laws=None):
     """Reduced chain with transient states folded in: row i is the routed
     class mass of r_i = sum over x in C_i of pi_i(x) Q(x, .), whose mass
     on a transient state t continues into class j with the absorption
@@ -146,14 +147,13 @@ def extended_gamma(p, q, part, class_laws=None):
     once by their summed law numerators; a class whose members all hold one
     row object routes that row as it is, and when every class routes one
     row, Gamma = 1 mu^T is not solved. class_laws defaults to
-    class_stationary(p, part), computed only if some class needs it. If
-    Gamma is refused, a union support of P and Q with several closed
-    classes is reported first. P and Q must share one numeric mode."""
-    if q.numeric_mode != p.numeric_mode:
-        raise ValueError(f"P is {p.numeric_mode} but Q is {q.numeric_mode}; convert both with to_float()")
+    class_stationary(p), computed only if some class needs it. If Gamma
+    is refused, a union support of P and Q with several closed classes is
+    reported first. P and Q must share one numeric mode."""
+    require_one_mode(p, q)
     q_dens = q.dens or (1,) * q.n
     sources, of_class = {}, []  # key -> (row, den) to route; the key of each class's source
-    for k, ck in enumerate(part.closed_classes):
+    for k, ck in enumerate(p.partition.closed_classes):
         row = q.num_rows[ck[0]]
         if all(q.num_rows[x] is row for x in ck):  # the class routes its one Q row as it is
             key, source = id(row), (row, q_dens[ck[0]])
@@ -161,7 +161,7 @@ def extended_gamma(p, q, part, class_laws=None):
             groups = {}  # id of a Q row -> the members that hold it
             for x in ck:
                 groups.setdefault(id(q.num_rows[x]), []).append(x)
-            class_laws = class_laws or class_stationary(p, part)
+            class_laws = class_laws or class_stationary(p)
             law = class_laws[k]
             weights = [(sum([law.nums[x] for x in xs]), xs[0]) for xs in groups.values()]
             lcm = math.lcm(*[q_dens[x] for _, x in weights])
@@ -174,14 +174,14 @@ def extended_gamma(p, q, part, class_laws=None):
         sources[key] = source
         of_class.append(key)
     try:
-        return _gamma_chain_from_rows(*_routed_rows(p, part, sources, of_class, p.numeric_mode == EXACT),
-                                      part, p.numeric_mode)
+        return _gamma_chain_from_rows(*_routed_rows(p, p.partition, sources, of_class, p.numeric_mode == EXACT),
+                                      p.numeric_mode)
     except GammaReducible:
         require_unichain_union(p, q)
         raise
 
 
-def limit_rank(p, q, part=None, mode="auto"):
+def limit_rank(p, q, mode="auto"):
     """Limit of the stationary law of (1-eps) P + eps Q as eps vanishes:
     per-class stationary laws weighted by the class masses of mode.
       theorem3  the reduced-chain stationary law; P must be transient-free;
@@ -190,9 +190,13 @@ def limit_rank(p, q, part=None, mode="auto"):
                 states (a stochastic complement) does;
       theorem2  uniform masses 1/m, a prediction that ignores q;
       auto      extended if P has transient states, else theorem3.
-    Mixed exact/float inputs are refused (ValueError). part defaults to
-    classify_states(p); a caller that has classified P passes it."""
-    part = part or classify_states(p)
+    An unknown mode, or an exact/float mix of P and Q in any mode but
+    theorem2, is refused (ValueError) before any class law is solved."""
+    if mode not in ("auto", "theorem3", "extended", "theorem2"):
+        raise ValueError(f"unknown limit mode {mode!r}")
+    if mode != "theorem2":
+        require_one_mode(p, q)
+    part = p.partition
     if mode == "auto":
         mode = "extended" if part.transient else "theorem3"
     if mode == "theorem3" and part.transient:
@@ -200,13 +204,13 @@ def limit_rank(p, q, part=None, mode="auto"):
             "P has transient states; use the extended reduction (--mode extended)"
         )
     exact = p.numeric_mode == EXACT
-    per_class = class_stationary(p, part)
+    per_class = class_stationary(p)
     if mode == "theorem2":
         chain = None
         m = part.m
         masses = Distribution.of_integers((1,) * m, m) if exact else Distribution([1.0 / m] * m, FLOAT)
     else:
-        chain = extended_gamma(p, q, part, class_laws=per_class)
+        chain = extended_gamma(p, q, class_laws=per_class)
         masses = chain.pi_gamma
     lcm = math.lcm(*[law.den for law in per_class]) if exact else None
     node = [0] * p.n
@@ -249,20 +253,19 @@ def report_to_json(report):
     }
 
 
-def adjudicate(p, q, part=None):
+def adjudicate(p, q):
     """Compare the uniform prediction and the class-chain limit against an
     independent oracle: on exact inputs of up to SYMBOLIC_N_GUARD states the
     exact limit of the root polynomials ("exact-polynomial"), otherwise the
     float limit of the perturbed chain's leading terms ("leading-order",
     sweep._perturbed_laws), with the float rounding floor as tolerance.
     Returns a JSON-able report; methods that deviate from the oracle beyond
-    tolerance are flagged discrepant. part defaults to classify_states(p)."""
+    tolerance are flagged discrepant."""
     from znrank.arborescence import SYMBOLIC_N_GUARD, exact_limit_from_polynomials
     from znrank.sweep import _perturbed_laws, rounding_floor
 
-    part = part or classify_states(p)
-    limit = limit_rank(p, q, part)
-    methods = {"theorem2": limit_rank(p, None, part, "theorem2"), limit.mode: limit}
+    limit = limit_rank(p, q)
+    methods = {"theorem2": limit_rank(p, None, "theorem2"), limit.mode: limit}
     if p.numeric_mode == EXACT and p.n <= SYMBOLIC_N_GUARD:
         oracle_mode, oracle_vals = "exact-polynomial", exact_limit_from_polynomials(p, q).values
     else:

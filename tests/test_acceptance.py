@@ -191,7 +191,7 @@ def test_criterion_07_extended_reduction_validation():
             assert linf(pred, extrapolate_limit(p, q)) <= EXTRAPOLATION_TOL
         # fixed fixture, exact to leading order
         p, q = TRANSIENT_P, uniform_matrix(3)
-        assert absorption_probabilities(p, classify_states(p)).row_for(2) == (F(2, 3), F(1, 3))
+        assert absorption_probabilities(p).row_for(2) == (F(2, 3), F(1, 3))
         ext = limit_rank(p, q, mode="extended")
         assert ext.class_masses.values == (F(5, 9), F(4, 9))
         assert exact_limit_from_polynomials(p, q).values == (F(5, 9), F(4, 9), F(0))
@@ -259,9 +259,8 @@ def _leaf_schema_ok(report):
 
 def test_criterion_10_adjudication_reports_deterministic():
     with criterion(10, "identity-check reports are deterministic and well formed"):
-        part = classify_states(WORKED_P)
-        a = skeleton_identity_check(WORKED_P, uniform_matrix(3), part)
-        b = skeleton_identity_check(WORKED_P, uniform_matrix(3), part)
+        a = skeleton_identity_check(WORKED_P, uniform_matrix(3))
+        b = skeleton_identity_check(WORKED_P, uniform_matrix(3))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         _skeleton_schema_ok(a)
         w = (F(1), F(2), F(3))

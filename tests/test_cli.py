@@ -688,9 +688,7 @@ def test_oracle_with_q_ten_states_matches_rank(tmp_path, capsys):
 
 
 def test_rank_classifies_at_most_three_times(tmp_path, capsys, monkeypatch):
-    import znrank.cli
     import znrank.graph
-    import znrank.zero_noise
 
     calls = []
     original = znrank.graph.classify_states
@@ -699,14 +697,13 @@ def test_rank_classifies_at_most_three_times(tmp_path, capsys, monkeypatch):
         calls.append(p.n)
         return original(p)
 
-    for mod in (znrank.cli, znrank.graph, znrank.zero_noise):
-        monkeypatch.setattr(mod, "classify_states", counted)
+    monkeypatch.setattr(znrank.graph, "classify_states", counted)  # where RowStochasticMatrix.partition looks
     g = wpath(tmp_path, "g.txt", "a b\nb a\nc d\nd c\nd e\ne c\nf f\n")
     code, out, _ = run(capsys, "rank", "--graph", g, "--q", "uniform")
     assert code == 0
     assert json.loads(out)["class_masses"] == ["1/3", "1/2", "1/6"]
     assert len(calls) <= 3
-    assert calls.count(6) == 1  # the 6-state P once; its partition is passed down
+    assert calls.count(6) == 1  # the 6-state P once; p.partition keeps it
 
 
 @pytest.mark.parametrize("argv", [
@@ -715,11 +712,11 @@ def test_rank_classifies_at_most_three_times(tmp_path, capsys, monkeypatch):
     ("adjudicate", "--q", "uniform"),
     ("adjudicate", "--q", "block={b}"),
     ("sweep", "--format", "json", "--q", "block={b}"),
+    ("classify",),
+    ("sweep", "--numeric", "exact", "--format", "json", "--q", "uniform"),
 ])
 def test_commands_classify_p_once(tmp_path, capsys, monkeypatch, argv):
-    import znrank.cli
     import znrank.graph
-    import znrank.zero_noise
 
     calls = []
     original = znrank.graph.classify_states
@@ -728,20 +725,18 @@ def test_commands_classify_p_once(tmp_path, capsys, monkeypatch, argv):
         calls.append(p.n)
         return original(p)
 
-    for mod in (znrank.cli, znrank.graph, znrank.zero_noise):  # sweep classifies through zero_noise
-        monkeypatch.setattr(mod, "classify_states", counted)
+    monkeypatch.setattr(znrank.graph, "classify_states", counted)  # where RowStochasticMatrix.partition looks
     g = wpath(tmp_path, "g.txt", "a b\nb a\nc d\nd c\nd e\ne c\nf f\n")
     b = wpath(tmp_path, "b.txt", "3\n1/6 1/6 1/6\n1/6 1/6 1/6\n1/6 1/6 1/6\n")
     code, out, _ = run(capsys, argv[0], "--graph", g, *(a.format(b=b) for a in argv[1:]))
     assert code == 0 and json.loads(out)
-    assert calls.count(6) == 1  # the 6-state P once; its partition is passed down
+    assert calls.count(6) == 1  # the 6-state P once; p.partition keeps it
 
 
 @pytest.mark.parametrize("spec", ["uniform", "personalized={nu}"])
 def test_float_sweep_reads_its_limit_off_its_plan(tmp_path, capsys, monkeypatch, spec):
     # one plan of the hub chain gives the laws and the predicted limit: no
     # partition of P, class laws or reduced chain
-    import znrank.cli
     import znrank.graph
     import znrank.stationary
     import znrank.sweep
@@ -758,8 +753,8 @@ def test_float_sweep_reads_its_limit_off_its_plan(tmp_path, capsys, monkeypatch,
         raise AssertionError("a float sweep needs no partition, class law or limit_rank")
 
     monkeypatch.setattr(znrank.sweep, "_plan", plan_spy)
-    for mod, names in ((znrank.cli, ("classify_states",)), (znrank.graph, ("classify_states",)),
-                       (znrank.zero_noise, ("classify_states", "class_stationary", "limit_rank")),
+    for mod, names in ((znrank.graph, ("classify_states",)),
+                       (znrank.zero_noise, ("class_stationary", "limit_rank")),
                        (znrank.stationary, ("class_stationary",))):
         for name in names:
             monkeypatch.setattr(mod, name, refused)

@@ -30,25 +30,6 @@ def test_arithmetic():
     a = EpsPolynomial((1, 2))
     b = EpsPolynomial((0, -2, 3))
     assert (a + b).coeffs == (F(1), F(0), F(3))
-    assert (a - a).is_zero()
-    assert (a * b).coeffs == (F(0), F(-2), F(-1), F(6))
-    assert a.scale(F(1, 2)).coeffs == (F(1, 2), F(1))
-    assert (a * EpsPolynomial()).is_zero()
-
-
-def test_evaluation_is_mode_aware():
-    p = EpsPolynomial((F(1, 2), F(1, 3)))
-    v = p(F(1, 10))
-    assert isinstance(v, Fraction) and v == F(1, 2) + F(1, 30)
-    x = p(0.1)
-    assert isinstance(x, float) and abs(x - float(v)) < 1e-15
-
-
-def test_derivative_and_shift():
-    p = EpsPolynomial((5, 1, F(3, 2)))
-    assert p.derivative().coeffs == (F(1), F(3))
-    q = EpsPolynomial((0, 0, 4, 7))
-    assert q.shift_down(2).coeffs == (F(4), F(7))
 
 
 def test_coefficient_out_of_range_is_zero():
@@ -74,6 +55,7 @@ def test_shift_down_refuses_a_nonzero_dropped_coefficient():
     # a ValueError, not an assert, so it holds under python -O too
     p = EpsPolynomial((0, 1, 2))
     assert p.shift_down(1) == EpsPolynomial((1, 2))
+    assert EpsPolynomial((0, 0, 4, 7)).shift_down(2).coeffs == (F(4), F(7))
     assert EpsPolynomial().shift_down(3).is_zero()
     with pytest.raises(ValueError):
         p.shift_down(2)
@@ -109,14 +91,6 @@ def _trimmed(cs):
     return tuple(cs)
 
 
-def _ref_mul(a, b):
-    out = [F(0)] * max(0, len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _check(p, ref):
     """p's integer form is canonical and equals the Fraction reference."""
     ref = _trimmed(ref)
@@ -150,12 +124,6 @@ def test_integer_form_matches_fraction_reference_random():
         assert same == a and hash(same) == hash(a) and same == EpsPolynomial(_trimmed(ra))
         assert (a == b) == (_trimmed(ra) == _trimmed(rb))
         _check(a + b, [x + y for x, y in itertools.zip_longest(ra, rb, fillvalue=F(0))])
-        _check(a - b, [x - y for x, y in itertools.zip_longest(ra, rb, fillvalue=F(0))])
-        _check(a * b, _ref_mul(ra, rb))
-        s = _rand_coeff(rng)
-        _check(a.scale(s), [c * s for c in ra])
-        _check(a.scale(int(s)), [c * int(s) for c in ra])
-        _check(a.derivative(), [d * c for d, c in enumerate(ra)][1:])
         shift = rng.randint(0, 3)
         c = EpsPolynomial([0] * shift + ra)
         _check(c, [F(0)] * shift + ra)

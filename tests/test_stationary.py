@@ -166,8 +166,7 @@ def test_float_law_entrywise_accurate_at_tiny_eps():
 
 def test_class_stationary_embeds():
     p = RowStochasticMatrix(StateSpace(3), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
-    part = classify_states(p)
-    per = class_stationary(p, part)
+    per = class_stationary(p)
     assert per[0].values == (F(1, 2), F(1, 2), F(0))
     assert per[1].values == (F(0), F(0), F(1))
 
@@ -177,7 +176,7 @@ def test_float_class_laws_share_one_zero():
     # 0.0 per zero made m x n floats, 6.3 million on a 5000-page web graph
     p = rand_with_transients(rng_for("shared-float-zero"), [3, 2, 4], 3).to_float()
     part = classify_states(p)
-    for cls, law in zip(part.closed_classes, class_stationary(p, part)):
+    for cls, law in zip(part.closed_classes, class_stationary(p)):
         zeros = [x for s, x in enumerate(law.nums) if s not in cls]
         assert zeros and all(x == 0.0 and type(x) is float for x in zeros)
         assert len({id(x) for x in zeros}) == 1
@@ -185,7 +184,7 @@ def test_float_class_laws_share_one_zero():
 
 def test_absorption_fixture_two_thirds():
     p = RowStochasticMatrix(StateSpace(3), ((1, 0, 0), (0, 1, 0), (F(2, 3), F(1, 3), 0)))
-    table = absorption_probabilities(p, classify_states(p))
+    table = absorption_probabilities(p)
     assert table.transient == (2,)
     assert table.row_for(2) == (F(2, 3), F(1, 3))
     assert table.rows is table.rows  # built once
@@ -202,7 +201,7 @@ def test_absorption_fixture_chained_transients():
         StateSpace(4),
         ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (F(1, 4), F(1, 4), F(1, 2), 0)),
     )
-    table = absorption_probabilities(p, classify_states(p))
+    table = absorption_probabilities(p)
     assert table.rows == ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
 
 
@@ -212,8 +211,7 @@ def test_absorption_rows_sum_to_one_random():
     rng = rng_for("absorb-sum")
     for _ in range(15):
         p = rand_with_transients(rng, [rng.randint(1, 3), rng.randint(1, 3)], rng.randint(1, 3))
-        part = classify_states(p)
-        table = absorption_probabilities(p, part)
+        table = absorption_probabilities(p)
         for row in table.rows:
             assert sum(row) == 1
 
@@ -246,7 +244,7 @@ def test_absorption_matches_per_entry_arithmetic_random():
         p = rand_mixed_chain(rng, sizes, t) if i % 2 else rand_with_transients(rng, sizes, t)
         for m in (p, p.to_float()):
             part = classify_states(m)
-            table = absorption_probabilities(m, part)
+            table = absorption_probabilities(m)
             assert table.rows == _absorption_per_entry(m, part)
             assert all(type(x) is (F if m is p else float) for row in table.rows for x in row)
 
@@ -256,7 +254,7 @@ def test_absorption_builds_one_fraction_per_entry(monkeypatch):
     # arithmetic builds over 100
     p = rand_mixed_chain(rng_for("absorb-budget"), [3, 2, 2], 6)
     part = classify_states(p)
-    table, made = fractions_built(monkeypatch, absorption_probabilities, p, part)
+    table, made = fractions_built(monkeypatch, absorption_probabilities, p)
     assert len(part.transient) == 6 and part.m == 3
     assert made <= 6 * 3
     assert all(sum(row) == 1 for row in table.rows)
@@ -264,7 +262,7 @@ def test_absorption_builds_one_fraction_per_entry(monkeypatch):
 
 def test_absorption_empty_when_no_transients():
     p = RowStochasticMatrix(StateSpace(2), ((0, 1), (1, 0)))
-    table = absorption_probabilities(p, classify_states(p))
+    table = absorption_probabilities(p)
     assert table.transient == () and table.rows == ()
 
 
@@ -286,7 +284,7 @@ def test_class_laws_equal_tree_theorem():
         chains.append(rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes))
     for p in chains:
         part = classify_states(p)
-        for cls, law in zip(part.closed_classes, class_stationary(p, part)):
+        for cls, law in zip(part.closed_classes, class_stationary(p)):
             assert tuple(law[s] for s in cls) == mctt_stationary(_restriction(p, cls)).values
             assert all(law[s] == 0 for s in range(p.n) if s not in cls)
 
@@ -310,7 +308,7 @@ def test_class_laws_equal_of_integers_of_their_embedded_integers():
         t = rng.randint(0, 3)
         p = rand_mixed_chain(rng, sizes, t) if rng.random() < 0.5 else rand_with_transients(rng, sizes, t)
         part = classify_states(p)
-        for cls, law in zip(part.closed_classes, class_stationary(p, part)):
+        for cls, law in zip(part.closed_classes, class_stationary(p)):
             dense = [0] * p.n
             for s, x in zip(cls, _law(*_sparse_rows(p, cls))[0]):
                 dense[s] = x
@@ -344,10 +342,10 @@ def test_absorption_solves_its_system_exactly():
         tr = part.transient
         if not tr:
             continue
-        table = absorption_probabilities(p, part)
+        table = absorption_probabilities(p)
         _assert_absorption_system(p, part, table)
         pf = p.to_float()
-        floats = absorption_probabilities(pf, classify_states(pf))
+        floats = absorption_probabilities(pf)
         assert max(abs(a - float(b)) for fr, er in zip(floats.rows, table.rows) for a, b in zip(fr, er)) <= 1e-12
         checked += 1
 
@@ -365,7 +363,7 @@ def test_exact_laws_are_stationary_with_mixed_row_denominators():
         p = rand_mixed_chain(rng, sizes, t)
         part = classify_states(p)
         assert [len(c) for c in part.closed_classes] == sizes
-        for cls, law in zip(part.closed_classes, class_stationary(p, part)):
+        for cls, law in zip(part.closed_classes, class_stationary(p)):
             assert_stationary(p, law.values)
             assert all(law[s] > 0 for s in cls)
         one_class = rand_mixed_chain(rng, [n - t], t)
@@ -373,14 +371,13 @@ def test_exact_laws_are_stationary_with_mixed_row_denominators():
         assert_stationary(one_class, law.values)
         assert all(x == 0 for x in law.values[n - t:])
         if t:
-            _assert_absorption_system(p, part, absorption_probabilities(p, part))
+            _assert_absorption_system(p, part, absorption_probabilities(p))
 
 
 def test_exact_class_law_does_at_most_n_fraction_operations(monkeypatch):
     # the elimination runs on integers; Fractions only carry the final law
     rng = rng_for("fraction-count")
     p = rand_mixed_chain(rng, [24], 0)
-    part = classify_states(p)
     ops = []
     for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
         def counted(a, b, _op=getattr(Fraction, name)):
@@ -388,7 +385,7 @@ def test_exact_class_law_does_at_most_n_fraction_operations(monkeypatch):
             return _op(a, b)
 
         monkeypatch.setattr(Fraction, name, counted)
-    (law,) = class_stationary(p, part)
+    (law,) = class_stationary(p)
     monkeypatch.undo()
     assert len(ops) <= 24
     assert_stationary(p, law.values)

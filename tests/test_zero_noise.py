@@ -54,7 +54,7 @@ def cycle_plus_absorber():
 
 def test_build_gamma_uniform_sizes():
     p = cycle_plus_absorber()
-    chain = build_gamma(p, uniform_matrix(3), classify_states(p))
+    chain = build_gamma(p, uniform_matrix(3))
     assert (chain.gamma.row(0), chain.gamma.row(1)) == ((F(2, 3), F(1, 3)), (F(2, 3), F(1, 3)))
     assert chain.pi_gamma.values == (F(2, 3), F(1, 3))
 
@@ -70,7 +70,7 @@ def test_build_gamma_block_fixture():
             (F(1, 2), F(1, 2), 0),
         ),
     )
-    chain = build_gamma(p, q, classify_states(p))
+    chain = build_gamma(p, q)
     assert (chain.gamma.row(0), chain.gamma.row(1)) == ((F(2, 3), F(1, 3)), (F(1), F(0)))
     assert chain.pi_gamma.values == (F(3, 4), F(1, 4))
     report = limit_rank(p, q, mode="theorem3")
@@ -82,19 +82,19 @@ def test_build_gamma_rejects_transients_and_reducible():
         StateSpace(3), ((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 4), F(1, 4)))
     )
     with pytest.raises(TransientStatesPresent):
-        build_gamma(p, uniform_matrix(3), classify_states(p))
+        build_gamma(p, uniform_matrix(3))
     # identity perturbation never moves mass between classes: the union
     # support of P and Q has two closed classes, and no route has a limit
     p2 = RowStochasticMatrix(StateSpace(2), ((1, 0), (0, 1)))
     q2 = RowStochasticMatrix(StateSpace(2), ((1, 0), (0, 1)))
     with pytest.raises(NotIrreducible, match="^the union support of P and Q has more than one closed class$"):
-        build_gamma(p2, q2, classify_states(p2))
+        build_gamma(p2, q2)
     # Q leaves each class only through a transient state that P sends back:
     # the union is one closed class, and the oracle has the limit
     p4 = RowStochasticMatrix(StateSpace(4), ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)))
     q4 = RowStochasticMatrix(StateSpace(4), ((0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0)))
     with pytest.raises(GammaReducible, match="more than one closed class") as refused:
-        extended_gamma(p4, q4, classify_states(p4))
+        extended_gamma(p4, q4)
     assert "oracle --q" in str(refused.value) and "adjudicate" not in str(refused.value)
 
 
@@ -104,6 +104,29 @@ def test_limit_rank_general_rejects_transients():
     )
     with pytest.raises(TransientStatesPresent):
         limit_rank(p, uniform_matrix(3), mode="theorem3")
+
+
+def test_limit_rank_refuses_an_unknown_mode():
+    # a call limit_rank(p, q, part) from before P carried its partition puts it in mode
+    p = cycle_plus_absorber()
+    for mode in ("bogus", classify_states(p)):
+        with pytest.raises(ValueError, match="unknown limit mode"):
+            limit_rank(p, uniform_matrix(3), mode)
+
+
+def test_limit_rank_refuses_a_mixed_pair_before_any_class_law(monkeypatch):
+    import znrank.zero_noise
+
+    calls = []
+    monkeypatch.setattr(znrank.zero_noise, "class_stationary", lambda p: calls.append(p))
+    p, q = cycle_plus_absorber(), uniform_matrix(3)
+    for pm, qm in ((p, q.to_float()), (p.to_float(), q)):
+        for mode in ("auto", "theorem3", "extended"):
+            with pytest.raises(ValueError, match=f"P is {pm.numeric_mode} but Q is {qm.numeric_mode}"):
+                limit_rank(pm, qm, mode=mode)
+    assert calls == []
+    monkeypatch.undo()
+    assert limit_rank(p, q.to_float(), mode="theorem2").node_limit == limit_rank(p, None, mode="theorem2").node_limit
 
 
 def test_personalization_gamma():
@@ -138,8 +161,8 @@ def test_extended_gamma_fixture():
     assert report == limit_rank(p, q, mode="extended")
     # transient-free chains reduce to the plain construction
     p0 = cycle_plus_absorber()
-    plain = build_gamma(p0, uniform_matrix(3), classify_states(p0))
-    ext = extended_gamma(p0, uniform_matrix(3), classify_states(p0))
+    plain = build_gamma(p0, uniform_matrix(3))
+    ext = extended_gamma(p0, uniform_matrix(3))
     assert ext.gamma.rows == plain.gamma.rows
 
 
@@ -286,8 +309,8 @@ def test_general_q_matches_oracle_random():
         except GammaReducible:
             # only a reduced chain with several closed classes is refused
             part = classify_states(p)
-            absorb = absorption_probabilities(p, part) if with_transients else None
-            rows = _per_state_reduced_rows(q, part, class_stationary(p, part), absorb)
+            absorb = absorption_probabilities(p) if with_transients else None
+            rows = _per_state_reduced_rows(q, part, class_stationary(p), absorb)
             assert classify_states(RowStochasticMatrix(StateSpace(part.m), tuple(map(tuple, rows)))).m >= 2
             refused += 1
             continue
@@ -321,10 +344,10 @@ def _per_state_reduced_rows(q, part, laws, absorb):
     return rows
 
 
-def _gamma_rows(p, q, part):
+def _gamma_rows(p, q):
     """extended_gamma's rows of Gamma, dense."""
-    gamma = extended_gamma(p, q, part).gamma
-    return [list(gamma.row(i)) for i in range(part.m)]
+    gamma = extended_gamma(p, q).gamma
+    return [list(gamma.row(i)) for i in range(gamma.n)]
 
 
 def test_reduced_rows_equal_the_per_state_sum():
@@ -342,11 +365,11 @@ def test_reduced_rows_equal_the_per_state_sum():
         p = rand_with_transients(rng, sizes, t) if t else rand_reducible_no_transient(rng, sizes)
         q = rand_q(rng, kind, p, sizes)
         part = classify_states(p)
-        absorb = absorption_probabilities(p, part) if part.transient else None
-        want = _per_state_reduced_rows(q, part, class_stationary(p, part), absorb)
-        rows = _gamma_rows(p, q, part)
+        absorb = absorption_probabilities(p) if part.transient else None
+        want = _per_state_reduced_rows(q, part, class_stationary(p), absorb)
+        rows = _gamma_rows(p, q)
         assert rows == want, kind
-        floats = _gamma_rows(p.to_float(), q.to_float(), part)
+        floats = _gamma_rows(p.to_float(), q.to_float())
         assert all(abs(a - b) <= rounding_floor(p.n) for r, w in zip(floats, want) for a, b in zip(r, w)), kind
         seen.add((kind, bool(part.transient)))
     assert len(seen) == 9
@@ -404,10 +427,10 @@ def test_reduced_rows_float_keeps_its_bits():
         if heavy:
             p, q = _heavy(rng, p), _heavy(rng, q)
         part = classify_states(p)
-        absorb = absorption_probabilities(p, part) if part.transient else None
-        rows = _gamma_rows(p, q, part)
-        assert rows == _grouped_reduced_rows(q, part, class_stationary(p, part), absorb), kind
-        floats = _gamma_rows(p.to_float(), q.to_float(), part)
+        absorb = absorption_probabilities(p) if part.transient else None
+        rows = _gamma_rows(p, q)
+        assert rows == _grouped_reduced_rows(q, part, class_stationary(p), absorb), kind
+        floats = _gamma_rows(p.to_float(), q.to_float())
         assert all(abs(a - b) <= rounding_floor(p.n) for r, w in zip(floats, rows) for a, b in zip(r, w)), kind
         seen.add((kind, bool(part.transient), heavy))
     assert len(seen) == 18, sorted(seen)
@@ -464,10 +487,10 @@ def test_one_row_gamma_equals_the_general_route():
         kind = kinds[trial // 10 % len(kinds)]
         q = _one_row_q(rng, kind, p, part)
         for pm, qm in ((p, q), (p.to_float(), q.to_float())):
-            chain = extended_gamma(pm, qm, part)
+            chain = extended_gamma(pm, qm)
             assert len({id(row) for row in chain.gamma.num_rows}) == 1
             separate = RowStochasticMatrix(qm.states, tuple(dict(row) for row in qm.num_rows), qm.numeric_mode, qm.dens)
-            want = extended_gamma(pm, separate, part)
+            want = extended_gamma(pm, separate)
             if pm.numeric_mode == "exact":
                 assert chain == want, (kind, trial)
             else:
