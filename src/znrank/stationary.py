@@ -4,9 +4,10 @@ from one sparse GTH state reduction in Markowitz order (`_eliminate`), in
 exact and float arithmetic alike. The reduced chain, `root_weights` and the
 polynomial oracle run on it too. Exact rows are integer numerators over one
 denominator per row, the form an exact RowStochasticMatrix stores, so the
-reduction reads a matrix without a Fraction and does integer arithmetic
-with one gcd per updated row; an exact law (Distribution) keeps the
-back-substituted integers over their sum, and builds no Fraction.
+reduction reads a matrix without a Fraction and does integer arithmetic,
+with a gcd only for a row whose denominator has outgrown _GCD_BITS bits;
+an exact law (Distribution) keeps the back-substituted integers over their
+sum, and builds no Fraction.
 
 The sweeps and the polynomial oracle reduce the rows of (1 - e) P + e Q
 from one builder (`_mixed_rows`), the sweeps at several e and the oracle
@@ -23,6 +24,8 @@ from fractions import Fraction
 from znrank.errors import NotIrreducible
 from znrank.graph import is_irreducible
 from znrank.rational import EXACT, FLOAT, common_denominator
+
+_GCD_BITS = 128  # an exact row is put in lowest terms once its denominator is wider
 
 
 class Distribution:
@@ -130,20 +133,25 @@ def _sparse_rows(p, states):
 def _markowitz(rows, ins, live, order):
     """Yield the live state with the fewest in- times out-neighbours, ties
     to the lower index, until none is live. The key is kept as one integer
-    per state and refreshed only where eliminating k can change it: on the
-    states that entered k (their rows changed) and on the states of k's row
-    (their in-neighbours changed)."""
+    per state, len(ins[s]) * len(rows[s]) * n + s, in a list, and refreshed
+    only where eliminating k can change it: on the states that entered k
+    (their rows changed) and on the states of k's row (their in-neighbours
+    changed). A state that is eliminated or not live holds n**3 + n, above
+    every key, so the pick is min(cost) % n: one list min, and no key
+    function per live state."""
     n = len(rows)
-    cost = [len(ins[s]) * len(rows[s]) * n + s for s in range(n)]
+    done = n ** 3 + n
+    cost = [len(ins[s]) * len(rows[s]) * n + s if s in live else done for s in range(n)]
     while live:
-        k = min(live, key=cost.__getitem__)
+        k = min(cost) % n
+        cost[k] = done
         live.discard(k)
         order.append(k)
         yield k
         for s in ins[k]:
-            cost[s] = len(ins[s]) * len(rows[s]) * n + s
+            cost[s] = len(ins[s]) * len(rows[s]) * n + s if s in live else done
         for s in rows[k]:
-            cost[s] = len(ins[s]) * len(rows[s]) * n + s
+            cost[s] = len(ins[s]) * len(rows[s]) * n + s if s in live else done
 
 
 def _eliminate(rows, dens=None, order=None):
@@ -162,8 +170,10 @@ def _eliminate(rows, dens=None, order=None):
     one denominator per row, a(i, j) = rows[i][j] / dens[i], and the update
     is fraction-free at the row level (cf. Bareiss, Math. Comp. 1968): row i
     is multiplied by S, the integer sum of k's row, gains rows[i][k] times
-    k's row, and dens[i] becomes dens[i] * S; then the row and dens[i] are
-    divided by their gcd. Per entry that is int * and + only.
+    k's row, and dens[i] becomes dens[i] * S; once dens[i] has more than
+    _GCD_BITS bits, the row and dens[i] are divided by their gcd. Per entry
+    that is int * and + only. A row not in lowest terms has the same ratios,
+    and every reader of the rows reads them only as ratios.
 
     Returns (order, cols). cols[k] lists each live i that entered k, as
     (i, a(i, k) / s) in float and as (i, rows[i][k], dens[i]), taken before
@@ -205,11 +215,12 @@ def _eliminate(rows, dens=None, order=None):
                         row_i[j] = old + f * v
             if dens is not None:
                 d = dens[i] * pivot
-                g = math.gcd(d, *row_i.values())
-                if g > 1:
-                    d //= g
-                    for j in row_i:
-                        row_i[j] //= g
+                if d.bit_length() > _GCD_BITS:
+                    g = math.gcd(d, *row_i.values())
+                    if g > 1:
+                        d //= g
+                        for j in row_i:
+                            row_i[j] //= g
                 dens[i] = d
             if not row_i:
                 live.discard(i)  # i is now absorbing: the last state of its closed class
@@ -225,10 +236,13 @@ def _back_substitute(rows, dens, order, cols):
     (d_k / S_k) * sum of x_i r(i, k) / d_i over k's column, put over S_k
     times the lcm of the column's d_i and reduced by one gcd. A denominator
     left over multiplies every entry of x, which keeps their ratios."""
-    if dens is None:
+    if dens is None:  # one += per term, as _replay adds (sum() compensates floats from Python 3.12)
         x = [1.0] * len(rows)
         for k in reversed(order):
-            x[k] = sum([x[i] * f for i, f in cols[k]], 0.0)
+            c = 0.0
+            for i, f in cols[k]:
+                c += x[i] * f
+            x[k] = c
         return x
     x = [1] * len(rows)
     for k in reversed(order):
@@ -252,11 +266,13 @@ def _plan(rows):
     the iteration orders do not depend on the values, and every chain with
     this pattern reduces the same way.
 
-    Returns (order, steps, size, n): per pivot k in order, a step (k, the
-    slots of k's row, entries), with one entry (i, slot a of a(i, k), the
-    (source, target) slot pairs of i's update) per state i that enters k;
-    size counts input and fill-in slots, n the rows. Slot a empties as k
-    goes, and no later step reads it."""
+    Returns (order, steps, back, size, n): per pivot k in order, a step
+    (the tuple of k's row slots, entries), with one entry (slot a of
+    a(i, k), the (source, target) slot pairs of i's update) per state i that
+    enters k; back lists (k, i, a) for every such entry, in
+    back-substitution order (k late to early in order, each k's i as its
+    step has them); size counts input and fill-in slots, n the rows. Slot a
+    empties as k goes, and no later step reads it."""
     n = len(rows)
     size = 0
     pattern = []
@@ -269,10 +285,12 @@ def _plan(rows):
             ins[j].add(i)
     order = []
     steps = []
+    cols = []
     live = {k for k in range(n) if pattern[k]}
     for k in _markowitz(pattern, ins, live, order):
         row_k = pattern[k]
         entries = []
+        col = []
         for i in ins[k]:
             row_i = pattern[i]
             a = row_i.pop(k)
@@ -285,35 +303,41 @@ def _plan(rows):
                         size += 1
                         ins[j].add(i)
                     pairs.append((s, t))
-            entries.append((i, a, pairs))
+            entries.append((a, pairs))
+            col.append((k, i, a))
             if not row_i:
                 live.discard(i)
         for j in row_k:
             ins[j].discard(k)
-        steps.append((k, list(row_k.values()), entries))
-    return order, steps, size, n
+        steps.append((tuple(row_k.values()), entries))
+        cols.append(col)
+    return order, steps, [t for col in reversed(cols) for t in col], size, n
 
 
 def _replay(plan, vals):
     """Stationary law, normalised, of the float chain whose input values
     are vals in slot order (see _plan): _eliminate's float operations in
-    _eliminate's order along the plan, then _back_substitute's, so the law
-    is _law's to the bit. vals is extended and updated in place; each
-    factor a(i, k) / s is kept in slot a, which k's step empties. Raises
+    _eliminate's order along the plan, then _back_substitute's along back,
+    x[k] from 0.0 adding x[i] a(i, k) / s term by term, so the law is
+    _law's to the bit. vals is extended and updated in place; each factor
+    a(i, k) / s is kept in slot a, which k's step empties. Raises
     NotIrreducible when the chain has several closed classes."""
-    order, steps, size, n = plan
+    order, steps, back, size, n = plan
     if len(order) != n - 1:
         raise NotIrreducible("the chain has more than one closed class")
     vals += [0.0] * (size - len(vals))  # fill-in: 0.0 + f * v is f * v
-    for _, row_k, entries in steps:
-        pivot = sum([vals[s] for s in row_k])
-        for _, a, pairs in entries:
+    get = vals.__getitem__
+    for row_k, entries in steps:
+        pivot = sum(map(get, row_k))
+        for a, pairs in entries:
             f = vals[a] = vals[a] / pivot
             for s, t in pairs:
                 vals[t] += f * vals[s]
     x = [1.0] * n
-    for k, _, entries in reversed(steps):
-        x[k] = sum([x[i] * vals[a] for i, a, _ in entries], 0.0)
+    for k in order:
+        x[k] = 0.0
+    for k, i, a in back:
+        x[k] += x[i] * vals[a]
     total = sum(x, 0.0)
     return [v / total for v in x]
 
@@ -324,20 +348,21 @@ def _lead_law(plan, orders, coefs, n):
     with leading term coefs[s] e^orders[s]: _replay along the plan that
     keeps only leading terms. A pivot is the sum of its row's terms of
     least order; where an update meets a slot, a lower order replaces it,
-    an equal one adds and a higher one drops, and back-substitution keeps
-    the least order likewise. Every term is positive, so leading terms
-    never cancel and are those of the exact series (the stochastically
-    stable states of Wicks & Greenwald, UAI 2005). The limit is the
-    least-order entries of x among the first n, normalised. orders and
-    coefs are extended and updated in place, each factor kept in the slot
-    it empties as _replay keeps it."""
-    _, steps, size, count = plan
+    an equal one adds and a higher one drops, and back-substitution along
+    back keeps the least order likewise, each x[k] starting empty (order
+    inf, 0.0). Every term is positive, so leading terms never cancel and
+    are those of the exact series (the stochastically stable states of
+    Wicks & Greenwald, UAI 2005). The limit is the least-order entries of
+    x among the first n, normalised. orders and coefs are extended and
+    updated in place, each factor kept in the slot it empties as _replay
+    keeps it."""
+    order, steps, back, size, count = plan
     orders += [math.inf] * (size - len(orders))  # a fill-in slot is empty until its first term
     coefs += [0.0] * (size - len(coefs))
-    for _, row_k, entries in steps:
-        low = min([orders[s] for s in row_k])
+    for row_k, entries in steps:
+        low = min(map(orders.__getitem__, row_k))
         pivot = sum([coefs[s] for s in row_k if orders[s] == low])
-        for _, a, pairs in entries:
+        for a, pairs in entries:
             fo, fc = orders[a], coefs[a] = orders[a] - low, coefs[a] / pivot
             for s, t in pairs:
                 o = fo + orders[s]
@@ -346,15 +371,14 @@ def _lead_law(plan, orders, coefs, n):
                 elif o == orders[t]:
                     coefs[t] += fc * coefs[s]
     x_order, x = [0] * count, [1.0] * count
-    for k, _, entries in reversed(steps):
-        low, c = math.inf, 0.0  # an empty column: x_k = 0
-        for i, a, _ in entries:
-            o = x_order[i] + orders[a]
-            if o < low:
-                low, c = o, x[i] * coefs[a]
-            elif o == low:
-                c += x[i] * coefs[a]
-        x_order[k], x[k] = low, c
+    for k in order:
+        x_order[k], x[k] = math.inf, 0.0  # an empty column: x_k = 0
+    for k, i, a in back:
+        o = x_order[i] + orders[a]
+        if o < x_order[k]:
+            x_order[k], x[k] = o, x[i] * coefs[a]
+        elif o == x_order[k]:
+            x[k] += x[i] * coefs[a]
     low = min(x_order[:n])
     lead = [c if o == low else 0.0 for o, c in zip(x_order[:n], x)]
     total = sum(lead, 0.0)

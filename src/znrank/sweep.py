@@ -97,8 +97,9 @@ def _perturbed_laws(p, q, grid, limit=False):
     Every eps is checked before the chain's rows are built, once. Their
     pattern does not depend on eps and no entry cancels, so the reduction
     is worked out once: float eps replay one _plan on the flat list of the
-    values at eps, P's values times 1 - eps with e u added on the slots with
-    a Q part u, and exact eps reuse the order found at the first."""
+    values at eps, e u + (1 - e) v on the slots with a Q part u and P's
+    value times 1 - eps on the others, and exact eps reuse the order found
+    at the first."""
     grid = _mixing_eps(p, q, grid)
     exact = p.numeric_mode == EXACT
     if limit and exact:
@@ -109,8 +110,6 @@ def _perturbed_laws(p, q, grid, limit=False):
     if not exact:  # one plan of the hub chain for every eps and the limit
         plan = _plan(rows)
         coefs = [(float(u), float(v)) for row in rows[:n] for u, v in row.values()]
-        p_vals = [v for _, v in coefs]
-        q_slots = [(s, u) for s, (u, _) in enumerate(coefs) if u]  # at u = 0.0, e u + stay v is stay v
         hub_vals = [v for h in rows[n:] for v in h.values()]
     order = None
     laws = []
@@ -124,10 +123,8 @@ def _perturbed_laws(p, q, grid, limit=False):
             x, order = _law(mixed + hubs, [b * d for d in dens[:n]] + dens[n:], order)
             laws.append(Distribution.of_integers(x[:n], sum(x[:n])))
         else:
-            stay = 1 - e
-            vals = [stay * v for v in p_vals]
-            for s, u in q_slots:
-                vals[s] = e * u + vals[s]
+            stay = 1 - e  # at u = 0.0, e u + stay v is stay v
+            vals = [e * u + stay * v if u else stay * v for u, v in coefs]
             law = _replay(plan, vals + hub_vals)[:n]
             total = sum(law, 0.0)
             if not math.isfinite(total):  # below eps of about 1e-308, 1 / eps can overflow

@@ -447,6 +447,9 @@ def test_markowitz_order_is_the_reference_order(monkeypatch):
             t = rng.randint(0, 5) if i % 4 == 3 else 0
             patterns.append(_float_rows(rand_with_transients(rng, sizes, t) if t
                                         else rand_reducible_no_transient(rng, sizes)))
+    for n in (1, 2, 3, 9, 30):  # complete support: the largest keys, (n - 1)**2 * n + s, under n**3 + n
+        patterns.append([{j: 1.0 for j in range(n) if j != i} for i in range(n)])
+    patterns += [[{}], [{1: 1.0}, {}], [{}, {0: 1.0}], [{}, {}]]  # n = 1 and n = 2, closed or not
     left = []
     for rows in patterns:
         got = _eliminate([dict(r) for r in rows])[0]
@@ -467,9 +470,11 @@ def test_replayed_plan_is_the_elimination_to_the_bit():
         t = rng.choice((0, 0, 2, 6))
         rows = _hub_chain(rng, sizes, t, kinds[trial % 5], 10.0 ** -rng.uniform(1, 14))
         vals = [v for row in rows for v in row.values()]
-        order, steps, _, _ = plan = _plan(rows)
+        order, _, back, _, _ = plan = _plan(rows)
         law = _replay(plan, vals)
-        cols = {k: [(i, vals[a]) for i, a, _ in entries] for k, _, entries in steps}  # the factors left in place
+        cols = {k: [] for k in order}  # the factors left in place, each k's in its step's order
+        for k, i, a in back:
+            cols[k].append((i, vals[a]))
         assert (order, cols) == _eliminate([dict(r) for r in rows])
         assert law == _law([dict(r) for r in rows])[0]
         sizes_seen.append(len(rows))
