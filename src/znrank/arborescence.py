@@ -41,9 +41,6 @@ class Arborescence(namedtuple("Arborescence", "root parents")):
 
     __slots__ = ()
 
-    def as_dict(self):
-        return dict(self.parents)
-
 
 def _assignment_count(cands, nodes):
     count = 1

@@ -11,18 +11,7 @@ import sys
 from fractions import Fraction
 
 from znrank import __version__
-from znrank.errors import (
-    EpsOutOfRange,
-    GammaReducible,
-    GuardExceeded,
-    InputFormatError,
-    MissingReverseWeight,
-    NonpositiveWeight,
-    NotIrreducible,
-    TransientStatesPresent,
-    ZnrankError,
-    ZeroPolynomial,
-)
+from znrank.errors import EpsOutOfRange, InputFormatError, TransientStatesPresent, ZnrankError
 from znrank.graph import (
     DANGLING_POLICIES,
     RowStochasticMatrix,
@@ -38,17 +27,6 @@ from znrank.rational import (EXACT, FLOAT, common_denominator, number_to_json, o
                              ratios_to_json)
 
 EXACT_N_DEFAULT = 12  # auto numeric mode: exact up to here, floating above
-
-MATH_ERRORS = (
-    NotIrreducible,
-    GammaReducible,
-    TransientStatesPresent,
-    GuardExceeded,
-    ZeroPolynomial,
-    EpsOutOfRange,
-    MissingReverseWeight,
-    NonpositiveWeight,
-)
 
 
 class UsageError(Exception):
@@ -471,20 +449,11 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except InputFormatError as exc:
+    except (InputFormatError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except MATH_ERRORS as exc:
+    except ZnrankError as exc:  # every other library error is a precondition the input fails
         print(f"precondition failed: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ZnrankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -76,9 +76,6 @@ class WeightedDigraph:
     def successors(self, u):
         return list(self._adj[u])
 
-    def out_edges(self, u):
-        return list(self._adj[u].items())
-
     def out_degree(self, u):
         return len(self._adj[u])
 
@@ -315,13 +312,6 @@ class ClassPartition(namedtuple("ClassPartition", "closed_classes transient")):
     @property
     def m(self):
         return len(self.closed_classes)
-
-    def class_of(self, state):
-        """Index of the closed class containing state, or None if transient."""
-        for k, c in enumerate(self.closed_classes):
-            if state in c:
-                return k
-        return None
 
 
 def _tarjan_sccs(adj, n):

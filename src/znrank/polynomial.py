@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from znrank.errors import ZeroPolynomial
-from znrank.rational import EXACT_ZERO_ONE, common_denominator, ratios_to_json
+from znrank.rational import common_denominator, ratios_to_json
 
 
 class EpsPolynomial:
@@ -36,17 +36,6 @@ class EpsPolynomial:
     @functools.cached_property
     def coeffs(self):
         return tuple([Fraction(x, self.den) for x in self.nums])
-
-    @property
-    def degree(self):
-        """Degree, or -1 for the zero polynomial."""
-        return len(self.nums) - 1
-
-    def is_zero(self):
-        return not self.nums
-
-    def coefficient(self, d):
-        return self.coeffs[d] if 0 <= d < len(self.nums) else EXACT_ZERO_ONE[0]
 
     def min_degree(self):
         """Lowest degree with a nonzero coefficient."""

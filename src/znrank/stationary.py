@@ -83,10 +83,6 @@ class Distribution:
     def __getitem__(self, i):
         return self.values[i]
 
-    def to_float(self):
-        """Float copy; int / int division rounds as float(Fraction) does."""
-        return self if self.den is None else Distribution([x / self.den for x in self.nums], FLOAT)
-
 
 def linf(xs, ys):
     return max(abs(x - y) for x, y in zip(xs, ys))

@@ -46,12 +46,13 @@ LimitReport = namedtuple("LimitReport",
                          "partition per_class_stationary gamma_chain class_masses node_limit mode labels")
 
 
-def _gamma_chain_from_rows(rows, dens, numeric_mode):
-    """Gamma with the given rows over dens, and its law: mu itself, with no
-    solve, when every row is one object mu (Gamma = 1 mu^T), else the GTH law."""
+def _gamma_chain_from_rows(rows, dens):
+    """Gamma with the given rows over dens, float when dens is None, and its
+    law: mu itself, with no solve, when every row is one object mu
+    (Gamma = 1 mu^T), else the GTH law."""
     states = StateSpace(len(rows), tuple(f"C{k + 1}" for k in range(len(rows))))
     try:
-        gamma = RowStochasticMatrix(states, tuple(rows), numeric_mode, dens)
+        gamma = RowStochasticMatrix(states, tuple(rows), FLOAT if dens is None else EXACT, dens)
     except ValueError as exc:
         raise GammaReducible(f"reduced chain is not stochastic: {exc}") from None
     if all(row is rows[0] for row in rows):
@@ -70,19 +71,19 @@ def _gamma_chain_from_rows(rows, dens, numeric_mode):
     return GammaChain(gamma, law)
 
 
-def _routed_rows(p, part, sources, of_class, exact):
-    """(rows, dens) of Gamma for _gamma_chain_from_rows over part, P's
-    partition; p is None only if no source reaches a transient state. sources
-    maps a key to (row, den): a dict row of integer numerators over den, or of
-    floats with den 1. Row i is the class masses of sources[of_class[i]], one
-    row object per source: its mass on each closed class, plus the mass it puts
-    on transient states, which goes on into the classes that absorb it. As the
-    absorbing elimination of P removes k, the mass that reached k goes on over
-    k's row to states removed later or closed: one pass per source over one
-    elimination, built only if a source reaches a transient state. Exact masses
-    over one den are added as integers, others with a gcd each (their lcm had
-    32849 bits, mu's den 1318, on a 5000-page web graph); dens is None in float
-    mode."""
+def _routed_rows(p, sources, of_class):
+    """(rows, dens) of Gamma for _gamma_chain_from_rows over P's partition,
+    in P's numeric mode. sources maps a key to (row, den): a dict row of
+    integer numerators over den, or of floats with den 1. Row i is the class
+    masses of sources[of_class[i]], one row object per source: its mass on
+    each closed class, plus the mass it puts on transient states, which goes
+    on into the classes that absorb it. As the absorbing elimination of P
+    removes k, the mass that reached k goes on over k's row to states
+    removed later or closed: one pass per source over one elimination, built
+    only if a source reaches a transient state. Exact masses over one den
+    are added as integers, others with a gcd each (their lcm had 32849 bits,
+    mu's den 1318, on a 5000-page web graph); dens is None in float mode."""
+    part, exact = p.partition, p.dens is not None
 
     def total(terms):  # (num, den) of the sum of the masses num / den in terms
         if not exact:
@@ -127,13 +128,14 @@ def build_gamma(p, q):
 
 def personalization_gamma(nu, part):
     """Reduced chain for rank-one perturbations with every row equal to nu:
-    all rows of Gamma equal the class masses of nu, which are its law; a
-    class without mass is transient in Gamma."""
+    all rows of Gamma are the one row of nu's mass per closed class, summed
+    in member order, which is Gamma's law; a class without mass is transient
+    in Gamma."""
     if part.transient:
         raise TransientStatesPresent("personalization reduction needs a transient-free chain")
-    sources = {0: ({x: v for x, v in enumerate(nu.nums) if v}, nu.den or 1)}
-    rows = _routed_rows(None, part, sources, [0] * part.m, nu.numeric_mode == EXACT)
-    return _gamma_chain_from_rows(*rows, nu.numeric_mode)
+    exact = nu.den is not None
+    row = [sum([nu.nums[x] for x in c], 0 if exact else 0.0) for c in part.closed_classes]
+    return _gamma_chain_from_rows([row] * part.m, (nu.den,) * part.m if exact else None)
 
 
 def extended_gamma(p, q, class_laws=None):
@@ -174,8 +176,7 @@ def extended_gamma(p, q, class_laws=None):
         sources[key] = source
         of_class.append(key)
     try:
-        return _gamma_chain_from_rows(*_routed_rows(p, p.partition, sources, of_class, p.numeric_mode == EXACT),
-                                      p.numeric_mode)
+        return _gamma_chain_from_rows(*_routed_rows(p, sources, of_class))
     except GammaReducible:
         require_unichain_union(p, q)
         raise

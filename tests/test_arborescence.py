@@ -48,8 +48,8 @@ def test_enumerate_k3_counts_and_order():
         assert len(arbs) == 3
         assert all(a.root == root for a in arbs)
         # lexicographic in the parent maps
-        dicts = [tuple(sorted(a.as_dict().items())) for a in arbs]
-        assert dicts == sorted(dicts)
+        parents = [a.parents for a in arbs]
+        assert parents == sorted(parents)
 
 
 def test_arborescences_are_immutable_value_records():
@@ -58,7 +58,7 @@ def test_arborescences_are_immutable_value_records():
                            " Arborescence(root=0, parents=((1, 2), (2, 0)))]")
     twin = Arborescence(0, ((1, 0), (2, 0)))
     assert trees[0] == twin and hash(trees[0]) == hash(twin)
-    assert twin.as_dict() == {1: 0, 2: 0}
+    assert dict(twin.parents) == {1: 0, 2: 0}
     with pytest.raises(AttributeError):
         twin.root = 1
 
@@ -66,7 +66,7 @@ def test_arborescences_are_immutable_value_records():
 def test_enumerate_excludes_self_loops_and_cycles():
     g = parse_edge_list("a a\na b\nb a\n")
     arbs = enumerate_arborescences(g, 0)
-    assert [a.as_dict() for a in arbs] == [{1: 0}]
+    assert [a.parents for a in arbs] == [((1, 0),)]
 
 
 def test_enumeration_guards():
@@ -224,7 +224,7 @@ def test_polynomial_sum_equals_pairwise_sum_random():
             p = _rand_p(rng, n)
             q = rand_stochastic(rng, p.n) if rng.random() < 0.5 else rand_general_q(rng, p.n)
             polys = all_root_polynomials(p, q)
-            zeros += sum(h.is_zero() for h in polys)
+            zeros += sum(not h.nums for h in polys)
             pairwise = EpsPolynomial()
             for h in polys:
                 pairwise = pairwise + h
@@ -233,7 +233,7 @@ def test_polynomial_sum_equals_pairwise_sum_random():
             assert all(type(c) is Fraction for c in total.coeffs)
     assert zeros > 0
     assert sum_polynomials(()) == EpsPolynomial()
-    assert sum_polynomials((EpsPolynomial(), EpsPolynomial())).is_zero()
+    assert sum_polynomials((EpsPolynomial(), EpsPolynomial())).nums == ()
 
 
 def test_float_root_weights_match_exact_random():
@@ -263,7 +263,7 @@ def test_root_weights_are_the_constant_terms_random():
             p = _rand_p(rng, n)
             q = rand_stochastic(rng, p.n) if rng.random() < 0.5 else rand_general_q(rng, p.n)
             part = classify_states(p)
-            constants = tuple(h.coefficient(0) for h in all_root_polynomials(p, q))
+            constants = tuple((*h.coeffs, Fraction(0))[0] for h in all_root_polynomials(p, q))
             assert constants == root_weights(p)
             if part.m > 1:
                 assert not any(constants)
@@ -354,7 +354,7 @@ def test_root_polynomials_come_from_one_pass_of_degree_at_most_n_minus_m(monkeyp
             polys = all_root_polynomials(p, q)
             assert len(calls) == 1
             for h in polys:
-                g = [sum(h.coefficient(i) * math.comb(p.n - 1 - i, d) for i in range(p.n)) for d in range(p.n)]
+                g = [sum(c * math.comb(p.n - 1 - i, d) for i, c in enumerate(h.coeffs)) for d in range(p.n)]
                 assert not any(g[p.n - m + 1:])
             assert polys == tuple(perturbed_root_polynomial(p, q, r) for r in range(p.n))
             seen.add((kind, m == 1, m == p.n, bool(classify_states(p).transient)))
@@ -405,7 +405,7 @@ def test_root_polynomials_on_complete_unions_match_enumeration():
         for weight in (lambda rng: rng.randint(1, 9), *WIDE_WEIGHTS.values()):
             p = _reweighted(rng, rand_irreducible(rng, n), weight)
             polys = _assert_matches_enumeration(p, uniform_matrix(n))
-            assert not any(h.is_zero() for h in polys)
+            assert all(h.nums for h in polys)
 
 
 def test_root_polynomials_fill_their_fields():
@@ -422,8 +422,8 @@ def test_root_polynomials_fill_their_fields():
             q = RowStochasticMatrix(StateSpace(n), tuple(
                 {0: 1} if x == 0 else {parent[x]: F(1, nn), x: 1 - F(1, nn)} for x in range(n)))
             polys = _assert_matches_enumeration(p, q)
-            assert all(h.is_zero() for h in polys[1:])
-            assert polys[0].coefficient(0) == 1
+            assert not any(h.nums for h in polys[1:])
+            assert polys[0].coeffs[0] == 1
 
 
 def test_zero_root_polynomials_match_enumeration():
@@ -434,10 +434,10 @@ def test_zero_root_polynomials_match_enumeration():
         for _ in range(3):
             sizes = rand_sizes(rng, rng.randint(2, n), total_cap=n)
             p = _reweighted(rng, rand_reducible_no_transient(rng, sizes), WIDE_WEIGHTS["int30"])
-            assert all(h.is_zero() for h in _assert_matches_enumeration(p, p))
+            assert not any(h.nums for h in _assert_matches_enumeration(p, p))
             t = rng.randint(1, n - 1)
             base = rand_with_transients(rng, rand_sizes(rng, 1, total_cap=n - t), t)
             p, q = (_reweighted(rng, base, WIDE_WEIGHTS["den20"]) for _ in range(2))  # Q on P's support
             polys = _assert_matches_enumeration(p, q)
             transient = classify_states(p).transient
-            assert [x for x in range(p.n) if polys[x].is_zero()] == sorted(transient)
+            assert [x for x in range(p.n) if not polys[x].nums] == sorted(transient)

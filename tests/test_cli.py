@@ -3,7 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from znrank.cli import canonical_dumps, main
+import znrank.cli
+import znrank.errors
+from znrank.cli import UsageError, canonical_dumps, main
+from znrank.errors import InputFormatError, ZnrankError
 from helpers import fractions_built, rand_web_edges, rng_for
 
 TWO_CLASS = "a b\nb a\nc c\n"
@@ -22,6 +25,23 @@ def wpath(tmp_path, name, text):
     f = tmp_path / name
     f.write_text(text)
     return str(f)
+
+
+ERROR_CLASSES = sorted((c for c in vars(znrank.errors).values() if isinstance(c, type) and issubclass(c, ZnrankError)),
+                       key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("exc", [*ERROR_CLASSES, ValueError, OSError, UsageError], ids=lambda c: c.__name__)
+def test_exit_code_follows_the_exception_class(capsys, monkeypatch, exc):
+    # a usage error exits 1; malformed input, an unreadable file or a refused
+    # value 2; every other znrank error is a failed precondition, 3
+    def refused(args):
+        raise exc("refused")
+
+    monkeypatch.setattr(znrank.cli, "load_p", refused)
+    code, prefix = {UsageError: (1, "usage error"), InputFormatError: (2, "data error"), OSError: (2, "data error"),
+                    ValueError: (2, "data error")}.get(exc, (3, "precondition failed"))
+    assert run(capsys, "classify", "--graph", "p.edges") == (code, "", f"{prefix}: refused\n")
 
 
 def test_version(capsys):

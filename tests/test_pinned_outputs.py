@@ -39,9 +39,11 @@ denominators, under `uniform` or `personalized=` Q with masses of the same
 kinds, so the root polynomials' integers grow far past a machine word.
 
 The `in-*` cases, pinned under the command name `inputs`, run one full
-command each on a malformed edge list, matrix JSON or block file, so every
-input error message, its line number and its exit code show here; a few
-well-formed inputs with unusual number tokens ride along.
+command each on a malformed edge list, matrix JSON, block file,
+personalization file or `model` weights file, or a `model` command missing
+its files, so every input error message, its line number and its exit code
+show here; a few well-formed inputs with unusual number tokens, and one
+`model pairwise --graph` run, ride along.
 """
 
 import contextlib
@@ -237,8 +239,9 @@ def _wide_cases(rng):
 
 def _input_cases():
     """(name, files, full argv) of the `inputs` cases: edge lists read by
-    classify, matrix JSON read as P by classify and as Q by rank, block
-    files read as Q by rank on P with closed classes {a, b} and {c}."""
+    classify, matrix JSON read as P by classify and as Q by rank, block and
+    personalization files read as Q by rank on P with closed classes {a, b}
+    and {c}, and `model` weights files, with that P as the --graph."""
     big = "1" + "0" * 5000  # past int's default digit limit for str
     edges = {
         "fields": "a b\nb a 1 2\n",
@@ -324,6 +327,24 @@ def _input_cases():
                       ["rank", "--graph", "p.edges", "--q", "block=b.txt"]))
     cases.append(("in-block-transient", {"p.edges": "a a\nb b\nt a\n", "b.txt": "2\n1/2 0\n0 1\n"},
                   ["rank", "--graph", "p.edges", "--q", "block=b.txt"]))
+    for k, text in {"fields": "a 1 2\n", "index-range": "7 1\n"}.items():
+        cases.append((f"in-personalized-{k}", {"p.edges": p, "nu.txt": text},
+                      ["rank", "--graph", "p.edges", "--q", "personalized=nu.txt"]))
+    bt, pairwise = ["bt", "--graph", "p.edges", "--weights", "w.txt"], ["pairwise", "--weights", "w.txt"]
+    models = {  # name: (model argv, weights file or None)
+        "bt-fields": (bt, "a 1\nb\n"),
+        "bt-unknown": (bt, "a 1\nz 1\n"),
+        "pairwise-fields": (pairwise, "a b 1\nb a\n"),
+        "pairwise-unknown": ([*pairwise, "--graph", "p.edges"], "a b 1\nb z 1\n"),
+        "pairwise-empty": (pairwise, "# no comparisons\n"),
+        "srw-no-graph": (["srw"], None),
+        "bt-no-weights": (bt[:3], None),
+        "pairwise-no-weights": (["pairwise", "--graph", "p.edges"], None),
+        "pairwise-graph": ([*pairwise, "--graph", "p.edges"], "a b 1\nb a 2\n"),  # c has no comparison
+    }
+    for k, (args, text) in models.items():
+        files = {"p.edges": p} if text is None else {"p.edges": p, "w.txt": text}
+        cases.append((f"in-model-{k}", files, ["model", *args]))
     return cases
 
 

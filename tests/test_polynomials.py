@@ -14,9 +14,9 @@ F = Fraction
 
 def test_trim_and_degree():
     assert EpsPolynomial((1, 2, 0, 0)).coeffs == (F(1), F(2))
-    assert EpsPolynomial().degree == -1
-    assert EpsPolynomial((0,)).is_zero()
-    assert EpsPolynomial((0, 0, 5)).degree == 2
+    assert EpsPolynomial().nums == ()
+    assert EpsPolynomial((0,)).nums == ()
+    assert len(EpsPolynomial((0, 0, 5)).nums) == 3
 
 
 def test_min_degree():
@@ -30,12 +30,6 @@ def test_arithmetic():
     a = EpsPolynomial((1, 2))
     b = EpsPolynomial((0, -2, 3))
     assert (a + b).coeffs == (F(1), F(0), F(3))
-
-
-def test_coefficient_out_of_range_is_zero():
-    p = EpsPolynomial((1,))
-    assert p.coefficient(5) == 0
-    assert p.coefficient(0) == 1
 
 
 def test_equality_and_strings():
@@ -56,7 +50,7 @@ def test_shift_down_refuses_a_nonzero_dropped_coefficient():
     p = EpsPolynomial((0, 1, 2))
     assert p.shift_down(1) == EpsPolynomial((1, 2))
     assert EpsPolynomial((0, 0, 4, 7)).shift_down(2).coeffs == (F(4), F(7))
-    assert EpsPolynomial().shift_down(3).is_zero()
+    assert EpsPolynomial().shift_down(3).nums == ()
     with pytest.raises(ValueError):
         p.shift_down(2)
 
@@ -97,10 +91,7 @@ def _check(p, ref):
     assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
     assert len(p.nums) == len(ref) and (not p.nums or p.nums[-1] != 0)
     assert p.coeffs == ref and all(type(c) is Fraction for c in p.coeffs)
-    assert p.degree == len(ref) - 1 and p.is_zero() == (not ref)
     assert p.to_strings() == [f"{c.numerator}/{c.denominator}" for c in ref]
-    for d in range(-1, len(ref) + 2):
-        assert p.coefficient(d) == (ref[d] if 0 <= d < len(ref) else 0)
     if ref:
         assert p.min_degree() == next(d for d, c in enumerate(ref) if c)
     else:

@@ -123,8 +123,8 @@ def test_integer_and_fraction_laws_agree():
         a, b = Distribution.of_integers(nums, den), Distribution(values)
         assert a.values == b.values == values and all(type(x) is F for x in a.values)
         assert a == b and (a.nums, a.den) == (b.nums, b.den) and repr(a) == repr(b)
-        assert [x.hex() for x in a.to_float().values] == [float(x).hex() for x in values]
-        assert a.to_float() == b.to_float()
+        assert [(x / a.den).hex() for x in a.nums] == [float(x).hex() for x in values]
+        assert [x / a.den for x in a.nums] == [x / b.den for x in b.nums]
         if n > 1:
             moved = [*nums[1:], nums[0]]
             assert (Distribution.of_integers(moved, den) == a) == (moved == nums)

@@ -176,9 +176,10 @@ def test_exact_first_order_derivative_identity():
         for h in polys[1:]:
             total = total + h
         deriv = exact_first_order(p, q)
-        s0, s1 = total.coefficient(0), total.coefficient(1)
+        s0, s1 = (*total.coeffs, 0, 0)[:2]
         for i, h in enumerate(polys):
-            num = h.coefficient(1) * s0 - h.coefficient(0) * s1  # (h' S - h S')(0)
+            h0, h1 = (*h.coeffs, 0, 0)[:2]
+            num = h1 * s0 - h0 * s1  # (h' S - h S')(0)
             assert num / (s0 * s0) == deriv[i]
 
 

@@ -12,6 +12,7 @@ from znrank.graph import (
     ones_outer,
     uniform_matrix,
 )
+from znrank.rational import FLOAT
 from znrank.stationary import Distribution, absorption_probabilities, class_stationary
 from znrank.zero_noise import (
     adjudicate,
@@ -136,6 +137,12 @@ def test_personalization_gamma():
     assert chain.pi_gamma.values == (F(1, 2), F(1, 2))
     report = limit_rank(p, ones_outer(nu.values, p.states), mode="theorem3")
     assert report.node_limit.values == (F(1, 4), F(1, 4), F(1, 2))
+    # a float nu sums its members' floats in order; a transient state is refused
+    floats = personalization_gamma(Distribution((0.1, 0.2, 0.7), FLOAT), classify_states(p))
+    assert floats.pi_gamma.values == (0.1 + 0.2, 0.7) and floats.gamma.dens is None
+    p_transient = RowStochasticMatrix(StateSpace(3), ((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 4), F(1, 4))))
+    with pytest.raises(TransientStatesPresent, match="^personalization reduction needs a transient-free chain$"):
+        personalization_gamma(nu, classify_states(p_transient))
 
 
 def test_personalization_gamma_gives_a_zero_class_no_mass():
