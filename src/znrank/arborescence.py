@@ -84,34 +84,12 @@ def arborescence_weight(a, w):
     return math.prod((w.entry(u, v) for u, v in a.parents), start=Fraction(1))
 
 
-def _support_cands(w, extra=None):
-    """Sorted positive-entry candidates per node, self-loops excluded;
-    extra is a second matrix whose support is unioned in."""
-    cands = w.support_successors()
-    if extra is not None:
-        cands = [sorted(set(a).union(b)) for a, b in zip(cands, extra.support_successors())]
-    return cands
-
-
 def enumerated_root_weight(w, root, budget=DEFAULT_ASSIGNMENT_BUDGET):
     """Sum of arborescence weights rooted at root of an exact matrix, via
-    the search kernel. One integer sum per root; each row contributes
-    exactly one factor, so the common denominator is the product of per-row
-    lcms.
-    """
-    _require_exact(w)
-    n = w.n
-    cands = _support_cands(w)
-    _check_budget(cands, [u for u in range(n) if u != root], budget)
-    denom = 1
-    factors = []
-    for u in range(n):
-        row = [w.entry(u, v) for v in cands[u]]
-        l = math.lcm(*(x.denominator for x in row)) if row else 1
-        if u != root:
-            denom *= l
-        factors.append([(int(x * l),) for x in row])
-    return Fraction(sum_tree_products(n, root, cands, factors, 1)[0], denom)
+    the search kernel: H_r(0) of perturbed_root_polynomial(w, w, root),
+    whose every edge carries W(u, v) + 0 eps."""
+    h = perturbed_root_polynomial(w, w, root, budget)
+    return Fraction(h.nums[0] if h.nums else 0, h.den)
 
 
 def root_weight_minor(w, root):
@@ -166,7 +144,7 @@ def perturbed_root_polynomial(p, q, root, budget=DEFAULT_ASSIGNMENT_BUDGET):
         raise ValueError("P and Q must share a state space")
     if n > SYMBOLIC_N_GUARD:
         raise GuardExceeded(f"n = {n} exceeds the symbolic guard {SYMBOLIC_N_GUARD}")
-    cands = _support_cands(p, extra=q)
+    cands = [sorted(set(a).union(b)) for a, b in zip(p.support_successors(), q.support_successors())]
     nodes = [u for u in range(n) if u != root]
     _check_budget(cands, nodes, budget)
     denom = 1
@@ -178,7 +156,7 @@ def perturbed_root_polynomial(p, q, root, budget=DEFAULT_ASSIGNMENT_BUDGET):
         if u != root:
             denom *= l
         factors.append([(int(a * l), int(b * l)) for a, b in pairs])
-    return EpsPolynomial.of_integers(sum_tree_products(n, root, cands, factors, 2), denom)
+    return EpsPolynomial.of_integers(sum_tree_products(n, root, cands, factors), denom)
 
 
 def all_root_polynomials(p, q):

@@ -177,9 +177,9 @@ def parse_personalization(text, p):
 
 
 def parse_block_q(text, p):
-    """Block Q over P's closed classes. Each block row becomes integer
-    numerators over one denominator and one row object of Q, shared by the
-    class's members, which the matrix checks."""
+    """Block Q over P's closed classes. Each block row is checked, in
+    order, and becomes integer numerators over one denominator and one row
+    object of Q, shared by the class's members."""
     part = p.partition
     if part.transient:
         raise TransientStatesPresent(
@@ -201,23 +201,20 @@ def parse_block_q(text, p):
         raise InputFormatError(f"expected m and then m rows, got {len(rows)} rows")
     if m != part.m:
         raise InputFormatError(f"block file has m = {m} but the chain has {part.m} closed classes")
+    for i, (nums, den) in enumerate(rows):  # row i of every member of class i: no negative entry, sum 1
+        if min(nums) < 0:
+            raise InputFormatError(f"negative block value in row {i}")
+        s = sum(x * len(c) for x, c in zip(nums, part.closed_classes))
+        if s != den:
+            raise InputFormatError(f"block row {i} expands to row sum {Fraction(s, den)}, not 1 "
+                                   "(sum_j gamma_ij |C_j| must be 1)")
     owner = {y: j for j, cj in enumerate(part.closed_classes) for y in cj}
     qrows, dens = [None] * p.n, [None] * p.n
     for (nums, den), ci in zip(rows, part.closed_classes):
         row = {y: nums[owner[y]] for y in range(p.n)}
         for x in ci:
             qrows[x], dens[x] = row, den
-    try:
-        return RowStochasticMatrix(p.states, tuple(qrows), EXACT, tuple(dens))
-    except ValueError:  # it checks the class rows in order, each sign before sum: name the block row refused
-        for i, (nums, den) in enumerate(rows):
-            if min(nums) < 0:
-                raise InputFormatError(f"negative block value in row {i}") from None
-            s = sum(x * len(c) for x, c in zip(nums, part.closed_classes))
-            if s != den:
-                raise InputFormatError(f"block row {i} expands to row sum {Fraction(s, den)}, not 1 "
-                                       "(sum_j gamma_ij |C_j| must be 1)") from None
-        raise
+    return RowStochasticMatrix(p.states, tuple(qrows), EXACT, tuple(dens))
 
 
 def load_q(spec, p):

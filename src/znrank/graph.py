@@ -243,6 +243,13 @@ class RowStochasticMatrix:
         matrix, which classifies its own float support."""
         return classify_states(self)
 
+    @functools.cached_property
+    def class_laws(self):
+        """stationary.class_stationary(self), one law per closed class, on first use."""
+        from znrank import stationary
+
+        return stationary.class_stationary(self)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

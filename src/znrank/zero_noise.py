@@ -32,7 +32,6 @@ from znrank.rational import EXACT, FLOAT, number_to_json, ratios_to_json
 from znrank.stationary import (
     Distribution,
     _absorbing_reduction,
-    class_stationary,
     linf,
     unichain_law,
 )
@@ -138,7 +137,7 @@ def personalization_gamma(nu, part):
     return _gamma_chain_from_rows([row] * part.m, (nu.den,) * part.m if exact else None)
 
 
-def extended_gamma(p, q, class_laws=None):
+def extended_gamma(p, q):
     """Reduced chain with transient states folded in: row i is the routed
     class mass of r_i = sum over x in C_i of pi_i(x) Q(x, .), whose mass
     on a transient state t continues into class j with the absorption
@@ -148,10 +147,10 @@ def extended_gamma(p, q, class_laws=None):
     over one denominator, the members that hold one Q row object weighted
     once by their summed law numerators; a class whose members all hold one
     row object routes that row as it is, and when every class routes one
-    row, Gamma = 1 mu^T is not solved. class_laws defaults to
-    class_stationary(p), computed only if some class needs it. If Gamma
-    is refused, a union support of P and Q with several closed classes is
-    reported first. P and Q must share one numeric mode."""
+    row, Gamma = 1 mu^T is not solved. P's class laws (p.class_laws) are
+    read only if some class needs them. If Gamma is refused, a union
+    support of P and Q with several closed classes is reported first. P
+    and Q must share one numeric mode."""
     require_one_mode(p, q)
     q_dens = q.dens or (1,) * q.n
     sources, of_class = {}, []  # key -> (row, den) to route; the key of each class's source
@@ -163,8 +162,7 @@ def extended_gamma(p, q, class_laws=None):
             groups = {}  # id of a Q row -> the members that hold it
             for x in ck:
                 groups.setdefault(id(q.num_rows[x]), []).append(x)
-            class_laws = class_laws or class_stationary(p)
-            law = class_laws[k]
+            law = p.class_laws[k]
             weights = [(sum([law.nums[x] for x in xs]), xs[0]) for xs in groups.values()]
             lcm = math.lcm(*[q_dens[x] for _, x in weights])
             row = {}
@@ -205,13 +203,13 @@ def limit_rank(p, q, mode="auto"):
             "P has transient states; use the extended reduction (--mode extended)"
         )
     exact = p.numeric_mode == EXACT
-    per_class = class_stationary(p)
+    per_class = p.class_laws
     if mode == "theorem2":
         chain = None
         m = part.m
         masses = Distribution.of_integers((1,) * m, m) if exact else Distribution([1.0 / m] * m, FLOAT)
     else:
-        chain = extended_gamma(p, q, class_laws=per_class)
+        chain = extended_gamma(p, q)
         masses = chain.pi_gamma
     lcm = math.lcm(*[law.den for law in per_class]) if exact else None
     node = [0] * p.n

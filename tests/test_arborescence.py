@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from znrank.arborescence import (
+    SKELETON_M_GUARD,
     SYMBOLIC_N_GUARD,
     Arborescence,
     all_root_polynomials,
@@ -282,6 +283,25 @@ def test_polynomial_guards():
     big = uniform_matrix(SYMBOLIC_N_GUARD + 1)
     with pytest.raises(GuardExceeded, match=f"n = 11 exceeds the symbolic guard {SYMBOLIC_N_GUARD}"):
         all_root_polynomials(big, big)
+
+
+def test_refusals_keep_their_messages():
+    # every refusal of the enumeration and polynomial routes, with its message
+    g = parse_edge_list("a b\nb a\n")
+    with pytest.raises(ValueError, match="^root 2 outside the state space$"):
+        enumerate_arborescences(g, 2)
+    p2, q3 = uniform_matrix(2), uniform_matrix(3)
+    for route in (lambda: perturbed_root_polynomial(p2, q3, 0), lambda: all_root_polynomials(p2, q3)):
+        with pytest.raises(ValueError, match="^P and Q must share a state space$"):
+            route()
+    big = uniform_matrix(SYMBOLIC_N_GUARD + 1)
+    for route in (lambda: perturbed_root_polynomial(big, big, 0), lambda: enumerated_root_weight(big, 0)):
+        with pytest.raises(GuardExceeded, match=f"^n = 11 exceeds the symbolic guard {SYMBOLIC_N_GUARD}$"):
+            route()
+    m = SKELETON_M_GUARD + 1
+    absorbing = RowStochasticMatrix(StateSpace(m), tuple({i: 1} for i in range(m)))
+    with pytest.raises(GuardExceeded, match=f"^m = 6 exceeds the skeleton guard {SKELETON_M_GUARD}$"):
+        skeleton_identity_check(absorbing, uniform_matrix(m))
 
 
 def test_exact_limit_needs_connected_union():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -774,7 +778,7 @@ def test_float_sweep_reads_its_limit_off_its_plan(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(znrank.sweep, "_plan", plan_spy)
     for mod, names in ((znrank.graph, ("classify_states",)),
-                       (znrank.zero_noise, ("class_stationary", "limit_rank")),
+                       (znrank.zero_noise, ("limit_rank",)),
                        (znrank.stationary, ("class_stationary",))):
         for name in names:
             monkeypatch.setattr(mod, name, refused)
@@ -1081,3 +1085,11 @@ def test_exact_rank_reads_block_and_matrix_q_without_a_fraction(tmp_path, capsys
         code, made = fractions_built(monkeypatch, main, argv)
         assert code == 0 and len(json.loads(capsys.readouterr().out)["node_limit"]) == 48
         assert made == 0, spec
+
+
+@pytest.mark.parametrize("module", ["znrank", "znrank.cli"])
+def test_python_m_prints_the_version(module):
+    # runs __main__.py, and the sys.exit(main()) at the foot of cli.py
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", module, "--version"], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "znrank 0.1.0\n", "")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from znrank.graph import (
     to_stochastic,
     uniform_matrix,
 )
-from znrank.rational import FLOAT, parse_rational
+from znrank.rational import FLOAT, parse_ratio, parse_rational
 from znrank.zero_noise import extended_gamma
 from helpers import (
     fractions_built,
@@ -141,6 +142,26 @@ def test_stochastic_validation():
         RowStochasticMatrix(s, ({0: float("nan"), 1: 1.0}, {1: 1.0}), "float")
     m = RowStochasticMatrix(s, ((0.5, 0.5), (0.25, 0.75)), "float")
     assert m.numeric_mode == "float"
+    cases = (
+        (((1, 0),), "exact", "matrix shape does not match the state space"),  # one row for two states
+        (((1, 0, 0), (0, 1)), "exact", "matrix shape does not match the state space"),  # a row of three
+        (({2: 1}, {0: 1}), "exact", "matrix column outside the state space"),
+        (({-1: 1.0}, {0: 1.0}), "float", "matrix column outside the state space"),
+        (((1.5, -0.5), (0.0, 1.0)), "float", "negative entry in row 0"),
+        (((1, 0), (0, 1)), "decimal", "unknown numeric mode 'decimal'"),
+    )
+    for rows, mode, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RowStochasticMatrix(s, rows, mode)
+
+
+def test_parse_ratio_refuses_a_number_past_the_int_digit_limit():
+    # int() refuses a decimal string of more than 4300 digits; the token is
+    # then read by parse_rational, which names it
+    for token in ("7" * 4301, "1/" + "3" * 4301, "1." + "3" * 4301):
+        with pytest.raises(InputFormatError, match="^line 3: bad number .*Exceeds the limit"):
+            parse_ratio(token, line=3)
+    assert parse_ratio("7" * 4300) == (int("7" * 4300), 1)
 
 
 def test_to_stochastic_dangling_policies():

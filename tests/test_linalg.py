@@ -43,6 +43,7 @@ def test_det_bareiss_known_values():
     # needs a row swap to start
     assert det_bareiss_int([[0, 2, 1], [1, 0, 0], [3, 1, 1]]) == -1
     assert det_bareiss_int([[1, 2], [2, 4]]) == 0
+    assert det_bareiss_int([]) == 1
 
 
 def test_det_exact_known_value():

@@ -146,6 +146,12 @@ def test_first_order_symmetric_fixture_is_zero():
     assert est == (F(0), F(0))
 
 
+def test_first_order_estimate_refuses_equal_eps():
+    p = RowStochasticMatrix(StateSpace(2), ((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="^the two eps values must differ$"):
+        first_order_estimate(p, uniform_matrix(2), (F(1, 10), F(1, 10)))
+
+
 def test_first_order_estimate_tracks_exact():
     rng = rng_for("fo-tracks")
     found = 0

@@ -116,10 +116,10 @@ def test_limit_rank_refuses_an_unknown_mode():
 
 
 def test_limit_rank_refuses_a_mixed_pair_before_any_class_law(monkeypatch):
-    import znrank.zero_noise
+    import znrank.stationary
 
     calls = []
-    monkeypatch.setattr(znrank.zero_noise, "class_stationary", lambda p: calls.append(p))
+    monkeypatch.setattr(znrank.stationary, "class_stationary", lambda p: calls.append(p))
     p, q = cycle_plus_absorber(), uniform_matrix(3)
     for pm, qm in ((p, q.to_float()), (p.to_float(), q)):
         for mode in ("auto", "theorem3", "extended"):
@@ -225,6 +225,24 @@ def test_adjudicate_worked_fixture():
     assert report["methods"]["theorem3"]["verdict"] == "exact"
     assert report["methods"]["theorem2"]["verdict"] == "discrepant"
     assert report["methods"]["theorem2"]["max_deviation"] == "1/6"
+
+
+def test_adjudicate_solves_the_class_laws_once(monkeypatch):
+    # the limit and the theorem2 prediction read the class laws P keeps; the
+    # spy sits wherever a znrank module holds the solver, as perfbench's does
+    import sys
+
+    from znrank.graph import parse_edge_list, to_stochastic
+
+    calls = []
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "znrank" and getattr(mod, "class_stationary", None) is class_stationary:
+            monkeypatch.setattr(mod, "class_stationary", lambda p: calls.append(p) or class_stationary(p))
+    p = to_stochastic(parse_edge_list("a b\nb a\nc d\nd c\ne a\ne c\n"))
+    report = adjudicate(p, uniform_matrix(5))
+    assert calls == [p]
+    assert sorted(report["methods"]) == ["extended", "theorem2"]
+    assert report["methods"]["extended"]["verdict"] == "exact"
 
 
 def test_adjudicate_leading_order_oracle_on_floats():
