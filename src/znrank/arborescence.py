@@ -42,35 +42,22 @@ class Arborescence(namedtuple("Arborescence", "root parents")):
     __slots__ = ()
 
 
-def _assignment_count(cands, nodes):
-    count = 1
-    for u in nodes:
-        count *= len(cands[u])
-        if count == 0:
-            return 0
-    return count
+def _check_budget(cands, nodes):
+    count = math.prod(len(cands[u]) for u in nodes)
+    if count > DEFAULT_ASSIGNMENT_BUDGET:
+        raise GuardExceeded(f"{count} candidate assignments exceed the budget of {DEFAULT_ASSIGNMENT_BUDGET}")
 
 
-def _check_budget(cands, nodes, budget):
-    count = _assignment_count(cands, nodes)
-    if count > budget:
-        raise GuardExceeded(
-            f"{count} candidate assignments exceed the budget of {budget}"
-            " (pass budget= to override)"
-        )
-
-
-def enumerate_arborescences(g, root, budget=DEFAULT_ASSIGNMENT_BUDGET):
+def enumerate_arborescences(g, root):
     """All arborescences of the digraph g rooted at root, in lexicographic
     order of their parent maps. Self-loops can never appear in one."""
     n = g.states.n
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} outside the state space")
+    _require_root(n, root)
     if n > ENUMERATION_N_GUARD:
         raise GuardExceeded(f"n = {n} exceeds the enumeration guard {ENUMERATION_N_GUARD}")
     cands = [sorted(v for v in g.successors(u) if v != u) for u in range(n)]
     nodes = [u for u in range(n) if u != root]
-    _check_budget(cands, nodes, budget)
+    _check_budget(cands, nodes)
     out = []
     for vec in enumerate_parents(n, root, cands):
         pairs = tuple((u, vec[u]) for u in nodes)
@@ -84,11 +71,11 @@ def arborescence_weight(a, w):
     return math.prod((w.entry(u, v) for u, v in a.parents), start=Fraction(1))
 
 
-def enumerated_root_weight(w, root, budget=DEFAULT_ASSIGNMENT_BUDGET):
+def enumerated_root_weight(w, root):
     """Sum of arborescence weights rooted at root of an exact matrix, via
     the search kernel: H_r(0) of perturbed_root_polynomial(w, w, root),
     whose every edge carries W(u, v) + 0 eps."""
-    h = perturbed_root_polynomial(w, w, root, budget)
+    h = perturbed_root_polynomial(w, w, root)
     return Fraction(h.nums[0] if h.nums else 0, h.den)
 
 
@@ -97,6 +84,7 @@ def root_weight_minor(w, root):
     row and column deleted. Equals the sum of arborescence weights at the
     root."""
     _require_exact(w)
+    _require_root(w.n, root)
     idx = [i for i in range(w.n) if i != root]
     return det_exact([[(i == j) - w.entry(i, j) for j in idx] for i in idx])
 
@@ -125,13 +113,18 @@ def mctt_stationary(p):
     return Distribution(tuple(v / total for v in vals), EXACT)
 
 
+def _require_root(n, root):
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} outside the state space")
+
+
 def _require_exact(*mats):
     for m in mats:
         if m.numeric_mode != EXACT:
             raise ValueError("the tree-theorem routes need exact (rational) matrices")
 
 
-def perturbed_root_polynomial(p, q, root, budget=DEFAULT_ASSIGNMENT_BUDGET):
+def perturbed_root_polynomial(p, q, root):
     """Exact polynomial, in the mixing weight, of the sum of arborescence
     weights rooted at root for (1-eps) P + eps Q.
 
@@ -142,11 +135,12 @@ def perturbed_root_polynomial(p, q, root, budget=DEFAULT_ASSIGNMENT_BUDGET):
     n = p.n
     if q.n != n:
         raise ValueError("P and Q must share a state space")
+    _require_root(n, root)
     if n > SYMBOLIC_N_GUARD:
         raise GuardExceeded(f"n = {n} exceeds the symbolic guard {SYMBOLIC_N_GUARD}")
     cands = [sorted(set(a).union(b)) for a, b in zip(p.support_successors(), q.support_successors())]
     nodes = [u for u in range(n) if u != root]
-    _check_budget(cands, nodes, budget)
+    _check_budget(cands, nodes)
     denom = 1
     factors = []
     for u in range(n):

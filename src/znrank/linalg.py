@@ -1,12 +1,10 @@
 """Small dense linear algebra on lists of lists.
 
-Exact routines work over Fraction; the determinant clears denominators per
-row and runs fraction-free (Bareiss) elimination so intermediates stay
-integer. The floating solver uses partial pivoting. Sizes here are desk
-scale.
+Exact routines work over Fraction: the solver by Gauss-Jordan elimination,
+the determinant by plain Gaussian elimination, the product of its pivots.
+The floating solver uses partial pivoting. Sizes here are desk scale.
 """
 
-import math
 from fractions import Fraction
 
 from znrank.errors import SingularSystem
@@ -45,45 +43,21 @@ def solve_float(a, rhs):
     return _gauss_jordan(a, rhs, float, lambda m, c: max(range(c, len(m)), key=lambda r: abs(m[r][c])))
 
 
-def det_bareiss_int(m):
-    """Determinant of an integer matrix, fraction-free. Destroys m."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
 def det_exact(a):
-    """Exact determinant of a Fraction matrix via per-row clearing plus
-    integer Bareiss elimination."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    denom = Fraction(1)
-    rows = []
-    for row in a:
-        frs = [Fraction(x) for x in row]
-        l = math.lcm(*(f.denominator for f in frs)) if frs else 1
-        denom *= l
-        rows.append([int(f * l) for f in frs])
-    return Fraction(det_bareiss_int(rows), 1) / denom
+    """Exact determinant of a square matrix by Gaussian elimination over
+    Fractions: each row swap flips the sign, and the determinant is the
+    product of the pivots, 0 once a column has no nonzero pivot."""
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            if f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from znrank.errors import NotIrreducible
 from znrank.graph import is_irreducible
-from znrank.rational import EXACT, FLOAT, common_denominator
+from znrank.rational import EXACT, FLOAT, common_denominator, zero_one
 
 _GCD_BITS = 128  # an exact row is put in lowest terms once its denominator is wider
 
@@ -454,15 +454,11 @@ def class_stationary(p):
     return tuple(out)
 
 
-class AbsorptionTable(namedtuple("AbsorptionTable", "transient num_rows dens", defaults=(None,))):
-    """rows[t][k] = probability that transient state t is absorbed in class k:
-    num_rows[t][k] / dens[t], built on first use, or with dens None floats.
-    No __slots__: the cached rows live in the instance __dict__."""
+class AbsorptionTable(namedtuple("AbsorptionTable", "transient rows")):
+    """rows[t][k] = probability that transient state t is absorbed in class k,
+    in the matrix's own numbers: Fractions, or floats."""
 
-    @functools.cached_property
-    def rows(self):
-        return self.num_rows if self.dens is None else tuple(
-            tuple([Fraction(x, d) for x in row]) for row, d in zip(self.num_rows, self.dens))
+    __slots__ = ()
 
     def row_for(self, state):
         return self.rows[self.transient.index(state)]
@@ -481,32 +477,19 @@ def absorption_probabilities(p):
     """Probability that each transient state is absorbed into each closed
     class, by censoring the transient states onto the closed states, each
     made absorbing: an eliminated row over its sum is the next-state law
-    among states whose absorption is known by then. In exact mode a state's
-    absorption row stays integer numerators a[k] over one denominator
-    den[k], as _back_substitute keeps x integral: den[k] is the pivot times
-    the lcm of the den of the states k's row reads, reduced by one gcd,
-    and the table keeps them so. No command builds the |T| x m table:
-    zero_noise pushes Q's mass along the same elimination, and the table
-    is the reference it is tested against."""
+    among states whose absorption is known by then, so a state's row is
+    that law's average of theirs, in the matrix's own numbers (Fractions in
+    exact mode). No command builds the |T| x m table: zero_noise pushes Q's
+    mass along the same elimination, and the table is the reference it is
+    tested against."""
     part = p.partition
     m = part.m
-    exact = p.numeric_mode == EXACT
-    zero, one = (0, 1) if exact else (0.0, 1.0)
+    zero, one = zero_one(p.numeric_mode)
     units = [[one if c == k else zero for c in range(m)] for k in range(m)]
     a = {s: units[k] for k, cls in enumerate(part.closed_classes) for s in cls}
-    den = dict.fromkeys(a, 1)
     rows, order = _absorbing_reduction(p)
     for k in reversed(order):
         row = rows[k]
         pivot = sum(row.values())
-        if not exact:
-            a[k] = [sum((v * a[j][c] for j, v in row.items()), 0.0) / pivot for c in range(m)]
-            continue
-        lcm = math.lcm(*[den[j] for j in row])
-        terms = [(v * (lcm // den[j]), a[j]) for j, v in row.items()]
-        nums = [sum(f * aj[c] for f, aj in terms) for c in range(m)]
-        d = pivot * lcm
-        g = math.gcd(d, *nums)
-        a[k], den[k] = [x // g for x in nums], d // g
-    rows = tuple(tuple(a[t]) for t in part.transient)
-    return AbsorptionTable(part.transient, rows, tuple(den[t] for t in part.transient) if exact else None)
+        a[k] = [sum((v * a[j][c] for j, v in row.items()), zero) / pivot for c in range(m)]
+    return AbsorptionTable(part.transient, tuple(tuple(a[t]) for t in part.transient))

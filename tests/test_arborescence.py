@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import znrank.arborescence
 from znrank.arborescence import (
     SKELETON_M_GUARD,
     SYMBOLIC_N_GUARD,
@@ -70,13 +71,14 @@ def test_enumerate_excludes_self_loops_and_cycles():
     assert [a.parents for a in arbs] == [((1, 0),)]
 
 
-def test_enumeration_guards():
+def test_enumeration_guards(monkeypatch):
     g = parse_edge_list("\n".join(f"n{i} n{(i + 1) % 13}" for i in range(13)))
     with pytest.raises(GuardExceeded):
         enumerate_arborescences(g, 0)
     k3 = parse_edge_list(K3)
-    with pytest.raises(GuardExceeded):
-        enumerate_arborescences(k3, 0, budget=1)
+    monkeypatch.setattr(znrank.arborescence, "DEFAULT_ASSIGNMENT_BUDGET", 1)
+    with pytest.raises(GuardExceeded, match="^4 candidate assignments exceed the budget of 1$"):
+        enumerate_arborescences(k3, 0)
 
 
 def test_arborescence_weight():
@@ -275,11 +277,12 @@ def test_root_weights_are_the_constant_terms_random():
     assert kinds == {"closed classes", "transient"}
 
 
-def test_polynomial_guards():
+def test_polynomial_guards(monkeypatch):
     p = RowStochasticMatrix(StateSpace(3), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     q = uniform_matrix(3)
+    monkeypatch.setattr(znrank.arborescence, "DEFAULT_ASSIGNMENT_BUDGET", 1)
     with pytest.raises(GuardExceeded):
-        perturbed_root_polynomial(p, q, 0, budget=1)
+        perturbed_root_polynomial(p, q, 0)
     big = uniform_matrix(SYMBOLIC_N_GUARD + 1)
     with pytest.raises(GuardExceeded, match=f"n = 11 exceeds the symbolic guard {SYMBOLIC_N_GUARD}"):
         all_root_polynomials(big, big)
@@ -290,6 +293,12 @@ def test_refusals_keep_their_messages():
     g = parse_edge_list("a b\nb a\n")
     with pytest.raises(ValueError, match="^root 2 outside the state space$"):
         enumerate_arborescences(g, 2)
+    u = uniform_matrix(3)
+    for root in (5, -1):
+        for route in (lambda: perturbed_root_polynomial(u, u, root), lambda: enumerated_root_weight(u, root),
+                      lambda: root_weight_minor(u, root)):
+            with pytest.raises(ValueError, match=f"^root {root} outside the state space$"):
+                route()
     p2, q3 = uniform_matrix(2), uniform_matrix(3)
     for route in (lambda: perturbed_root_polynomial(p2, q3, 0), lambda: all_root_polynomials(p2, q3)):
         with pytest.raises(ValueError, match="^P and Q must share a state space$"):

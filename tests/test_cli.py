@@ -1093,3 +1093,52 @@ def test_python_m_prints_the_version(module):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     done = subprocess.run([sys.executable, "-m", module, "--version"], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "znrank 0.1.0\n", "")
+
+
+def test_no_command_runs_a_cross_check(tmp_path, capsys, monkeypatch):
+    # the tree-theorem references (the minors of I - P, the absorption table,
+    # the enumeration and its budget) are library cross-checks: every command
+    # answers with all of them made to raise, in every znrank module holding one
+    import importlib
+    import pkgutil
+
+    import znrank
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a command ran a cross-check")
+
+    for info in pkgutil.iter_modules(znrank.__path__):
+        if info.name == "__main__":  # running it runs the CLI
+            continue
+        module = importlib.import_module(f"znrank.{info.name}")
+        for name in ("det_exact", "absorption_probabilities", "root_weight_minor", "sum_tree_products",
+                     "enumerate_parents", "_check_budget"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    two = wpath(tmp_path, "two.txt", TWO_CLASS)
+    t = wpath(tmp_path, "t.txt", TRANSIENT)
+    # 11 states: two closed classes and transient states feeding both
+    big = wpath(tmp_path, "big.txt", "a b\nb a\nc d\nd e\ne c\n"
+                + "".join(f"t{i} {'a' if i % 2 else 'c'}\nt{i} t{(i + 1) % 6}\n" for i in range(6)))
+    k3 = wpath(tmp_path, "k3.txt", K3)
+    w = wpath(tmp_path, "w.txt", "a 1\nb 2\nc 3\n")
+    pairs = wpath(tmp_path, "pairs.txt", "x y 3\ny x 1\n")
+    argvs = [("classify", "--graph", t)]
+    for numeric in ("exact", "float"):
+        argvs += [("rank", "--graph", t, "--q", "uniform", "--numeric", numeric, "--mode", mode)
+                  for mode in ("auto", "theorem2", "extended")]
+        argvs += [("sweep", "--graph", t, "--q", "uniform", "--numeric", numeric)]
+        argvs += [("adjudicate", "--graph", g, "--q", "uniform", "--numeric", numeric) for g in (two, t, big)]
+    argvs += [("oracle", "--graph", t), ("oracle", "--graph", t, "--q", "uniform"),
+              ("model", "srw", "--graph", k3), ("model", "bt", "--graph", k3, "--weights", w),
+              ("model", "pairwise", "--weights", pairs, "--d", "1")]
+    oracles = []
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if argv[0] == "adjudicate":
+            obj = json.loads(out)
+            oracles.append((argv[-1], len(obj["oracle"]), obj["oracle_mode"]))
+    assert oracles == [("exact", 3, "exact-polynomial"), ("exact", 3, "exact-polynomial"),
+                       ("exact", 11, "leading-order"), ("float", 3, "leading-order"),
+                       ("float", 3, "leading-order"), ("float", 11, "leading-order")]

@@ -25,7 +25,6 @@ from znrank.rational import common_denominator
 from znrank.sweep import _shared_q_rows, perturbed_matrix
 from helpers import (
     assert_stationary,
-    fractions_built,
     markowitz_reference,
     rand_mixed_chain,
     rand_partly_shared_q,
@@ -187,13 +186,12 @@ def test_absorption_fixture_two_thirds():
     table = absorption_probabilities(p)
     assert table.transient == (2,)
     assert table.row_for(2) == (F(2, 3), F(1, 3))
-    assert table.rows is table.rows  # built once
-    assert repr(table) == "AbsorptionTable(transient=(2,), num_rows=((2, 1),), dens=(3,))"
-    twin = AbsorptionTable((2,), ((2, 1),), (3,))
+    assert repr(table) == "AbsorptionTable(transient=(2,), rows=((Fraction(2, 3), Fraction(1, 3)),))"
+    twin = AbsorptionTable((2,), ((F(2, 3), F(1, 3)),))
     assert table == twin and hash(table) == hash(twin)
     with pytest.raises(AttributeError):
-        table.dens = None
-    assert AbsorptionTable((2,), ((0.5, 0.5),)).rows == ((0.5, 0.5),)  # float rows, no dens
+        table.rows = None
+    assert AbsorptionTable((2,), ((0.5, 0.5),)).rows == ((0.5, 0.5),)  # float rows
 
 
 def test_absorption_fixture_chained_transients():
@@ -247,17 +245,6 @@ def test_absorption_matches_per_entry_arithmetic_random():
             table = absorption_probabilities(m)
             assert table.rows == _absorption_per_entry(m, part)
             assert all(type(x) is (F if m is p else float) for row in table.rows for x in row)
-
-
-def test_absorption_builds_one_fraction_per_entry(monkeypatch):
-    # 6 transient states and 3 classes: 18 entries; per-entry Fraction
-    # arithmetic builds over 100
-    p = rand_mixed_chain(rng_for("absorb-budget"), [3, 2, 2], 6)
-    part = classify_states(p)
-    table, made = fractions_built(monkeypatch, absorption_probabilities, p)
-    assert len(part.transient) == 6 and part.m == 3
-    assert made <= 6 * 3
-    assert all(sum(row) == 1 for row in table.rows)
 
 
 def test_absorption_empty_when_no_transients():
